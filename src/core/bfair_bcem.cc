@@ -4,54 +4,17 @@
 #include <atomic>
 
 #include "core/fair_bcem_pp.h"
-#include "core/intersect.h"
+#include "core/parallel.h"
 #include "core/search_context.h"
 #include "fairness/combination.h"
 #include "fairness/fair_set.h"
 
 namespace fairbc {
 
-namespace {
-
-// Common neighborhood (on the lower side) of an upper vertex set, plus
-// its per-class size histogram (`counts`, sized to the lower attr
-// domain). The running intersection shrinks monotonically, so two
-// ping-pong buffers sized to the first neighbor list cover the fold, and
-// the last step fuses the class counting into the intersection instead
-// of a separate pass over the result.
-std::vector<VertexId> CommonLowerNeighborhoodWithCounts(
-    const BipartiteGraph& g, std::span<const VertexId> upper,
-    SizeVector* counts) {
-  FAIRBC_CHECK(!upper.empty());
-  counts->assign(g.NumAttrs(Side::kLower), 0);
-  const std::span<const AttrId> attrs = g.AttrArray(Side::kLower);
-  auto first = g.Neighbors(Side::kUpper, upper[0]);
-  std::vector<VertexId> common(first.begin(), first.end());
-  if (upper.size() == 1) {
-    for (VertexId v : common) ++(*counts)[attrs[v]];
-    return common;
-  }
-  std::vector<VertexId> tmp(common.size());
-  for (std::size_t i = 1; i + 1 < upper.size() && !common.empty(); ++i) {
-    tmp.resize(
-        IntersectInto(tmp.data(), common, g.Neighbors(Side::kUpper, upper[i])));
-    common.swap(tmp);
-  }
-  if (!common.empty()) {
-    tmp.resize(IntersectWithAttrCounts(
-        tmp.data(), common, g.Neighbors(Side::kUpper, upper.back()), attrs,
-        counts->data()));
-    common.swap(tmp);
-  }
-  return common;
-}
-
-}  // namespace
-
 EnumStats BFairBcemRun(const BipartiteGraph& g,
                        const FairBicliqueParams& params,
                        const EnumOptions& options, SsEngine engine,
-                       const BicliqueSink& sink) {
+                       const EngineSink& sink) {
   EnumStats stats;
   if (g.NumUpper() == 0 || g.NumLower() == 0) return stats;
   if (options.topk != nullptr) {
@@ -74,32 +37,41 @@ EnumStats BFairBcemRun(const BipartiteGraph& g,
 
   // The inner engine delivers single-side fair bicliques from several
   // workers at once when options.num_threads != 1; this body keeps all
-  // its state per-call or atomic and forwards to `sink` under the
-  // engine-level threading contract (core/enumerate.h).
+  // its state per call, per worker or atomic and forwards to `sink` under
+  // the EngineSink contract (core/enumerate.h).
   std::atomic<bool> aborted{false};
-  std::atomic<std::uint64_t> emitted{0};
+  WorkerCounters emitted(ResolveNumThreads(options.num_threads));
 
-  // Paper Alg. 9 body, run per single-side fair biclique (L', R').
-  BicliqueSink ss_sink = [&](const Biclique& ss) {
-    SizeVector r_sizes = AttrSizes(g, Side::kLower, ss.lower);
-    EnumerateMaximalFairSubsets(
-        g, Side::kUpper, ss.upper, upper_spec,
-        [&](std::span<const VertexId> l_sub) {
-          if (l_sub.empty()) return true;  // bicliques need nonempty sides.
-          SizeVector hood_sizes;
-          std::vector<VertexId> hood =
-              CommonLowerNeighborhoodWithCounts(g, l_sub, &hood_sizes);
-          // R' ⊆ N∩(l') always holds (l' ⊆ N∩(R')); (l', R') is a bi-side
-          // fair biclique iff R' cannot be fairly extended inside N∩(l').
-          if (lower_policy.MaximalWithin(r_sizes, hood_sizes)) {
-            Biclique b;
-            b.upper.assign(l_sub.begin(), l_sub.end());
-            b.lower = ss.lower;
-            emitted.fetch_add(1, std::memory_order_relaxed);
-            if (!sink(b)) {
-              aborted.store(true, std::memory_order_relaxed);
-              return false;
+  // Paper Alg. 9 body, run per single-side fair biclique (L', R'): walk the
+  // maximal fair subsets l' of L'. R' ⊆ N∩(l') always holds (l' ⊆ L'), and
+  // (l', R') is a bi-side fair biclique iff R' cannot be fairly extended
+  // inside N∩(l'). Once a prefix's neighborhood has shrunk to R' itself,
+  // every extension's is R' too and the fold stops intersecting.
+  EngineSink ss_sink = [&](const EmitWorker& worker,
+                           std::span<const VertexId> ss_upper,
+                           std::span<const VertexId> ss_lower) {
+    const SizeVector r_sizes = AttrSizes(g, Side::kLower, ss_lower);
+    const bool maximal_in_r = lower_policy.MaximalWithin(r_sizes, r_sizes);
+    SizeVector hood_sizes(g.NumAttrs(Side::kLower));
+    const std::span<const AttrId> lower_attrs = g.AttrArray(Side::kLower);
+    WalkFairSubsetsFolded(
+        g, Side::kUpper, ss_upper, upper_spec, ss_lower.size(),
+        *worker.arena, [&](const PrefixFold& fold) {
+          // Bicliques need nonempty sides.
+          if (fold.prefix().empty()) return true;
+          bool maximal = maximal_in_r;
+          if (!fold.AtFixedSize()) {
+            std::fill(hood_sizes.begin(), hood_sizes.end(), 0);
+            for (VertexId v : fold.neighborhood()) {
+              ++hood_sizes[lower_attrs[v]];
             }
+            maximal = lower_policy.MaximalWithin(r_sizes, hood_sizes);
+          }
+          if (!maximal) return true;
+          emitted.Add(worker.index);
+          if (!sink(worker, fold.prefix(), ss_lower)) {
+            aborted.store(true, std::memory_order_relaxed);
+            return false;
           }
           return true;
         });
@@ -119,7 +91,7 @@ EnumStats BFairBcemRun(const BipartiteGraph& g,
                           ss_sink);
       break;
   }
-  stats.num_results = emitted.load(std::memory_order_relaxed);
+  stats.num_results = emitted.Sum();
   return stats;
 }
 

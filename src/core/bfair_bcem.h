@@ -25,7 +25,7 @@ enum class SsEngine {
 EnumStats BFairBcemRun(const BipartiteGraph& g,
                        const FairBicliqueParams& params,
                        const EnumOptions& options, SsEngine engine,
-                       const BicliqueSink& sink);
+                       const EngineSink& sink);
 
 }  // namespace fairbc
 

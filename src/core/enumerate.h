@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,26 +48,42 @@ struct Biclique {
 /// Receives results; return false to abort the enumeration.
 ///
 /// Threading contract: the pipeline.h entry points always invoke the
-/// caller's sink one call at a time (they wrap it in a SerializingSink,
-/// core/parallel.h, before fanning out), so sinks passed to the public API
-/// need no synchronization of their own — but when
-/// EnumOptions::num_threads != 1 the calls arrive from worker threads in
-/// nondeterministic order. The lower-level engine entry points
-/// (FairBcemRun, FairBcemPpRun, BFairBcemRun, EnumerateMaximalBicliques)
-/// skip that wrapping and may invoke their sink concurrently; direct
-/// callers running with num_threads != 1 must pass a thread-safe sink
-/// (CollectSink/CountSink below qualify).
+/// caller's sink one call at a time — their emission stage hands it whole
+/// blocks of results under one lock — so sinks passed to the public API
+/// need no synchronization of their own. When EnumOptions::num_threads != 1
+/// the calls arrive from worker threads in nondeterministic order. The
+/// Biclique passed in is only valid for the duration of the call.
 using BicliqueSink = std::function<bool(const Biclique&)>;
+
+/// The worker an engine emits from, as its EngineSink sees it.
+struct EmitWorker {
+  /// In [0, worker count of the run); calls carrying the same index never
+  /// overlap, calls with different indices may run concurrently.
+  unsigned index = 0;
+  /// The worker's recursion arena: the sink may carve scratch out of it
+  /// under its own ArenaScope and must rewind it before returning.
+  ScratchArena* arena = nullptr;
+};
+
+/// Engine-level sink of the lower-level engine entry points (FairBcemRun,
+/// FairBcemPpRun, BFairBcemRun, EnumerateMaximalBicliques): one result as
+/// two ascending id spans that are valid only during the call. Calls from
+/// different workers may run concurrently (see EmitWorker). Return false
+/// to abort the enumeration.
+using EngineSink =
+    std::function<bool(const EmitWorker& worker,
+                       std::span<const VertexId> upper,
+                       std::span<const VertexId> lower)>;
 
 /// Composable result-sink interface: every consumer of an enumeration —
 /// collecting, counting, chunked streaming, top-k selection — is one
 /// ResultSink, and sinks stack by forwarding Accept to an inner sink.
 /// Accept returns false to abort the run (same contract as BicliqueSink,
-/// which remains the engines' currency; AsSink() bridges). Finish() is
-/// called exactly once after the enumeration returns so buffering sinks
-/// (core/result_sink.h ChunkSink, TopKSink) can flush; for pass-through
-/// sinks it is a no-op. Unless a sink documents otherwise, Accept/Finish
-/// follow the BicliqueSink threading contract above.
+/// which remains the pipeline entry points' currency; AsSink() bridges).
+/// Finish() is called exactly once after the enumeration returns so
+/// buffering sinks (core/result_sink.h ChunkSink, TopKSink) can flush; for
+/// pass-through sinks it is a no-op. Unless a sink documents otherwise,
+/// Accept/Finish follow the BicliqueSink threading contract above.
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
@@ -234,10 +251,10 @@ struct EnumStats {
   std::string DebugString() const;
 };
 
-/// Convenience sink collecting every result. Internally synchronized so it
-/// is safe even with the engine-level entry points that emit from several
-/// workers; results()/mutable_results() must only be read after the
-/// enumeration returned.
+/// Convenience sink collecting every result. Internally synchronized so
+/// one instance may even be shared by concurrent runs;
+/// results()/mutable_results() must only be read after the enumeration
+/// returned.
 class CollectSink final : public ResultSink {
  public:
   bool Accept(const Biclique& b) override {

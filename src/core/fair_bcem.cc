@@ -30,8 +30,7 @@ using ContextSplitter = SubtreeSplitter<std::unique_ptr<SearchContext>>;
 // Every per-branch set (new L, filtered candidates, exclusion lists,
 // class counters) is carved out of the worker's ScratchArena — one
 // ArenaScope per recursion frame, capacity bounds proven from the parent
-// sets — so the recursion itself never touches the heap; only emitted
-// results allocate.
+// sets — so neither the recursion nor its emissions touch the heap.
 class FairBcemEngine {
  public:
   FairBcemEngine(SearchContext& ctx, const FairBcemSearchOptions& search,
@@ -78,20 +77,19 @@ class FairBcemEngine {
   }
 
   // Emits (upper, lower) if the maximality check against `ground_sizes`
-  // passes. `lower_sizes` must be the class sizes of `lower`. Nothing is
-  // materialized until the checks pass; only an actual emission copies
-  // the sets out of the arena.
+  // passes. `lower_sizes` must be the class sizes of `lower`. Only an
+  // actual emission sorts a copy of `lower`, in the arena.
   void MaybeEmit(std::span<const VertexId> upper,
                  std::span<const VertexId> lower, SizeSpan lower_sizes,
                  SizeSpan ground_sizes) {
     if (upper.size() < min_upper_) return;
     if (!ctx_.policy().Feasible(lower_sizes)) return;
     if (!ctx_.policy().MaximalWithin(lower_sizes, ground_sizes)) return;
-    Biclique b;
-    b.upper.assign(upper.begin(), upper.end());
-    b.lower.assign(lower.begin(), lower.end());
-    std::sort(b.lower.begin(), b.lower.end());
-    ctx_.Emit(b);
+    ArenaScope frame(ctx_.arena());
+    IdVec sorted(ctx_.arena(), lower.size());
+    for (VertexId v : lower) sorted.push_back(v);
+    std::sort(sorted.begin(), sorted.end());
+    ctx_.Emit(upper, sorted.view());
   }
 
   // Processes the branch rooted at p[0] (remaining candidates p, exclusion
@@ -278,7 +276,7 @@ class FairBcemEngine {
 EnumStats FairBcemRun(const BipartiteGraph& g, const FairBicliqueParams& params,
                       std::uint32_t min_upper, const EnumOptions& options,
                       const FairBcemSearchOptions& search,
-                      const BicliqueSink& sink) {
+                      const EngineSink& sink) {
   if (g.NumUpper() == 0 || g.NumLower() == 0) {
     return {};
   }
@@ -294,7 +292,7 @@ EnumStats FairBcemRun(const BipartiteGraph& g, const FairBicliqueParams& params,
   EnumStats stats;
   const unsigned num_threads = ResolveNumThreads(options.num_threads);
   if (num_threads <= 1) {
-    SearchContext ctx(g, options, policy, budget, sink);
+    SearchContext ctx(g, options, policy, budget, sink, /*worker=*/0);
     FairBcemEngine(ctx, search, min_upper).Run(upper_all, candidates);
     stats = ctx.stats();
     stats.peak_struct_bytes =
@@ -302,9 +300,9 @@ EnumStats FairBcemRun(const BipartiteGraph& g, const FairBicliqueParams& params,
   } else {
     auto contexts = FanOutRootBranches<std::unique_ptr<SearchContext>>(
         num_threads, candidates.size(),
-        [&](unsigned) {
+        [&](unsigned worker) {
           return std::make_unique<SearchContext>(g, options, policy, budget,
-                                                 sink);
+                                                 sink, worker);
         },
         [&](SearchContext& ctx, std::uint64_t task, ContextSplitter& splitter) {
           TraceSpan span(options.trace, "root");

@@ -42,7 +42,7 @@ inline FairBcemSearchOptions NaiveSearchOptions() {
 EnumStats FairBcemRun(const BipartiteGraph& g, const FairBicliqueParams& params,
                       std::uint32_t min_upper, const EnumOptions& options,
                       const FairBcemSearchOptions& search,
-                      const BicliqueSink& sink);
+                      const EngineSink& sink);
 
 }  // namespace fairbc
 

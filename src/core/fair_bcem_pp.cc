@@ -4,40 +4,18 @@
 #include <atomic>
 
 #include "common/timer.h"
-#include "core/intersect.h"
 #include "core/mbea.h"
+#include "core/parallel.h"
+#include "core/search_context.h"
 #include "fairness/combination.h"
 #include "fairness/fair_set.h"
 
 namespace fairbc {
 
-namespace {
-
-// Common neighborhood (on the upper side) of a lower vertex set. The
-// running intersection shrinks monotonically, so two ping-pong buffers
-// sized to the first neighbor list cover the whole fold — no per-step
-// reallocation.
-std::vector<VertexId> CommonUpperNeighborhood(const BipartiteGraph& g,
-                                              std::span<const VertexId> lower) {
-  FAIRBC_CHECK(!lower.empty());
-  auto first = g.Neighbors(Side::kLower, lower[0]);
-  std::vector<VertexId> common(first.begin(), first.end());
-  if (lower.size() == 1) return common;
-  std::vector<VertexId> tmp(common.size());
-  for (std::size_t i = 1; i < lower.size() && !common.empty(); ++i) {
-    tmp.resize(
-        IntersectInto(tmp.data(), common, g.Neighbors(Side::kLower, lower[i])));
-    common.swap(tmp);
-  }
-  return common;
-}
-
-}  // namespace
-
 EnumStats FairBcemPpRun(const BipartiteGraph& g,
                         const FairBicliqueParams& params,
                         std::uint32_t min_upper, const EnumOptions& options,
-                        const BicliqueSink& sink) {
+                        const EngineSink& sink) {
   EnumStats stats;
   if (g.NumUpper() == 0 || g.NumLower() == 0) return stats;
   const FairnessSpec spec = params.LowerSpec();
@@ -65,58 +43,54 @@ EnumStats FairBcemPpRun(const BipartiteGraph& g,
 
   // The substrate may deliver maximal bicliques from several workers at
   // once (config.num_threads != 1), so everything the per-biclique
-  // post-processing shares is atomic; `sink` follows the engine-level
-  // threading contract (core/enumerate.h).
+  // post-processing shares is atomic or per worker; `sink` follows the
+  // EngineSink contract (core/enumerate.h).
   Deadline deadline(options.time_budget_seconds);
   std::atomic<bool> aborted{false};
   std::atomic<bool> subset_budget_exhausted{false};
-  std::atomic<std::uint64_t> num_results{0};
+  WorkerCounters num_results(ResolveNumThreads(options.num_threads));
   std::atomic<std::uint64_t> visited{0};
 
-  auto emit = [&](const std::vector<VertexId>& upper,
-                  std::vector<VertexId> lower) {
-    Biclique b;
-    b.upper = upper;
-    b.lower = std::move(lower);
-    num_results.fetch_add(1, std::memory_order_relaxed);
-    if (!sink(b)) aborted.store(true, std::memory_order_relaxed);
+  auto emit = [&](const EmitWorker& worker, std::span<const VertexId> upper,
+                  std::span<const VertexId> lower) {
+    num_results.Add(worker.index);
+    if (!sink(worker, upper, lower)) {
+      aborted.store(true, std::memory_order_relaxed);
+    }
     return !aborted.load(std::memory_order_relaxed);
   };
 
-  MaximalBicliqueSink mb_sink = [&](const std::vector<VertexId>& upper,
-                                    const std::vector<VertexId>& lower) {
+  MaximalBicliqueSink mb_sink = [&](const EmitWorker& worker,
+                                    std::span<const VertexId> upper,
+                                    std::span<const VertexId> lower) {
     visited.fetch_add(1, std::memory_order_relaxed);
     SizeVector sizes = AttrSizes(g, Side::kLower, lower);
     if (IsFeasibleVector(sizes, spec)) {
       // A fair closure is its own unique maximal fair subset and its
       // common neighborhood is exactly `upper` (closure property), so
       // (upper, lower) is a single-side fair biclique directly.
-      return emit(upper, lower);
+      return emit(worker, upper, lower);
     }
-    // Paper Alg. 6 lines 25-28: enumerate the maximal fair subsets of R
-    // and keep those whose common neighborhood is exactly L.
-    EnumerateMaximalFairSubsets(
-        g, Side::kLower, lower, spec, [&](std::span<const VertexId> subset) {
+    // Paper Alg. 6 lines 25-28: enumerate the maximal fair subsets S of R
+    // and keep those whose common neighborhood is exactly L. S ⊆ R gives
+    // N∩(S) ⊇ L, so equal size means equality — and the fold stops
+    // intersecting at the first prefix whose neighborhood is L.
+    WalkFairSubsetsFolded(
+        g, Side::kLower, lower, spec, upper.size(), *worker.arena,
+        [&](const PrefixFold& fold) {
           if (deadline.Expired()) {
             subset_budget_exhausted.store(true, std::memory_order_relaxed);
             return false;
           }
-          if (subset.empty()) return true;
-          std::vector<VertexId> common = CommonUpperNeighborhood(g, subset);
-          if (common.size() == upper.size()) {
-            // N∩(subset) ⊇ upper always; equal size means equality, so
-            // `upper` really is the full common neighborhood.
-            return emit(common, std::vector<VertexId>(subset.begin(),
-                                                      subset.end()));
-          }
-          return true;
+          if (fold.prefix().empty() || !fold.AtFixedSize()) return true;
+          return emit(worker, upper, fold.prefix());
         });
     return !aborted.load(std::memory_order_relaxed) &&
            !subset_budget_exhausted.load(std::memory_order_relaxed);
   };
 
   MbeaStats mb_stats = EnumerateMaximalBicliques(g, config, mb_sink);
-  stats.num_results = num_results.load(std::memory_order_relaxed);
+  stats.num_results = num_results.Sum();
   stats.maximal_bicliques_visited = visited.load(std::memory_order_relaxed);
   stats.search_nodes = mb_stats.search_nodes;
   stats.split_subtrees = mb_stats.split_subtrees;

@@ -17,7 +17,7 @@ namespace fairbc {
 EnumStats FairBcemPpRun(const BipartiteGraph& g,
                         const FairBicliqueParams& params,
                         std::uint32_t min_upper, const EnumOptions& options,
-                        const BicliqueSink& sink);
+                        const EngineSink& sink);
 
 }  // namespace fairbc
 

@@ -4,7 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -79,6 +81,19 @@ class ScratchArena {
 
   /// Uninitialized block of `n` 64-bit words.
   std::uint64_t* AllocWords(std::size_t n);
+
+  /// Default-initialized array of `n` trivially destructible objects
+  /// (pointers, spans, ...); rewinding releases it without destructors.
+  template <typename T>
+  T* AllocArray(std::size_t n) {
+    static_assert(std::is_trivially_destructible_v<T> &&
+                  alignof(T) <= alignof(std::uint64_t));
+    void* raw = AllocWords((n * sizeof(T) + sizeof(std::uint64_t) - 1) /
+                           sizeof(std::uint64_t));
+    T* out = static_cast<T*>(raw);
+    for (std::size_t i = 0; i < n; ++i) ::new (static_cast<void*>(out + i)) T;
+    return out;
+  }
 
   /// Rewinds to empty; keeps every chunk (grow-only reuse).
   void Reset() {

@@ -31,16 +31,18 @@ using EngineSplitter = SubtreeSplitter<std::unique_ptr<MbeaEngine>>;
 // Recursion state (shrunk L, filtered candidates, exclusion lists,
 // class counters) lives in the worker's ScratchArena — one ArenaScope
 // per frame, fixed capacities bounded by the parent sets — so the search
-// itself never heap-allocates; only emissions copy sets out.
+// never heap-allocates; emissions hand the sink spans into that arena.
 class MbeaEngine {
  public:
   MbeaEngine(const BipartiteGraph& g, const MbeaConfig& config,
-             SearchBudget& budget, const MaximalBicliqueSink& sink)
+             SearchBudget& budget, const MaximalBicliqueSink& sink,
+             unsigned worker)
       : g_(g),
         config_(config),
         budget_(budget),
         sink_(sink),
-        num_lower_attrs_(g.NumAttrs(Side::kLower)) {}
+        num_lower_attrs_(g.NumAttrs(Side::kLower)),
+        worker_{worker, &arena_} {}
 
   const MbeaStats& stats() const { return stats_; }
   std::size_t ArenaHighWaterBytes() const { return arena_.HighWaterBytes(); }
@@ -165,9 +167,7 @@ class MbeaEngine {
       }
       if (classes_ok) {
         ++stats_.emitted;
-        const std::vector<VertexId> l_out(new_l.begin(), new_l.end());
-        const std::vector<VertexId> r_out(new_r.begin(), new_r.end());
-        if (!sink_(l_out, r_out)) {
+        if (!sink_(worker_, new_l.view(), new_r.view())) {
           budget_.Abort();
           return false;
         }
@@ -268,6 +268,7 @@ class MbeaEngine {
   const AttrId num_lower_attrs_;
   MbeaStats stats_;
   ScratchArena arena_;
+  const EmitWorker worker_;
   EngineSplitter* splitter_ = nullptr;
   /// True only while the root node of a parallel task is being branched.
   bool allow_split_ = false;
@@ -290,15 +291,15 @@ MbeaStats EnumerateMaximalBicliques(const BipartiteGraph& g,
   MbeaStats stats;
   const unsigned num_threads = ResolveNumThreads(config.num_threads);
   if (num_threads <= 1) {
-    MbeaEngine engine(g, config, budget, sink);
+    MbeaEngine engine(g, config, budget, sink, /*worker=*/0);
     engine.Run(upper_all, candidates);
     stats = engine.stats();
     stats.arena_high_water_bytes = engine.ArenaHighWaterBytes();
   } else {
     auto engines = FanOutRootBranches<std::unique_ptr<MbeaEngine>>(
         num_threads, candidates.size(),
-        [&](unsigned) {
-          return std::make_unique<MbeaEngine>(g, config, budget, sink);
+        [&](unsigned worker) {
+          return std::make_unique<MbeaEngine>(g, config, budget, sink, worker);
         },
         [&](MbeaEngine& engine, std::uint64_t task, EngineSplitter& splitter) {
           TraceSpan span(config.trace, "root");

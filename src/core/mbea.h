@@ -2,21 +2,17 @@
 #define FAIRBC_CORE_MBEA_H_
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "core/enumerate.h"
 #include "graph/bipartite_graph.h"
 
 namespace fairbc {
 
-/// Receives one maximal biclique (both sides sorted ascending). Return
-/// false to abort the enumeration. May be invoked concurrently from
-/// worker threads when MbeaConfig::num_threads != 1 (same contract as the
-/// engine-level BicliqueSink entry points, see core/enumerate.h).
-using MaximalBicliqueSink =
-    std::function<bool(const std::vector<VertexId>& upper,
-                       const std::vector<VertexId>& lower)>;
+/// Receives one maximal biclique as two ascending spans, valid only during
+/// the call. Return false to abort the enumeration. May be invoked
+/// concurrently from worker threads when MbeaConfig::num_threads != 1 (the
+/// EngineSink contract, core/enumerate.h).
+using MaximalBicliqueSink = EngineSink;
 
 /// Size thresholds and budgets for maximal biclique enumeration.
 struct MbeaConfig {

@@ -115,29 +115,6 @@ void ParallelForChunks(ThreadPool& pool, std::uint64_t n, Fn&& fn) {
   });
 }
 
-/// Serializing sink adapter: wraps a plain BicliqueSink so concurrent
-/// workers invoke it one at a time. The pipeline entry points wrap every
-/// caller-provided sink in one of these, which is why existing sinks need
-/// no thread-safety of their own (see the contract in core/enumerate.h).
-/// One of the composable ResultSink stages; its Accept (and the AsSink
-/// view) is safe under concurrent emission.
-class SerializingSink final : public ResultSink {
- public:
-  explicit SerializingSink(const BicliqueSink& sink) : inner_(sink) {}
-
-  SerializingSink(const SerializingSink&) = delete;
-  SerializingSink& operator=(const SerializingSink&) = delete;
-
-  bool Accept(const Biclique& b) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return inner_(b);
-  }
-
- private:
-  std::mutex mu_;
-  const BicliqueSink& inner_;
-};
-
 /// Folds one worker's stats block into the run aggregate: counters and
 /// timings sum, peaks take the max, and budget_exhausted is sticky (any
 /// worker tripping the budget marks the whole run).

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/timer.h"
 #include "core/bfair_bcem.h"
@@ -48,17 +51,111 @@ PruneResult RunPruning(const BipartiteGraph& g, const FairBicliqueParams& p,
   return result;
 }
 
-// Remaps a compact-graph biclique back to parent ids. Id maps are
-// monotone (compaction preserves order), so sortedness is preserved.
-BicliqueSink RemapSink(const IdMaps& maps, const BicliqueSink& sink) {
-  return [&maps, &sink](const Biclique& b) {
-    Biclique mapped;
-    mapped.upper.reserve(b.upper.size());
-    mapped.lower.reserve(b.lower.size());
-    for (VertexId u : b.upper) mapped.upper.push_back(maps.upper_to_parent[u]);
-    for (VertexId v : b.lower) mapped.lower.push_back(maps.lower_to_parent[v]);
-    return sink(mapped);
+// The one emission stage between an engine and the caller's sink. Each
+// worker remaps its results (compact ids back to parent ids; the maps are
+// monotone, so sides stay sorted) into its own reusable block of flat
+// ids, and whole blocks go to the caller's sink under one lock, replayed
+// through one reused Biclique. A worker flushes after every result until
+// the caller has received its first one, so time to first result is the
+// engine's; after that it flushes every kBlockResults results. Finish()
+// flushes the partial blocks once the engine has returned, budget-exhausted
+// runs included. A false from the caller latches the abort: the rest of
+// that block and every later one are dropped, and the engines see false
+// from their next call into the stage.
+class BlockEmitter {
+ public:
+  static constexpr std::size_t kBlockResults = 256;
+
+  BlockEmitter(const IdMaps& maps, const BicliqueSink& sink,
+               unsigned num_workers)
+      : maps_(maps), sink_(sink), blocks_(num_workers) {
+    for (Block& block : blocks_) block.shapes.reserve(kBlockResults);
+  }
+
+  EngineSink AsEngineSink() {
+    return [this](const EmitWorker& worker, std::span<const VertexId> upper,
+                  std::span<const VertexId> lower) {
+      return Emit(worker.index, upper, lower);
+    };
+  }
+
+  /// Flushes every partial block; only after the engine returned.
+  void Finish() {
+    for (Block& block : blocks_) Flush(block);
+  }
+
+ private:
+  struct alignas(64) Block {
+    std::vector<VertexId> ids;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> shapes;
   };
+
+  bool Emit(unsigned worker, std::span<const VertexId> upper,
+            std::span<const VertexId> lower) {
+    Block& block = blocks_[worker];
+    const std::size_t base = block.ids.size();
+    block.ids.resize(base + upper.size() + lower.size());
+    VertexId* out = block.ids.data() + base;
+    for (VertexId u : upper) *out++ = maps_.upper_to_parent[u];
+    for (VertexId v : lower) *out++ = maps_.lower_to_parent[v];
+    block.shapes.emplace_back(static_cast<std::uint32_t>(upper.size()),
+                              static_cast<std::uint32_t>(lower.size()));
+    if (block.shapes.size() >= kBlockResults ||
+        !first_delivered_.load(std::memory_order_relaxed)) {
+      return Flush(block);
+    }
+    return !aborted_.load(std::memory_order_relaxed);
+  }
+
+  bool Flush(Block& block) {
+    bool ok = true;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const VertexId* ids = block.ids.data();
+      ok = !aborted_.load(std::memory_order_relaxed);
+      for (std::size_t i = 0; ok && i < block.shapes.size(); ++i) {
+        const auto [num_upper, num_lower] = block.shapes[i];
+        current_.upper.assign(ids, ids + num_upper);
+        ids += num_upper;
+        current_.lower.assign(ids, ids + num_lower);
+        ids += num_lower;
+        ok = sink_(current_);
+      }
+      if (!ok) aborted_.store(true, std::memory_order_relaxed);
+      if (!block.shapes.empty()) {
+        first_delivered_.store(true, std::memory_order_relaxed);
+      }
+    }
+    block.ids.clear();
+    block.shapes.clear();
+    return ok;
+  }
+
+  const IdMaps& maps_;
+  const BicliqueSink& sink_;
+  std::vector<Block> blocks_;
+  std::mutex mu_;
+  Biclique current_;  // guarded by mu_.
+  std::atomic<bool> first_delivered_{false};
+  std::atomic<bool> aborted_{false};
+};
+
+// Runs `engine` on the compacted graph through a BlockEmitter and fills
+// the enumeration half of the stats; the caller fills the reduction half.
+template <typename EngineFn>
+EnumStats EmitThroughBlocks(const BipartiteGraph& sub, const IdMaps& maps,
+                            const EnumOptions& options,
+                            const BicliqueSink& sink, EngineFn&& engine) {
+  Timer enum_timer;
+  TraceSpan enum_span(options.trace, "enumerate");
+  BlockEmitter emitter(maps, sink, ResolveNumThreads(options.num_threads));
+  EnumStats stats = engine(sub, emitter.AsEngineSink());
+  emitter.Finish();
+  enum_span.End();
+  stats.enum_seconds = enum_timer.ElapsedSeconds();
+  stats.remaining_upper = static_cast<VertexId>(maps.upper_to_parent.size());
+  stats.remaining_lower = static_cast<VertexId>(maps.lower_to_parent.size());
+  return stats;
 }
 
 template <typename EngineFn>
@@ -77,32 +174,50 @@ EnumStats RunPipeline(const BipartiteGraph& g, const FairBicliqueParams& params,
   reduce_span.End();
   const double prune_seconds = prune_timer.ElapsedSeconds();
 
-  Timer enum_timer;
-  TraceSpan enum_span(options.trace, "enumerate");
-  // The engines may emit from several workers at once; the caller's sink
-  // is plain code, so serialize it before handing it down (threading
-  // contract in core/enumerate.h). Remapping itself is pure and runs
-  // concurrently in the workers.
-  EnumStats stats;
-  if (ResolveNumThreads(options.num_threads) > 1) {
-    SerializingSink serializer(sink);
-    BicliqueSink serialized = serializer.AsSink();
-    BicliqueSink remapped = RemapSink(maps, serialized);
-    stats = engine(sub, remapped);
-  } else {
-    BicliqueSink remapped = RemapSink(maps, sink);
-    stats = engine(sub, remapped);
-  }
-  enum_span.End();
-  stats.enum_seconds = enum_timer.ElapsedSeconds();
+  EnumStats stats = EmitThroughBlocks(sub, maps, options, sink, engine);
   stats.prune_seconds = prune_seconds;
   stats.prune_construct_seconds = phase_times.construct_seconds;
   stats.prune_color_seconds = phase_times.color_seconds;
   stats.prune_peel_seconds = phase_times.peel_seconds;
-  stats.remaining_upper = static_cast<VertexId>(maps.upper_to_parent.size());
-  stats.remaining_lower = static_cast<VertexId>(maps.lower_to_parent.size());
   stats.peak_struct_bytes += pruned.peak_struct_bytes;
   return stats;
+}
+
+// The degree core: repeatedly drops upper vertices with degree <
+// min_upper_degree and lower vertices with degree < min_lower_degree.
+// Queue-based peel, linear in the edges.
+SideMasks DegreeCore(const BipartiteGraph& g, std::uint32_t min_upper_degree,
+                     std::uint32_t min_lower_degree) {
+  SideMasks masks;
+  masks.upper_alive.assign(g.NumUpper(), 1);
+  masks.lower_alive.assign(g.NumLower(), 1);
+  std::vector<char>* alive[2] = {&masks.upper_alive, &masks.lower_alive};
+  const std::uint32_t min_degree[2] = {min_upper_degree, min_lower_degree};
+  std::vector<std::uint32_t> degree[2];
+  std::vector<std::pair<Side, VertexId>> queue;
+  for (Side side : {Side::kUpper, Side::kLower}) {
+    const int s = static_cast<int>(side);
+    degree[s].resize(g.NumVertices(side));
+    for (VertexId v = 0; v < degree[s].size(); ++v) {
+      degree[s][v] = g.Degree(side, v);
+      if (degree[s][v] < min_degree[s]) {
+        (*alive[s])[v] = 0;
+        queue.emplace_back(side, v);
+      }
+    }
+  }
+  while (!queue.empty()) {
+    const auto [side, v] = queue.back();
+    queue.pop_back();
+    const int o = static_cast<int>(Opposite(side));
+    for (VertexId w : g.Neighbors(side, v)) {
+      if ((*alive[o])[w] && --degree[o][w] < min_degree[o]) {
+        (*alive[o])[w] = 0;
+        queue.emplace_back(Opposite(side), w);
+      }
+    }
+  }
+  return masks;
 }
 
 }  // namespace
@@ -111,7 +226,7 @@ EnumStats EnumerateSSFBC(const BipartiteGraph& g,
                          const FairBicliqueParams& params,
                          const EnumOptions& options, const BicliqueSink& sink) {
   return RunPipeline(g, params, options, /*bi_side=*/false, sink,
-                     [&](const BipartiteGraph& sub, const BicliqueSink& s) {
+                     [&](const BipartiteGraph& sub, const EngineSink& s) {
                        return FairBcemRun(sub, params, params.alpha, options,
                                           FairBcemSearchOptions{}, s);
                      });
@@ -122,7 +237,7 @@ EnumStats EnumerateSSFBCPlusPlus(const BipartiteGraph& g,
                                  const EnumOptions& options,
                                  const BicliqueSink& sink) {
   return RunPipeline(g, params, options, /*bi_side=*/false, sink,
-                     [&](const BipartiteGraph& sub, const BicliqueSink& s) {
+                     [&](const BipartiteGraph& sub, const EngineSink& s) {
                        return FairBcemPpRun(sub, params, params.alpha, options,
                                             s);
                      });
@@ -133,7 +248,7 @@ EnumStats EnumerateSSFBCNaive(const BipartiteGraph& g,
                               const EnumOptions& options,
                               const BicliqueSink& sink) {
   return RunPipeline(g, params, options, /*bi_side=*/false, sink,
-                     [&](const BipartiteGraph& sub, const BicliqueSink& s) {
+                     [&](const BipartiteGraph& sub, const EngineSink& s) {
                        return FairBcemRun(sub, params, params.alpha, options,
                                           NaiveSearchOptions(), s);
                      });
@@ -145,7 +260,7 @@ EnumStats EnumerateSSFBCWithSearchOptions(const BipartiteGraph& g,
                                           const FairBcemSearchOptions& search,
                                           const BicliqueSink& sink) {
   return RunPipeline(g, params, options, /*bi_side=*/false, sink,
-                     [&](const BipartiteGraph& sub, const BicliqueSink& s) {
+                     [&](const BipartiteGraph& sub, const EngineSink& s) {
                        return FairBcemRun(sub, params, params.alpha, options,
                                           search, s);
                      });
@@ -155,7 +270,7 @@ EnumStats EnumerateBSFBC(const BipartiteGraph& g,
                          const FairBicliqueParams& params,
                          const EnumOptions& options, const BicliqueSink& sink) {
   return RunPipeline(g, params, options, /*bi_side=*/true, sink,
-                     [&](const BipartiteGraph& sub, const BicliqueSink& s) {
+                     [&](const BipartiteGraph& sub, const EngineSink& s) {
                        return BFairBcemRun(sub, params, options,
                                            SsEngine::kFairBcem, s);
                      });
@@ -166,7 +281,7 @@ EnumStats EnumerateBSFBCPlusPlus(const BipartiteGraph& g,
                                  const EnumOptions& options,
                                  const BicliqueSink& sink) {
   return RunPipeline(g, params, options, /*bi_side=*/true, sink,
-                     [&](const BipartiteGraph& sub, const BicliqueSink& s) {
+                     [&](const BipartiteGraph& sub, const EngineSink& s) {
                        return BFairBcemRun(sub, params, options,
                                            SsEngine::kFairBcemPlusPlus, s);
                      });
@@ -177,7 +292,7 @@ EnumStats EnumerateBSFBCNaive(const BipartiteGraph& g,
                               const EnumOptions& options,
                               const BicliqueSink& sink) {
   return RunPipeline(g, params, options, /*bi_side=*/true, sink,
-                     [&](const BipartiteGraph& sub, const BicliqueSink& s) {
+                     [&](const BipartiteGraph& sub, const EngineSink& s) {
                        return BFairBcemRun(sub, params, options,
                                            SsEngine::kNaive, s);
                      });
@@ -188,22 +303,19 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
                                           std::uint32_t min_lower_total,
                                           const EnumOptions& options,
                                           const BicliqueSink& sink) {
-  // Maximal bicliques with |L| >= alpha and |R| >= total have every lower
-  // vertex with degree >= alpha, and (weaker than FCore's per-class bound)
-  // upper vertices with degree >= total; we reduce with the plain
-  // (alpha, total)-core, i.e. FCore with a single attribute class.
+  // A maximal biclique (L, R) with |L| >= min_upper and |R| >=
+  // min_lower_total gives each of its upper vertices degree >= |R| and
+  // each lower vertex degree >= |L|, so it lies inside the degree core
+  // below — and stays maximal there. Sides are never empty, hence the
+  // floor of 1.
   Timer prune_timer;
-  SideMasks masks;
-  masks.upper_alive.assign(g.NumUpper(), 1);
-  masks.lower_alive.assign(g.NumLower(), 1);
-  const double prune_seconds = prune_timer.ElapsedSeconds();
-
+  TraceSpan reduce_span(options.trace, "reduce");
+  const SideMasks masks = DegreeCore(g, std::max(min_lower_total, 1u),
+                                     std::max(min_upper, 1u));
   IdMaps maps;
   BipartiteGraph sub = InducedSubgraph(g, masks, &maps);
-  SerializingSink serializer(sink);
-  BicliqueSink serialized = serializer.AsSink();
-  BicliqueSink remapped = RemapSink(
-      maps, ResolveNumThreads(options.num_threads) > 1 ? serialized : sink);
+  reduce_span.End();
+  const double prune_seconds = prune_timer.ElapsedSeconds();
 
   MbeaConfig config;
   config.min_upper = min_upper;
@@ -219,32 +331,21 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
   config.topk = options.topk;
   config.shared_budget = options.shared_budget;
 
-  Timer enum_timer;
-  TraceSpan enum_span(options.trace, "enumerate");
-  EnumStats stats;
-  std::atomic<std::uint64_t> num_results{0};
-  MbeaStats mb = EnumerateMaximalBicliques(
-      sub, config,
-      [&](const std::vector<VertexId>& upper,
-          const std::vector<VertexId>& lower) {
-        Biclique b;
-        b.upper = upper;
-        b.lower = lower;
-        num_results.fetch_add(1, std::memory_order_relaxed);
-        return remapped(b);
+  EnumStats stats = EmitThroughBlocks(
+      sub, maps, options, sink,
+      [&](const BipartiteGraph& s, const EngineSink& engine_sink) {
+        MbeaStats mb = EnumerateMaximalBicliques(s, config, engine_sink);
+        EnumStats run;
+        run.num_results = mb.emitted;
+        run.search_nodes = mb.search_nodes;
+        run.maximal_bicliques_visited = mb.emitted;
+        run.split_subtrees = mb.split_subtrees;
+        run.budget_exhausted = mb.budget_exhausted;
+        run.kernels = mb.kernels;
+        run.peak_struct_bytes = mb.arena_high_water_bytes;
+        return run;
       });
-  enum_span.End();
-  stats.num_results = num_results.load(std::memory_order_relaxed);
-  stats.search_nodes = mb.search_nodes;
-  stats.maximal_bicliques_visited = mb.emitted;
-  stats.budget_exhausted = mb.budget_exhausted;
-  stats.kernels = mb.kernels;
-  stats.peak_struct_bytes =
-      std::max(stats.peak_struct_bytes, mb.arena_high_water_bytes);
   stats.prune_seconds = prune_seconds;
-  stats.enum_seconds = enum_timer.ElapsedSeconds();
-  stats.remaining_upper = g.NumUpper();
-  stats.remaining_lower = g.NumLower();
   return stats;
 }
 

@@ -22,9 +22,11 @@ namespace fairbc {
 ///
 /// Set EnumOptions::num_threads to parallelize the search (0 = one worker
 /// per hardware thread). The caller's sink is always invoked serially —
-/// these entry points wrap it in a SerializingSink before fanning out —
-/// but emission order is nondeterministic once several workers run; the
-/// result *set* is identical for every thread count.
+/// each worker remaps its results into its own block, and whole blocks
+/// reach the sink under one lock (docs/PERF.md, Emission) — but emission
+/// order is nondeterministic once several workers run; the result *set*
+/// is identical for every thread count. EnumStats::num_results is exactly
+/// the number of results the sink received, unless it returned false.
 
 /// FairBCEM (paper Alg. 5): branch-and-bound single-side fair biclique
 /// enumeration. With params.theta > 0 it enumerates PSSFBCs.
@@ -63,9 +65,11 @@ EnumStats EnumerateBSFBCNaive(const BipartiteGraph& g,
                               const EnumOptions& options,
                               const BicliqueSink& sink);
 
-/// Maximal biclique enumeration with the same pruning/compaction pipeline
-/// (FCore reduction), used by the Fig. 6 count comparisons: emits maximal
-/// bicliques with |L| >= min_upper and |R| >= min_lower_total.
+/// Maximal biclique enumeration with the same reduction/compaction
+/// pipeline, used by the Fig. 6 count comparisons: emits maximal
+/// bicliques with |L| >= min_upper and |R| >= min_lower_total. The
+/// reduction is the degree core (upper degree >= min_lower_total, lower
+/// degree >= min_upper), which loses no such biclique.
 EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
                                           std::uint32_t min_upper,
                                           std::uint32_t min_lower_total,

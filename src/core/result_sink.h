@@ -1,15 +1,16 @@
 // Composable result sinks for the streaming result pipeline: the
-// enumeration engines push one Biclique at a time (core/enumerate.h
+// pipeline.h entry points deliver one Biclique at a time (core/enumerate.h
 // ResultSink / BicliqueSink contract) and every consumer above them —
 // batch collection, chunked streaming over the wire, top-k selection —
-// is a sink stage from this header stacked onto CollectSink/CountSink/
-// SerializingSink. The service layer (service/query_executor.h
-// ExecuteStreaming) and the CLI build their pipelines out of these.
+// is a sink stage from this header stacked onto CollectSink/CountSink.
+// The service layer (service/query_executor.h ExecuteStreaming) and the
+// CLI build their pipelines out of these.
 //
 // Unless a class documents otherwise, sinks here follow the BicliqueSink
-// threading contract: the pipeline.h entry points serialize calls into
-// them, so they need no locking of their own, but calls may arrive from
-// different worker threads over time.
+// threading contract: the pipeline.h entry points hand them whole blocks
+// of results under one lock and call them one result at a time, so they
+// need no locking of their own, but calls may arrive from different
+// worker threads over time.
 
 #ifndef FAIRBC_CORE_RESULT_SINK_H_
 #define FAIRBC_CORE_RESULT_SINK_H_

@@ -10,6 +10,7 @@
 #include "common/timer.h"
 #include "core/enumerate.h"
 #include "core/kernels.h"
+#include "fairness/combination.h"
 #include "fairness/fair_vector.h"
 #include "graph/bipartite_graph.h"
 
@@ -121,16 +122,15 @@ class SearchBudget {
 /// result sink). The engines' recursion classes hold exactly one of these;
 /// the run driver merges the stats blocks afterwards (MergeEnumStats).
 ///
-/// The sink handed in here is invoked directly from the owning worker —
-/// callers decide where serialization happens (see the BicliqueSink
-/// contract in core/enumerate.h).
+/// The sink handed in here is invoked directly from the owning worker,
+/// tagged with `worker` (the EngineSink contract in core/enumerate.h).
 class SearchContext {
  public:
   SearchContext(const BipartiteGraph& g, const EnumOptions& options,
                 const FairnessPolicy& policy, SearchBudget& budget,
-                const BicliqueSink& sink)
+                const EngineSink& sink, unsigned worker)
       : g_(g), options_(options), policy_(policy), budget_(budget),
-        sink_(sink) {}
+        sink_(sink), worker_{worker, &arena_} {}
 
   SearchContext(const SearchContext&) = delete;
   SearchContext& operator=(const SearchContext&) = delete;
@@ -166,11 +166,12 @@ class SearchContext {
     return sizes;
   }
 
-  /// Emits one result; counts it and latches the shared abort when the
-  /// sink declines more. Returns false once the run is aborted.
-  bool Emit(const Biclique& b) {
+  /// Emits one result (both sides sorted); counts it and latches the
+  /// shared abort when the sink declines more. Returns false once the run
+  /// is aborted.
+  bool Emit(std::span<const VertexId> upper, std::span<const VertexId> lower) {
     ++stats_.num_results;
-    if (!sink_(b)) {
+    if (!sink_(worker_, upper, lower)) {
       budget_.Abort();
       return false;
     }
@@ -182,10 +183,105 @@ class SearchContext {
   const EnumOptions& options_;
   const FairnessPolicy& policy_;
   SearchBudget& budget_;
-  const BicliqueSink& sink_;
+  const EngineSink& sink_;
   EnumStats stats_;
   ScratchArena arena_;
+  const EmitWorker worker_;
 };
+
+/// Per-worker event counters of one run (one cache line per EmitWorker
+/// index, so concurrent workers never share a line), summed afterwards.
+class WorkerCounters {
+ public:
+  explicit WorkerCounters(unsigned workers) : slots_(workers) {}
+
+  void Add(unsigned worker) { ++slots_[worker].value; }
+  std::uint64_t Sum() const {
+    std::uint64_t sum = 0;
+    for (const Slot& slot : slots_) sum += slot.value;
+    return sum;
+  }
+
+ private:
+  struct alignas(64) Slot {
+    std::uint64_t value = 0;
+  };
+  std::vector<Slot> slots_;
+};
+
+/// Prefix state of a maximal-fair-subset walk (fairness/combination.h
+/// WalkMaximalFairSubsets) over vertices of `side`, kept in a worker's
+/// ScratchArena: the prefix in ascending order and its common
+/// neighborhood, folded one pushed vertex at a time.
+///
+/// `fixed_size` is the size of a vertex set the caller knows lies inside
+/// every such neighborhood (the opposite side of the biclique whose side
+/// is being walked). A prefix whose neighborhood has exactly that size
+/// has that set as its neighborhood, and neighborhoods only shrink as
+/// the prefix grows, so every extension has the same one: from there on
+/// pushes reuse it without intersecting.
+///
+/// Allocates from `arena` at construction and on pushes; the caller
+/// brackets the whole walk in one ArenaScope.
+class PrefixFold {
+ public:
+  /// `max_depth` bounds the prefix length (the ground set's size).
+  PrefixFold(const BipartiteGraph& g, Side side, std::size_t max_depth,
+             std::size_t fixed_size, ScratchArena& arena);
+
+  PrefixFold(const PrefixFold&) = delete;
+  PrefixFold& operator=(const PrefixFold&) = delete;
+
+  void Push(VertexId v);
+  void Pop(VertexId v);
+
+  /// The prefix, ascending.
+  std::span<const VertexId> prefix() const { return {sorted_, depth_}; }
+  /// Common neighborhood of the (nonempty) prefix, ascending.
+  std::span<const VertexId> neighborhood() const { return levels_[depth_]; }
+  /// True when neighborhood() is exactly the caller's fixed set.
+  bool AtFixedSize() const { return levels_[depth_].size() == fixed_size_; }
+
+ private:
+  const BipartiteGraph& g_;
+  const Side side_;
+  const std::size_t max_depth_;
+  const std::size_t fixed_size_;
+  ScratchArena& arena_;
+  std::size_t depth_ = 0;
+  VertexId* sorted_;
+  /// levels_[d]: neighborhood of the length-d prefix (d >= 1). Level 1 is
+  /// a graph neighbor list; deeper levels are buffers_[d] or alias their
+  /// parent once it reached the fixed size.
+  std::span<const VertexId>* levels_;
+  /// Intersection buffers sized to level 1, allocated on first use past
+  /// `mark_` and released whenever level 1 changes.
+  VertexId** buffers_;
+  ScratchArena::Mark mark_;
+};
+
+/// Walks the maximal fair subsets of `ground` (vertices on `side`) with a
+/// PrefixFold tracking each prefix, and calls `leaf(fold)` at every
+/// complete subset; `leaf` returns false to stop the walk. `fixed_size` is
+/// PrefixFold's. Scratch comes from `arena` and is released on return.
+template <typename LeafFn>
+std::uint64_t WalkFairSubsetsFolded(const BipartiteGraph& g, Side side,
+                                    std::span<const VertexId> ground,
+                                    const FairnessSpec& spec,
+                                    std::size_t fixed_size,
+                                    ScratchArena& arena, LeafFn&& leaf) {
+  ArenaScope scope(arena);
+  PrefixFold fold(g, side, ground.size(), fixed_size, arena);
+  struct Visitor {
+    PrefixFold& fold;
+    LeafFn& leaf;
+    void Push(VertexId v) { fold.Push(v); }
+    void Pop(VertexId v) { fold.Pop(v); }
+    bool Leaf() { return leaf(static_cast<const PrefixFold&>(fold)); }
+  } visitor{fold, leaf};
+  return WalkMaximalFairSubsets(PlanMaximalFairSubsets(g, side, ground, spec),
+                                visitor);
+}
 
 /// Frozen state of one search node whose children are fanned out as pool
 /// tasks (depth-adaptive task splitting): when the pool queue runs dry

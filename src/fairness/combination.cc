@@ -2,79 +2,55 @@
 
 #include <algorithm>
 
-#include "common/status.h"
 #include "fairness/fair_set.h"
 
 namespace fairbc {
 
-namespace {
-
-// Streams all size-k subsets of `cls` via the revolving-door order of
-// index vectors; invokes `body` with the chosen vertices appended to
-// `out` (and removed afterwards). Returns false if the body aborted.
-bool ForEachKSubset(const std::vector<VertexId>& cls, std::uint32_t k,
-                    std::vector<VertexId>& out,
-                    const std::function<bool()>& body) {
-  if (k > cls.size()) return true;
-  if (k == 0) return body();
-  std::vector<std::uint32_t> idx(k);
-  for (std::uint32_t i = 0; i < k; ++i) idx[i] = i;
-  while (true) {
-    std::size_t base = out.size();
-    for (std::uint32_t i = 0; i < k; ++i) out.push_back(cls[idx[i]]);
-    bool keep_going = body();
-    out.resize(base);
-    if (!keep_going) return false;
-    // Advance to the next combination (lexicographic).
-    std::int64_t pos = static_cast<std::int64_t>(k) - 1;
-    while (pos >= 0 &&
-           idx[pos] == cls.size() - k + static_cast<std::uint32_t>(pos)) {
-      --pos;
-    }
-    if (pos < 0) return true;
-    ++idx[pos];
-    for (std::uint32_t i = static_cast<std::uint32_t>(pos) + 1; i < k; ++i) {
-      idx[i] = idx[i - 1] + 1;
-    }
+FairSubsetPlan PlanMaximalFairSubsets(const BipartiteGraph& g, Side side,
+                                      std::span<const VertexId> ground,
+                                      const FairnessSpec& spec) {
+  const AttrId num_attrs = g.NumAttrs(side);
+  FairSubsetPlan plan;
+  SizeVector counts(num_attrs, 0);
+  for (VertexId v : ground) ++counts[g.Attr(side, v)];
+  plan.class_begin.assign(num_attrs + 1, 0);
+  for (AttrId a = 0; a < num_attrs; ++a) {
+    plan.class_begin[a + 1] = plan.class_begin[a] + counts[a];
   }
+  // Counting sort by class; a stable pass keeps each class ascending when
+  // the ground set is, and the per-class sort below covers the rest.
+  plan.members.resize(ground.size());
+  std::vector<std::uint32_t> next(plan.class_begin.begin(),
+                                  plan.class_begin.end() - 1);
+  for (VertexId v : ground) plan.members[next[g.Attr(side, v)]++] = v;
+  for (AttrId a = 0; a < num_attrs; ++a) {
+    std::sort(plan.members.begin() + plan.class_begin[a],
+              plan.members.begin() + plan.class_begin[a + 1]);
+  }
+  plan.targets = MaximalFairVectors(counts, spec);
+  return plan;
 }
-
-}  // namespace
 
 std::uint64_t EnumerateMaximalFairSubsets(const BipartiteGraph& g, Side side,
                                           std::span<const VertexId> ground,
                                           const FairnessSpec& spec,
                                           const SubsetSink& sink) {
-  const AttrId num_attrs = g.NumAttrs(side);
-  std::vector<std::vector<VertexId>> classes(num_attrs);
-  for (VertexId v : ground) classes[g.Attr(side, v)].push_back(v);
-  for (auto& cls : classes) std::sort(cls.begin(), cls.end());
+  struct Collector {
+    const SubsetSink& sink;
+    std::vector<VertexId> prefix;
+    std::vector<VertexId> sorted;
 
-  SizeVector counts(num_attrs);
-  for (AttrId a = 0; a < num_attrs; ++a) {
-    counts[a] = static_cast<std::uint32_t>(classes[a].size());
-  }
-
-  std::uint64_t emitted = 0;
-  std::vector<VertexId> current;
-  for (const SizeVector& t : MaximalFairVectors(counts, spec)) {
-    current.clear();
-    bool aborted = false;
-    // Nested per-class k-subset loops, realized recursively.
-    std::function<bool(AttrId)> recurse = [&](AttrId a) -> bool {
-      if (a == num_attrs) {
-        ++emitted;
-        std::vector<VertexId> sorted(current);
-        std::sort(sorted.begin(), sorted.end());
-        return sink(sorted);
-      }
-      return ForEachKSubset(classes[a], t[a], current,
-                            [&]() { return recurse(static_cast<AttrId>(a + 1)); });
-    };
-    if (!recurse(0)) aborted = true;
-    if (aborted) break;
-  }
-  return emitted;
+    void Push(VertexId v) { prefix.push_back(v); }
+    void Pop(VertexId) { prefix.pop_back(); }
+    bool Leaf() {
+      sorted = prefix;
+      std::sort(sorted.begin(), sorted.end());
+      return sink(sorted);
+    }
+  };
+  Collector collector{sink, {}, {}};
+  return WalkMaximalFairSubsets(PlanMaximalFairSubsets(g, side, ground, spec),
+                                collector);
 }
 
 std::uint64_t CountMaximalFairSubsetsOf(const BipartiteGraph& g, Side side,

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/status.h"
-#include "core/intersect.h"
+#include "core/kernels.h"
 #include "graph/builder.h"
 
 namespace fairbc {

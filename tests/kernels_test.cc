@@ -47,7 +47,24 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// a pair left to the runtime would hand malloc'ed blocks to a foreign
+// free, which AddressSanitizer reports as an alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
@@ -370,10 +387,10 @@ TEST(BitsetViewTest, MatchesIntersectSize) {
 // The engines' recursion must be allocation-free: after a warm-up run has
 // grown the per-worker arena to its high-water mark, a second identical
 // run may only allocate a driver-level constant — independent of the
-// number of search nodes visited.
+// number of search nodes visited and of the number of results.
 TEST(KernelsEngineTest, RecursionIsAllocationFree) {
-  BipartiteGraph g = RandomSmallGraph(/*seed=*/42, /*max_side=*/14,
-                                      /*density=*/0.5);
+  BipartiteGraph g = RandomSmallGraph(/*seed=*/45, /*max_side=*/18,
+                                      /*density=*/0.6);
   FairBicliqueParams params{1, 1, 2, 0.0};
   EnumOptions options;
   options.pruning = PruningLevel::kNone;  // isolate the search itself.
@@ -390,14 +407,54 @@ TEST(KernelsEngineTest, RecursionIsAllocationFree) {
       g_heap_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(sink.count(), warm.count());
   // Measured budget: a driver-level constant (ordering permutation, stats
-  // plumbing, sink wrappers; ~26 blocks) plus 4 blocks per emitted result
-  // (the Biclique's two vectors, copied once by the remap wrapper) — and
-  // nothing proportional to search_nodes. A recursion that allocated even
-  // one block per branch would blow through this bound.
+  // plumbing, the emission stage's block and Biclique buffers growing to
+  // their bounded size; ~46 blocks) — nothing proportional to
+  // search_nodes or to the results. A recursion or an emission path that
+  // allocated even one block per branch or per result would blow through
+  // this bound.
   EXPECT_GT(stats.search_nodes, 100u);
-  EXPECT_GT(stats.search_nodes, 4 * sink.count());  // bound is meaningful.
-  EXPECT_LT(allocs, 64 + 6 * sink.count())
-      << "recursion allocated on the heap; nodes=" << stats.search_nodes;
+  EXPECT_GT(sink.count(), 128u);  // the bound is meaningful.
+  EXPECT_LT(allocs, 64u) << "allocated per branch or per result; nodes="
+                         << stats.search_nodes
+                         << " results=" << sink.count();
+}
+
+// FairBCEM++ expands each maximal biclique into its maximal fair subsets
+// (paper Alg. 6 lines 25-28); that stage must not allocate per subset.
+// K(4,18) plus two upper vertices covering overlapping halves of the
+// lower side: the main maximal biclique expands to C(14,5) * C(4,4) =
+// 2002 fair subsets, of which those inside the second half have a larger
+// common neighborhood and are rejected.
+TEST(KernelsEngineTest, FairSubsetExpansionIsAllocationFree) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < 4; ++u) {
+    for (VertexId v = 0; v < 18; ++v) edges.emplace_back(u, v);
+  }
+  for (VertexId v = 0; v < 12; ++v) edges.emplace_back(4, v);
+  for (VertexId v = 6; v < 18; ++v) edges.emplace_back(5, v);
+  std::vector<AttrId> lower_attrs(18, 0);
+  for (VertexId v = 14; v < 18; ++v) lower_attrs[v] = 1;
+  BipartiteGraph g = testing::MakeGraph(
+      6, 18, edges, std::vector<AttrId>(6, 0), lower_attrs);
+  FairBicliqueParams params{1, 1, 1, 0.0};
+  EnumOptions options;
+  options.pruning = PruningLevel::kNone;
+  options.num_threads = 1;
+
+  CountSink warm;
+  EnumerateSSFBCPlusPlus(g, params, options, warm.AsSink());
+
+  CountSink sink;
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  EnumStats stats = EnumerateSSFBCPlusPlus(g, params, options, sink.AsSink());
+  const std::uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(sink.count(), warm.count());
+  EXPECT_EQ(stats.num_results, sink.count());
+  ASSERT_GE(sink.count(), 1000u);
+  EXPECT_LT(allocs, 64 + 16 * stats.maximal_bicliques_visited)
+      << "allocated per fair subset; results=" << sink.count()
+      << " mbc=" << stats.maximal_bicliques_visited;
 }
 
 // 8-worker run for the sanitizer suites: TSan sees the arena and kernel

@@ -11,6 +11,7 @@ namespace fairbc {
 namespace {
 
 using ::fairbc::testing::Canonicalize;
+using ::fairbc::testing::MakeGraph;
 using ::fairbc::testing::RandomSmallGraph;
 
 TEST(MbcPipeline, MatchesBruteForceAcrossThresholds) {
@@ -41,6 +42,27 @@ TEST(MbcPipeline, CountsAgreeWithPaperProtocolThresholds) {
     EXPECT_LE(sink.count(), prev) << "beta=" << beta;
     prev = sink.count();
   }
+}
+
+TEST(MbcPipeline, DegreeCoreDropsLowDegreeVertices) {
+  // K(3,4) on upper {0,1,2} x lower {0..3}, plus low-degree hangers-on:
+  // upper 3 and lower 4 have degree 1; upper 4 has degree 2 and loses a
+  // neighbor when lower 5 (degree 1) is peeled.
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < 3; ++u) {
+    for (VertexId v = 0; v < 4; ++v) edges.emplace_back(u, v);
+  }
+  edges.insert(edges.end(), {{3, 0}, {0, 4}, {4, 0}, {4, 5}});
+  BipartiteGraph g = MakeGraph(5, 6, edges, {0, 1, 0, 1, 0},
+                               {0, 1, 0, 1, 0, 1});
+  // |L| >= 2 needs lower degree >= 2; |R| >= 3 needs upper degree >= 3.
+  CollectSink sink;
+  EnumStats stats = EnumerateMaximalBicliquesPruned(g, 2, 3, {}, sink.AsSink());
+  EXPECT_EQ(stats.remaining_upper, 3u);
+  EXPECT_EQ(stats.remaining_lower, 4u);
+  EXPECT_EQ(stats.num_results, sink.results().size());
+  EXPECT_EQ(Canonicalize(sink.results()),
+            Canonicalize(BruteForceMaximalBicliques(g, 2, 3, 0)));
 }
 
 TEST(MbcPipeline, OrderingInvariance) {

@@ -14,9 +14,10 @@ using ::fairbc::testing::RandomSmallGraph;
 std::vector<Biclique> RunMbea(const BipartiteGraph& g, const MbeaConfig& cfg) {
   std::vector<Biclique> out;
   EnumerateMaximalBicliques(g, cfg,
-                            [&](const std::vector<VertexId>& u,
-                                const std::vector<VertexId>& v) {
-                              out.push_back(Biclique{u, v});
+                            [&](const EmitWorker&, std::span<const VertexId> u,
+                                std::span<const VertexId> v) {
+                              out.push_back(Biclique{{u.begin(), u.end()},
+                                                     {v.begin(), v.end()}});
                               return true;
                             });
   return Canonicalize(std::move(out));
@@ -80,9 +81,11 @@ TEST(Mbea, NoDuplicatesEmitted) {
     BipartiteGraph g = RandomSmallGraph(seed, 12, 0.5);
     std::vector<Biclique> raw;
     EnumerateMaximalBicliques(g, MbeaConfig{},
-                              [&](const std::vector<VertexId>& u,
-                                  const std::vector<VertexId>& v) {
-                                raw.push_back(Biclique{u, v});
+                              [&](const EmitWorker&,
+                                  std::span<const VertexId> u,
+                                  std::span<const VertexId> v) {
+                                raw.push_back(Biclique{{u.begin(), u.end()},
+                                                       {v.begin(), v.end()}});
                                 return true;
                               });
     auto canon = Canonicalize(raw);
@@ -95,7 +98,8 @@ TEST(Mbea, SinkAbortStopsEnumeration) {
   std::uint64_t calls = 0;
   MbeaStats stats = EnumerateMaximalBicliques(
       g, MbeaConfig{},
-      [&](const std::vector<VertexId>&, const std::vector<VertexId>&) {
+      [&](const EmitWorker&, std::span<const VertexId>,
+          std::span<const VertexId>) {
         ++calls;
         return false;
       });
@@ -109,7 +113,8 @@ TEST(Mbea, NodeBudgetStopsEarly) {
   cfg.node_budget = 3;
   MbeaStats stats = EnumerateMaximalBicliques(
       g, cfg,
-      [](const std::vector<VertexId>&, const std::vector<VertexId>&) {
+      [](const EmitWorker&, std::span<const VertexId>,
+         std::span<const VertexId>) {
         return true;
       });
   EXPECT_TRUE(stats.budget_exhausted);
@@ -120,7 +125,8 @@ TEST(Mbea, EmptyGraphEmitsNothing) {
   BipartiteGraph g;
   MbeaStats stats = EnumerateMaximalBicliques(
       g, MbeaConfig{},
-      [](const std::vector<VertexId>&, const std::vector<VertexId>&) {
+      [](const EmitWorker&, std::span<const VertexId>,
+         std::span<const VertexId>) {
         return true;
       });
   EXPECT_EQ(stats.emitted, 0u);

@@ -134,6 +134,57 @@ TEST(ParallelEquivalence, NodeBudgetStopsParallelRun) {
   EXPECT_LE(stats.search_nodes, options.node_budget + 4);
 }
 
+// Emission-stage contract: the caller's sink is called one result at a
+// time, and once it returns false nothing more is delivered — not even
+// from the rest of the block or from other workers' blocks. n = 300
+// crosses the 256-result block boundary.
+TEST(ParallelEquivalence, SinkFalseOnNthCallGetsExactlyNCalls) {
+  BipartiteGraph g = AffiliationGraph(6);
+  FairBicliqueParams params{2, 2, 1, 0.0};
+  for (const NamedEngine& engine : kEngines) {
+    for (unsigned threads : {1u, 2u, 8u}) {
+      for (std::uint64_t n : {1u, 7u, 300u}) {
+        EnumOptions options;
+        options.num_threads = threads;
+        std::uint64_t calls = 0;  // plain: calls never overlap.
+        EnumStats stats = engine.fn(g, params, options, [&](const Biclique&) {
+          return ++calls < n;
+        });
+        EXPECT_EQ(calls, n) << engine.name << " threads=" << threads;
+        EXPECT_GE(stats.num_results, n) << engine.name;
+        EXPECT_FALSE(stats.budget_exhausted) << engine.name;
+      }
+    }
+  }
+}
+
+// Budget-exhausted runs still flush every partially filled block: the
+// caller receives exactly the results the engines counted. The budget is
+// half of each engine's full serial search.
+TEST(ParallelEquivalence, BudgetExhaustedRunDeliversEveryCountedResult) {
+  BipartiteGraph g = AffiliationGraph(6);
+  FairBicliqueParams params{2, 2, 1, 0.0};
+  for (const NamedEngine& engine : kEngines) {
+    CountSink full;
+    const EnumStats full_stats = engine.fn(g, params, {}, full.AsSink());
+    for (unsigned threads : {1u, 2u, 8u}) {
+      EnumOptions options;
+      options.num_threads = threads;
+      options.node_budget = full_stats.search_nodes / 2;
+      std::uint64_t calls = 0;
+      EnumStats stats = engine.fn(g, params, options, [&](const Biclique&) {
+        ++calls;
+        return true;
+      });
+      EXPECT_TRUE(stats.budget_exhausted) << engine.name;
+      EXPECT_GT(calls, 0u) << engine.name << " threads=" << threads;
+      EXPECT_LT(calls, full.count()) << engine.name << " threads=" << threads;
+      EXPECT_EQ(calls, stats.num_results)
+          << engine.name << " threads=" << threads;
+    }
+  }
+}
+
 TEST(ParallelEquivalence, SinkAbortStopsAllWorkers) {
   BipartiteGraph g = AffiliationGraph(5);
   FairBicliqueParams params{1, 1, 2, 0.0};

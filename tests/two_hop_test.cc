@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/intersect.h"
+#include "core/kernels.h"
 #include "core/reduction_context.h"
 #include "core/two_hop_graph.h"
 #include "graph/generators.h"
@@ -174,10 +174,12 @@ TEST(TwoHop, ParallelConstructionByteIdentical) {
 TEST(Intersect, Helpers) {
   std::vector<VertexId> a{1, 3, 5, 7};
   std::vector<VertexId> b{2, 3, 5, 8};
+  std::vector<VertexId> out(a.size());
   EXPECT_EQ(IntersectSize(a, b), 2u);
-  EXPECT_EQ(Intersect(a, b), (std::vector<VertexId>{3, 5}));
+  out.resize(IntersectInto(out.data(), a, b));
+  EXPECT_EQ(out, (std::vector<VertexId>{3, 5}));
   EXPECT_EQ(IntersectSize(a, {}), 0u);
-  EXPECT_TRUE(Intersect({}, b).empty());
+  EXPECT_EQ(IntersectInto(out.data(), {}, b), 0u);
 }
 
 }  // namespace
