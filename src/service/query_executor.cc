@@ -1,6 +1,5 @@
 #include "service/query_executor.h"
 
-#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -9,6 +8,72 @@
 #include "core/search_context.h"
 
 namespace fairbc {
+namespace {
+
+/// Byte budget for result bicliques retained in the cache alongside their
+/// summaries (ResultCache payload), so repeated include_bicliques and
+/// streaming queries skip the engines entirely.
+constexpr std::size_t kCacheBicliqueBytes = 16u << 20;
+/// Capacity of the retained-trace ring (`trace` command history).
+constexpr std::size_t kTraceRingCapacity = 32;
+/// Span capacity of each per-query trace buffer.
+constexpr std::size_t kTraceSpanCapacity = 4096;
+
+using StreamChunk = QueryExecutor::StreamChunk;
+
+/// Frames a result sequence as a stream: bounded chunks with 1-based
+/// contiguous seq and cumulative checkpoints, then an empty `final`
+/// marker carrying the totals. Live runs feed it from the engines and
+/// payload-cache hits from the retained bicliques, so a replayed stream
+/// is framed exactly like the run that filled the cache.
+class ChunkStream {
+ public:
+  /// `budget` (nullable) supplies the nodes checkpoint; it must outlive
+  /// the stream.
+  ChunkStream(std::size_t chunk_results, const SearchBudget* budget,
+              QueryExecutor::ChunkCallback emit)
+      : emit_(std::move(emit)),
+        budget_(budget),
+        sink_(
+            chunk_results,
+            [this](std::vector<Biclique>&& bicliques,
+                   const StreamCheckpoint& checkpoint) {
+              // ChunkSink's guaranteed empty-run flush is skipped: the
+              // final marker carries the totals either way.
+              if (bicliques.empty()) return true;
+              StreamChunk chunk;
+              chunk.seq = ++seq_;
+              chunk.bicliques = std::move(bicliques);
+              chunk.results_so_far = checkpoint.results;
+              chunk.nodes_so_far = checkpoint.nodes;
+              emit_(chunk);
+              return true;
+            },
+            budget) {}
+  ChunkStream(const ChunkStream&) = delete;  // the sink captures `this`.
+  ChunkStream& operator=(const ChunkStream&) = delete;
+
+  ResultSink& sink() { return sink_; }
+
+  /// Flushes the last partial chunk, then emits the final marker.
+  void Finish() {
+    sink_.Finish();
+    StreamChunk end;
+    end.seq = ++seq_;
+    end.results_so_far = sink_.results();
+    end.nodes_so_far = budget_ != nullptr ? budget_->nodes() : 0;
+    end.final = true;
+    emit_(end);
+  }
+
+ private:
+  const QueryExecutor::ChunkCallback emit_;
+  const SearchBudget* const budget_;
+  std::uint64_t seq_ = 0;
+  ChunkSink sink_;
+};
+
+}  // namespace
 
 QueryExecutor::QueryExecutor(const GraphCatalog& catalog,
                              const QueryExecutorOptions& options)
@@ -69,13 +134,12 @@ QueryExecutor::QueryExecutor(const GraphCatalog& catalog,
       stream_first_result_(metrics_->GetHistogram(
           "fairbc_stream_first_result_seconds",
           "Streaming admission to first delivered chunk.")),
-      cache_(options.cache_capacity, metrics_, options.cache_biclique_bytes),
+      cache_(options.cache_capacity, metrics_, kCacheBicliqueBytes),
       stream_chunk_results_(options.stream_chunk_results < 1
                                 ? 1
                                 : options.stream_chunk_results),
       slow_query_ms_(options.slow_query_ms),
-      trace_span_capacity_(options.trace_span_capacity),
-      trace_ring_(options.trace_ring_capacity),
+      trace_ring_(kTraceRingCapacity),
       slow_query_log_(options.slow_query_log) {
   const unsigned n = ResolveNumThreads(options.num_threads);
   runners_.reserve(n);
@@ -116,11 +180,6 @@ void QueryExecutor::RunnerLoop() {
     }
     task();
   }
-}
-
-std::shared_ptr<TraceRecorder> QueryExecutor::MaybeStartTrace() const {
-  if (!tracing_enabled()) return nullptr;
-  return std::make_shared<TraceRecorder>(trace_span_capacity_);
 }
 
 void QueryExecutor::FinalizeTrace(const QueryRequest& request,
@@ -164,34 +223,14 @@ void QueryExecutor::RunQuery(const QueryRequest& request,
   SearchBudget budget(options);
   if (emit != nullptr) options.shared_budget = &budget;
 
-  // Streamed chunks flow through a bounded ChunkSink. Its guaranteed
-  // empty-run flush is skipped here — the end-of-stream marker emitted
-  // below carries the totals (and the `final` flag) either way.
-  std::uint64_t seq = 0;
-  double stream_start_us = -1.0;
-  std::optional<ChunkSink> chunker;
-  if (emit != nullptr) {
-    chunker.emplace(
-        stream_chunk_results_,
-        [&](std::vector<Biclique>&& bicliques,
-            const StreamCheckpoint& checkpoint) {
-          if (bicliques.empty()) return true;
-          StreamChunk chunk;
-          chunk.seq = ++seq;
-          chunk.bicliques = std::move(bicliques);
-          chunk.results_so_far = checkpoint.results;
-          chunk.nodes_so_far = checkpoint.nodes;
-          (*emit)(chunk);
-          return true;
-        },
-        &budget);
-  }
+  std::optional<ChunkStream> chunker;
+  if (emit != nullptr) chunker.emplace(stream_chunk_results_, &budget, *emit);
 
   // Terminal stage the per-result digest wrapper forwards into: streamed
   // chunks, batch collection, or nothing (summary-only).
   BicliqueSink terminal;
   if (chunker) {
-    terminal = chunker->AsSink();
+    terminal = chunker->sink().AsSink();
   } else if (request.include_bicliques) {
     terminal = [out](const Biclique& b) {
       out->bicliques.push_back(b);
@@ -235,14 +274,8 @@ void QueryExecutor::RunQuery(const QueryRequest& request,
     // thread must nest — a first-flush-to-last span would straddle
     // enumerate's boundary. First-chunk latency lives in the
     // fairbc_stream_first_result_seconds histogram instead.
-    if (trace != nullptr) stream_start_us = trace->NowMicros();
+    const double stream_start_us = trace != nullptr ? trace->NowMicros() : 0.0;
     chunker->Finish();
-    StreamChunk end;
-    end.seq = ++seq;
-    end.results_so_far = digest.count();
-    end.nodes_so_far = budget.nodes();
-    end.final = true;
-    (*emit)(end);
     if (trace != nullptr) {
       trace->Record("stream", stream_start_us,
                     trace->NowMicros() - stream_start_us);
@@ -271,514 +304,37 @@ void QueryExecutor::RunQuery(const QueryRequest& request,
   kernel_bitset_->Increment(stats.kernels.bitset);
 }
 
-void QueryExecutor::FinishLeader(const std::string& key,
-                                 const std::shared_ptr<InFlight>& slot,
-                                 const QuerySummary& summary, bool complete) {
-  // Take the completion list and retire the slot atomically with the
-  // cache insert: between these, no duplicate can either miss the cache
-  // or register on a dead slot.
-  std::vector<InFlight::Waiter> waiters;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    if (complete) cache_.Insert(key, summary);
-    waiters = std::move(slot->waiters);
-    slot->waiters.clear();
-    inflight_.erase(key);
-  }
-  {
-    std::lock_guard<std::mutex> lk(slot->mu);
-    slot->done = true;
-    slot->shareable = complete;
-    slot->summary = summary;
-  }
-  slot->cv.notify_all();
-  for (InFlight::Waiter& w : waiters) {
-    async_pending_->Decrement();
-    if (complete) {
-      QueryResult adopted;
-      adopted.summary = summary;
-      adopted.coalesced = true;
-      adopted.graph_version = w.graph_version;
-      adopted.seconds = w.timer.ElapsedSeconds();
-      coalesced_->Increment();
-      w.done(std::move(adopted));
-    } else {
-      // Partial leader run (deadline/budget tripped): never adopted.
-      // Re-admission usually elects the first waiter as the new leader
-      // and stacks the rest behind it again.
-      ExecuteAsync(w.request, std::move(w.done));
-    }
-  }
-}
-
 QueryResult QueryExecutor::Execute(const QueryRequest& request) {
-  Timer timer;
-  queries_->Increment();
-  QueryResult out;
-  std::shared_ptr<const CatalogEntry> entry = catalog_.Get(request.graph);
-  if (entry == nullptr) {
-    out.status = Status::NotFound("unknown graph: " + request.graph);
-    out.seconds = timer.ElapsedSeconds();
-    failures_->Increment();
-    return out;
-  }
-  out.graph_version = entry->version;
-
-  std::shared_ptr<TraceRecorder> trace = MaybeStartTrace();
-  TraceSpan root_span(trace.get(), "query");
-  TraceSpan admission_span(trace.get(), "admission");
-
-  const std::string key = CanonicalCacheKey(request, entry->version);
-  // Only summary-only cacheable queries can share results — with someone
-  // already in flight (single-flight) or with the cache.
-  const bool shareable = request.use_cache && !request.include_bicliques;
-  // Budgeted queries never *wait* on a leader: the cache key excludes
-  // budgets, so an identical-key leader may take arbitrarily longer than
-  // this query's own deadline allows. They still lead (and publish) when
-  // first, and still take cache hits — they just run themselves instead
-  // of blocking behind someone else's run.
-  const bool may_wait = request.options.time_budget_seconds == 0.0 &&
-                        request.options.node_budget == 0;
-
-  // Biclique-collecting queries can still skip the engines when the cache
-  // retained the result payload under its byte budget (they stay outside
-  // single-flight — a summary-only leader has no bicliques to share).
-  if (request.use_cache && request.include_bicliques) {
-    ResultCache::Payload payload;
-    std::optional<QuerySummary> cached;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      cached = cache_.Lookup(key, &payload);
-    }
-    if (cached && payload != nullptr) {
-      out.summary = *cached;
-      out.bicliques = *payload;
-      out.cache_hit = true;
-      out.seconds = timer.ElapsedSeconds();
-      return out;
-    }
-  }
-
-  for (;;) {
-    std::shared_ptr<InFlight> slot;
-    bool leader = true;
-    if (shareable) {
-      // Admission is atomic: cache lookup and in-flight join/lead happen
-      // under one lock, and a leader publishes (cache insert + slot
-      // retire) under the same lock — so between a miss here and our slot
-      // insertion no other execution can slip through, and each key has
-      // exactly one execution per cache-miss epoch (among queries allowed
-      // to wait).
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      if (std::optional<QuerySummary> hit = cache_.Lookup(key)) {
-        out.summary = *hit;
-        out.cache_hit = true;
-        out.seconds = timer.ElapsedSeconds();
-        return out;  // trace discarded: nothing ran.
-      }
-      auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        if (may_wait) {
-          slot = it->second;
-          leader = false;
-        }
-        // else: run unshared below — slot stays null, nothing to retire.
-      } else {
-        slot = std::make_shared<InFlight>();
-        inflight_[key] = slot;
-      }
-    }
-
-    if (!leader) {
-      // Synchronous join: this parks the CALLER's thread (CLI, tests) —
-      // the server reactors and the runner pool always go through
-      // ExecuteAsync, whose duplicates register a completion instead.
-      std::unique_lock<std::mutex> lk(slot->mu);
-      slot->cv.wait(lk, [&] { return slot->done; });
-      if (!slot->shareable) continue;  // partial leader run; run ourselves.
-      out.summary = slot->summary;
-      out.coalesced = true;
-      coalesced_->Increment();
-      out.seconds = timer.ElapsedSeconds();
-      return out;
-    }
-
-    admission_span.End();
-    RunQuery(request, entry->graph, &out, trace.get());
-
-    // Partial runs (deadline/budget tripped) must not poison the cache —
-    // and must not be adopted by waiters, whose own budgets may differ.
-    const bool complete = !out.summary.stats.budget_exhausted;
-    TraceSpan publish_span(trace.get(), "publish");
-    if (slot != nullptr) {
-      FinishLeader(key, slot, out.summary, complete);
-    } else if (request.use_cache && complete) {
-      // Unshared runs (biclique-collecting, or budgeted queries that
-      // declined to wait on someone else's slot) still publish their
-      // summary for later summary-only queries; collecting runs attach
-      // the result payload so repeats can skip the engines entirely.
-      ResultCache::Payload payload;
-      if (request.include_bicliques) {
-        payload = std::make_shared<const std::vector<Biclique>>(out.bicliques);
-      }
-      cache_.Insert(key, out.summary, std::move(payload));
-    }
-    publish_span.End();
-    root_span.End();
-    out.seconds = timer.ElapsedSeconds();
-    FinalizeTrace(request, std::move(trace), &out);
-    return out;
-  }
+  return std::move(AwaitAll({request}).front());
 }
 
 void QueryExecutor::ExecuteAsync(const QueryRequest& request, Completion done) {
-  Timer timer;
-  queries_->Increment();
-  std::shared_ptr<const CatalogEntry> entry = catalog_.Get(request.graph);
-  if (entry == nullptr) {
-    QueryResult out;
-    out.status = Status::NotFound("unknown graph: " + request.graph);
-    out.seconds = timer.ElapsedSeconds();
-    failures_->Increment();
-    done(std::move(out));
-    return;
-  }
-
-  std::shared_ptr<TraceRecorder> trace = MaybeStartTrace();
-  TraceSpan root_span(trace.get(), "query");
-  TraceSpan admission_span(trace.get(), "admission");
-
-  const std::string key = CanonicalCacheKey(request, entry->version);
-  const bool shareable = request.use_cache && !request.include_bicliques;
-  const bool may_wait = request.options.time_budget_seconds == 0.0 &&
-                        request.options.node_budget == 0;
-
-  // Async mirror of Execute's payload fast path for collecting queries.
-  if (request.use_cache && request.include_bicliques) {
-    ResultCache::Payload payload;
-    std::optional<QuerySummary> cached;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      cached = cache_.Lookup(key, &payload);
-    }
-    if (cached && payload != nullptr) {
-      QueryResult out;
-      out.summary = *cached;
-      out.bicliques = *payload;
-      out.cache_hit = true;
-      out.graph_version = entry->version;
-      out.seconds = timer.ElapsedSeconds();
-      done(std::move(out));
-      return;
-    }
-  }
-
-  std::shared_ptr<InFlight> slot;
-  if (shareable) {
-    std::optional<QueryResult> hit;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      if (std::optional<QuerySummary> cached = cache_.Lookup(key)) {
-        QueryResult out;
-        out.summary = *cached;
-        out.cache_hit = true;
-        out.graph_version = entry->version;
-        out.seconds = timer.ElapsedSeconds();
-        hit = std::move(out);
-      } else {
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-          if (may_wait) {
-            // The whole point of completion-list single-flight: the
-            // duplicate costs one vector slot, not one parked thread.
-            async_pending_->Increment();
-            it->second->waiters.push_back(
-                {request, std::move(done), timer, entry->version});
-            return;  // trace discarded: the leader's run is the story.
-          }
-          // Budgeted duplicate: run unshared (slot stays null).
-        } else {
-          slot = std::make_shared<InFlight>();
-          inflight_[key] = slot;
-        }
-      }
-    }
-    if (hit) {
-      done(std::move(*hit));  // invoked outside the admission lock.
-      return;
-    }
-  }
-
-  admission_span.End();
-  async_pending_->Increment();
-  const double queued_start_us = trace != nullptr ? trace->NowMicros() : 0.0;
-  // std::function demands a copyable target, so the move-only root span
-  // rides in a shared_ptr (the task is only ever invoked once).
-  auto moved_root =
-      std::make_shared<TraceSpan>(std::move(root_span));
-  PostToRunner([this, request, done = std::move(done), entry = std::move(entry),
-                key, slot, timer, trace = std::move(trace),
-                root_span = std::move(moved_root), queued_start_us]() mutable {
-    if (trace != nullptr) {
-      trace->Record("queued", queued_start_us,
-                    trace->NowMicros() - queued_start_us);
-    }
-    QueryResult out;
-    out.graph_version = entry->version;
-    RunQuery(request, entry->graph, &out, trace.get());
-    const bool complete = !out.summary.stats.budget_exhausted;
-    TraceSpan publish_span(trace.get(), "publish");
-    if (slot != nullptr) {
-      FinishLeader(key, slot, out.summary, complete);
-    } else if (request.use_cache && complete) {
-      ResultCache::Payload payload;
-      if (request.include_bicliques) {
-        payload = std::make_shared<const std::vector<Biclique>>(out.bicliques);
-      }
-      cache_.Insert(key, out.summary, std::move(payload));
-    }
-    publish_span.End();
-    root_span->End();
-    out.seconds = timer.ElapsedSeconds();
-    FinalizeTrace(request, std::move(trace), &out);
-    async_pending_->Decrement();
-    done(std::move(out));
-  });
-}
-
-void QueryExecutor::FinishStreamLeader(
-    const std::string& key, const std::shared_ptr<StreamFlight>& flight,
-    const QueryResult& out, bool complete) {
-  // Cache insert and flight retirement are atomic with the in-flight
-  // table, mirroring FinishLeader: between them no duplicate can either
-  // miss the cache payload or attach to a dead flight. Lock order is
-  // inflight_mu_ -> flight->mu; no path acquires them in reverse.
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    if (complete) {
-      auto payload = std::make_shared<std::vector<Biclique>>();
-      {
-        std::lock_guard<std::mutex> lk(flight->mu);
-        payload->reserve(static_cast<std::size_t>(out.summary.count));
-        for (const StreamChunk& c : flight->backlog) {
-          payload->insert(payload->end(), c.bicliques.begin(),
-                          c.bicliques.end());
-        }
-      }
-      cache_.Insert(key, out.summary, std::move(payload));
-    }
-    stream_inflight_.erase(key);
-  }
-  std::vector<StreamFlight::Subscriber> subs;
-  {
-    std::lock_guard<std::mutex> lk(flight->mu);
-    flight->done = true;
-    flight->final_result.status = out.status;
-    flight->final_result.summary = out.summary;
-    subs = std::move(flight->subscribers);
-    flight->subscribers.clear();
-  }
-  for (StreamFlight::Subscriber& sub : subs) {
-    QueryResult adopted;
-    adopted.status = out.status;
-    adopted.summary = out.summary;
-    adopted.coalesced = true;
-    adopted.graph_version = out.graph_version;
-    adopted.seconds = sub.timer.ElapsedSeconds();
-    coalesced_->Increment();
-    async_pending_->Decrement();
-    sub.done(std::move(adopted));
-  }
+  Admit(request, nullptr, std::move(done));
 }
 
 void QueryExecutor::ExecuteStreaming(const QueryRequest& request,
                                      ChunkCallback on_chunk, Completion done) {
-  Timer timer;
-  queries_->Increment();
-  streams_->Increment();
-  std::shared_ptr<const CatalogEntry> entry = catalog_.Get(request.graph);
-  if (entry == nullptr) {
-    QueryResult out;
-    out.status = Status::NotFound("unknown graph: " + request.graph);
-    out.seconds = timer.ElapsedSeconds();
-    failures_->Increment();
-    done(std::move(out));
-    return;
-  }
-
-  std::shared_ptr<TraceRecorder> trace = MaybeStartTrace();
-  TraceSpan root_span(trace.get(), "query");
-  TraceSpan admission_span(trace.get(), "admission");
-
-  const std::string key = CanonicalCacheKey(request, entry->version);
-  // Streams share like summary queries do: attaching (or leading a
-  // shareable flight) requires an unbudgeted cacheable request — partial
-  // streams are never shared or cached.
-  const bool shareable = request.use_cache &&
-                         request.options.time_budget_seconds == 0.0 &&
-                         request.options.node_budget == 0;
-
-  std::shared_ptr<StreamFlight> flight;
-  bool leader = true;
-  if (request.use_cache) {
-    ResultCache::Payload payload;
-    std::optional<QuerySummary> cached;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      cached = cache_.Lookup(key, &payload);
-      if (!(cached && payload != nullptr) && shareable) {
-        auto it = stream_inflight_.find(key);
-        if (it != stream_inflight_.end()) {
-          flight = it->second;
-          leader = false;
-        } else {
-          flight = std::make_shared<StreamFlight>();
-          stream_inflight_[key] = flight;
-        }
-      }
-    }
-    if (cached && payload != nullptr) {
-      // Retained payload: the whole stream replays inline from the cache
-      // (cache_hit), chunked exactly like a live run would have been.
-      QueryResult out;
-      out.summary = *cached;
-      out.cache_hit = true;
-      out.graph_version = entry->version;
-      std::uint64_t seq = 0;
-      std::size_t i = 0;
-      bool first = true;
-      while (i < payload->size()) {
-        const std::size_t n =
-            std::min(stream_chunk_results_, payload->size() - i);
-        StreamChunk chunk;
-        chunk.seq = ++seq;
-        chunk.bicliques.assign(payload->begin() + static_cast<std::ptrdiff_t>(i),
-                               payload->begin() +
-                                   static_cast<std::ptrdiff_t>(i + n));
-        i += n;
-        chunk.results_so_far = i;
-        if (first) {
-          stream_first_result_->Observe(timer.ElapsedSeconds());
-          first = false;
-        }
-        stream_chunks_->Increment();
-        on_chunk(chunk);
-      }
-      StreamChunk end;
-      end.seq = ++seq;
-      end.results_so_far = payload->size();
-      end.final = true;
-      if (first) stream_first_result_->Observe(timer.ElapsedSeconds());
-      stream_chunks_->Increment();
-      on_chunk(end);
-      out.seconds = timer.ElapsedSeconds();
-      done(std::move(out));
-      return;
-    }
-  }
-
-  if (!leader) {
-    // Attach to the in-flight stream. The backlog replays inline under
-    // the flight mutex — the leader delivers under the same mutex, so the
-    // subscriber sees every chunk exactly once, in order. If the leader
-    // already finished (retired from the map but done flipped after our
-    // lookup), the backlog is complete and the final summary is ready.
-    async_pending_->Increment();
-    bool first = true;
-    std::lock_guard<std::mutex> lk(flight->mu);
-    for (const StreamChunk& c : flight->backlog) {
-      if (first) {
-        stream_first_result_->Observe(timer.ElapsedSeconds());
-        first = false;
-      }
-      stream_chunks_->Increment();
-      on_chunk(c);
-    }
-    if (flight->done) {
-      QueryResult out = flight->final_result;
-      out.coalesced = true;
-      out.graph_version = entry->version;
-      out.seconds = timer.ElapsedSeconds();
-      coalesced_->Increment();
-      async_pending_->Decrement();
-      done(std::move(out));
-    } else {
-      flight->subscribers.push_back(
-          {std::move(on_chunk), std::move(done), timer});
-    }
-    return;
-  }
-
-  admission_span.End();
-  async_pending_->Increment();
-  const double queued_start_us = trace != nullptr ? trace->NowMicros() : 0.0;
-  auto moved_root = std::make_shared<TraceSpan>(std::move(root_span));
-  PostToRunner([this, request, on_chunk = std::move(on_chunk),
-                done = std::move(done), entry = std::move(entry), key, flight,
-                timer, trace = std::move(trace),
-                root_span = std::move(moved_root), queued_start_us]() mutable {
-    if (trace != nullptr) {
-      trace->Record("queued", queued_start_us,
-                    trace->NowMicros() - queued_start_us);
-    }
-    QueryResult out;
-    out.graph_version = entry->version;
-    bool first = true;
-    ChunkCallback emit = [&](const StreamChunk& chunk) {
-      if (first) {
-        stream_first_result_->Observe(timer.ElapsedSeconds());
-        first = false;
-      }
-      if (flight != nullptr) {
-        // Deliver under the flight mutex: backlog append, own callback
-        // and subscriber fan-out stay atomic against late attachers.
-        std::lock_guard<std::mutex> lk(flight->mu);
-        flight->backlog.push_back(chunk);
-        stream_chunks_->Increment();
-        on_chunk(chunk);
-        for (StreamFlight::Subscriber& sub : flight->subscribers) {
-          stream_chunks_->Increment();
-          sub.on_chunk(chunk);
-        }
-      } else {
-        stream_chunks_->Increment();
-        on_chunk(chunk);
-      }
-    };
-    RunQuery(request, entry->graph, &out, trace.get(), &emit);
-
-    const bool complete = !out.summary.stats.budget_exhausted;
-    TraceSpan publish_span(trace.get(), "publish");
-    if (flight != nullptr) {
-      FinishStreamLeader(key, flight, out, complete);
-    } else if (request.use_cache && complete) {
-      // Unshared (budgeted) streams kept no backlog — publish the summary
-      // alone for later summary-only queries.
-      cache_.Insert(key, out.summary);
-    }
-    publish_span.End();
-    root_span->End();
-    out.seconds = timer.ElapsedSeconds();
-    FinalizeTrace(request, std::move(trace), &out);
-    async_pending_->Decrement();
-    done(std::move(out));
-  });
+  Admit(request, std::move(on_chunk), std::move(done));
 }
 
 std::vector<QueryResult> QueryExecutor::ExecuteBatch(
     const std::vector<QueryRequest>& requests) {
+  std::vector<QueryRequest> clamped = requests;
+  // Whole queries are the batch's unit of parallelism; nested per-query
+  // pools on top of busy runners would oversubscribe the machine (see
+  // the header contract — the result set does not change).
+  for (QueryRequest& request : clamped) request.options.num_threads = 1;
+  return AwaitAll(clamped);
+}
+
+std::vector<QueryResult> QueryExecutor::AwaitAll(
+    const std::vector<QueryRequest>& requests) {
   std::vector<QueryResult> results(requests.size());
-  if (requests.empty()) return results;
   std::mutex mu;
   std::condition_variable cv;
   std::size_t remaining = requests.size();
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    QueryRequest request = requests[i];
-    // Whole queries are the batch's unit of parallelism; nested per-query
-    // pools on top of busy runners would oversubscribe the machine (see
-    // the header contract — the result set does not change).
-    request.options.num_threads = 1;
-    ExecuteAsync(request, [&results, &mu, &cv, &remaining, i](QueryResult r) {
+    ExecuteAsync(requests[i], [&, i](QueryResult r) {
       results[i] = std::move(r);
       // Notify while holding mu: the waiter cannot return from wait (and
       // destroy the stack cv) until it reacquires mu, which orders the
@@ -790,6 +346,216 @@ std::vector<QueryResult> QueryExecutor::ExecuteBatch(
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return remaining == 0; });
   return results;
+}
+
+void QueryExecutor::Admit(const QueryRequest& request, ChunkCallback on_chunk,
+                          Completion done) {
+  Subscriber self{request, std::move(on_chunk), std::move(done), Timer()};
+  const bool streaming = static_cast<bool>(self.on_chunk);
+  queries_->Increment();
+  if (streaming) streams_->Increment();
+  std::shared_ptr<const CatalogEntry> entry = catalog_.Get(request.graph);
+  if (entry == nullptr) {
+    QueryResult out;
+    out.status = Status::NotFound("unknown graph: " + request.graph);
+    out.seconds = self.timer.ElapsedSeconds();
+    failures_->Increment();
+    self.done(std::move(out));
+    return;
+  }
+
+  std::shared_ptr<TraceRecorder> trace =
+      tracing_enabled() ? std::make_shared<TraceRecorder>(kTraceSpanCapacity)
+                        : nullptr;
+  TraceSpan root_span(trace.get(), "query");
+  TraceSpan admission_span(trace.get(), "admission");
+
+  const std::string key = CanonicalCacheKey(request, entry->version);
+  // A summary-only caller is served by a cached summary; collecting and
+  // streaming callers need the retained payload as well.
+  const bool wants_payload = streaming || request.include_bicliques;
+  // Budgeted queries never *wait* on a leader: the cache key excludes
+  // budgets, so an identical-key leader may take arbitrarily longer than
+  // this query's own deadline allows. They still take cache hits — they
+  // just run themselves instead of subscribing to someone else's run.
+  const bool unbudgeted = request.options.time_budget_seconds == 0.0 &&
+                          request.options.node_budget == 0;
+  // Who may lead a flight. A budgeted summary query may: should its run
+  // come back partial, its subscribers are re-admitted. A budgeted
+  // stream may not: its subscribers would already hold partial chunks.
+  // Collecting batch queries never share — a flight carries no payload
+  // for them.
+  const bool may_lead = streaming ? unbudgeted : !request.include_bicliques;
+
+  std::optional<QuerySummary> cached;
+  ResultCache::Payload payload;
+  std::shared_ptr<Flight> flight;
+  bool leader = true;
+  if (request.use_cache) {
+    // Admission is atomic: cache lookup and the subscribe-or-lead choice
+    // happen under one lock, and a leader publishes (cache insert +
+    // flight retirement) under the same lock — so between a miss here and
+    // our flight's insertion no other execution can slip through, and
+    // each key has exactly one execution per cache-miss epoch (among
+    // queries allowed to wait).
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    cached = cache_.Lookup(key, wants_payload ? &payload : nullptr);
+    if (wants_payload && payload == nullptr) cached.reset();
+    if (!cached && may_lead) {
+      auto& flights = flights_[streaming];
+      auto it = flights.find(key);
+      if (it == flights.end()) {
+        flight = std::make_shared<Flight>();
+        flights.emplace(key, flight);
+      } else if (unbudgeted) {
+        flight = it->second;
+        leader = false;
+      }
+      // else: a budgeted duplicate runs unshared (flight stays null).
+    }
+  }
+
+  if (cached) {  // trace discarded: nothing ran.
+    QueryResult out;
+    out.summary = *cached;
+    out.cache_hit = true;
+    out.graph_version = entry->version;
+    if (streaming) {
+      ChunkStream replay(stream_chunk_results_, nullptr,
+                         [&](const StreamChunk& c) { Deliver(self, c); });
+      for (const Biclique& b : *payload) replay.sink().Accept(b);
+      replay.Finish();
+    } else if (request.include_bicliques) {
+      out.bicliques = *payload;
+    }
+    out.seconds = self.timer.ElapsedSeconds();
+    self.done(std::move(out));
+    return;
+  }
+  if (!leader) {
+    // The whole point of single-flight: the duplicate costs one vector
+    // slot, not one parked thread. Trace discarded: the leader's run is
+    // the story.
+    async_pending_->Increment();
+    std::unique_lock<std::mutex> lock(flight->mu);
+    for (const StreamChunk& chunk : flight->backlog) Deliver(self, chunk);
+    if (!flight->done) {
+      flight->subscribers.push_back(std::move(self));
+      return;
+    }
+    // The leader retired the flight after our lookup: its backlog is
+    // complete and its result final, so settle right here.
+    lock.unlock();
+    Settle(std::move(self), flight->result);
+    return;
+  }
+
+  admission_span.End();
+  async_pending_->Increment();
+  const double queued_start_us = trace != nullptr ? trace->NowMicros() : 0.0;
+  // std::function demands a copyable target, so the move-only root span
+  // rides in a shared_ptr (the task is only ever invoked once).
+  auto root = std::make_shared<TraceSpan>(std::move(root_span));
+  PostToRunner([this, self = std::move(self), entry = std::move(entry), key,
+                flight, trace = std::move(trace), root,
+                queued_start_us]() mutable {
+    if (trace != nullptr) {
+      trace->Record("queued", queued_start_us,
+                    trace->NowMicros() - queued_start_us);
+    }
+    QueryResult out;
+    out.graph_version = entry->version;
+    ChunkCallback emit = [&](const StreamChunk& chunk) {
+      if (flight == nullptr) return Deliver(self, chunk);
+      // Deliver under the flight mutex: backlog append, own callback and
+      // subscriber fan-out stay atomic against late attachers.
+      std::lock_guard<std::mutex> lock(flight->mu);
+      flight->backlog.push_back(chunk);
+      Deliver(self, chunk);
+      for (Subscriber& sub : flight->subscribers) Deliver(sub, chunk);
+    };
+    RunQuery(self.request, entry->graph, &out, trace.get(),
+             self.on_chunk ? &emit : nullptr);
+    TraceSpan publish_span(trace.get(), "publish");
+    Finish(key, self, flight, out);
+    publish_span.End();
+    root->End();
+    out.seconds = self.timer.ElapsedSeconds();
+    FinalizeTrace(self.request, std::move(trace), &out);
+    async_pending_->Decrement();
+    self.done(std::move(out));
+  });
+}
+
+void QueryExecutor::Finish(const std::string& key, const Subscriber& leader,
+                           const std::shared_ptr<Flight>& flight,
+                           const QueryResult& out) {
+  const QueryRequest& request = leader.request;
+  const bool streaming = static_cast<bool>(leader.on_chunk);
+  // Partial runs (deadline/budget tripped) must not poison the cache —
+  // and must not be adopted by subscribers, whose own budgets may differ.
+  const bool publish =
+      request.use_cache && !out.summary.stats.budget_exhausted;
+  ResultCache::Payload payload;
+  if (publish && streaming && flight != nullptr) {
+    // The run is over and this thread was the backlog's only writer, so
+    // it reads the backlog without the flight mutex. Unshared (budgeted)
+    // streams kept no backlog and publish the summary alone.
+    auto bicliques = std::make_shared<std::vector<Biclique>>();
+    bicliques->reserve(static_cast<std::size_t>(out.summary.count));
+    for (const StreamChunk& c : flight->backlog) {
+      bicliques->insert(bicliques->end(), c.bicliques.begin(),
+                        c.bicliques.end());
+    }
+    payload = std::move(bicliques);
+  } else if (publish && !streaming && request.include_bicliques) {
+    payload = std::make_shared<const std::vector<Biclique>>(out.bicliques);
+  }
+  // Cache insert and flight retirement are one step under the admission
+  // lock: no duplicate can miss the cache without finding the flight.
+  // The two locks never nest.
+  {
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    if (publish) cache_.Insert(key, out.summary, std::move(payload));
+    if (flight != nullptr) flights_[streaming].erase(key);
+  }
+  if (flight == nullptr) return;
+  std::vector<Subscriber> subscribers;
+  {
+    std::lock_guard<std::mutex> lock(flight->mu);
+    flight->done = true;
+    flight->result.status = out.status;
+    flight->result.summary = out.summary;
+    flight->result.graph_version = out.graph_version;
+    subscribers = std::move(flight->subscribers);
+  }
+  for (Subscriber& sub : subscribers) Settle(std::move(sub), flight->result);
+}
+
+void QueryExecutor::Settle(Subscriber sub, const QueryResult& run) {
+  async_pending_->Decrement();
+  if (run.summary.stats.budget_exhausted) {
+    // Partial leader run: never adopted. Re-admission usually elects the
+    // first subscriber as the new leader and stacks the rest behind it
+    // again. Only summary flights get here: a stream flight's leader is
+    // unbudgeted, so its run always completes.
+    Admit(sub.request, std::move(sub.on_chunk), std::move(sub.done));
+    return;
+  }
+  QueryResult adopted = run;
+  adopted.coalesced = true;
+  adopted.seconds = sub.timer.ElapsedSeconds();
+  coalesced_->Increment();
+  sub.done(std::move(adopted));
+}
+
+void QueryExecutor::Deliver(Subscriber& sub, const StreamChunk& chunk) {
+  if (!sub.delivered) {
+    stream_first_result_->Observe(sub.timer.ElapsedSeconds());
+    sub.delivered = true;
+  }
+  stream_chunks_->Increment();
+  sub.on_chunk(chunk);
 }
 
 QueryExecutor::Telemetry QueryExecutor::telemetry() const {

@@ -23,18 +23,11 @@
 namespace fairbc {
 
 struct QueryExecutorOptions {
-  /// Width of the executor's query-runner pool: the fixed set of worker
-  /// threads that async executions (ExecuteAsync leaders and unshared
-  /// runs, and therefore every ExecuteBatch query) run on. 0 = one
-  /// worker per hardware thread.
+  /// Width of the executor's query-runner pool, the fixed set of worker
+  /// threads every execution runs on. 0 = one per hardware thread.
   unsigned num_threads = 0;
   /// ResultCache capacity in entries; 0 disables cross-query reuse.
   std::size_t cache_capacity = 256;
-  /// Byte budget for result *bicliques* retained in the cache alongside
-  /// their summaries (ResultCache payload; see result_cache.h). Repeated
-  /// include_bicliques / streaming queries whose payload was retained
-  /// skip the engines entirely. 0 = summaries only.
-  std::size_t cache_biclique_bytes = 16u << 20;
   /// Results per streamed chunk (ExecuteStreaming's ChunkSink width).
   std::size_t stream_chunk_results = 64;
   /// Registry all executor and cache telemetry reports through. null =
@@ -48,10 +41,6 @@ struct QueryExecutorOptions {
   /// threshold are retained in the recent-trace ring (0 retains every
   /// executed query — how the smoke test captures a trace per query).
   double slow_query_ms = -1.0;
-  /// Capacity of the retained-trace ring (`trace` command history).
-  std::size_t trace_ring_capacity = 32;
-  /// Span capacity of each per-query trace buffer.
-  std::size_t trace_span_capacity = 4096;
   /// Invoked (from the executing thread) for every retained slow-query
   /// trace; the server installs a stderr logger here.
   std::function<void(const QueryRequest&, const QueryResult&)> slow_query_log;
@@ -69,23 +58,24 @@ struct QueryExecutorOptions {
 ///    only queries admitted afterwards;
 ///  - the cache and the in-flight table are internally synchronized; the
 ///    executor holds no lock while an engine runs;
-///  - Execute()/ExecuteAsync() are safe from any thread; batches may run
-///    concurrently with each other and with direct calls.
+///  - ExecuteAsync()/ExecuteStreaming() are safe from any thread;
+///    Execute()/ExecuteBatch() wait on the runner pool, so they are safe
+///    from any thread but its own; batches may run concurrently with each
+///    other and with direct calls.
 ///
-/// Single-flight is COMPLETION-LIST based: a duplicate of an in-flight
-/// query (same CanonicalCacheKey, summary-only, cacheable) registers a
-/// completion callback on the leader's slot instead of occupying a
-/// thread. When the leader publishes, it invokes every registered
-/// completion with its summary (QueryResult::coalesced) — so however
-/// many duplicates are in flight, they hold zero runner threads and zero
-/// caller threads (the async path) between admission and completion.
-/// The synchronous Execute() still blocks its *own calling* thread when
-/// it joins a leader — that thread belongs to the caller (CLI, tests),
-/// never to the runner pool or a server reactor, both of which only use
-/// the async path. Budget-exhausted leader runs are never shared —
-/// waiters are re-admitted (usually becoming the new leader), mirroring
-/// the "partial runs are never cached" rule. Queries carrying their own
-/// time/node budget never join a leader at all (the key excludes
+/// Every entry point goes through one admission step that decides, under
+/// one lock, who runs a query and who adopts that run's result: a cache
+/// hit completes inline; a duplicate of an in-flight query (same
+/// CanonicalCacheKey, same summary-or-stream kind) subscribes to the
+/// leader's flight; anything else runs on the runner pool. Subscribers
+/// hold zero runner threads and zero caller threads between admission
+/// and completion: the leader completes each with its summary
+/// (QueryResult::coalesced), and a streaming subscriber also rides the
+/// leader's chunks. Execute() is ExecuteAsync() plus a wait, so only its
+/// own calling thread blocks. Budget-exhausted leader runs are never
+/// shared — subscribers are re-admitted (usually becoming the new
+/// leader), mirroring the "partial runs are never cached" rule. Queries
+/// carrying their own time/node budget never subscribe (the key excludes
 /// budgets, so a leader may outlive their deadline): they run
 /// themselves, at worst duplicating one execution.
 ///
@@ -127,9 +117,9 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  /// Runs one query on the calling thread (cache lookup, single-flight
-  /// admission, then the full reduction + search pipeline when this call
-  /// becomes the leader). Never throws; failures (unknown graph, invalid
+  /// ExecuteAsync plus a wait on the calling thread: the query runs on a
+  /// runner thread (cache hits inline) and honours the request's own
+  /// num_threads. Never throws; failures (unknown graph, invalid
   /// parameters) come back in QueryResult::status.
   QueryResult Execute(const QueryRequest& request);
 
@@ -137,8 +127,8 @@ class QueryExecutor {
   ///  - cache hit / unknown graph → `done` is invoked inline, before the
   ///    call returns;
   ///  - duplicate of an in-flight query → `done` is registered on the
-  ///    leader's completion list and invoked (with coalesced=true) from
-  ///    the leader's runner thread when it publishes — no thread waits;
+  ///    leader's flight and invoked (with coalesced=true) from the
+  ///    leader's runner thread when it publishes — no thread waits;
   ///  - otherwise → the query is posted to the runner pool and `done` is
   ///    invoked from the runner thread that executed it.
   /// `done` must be callable from any thread and must not block for
@@ -146,23 +136,21 @@ class QueryExecutor {
   /// thread post.
   void ExecuteAsync(const QueryRequest& request, Completion done);
 
-  /// Streaming execution: results flow to `on_chunk` in bounded chunks
-  /// (QueryExecutorOptions::stream_chunk_results) as the engines emit
-  /// them, then `done` delivers the final summary (digest/count/stats —
-  /// byte-identical to what Execute would have summarized; the summary's
-  /// bicliques vector stays empty, the payload went through the chunks).
-  /// Every stream carries at least one chunk, the last marked `final` —
-  /// except failed admissions (unknown graph, invalid request), which
-  /// invoke `done` with the error and no chunks.
+  /// Streaming execution: results flow to `on_chunk` (non-empty) in
+  /// bounded chunks (QueryExecutorOptions::stream_chunk_results) as the
+  /// engines emit them, then `done` delivers the final summary
+  /// (digest/count/stats — byte-identical to what Execute would have
+  /// summarized; the summary's bicliques vector stays empty, the payload
+  /// went through the chunks). Every stream carries at least one chunk,
+  /// the last marked `final` — except failed admissions (unknown graph,
+  /// invalid request), which invoke `done` with the error and no chunks.
   ///
-  /// Admission mirrors ExecuteAsync: never blocks beyond the admission
-  /// lock. A cache entry that retained the result payload replays it as
-  /// chunks inline (cache_hit). A duplicate of an in-flight *streaming*
-  /// query attaches to the leader's chunk stream instead of parking on
-  /// the final result: the backlog replays inline, live chunks follow,
-  /// and its `done` fires with coalesced=true — zero threads held either
-  /// way. Like the batch path, queries carrying their own budgets never
-  /// attach (and their partial streams are never shared or cached).
+  /// Admission is ExecuteAsync's. A cached payload replays inline as
+  /// chunks (cache_hit), framed exactly like a live run. A duplicate of
+  /// an in-flight *streaming* query attaches to the leader's chunk
+  /// stream: the backlog replays inline, live chunks follow, and `done`
+  /// fires with coalesced=true. Streams carrying their own budgets
+  /// neither lead nor attach, so partial streams are never shared.
   void ExecuteStreaming(const QueryRequest& request, ChunkCallback on_chunk,
                         Completion done);
 
@@ -191,8 +179,8 @@ class QueryExecutor {
   std::uint64_t execution_count() const { return executions_->Value(); }
   std::uint64_t coalesced_count() const { return coalesced_->Value(); }
 
-  /// Async executions admitted but not yet completed (leaders + unshared
-  /// runs + registered waiters). Telemetry/test aid.
+  /// Executions admitted but not yet completed (leaders + unshared runs
+  /// + subscribers). Telemetry/test aid.
   std::uint64_t async_pending() const {
     const std::int64_t v = async_pending_->Value();
     return v > 0 ? static_cast<std::uint64_t>(v) : 0;
@@ -200,7 +188,7 @@ class QueryExecutor {
 
   /// Test seam: invoked on the executing thread right before each real
   /// enumeration (leaders and unshared runs; never cache hits or
-  /// coalesced waiters). Tests use it to hold a leader in flight
+  /// coalesced subscribers). Tests use it to hold a leader in flight
   /// deterministically. Not for production use. Mutex-guarded so a test
   /// may install/clear it while runner threads are live.
   void SetExecuteHook(std::function<void(const QueryRequest&)> hook) {
@@ -223,43 +211,60 @@ class QueryExecutor {
   double slow_query_ms() const { return slow_query_ms_; }
 
  private:
-  /// One in-flight execution. Sync waiters block on `cv` (their own
-  /// calling thread); async waiters sit in `completions`, which is
-  /// guarded by inflight_mu_ (NOT `mu`) so registration and the leader's
-  /// take-and-erase are atomic with the in-flight table itself.
-  struct InFlight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool shareable = false;
-    QuerySummary summary;
-    /// Async duplicates awaiting this leader; guarded by inflight_mu_.
-    struct Waiter {
-      QueryRequest request;  ///< kept for re-admission on partial runs.
-      Completion done;
-      Timer timer;
-      std::uint64_t graph_version = 0;
-    };
-    std::vector<Waiter> waiters;
+  /// One admitted caller: a leader (or unshared run) on its runner task,
+  /// or a duplicate subscribed to a leader's flight. An empty `on_chunk`
+  /// marks a summary-only caller.
+  struct Subscriber {
+    QueryRequest request;  ///< kept for re-admission on partial runs.
+    ChunkCallback on_chunk;
+    Completion done;
+    Timer timer;  ///< started at admission.
+    bool delivered = false;  ///< first chunk seen (latency recorded).
   };
 
-  /// One in-flight *streaming* execution. The leader appends every chunk
-  /// to the backlog and fans it out to the subscribers under `mu`; a late
-  /// duplicate replays the backlog inline under the same mutex, so each
-  /// subscriber sees every chunk exactly once, in order. The map entry is
-  /// erased (under inflight_mu_) before `done` flips, mirroring InFlight.
-  struct StreamFlight {
+  /// One in-flight execution that identical duplicates subscribe to.
+  /// Flights are keyed by (cache key, streaming): a summary duplicate
+  /// never attaches to a stream leader, nor the reverse. Everything here
+  /// is guarded by `mu`. A streaming leader appends each chunk to the
+  /// backlog and fans it out under `mu`, and a late subscriber replays
+  /// the backlog under `mu` before registering, so every subscriber sees
+  /// every chunk exactly once, in order; summary flights keep no backlog.
+  /// The leader retires the flight from the table (under inflight_mu_)
+  /// before `done` flips, so a subscriber that found the flight just
+  /// before then settles inline from `result`.
+  struct Flight {
     std::mutex mu;
     std::vector<StreamChunk> backlog;
-    bool done = false;
-    QueryResult final_result;  ///< valid once done (status + summary).
-    struct Subscriber {
-      ChunkCallback on_chunk;
-      Completion done;
-      Timer timer;
-    };
     std::vector<Subscriber> subscribers;
+    bool done = false;
+    /// The leader's status, summary and graph version — exactly what a
+    /// subscriber adopts; valid once done.
+    QueryResult result;
   };
+
+  /// The one admission path behind every entry point: cache lookup,
+  /// subscribe-or-lead, and the runner task that executes a leader (or
+  /// an unshared run) and publishes it.
+  void Admit(const QueryRequest& request, ChunkCallback on_chunk,
+             Completion done);
+
+  /// Leader epilogue: publishes a complete run to the cache (with its
+  /// payload for collecting and streaming runs), retires the flight and
+  /// settles its subscribers. `flight` is null for unshared runs.
+  void Finish(const std::string& key, const Subscriber& leader,
+              const std::shared_ptr<Flight>& flight, const QueryResult& out);
+
+  /// Completes a subscriber with the leader's result (coalesced), or
+  /// re-admits it when the leader's run was partial.
+  void Settle(Subscriber sub, const QueryResult& run);
+
+  /// Hands one chunk to a streaming caller, recording its first-chunk
+  /// latency and the chunk counter.
+  void Deliver(Subscriber& sub, const StreamChunk& chunk);
+
+  /// Admits every request through ExecuteAsync and waits for all of them
+  /// on the calling thread (Execute and ExecuteBatch).
+  std::vector<QueryResult> AwaitAll(const std::vector<QueryRequest>& requests);
 
   /// Runs the enumeration for `request` against `graph` into `out`
   /// (digest accumulation, optional biclique collection, top-k selection,
@@ -267,28 +272,10 @@ class QueryExecutor {
   /// folds the run's stats into the registry histograms and kernel
   /// counters. `emit` (nullable) receives streamed chunks; when set, the
   /// run drives a ChunkSink over a shared SearchBudget and records a
-  /// "stream" span covering first flush to last.
+  /// "stream" span over the post-enumeration delivery tail.
   void RunQuery(const QueryRequest& request, const BipartiteGraph& graph,
                 QueryResult* out, TraceRecorder* trace,
                 const ChunkCallback* emit = nullptr);
-
-  /// Leader epilogue shared by Execute and the async runner task:
-  /// publishes to the cache, retires the slot, wakes sync waiters and
-  /// invokes (or re-admits) async completions.
-  void FinishLeader(const std::string& key,
-                    const std::shared_ptr<InFlight>& slot,
-                    const QuerySummary& summary, bool complete);
-
-  /// Streaming-leader epilogue: publishes summary + payload (rebuilt from
-  /// the backlog) to the cache, retires the flight, and completes every
-  /// attached subscriber with the coalesced summary. Subscribers already
-  /// received every chunk live; only their `done` is pending.
-  void FinishStreamLeader(const std::string& key,
-                          const std::shared_ptr<StreamFlight>& flight,
-                          const QueryResult& out, bool complete);
-
-  /// Fresh per-query recorder, or null when tracing is off.
-  std::shared_ptr<TraceRecorder> MaybeStartTrace() const;
 
   /// Stamps metadata on the recorder, attaches it to `out`, and retains
   /// it in the ring (+ slow-query log) when out->seconds reaches the
@@ -303,12 +290,12 @@ class QueryExecutor {
   const GraphCatalog& catalog_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // before cache_: it
   MetricsRegistry* metrics_;                        // registers counters.
-  Counter* queries_;         ///< admissions (every Execute/ExecuteAsync).
+  Counter* queries_;         ///< admissions (every entry point).
   Counter* executions_;      ///< enumerations actually run.
   Counter* coalesced_;       ///< served by joining a leader.
   Counter* failures_;        ///< results with !status.ok().
   Counter* slow_retained_;   ///< traces retained in the ring.
-  Gauge* async_pending_;     ///< admitted-but-uncompleted async queries.
+  Gauge* async_pending_;     ///< admitted-but-uncompleted queries.
   Histogram* query_seconds_;
   Histogram* phase_construct_;
   Histogram* phase_color_;
@@ -325,18 +312,14 @@ class QueryExecutor {
   ResultCache cache_;
   const std::size_t stream_chunk_results_;
   const double slow_query_ms_;
-  const std::size_t trace_span_capacity_;
   TraceRing trace_ring_;
   std::function<void(const QueryRequest&, const QueryResult&)>
       slow_query_log_;
 
   std::mutex inflight_mu_;
-  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
-  /// In-flight streaming leaders, keyed like inflight_ (guarded by
-  /// inflight_mu_). Kept separate: a streaming duplicate needs the chunk
-  /// backlog, which a batch slot does not carry.
-  std::unordered_map<std::string, std::shared_ptr<StreamFlight>>
-      stream_inflight_;
+  /// In-flight flights by cache key, guarded by inflight_mu_; index 0
+  /// holds summary flights, index 1 streaming ones.
+  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_[2];
   std::mutex hook_mu_;
   std::function<void(const QueryRequest&)> execute_hook_;  // guarded by hook_mu_
 

@@ -652,83 +652,100 @@ TEST(QueryExecutorAsyncTest, DuplicatesParkAsCompletionsNotThreads) {
 }
 
 /// A budget-limited leader publishes nothing reusable; parked waiters
-/// are re-admitted instead of being handed the partial summary.
+/// are re-admitted instead of being handed the partial summary. The
+/// waiter comes in two kinds — an ExecuteAsync completion and a
+/// synchronous Execute on a helper thread — which share one re-admission
+/// path.
 TEST(QueryExecutorAsyncTest, PartialLeaderReadmitsItsWaiters) {
-  GraphCatalog catalog;
-  ASSERT_TRUE(catalog.AddGraph("g", ServiceTestGraph()).ok());
-  QueryExecutorOptions options;
-  options.num_threads = 2;
-  QueryExecutor executor(catalog, options);
+  for (const bool sync_waiter : {false, true}) {
+    SCOPED_TRACE(sync_waiter ? "sync Execute waiter" : "async waiter");
+    GraphCatalog catalog;
+    ASSERT_TRUE(catalog.AddGraph("g", ServiceTestGraph()).ok());
+    QueryExecutorOptions options;
+    options.num_threads = 2;
+    QueryExecutor executor(catalog, options);
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<int> calls{0};
-  executor.SetExecuteHook([&](const QueryRequest& req) {
-    if (req.params.alpha != 5) return;
-    if (calls.fetch_add(1) != 0) return;  // only the first run stalls.
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
+    std::mutex mu;
+    std::condition_variable cv;
+    bool release = false;
+    std::atomic<int> calls{0};
+    executor.SetExecuteHook([&](const QueryRequest& req) {
+      if (req.params.alpha != 5) return;
+      if (calls.fetch_add(1) != 0) return;  // only the first run stalls.
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    });
 
-  // Leader carries a 1-node budget: guaranteed partial on this graph.
-  QueryRequest partial;
-  partial.graph = "g";
-  partial.params = {5, 2, 1, 0.0};
-  partial.options.node_budget = 1;
+    // Leader carries a 1-node budget: guaranteed partial on this graph.
+    QueryRequest partial;
+    partial.graph = "g";
+    partial.params = {5, 2, 1, 0.0};
+    partial.options.node_budget = 1;
 
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  QueryResult leader_result, waiter_result;
-  bool leader_done = false, waiter_done = false;
-  executor.ExecuteAsync(partial, [&](QueryResult r) {
-    std::lock_guard<std::mutex> lock(done_mu);
-    leader_result = std::move(r);
-    leader_done = true;
-    done_cv.notify_all();
-  });
-  while (calls.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::mutex done_mu;
+    std::condition_variable done_cv;
+    QueryResult leader_result, waiter_result;
+    bool leader_done = false, waiter_done = false;
+    executor.ExecuteAsync(partial, [&](QueryResult r) {
+      std::lock_guard<std::mutex> lock(done_mu);
+      leader_result = std::move(r);
+      leader_done = true;
+      done_cv.notify_all();
+    });
+    while (calls.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    // The unbudgeted duplicate parks behind the leader (same cache key:
+    // budgets are excluded from the canonical key).
+    QueryRequest full = partial;
+    full.options.node_budget = 0;
+    auto record_waiter = [&](QueryResult r) {
+      std::lock_guard<std::mutex> lock(done_mu);
+      waiter_result = std::move(r);
+      waiter_done = true;
+      done_cv.notify_all();
+    };
+    std::thread sync_caller;
+    if (sync_waiter) {
+      sync_caller = std::thread([&] { record_waiter(executor.Execute(full)); });
+      // Execute admits like ExecuteAsync; wait until it has subscribed.
+      while (executor.async_pending() < 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    } else {
+      executor.ExecuteAsync(full, record_waiter);
+    }
+    EXPECT_EQ(executor.async_pending(), 2u);
+
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    {
+      std::unique_lock<std::mutex> lock(done_mu);
+      ASSERT_TRUE(done_cv.wait_for(lock, std::chrono::seconds(30), [&] {
+        return leader_done && waiter_done;
+      }));
+    }
+    if (sync_caller.joinable()) sync_caller.join();
+
+    ASSERT_TRUE(leader_result.status.ok());
+    EXPECT_TRUE(leader_result.summary.stats.budget_exhausted);
+    ASSERT_TRUE(waiter_result.status.ok());
+    // The waiter was re-admitted and ran the query itself, to completion.
+    EXPECT_FALSE(waiter_result.coalesced);
+    EXPECT_FALSE(waiter_result.summary.stats.budget_exhausted);
+    EXPECT_GE(waiter_result.summary.count, leader_result.summary.count);
+    EXPECT_EQ(executor.execution_count(), 2u);
+
+    // Only the full run was cached.
+    QueryResult replay = executor.Execute(full);
+    EXPECT_TRUE(replay.cache_hit);
+    EXPECT_FALSE(replay.summary.stats.budget_exhausted);
+    executor.SetExecuteHook(nullptr);
   }
-
-  // The unbudgeted duplicate parks behind the leader (same cache key:
-  // budgets are excluded from the canonical key).
-  QueryRequest full = partial;
-  full.options.node_budget = 0;
-  executor.ExecuteAsync(full, [&](QueryResult r) {
-    std::lock_guard<std::mutex> lock(done_mu);
-    waiter_result = std::move(r);
-    waiter_done = true;
-    done_cv.notify_all();
-  });
-  EXPECT_EQ(executor.async_pending(), 2u);
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    ASSERT_TRUE(done_cv.wait_for(lock, std::chrono::seconds(30), [&] {
-      return leader_done && waiter_done;
-    }));
-  }
-
-  ASSERT_TRUE(leader_result.status.ok());
-  EXPECT_TRUE(leader_result.summary.stats.budget_exhausted);
-  ASSERT_TRUE(waiter_result.status.ok());
-  // The waiter was re-admitted and ran the query itself, to completion.
-  EXPECT_FALSE(waiter_result.coalesced);
-  EXPECT_FALSE(waiter_result.summary.stats.budget_exhausted);
-  EXPECT_GE(waiter_result.summary.count, leader_result.summary.count);
-  EXPECT_EQ(executor.execution_count(), 2u);
-
-  // Only the full run was cached.
-  QueryResult replay = executor.Execute(full);
-  EXPECT_TRUE(replay.cache_hit);
-  EXPECT_FALSE(replay.summary.stats.budget_exhausted);
-  executor.SetExecuteHook(nullptr);
 }
 
 /// Cache hits complete the async path inline on the calling thread — no

@@ -4,7 +4,8 @@
 // engine paths at thread widths {1, 2, 8}, top-k agreement with the full
 // enumeration under every rank with branch-and-bound pruning live, the
 // streaming single-flight (late subscriber attaches to the leader's
-// chunk stream), payload-cache chunk replay, the chunk wire codec, and
+// chunk stream, replaying its backlog when it arrives mid-stream),
+// payload-cache chunk replay, the chunk wire codec, and
 // the server line protocol's chunked framing + strict trace/cache
 // argument validation. Runs in the TSan job (.github/workflows/ci.yml)
 // so the chunk fan-out and prune-bound publication are raced for real.
@@ -14,11 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -80,6 +83,26 @@ QuerySummary SummarizeChunks(
   QuerySummary summary;
   acc.FillSummary(&summary);
   return summary;
+}
+
+// Stream framing invariants: 1-based contiguous seq, chunk width bounded
+// by `chunk_results`, cumulative results_so_far, and exactly one final
+// marker, which comes last; the stream delivers `expect_results` in all.
+void ExpectStreamFraming(const std::vector<QueryExecutor::StreamChunk>& chunks,
+                         std::size_t chunk_results,
+                         std::uint64_t expect_results,
+                         const std::string& label) {
+  ASSERT_FALSE(chunks.empty()) << label;
+  std::uint64_t delivered = 0;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const auto& chunk = chunks[i];
+    EXPECT_EQ(chunk.seq, i + 1) << label;
+    EXPECT_LE(chunk.bicliques.size(), chunk_results);
+    delivered += chunk.bicliques.size();
+    EXPECT_EQ(chunk.results_so_far, delivered) << label;
+    EXPECT_EQ(chunk.final, i + 1 == chunks.size()) << label;
+  }
+  EXPECT_EQ(delivered, expect_results) << label;
 }
 
 // Async chunk/result collector for ExecuteStreaming (which returns after
@@ -281,19 +304,9 @@ TEST(StreamEquivalenceTest, StreamedDigestMatchesBatchAcrossEnginesAndThreads) {
       EXPECT_EQ(reassembled.max_upper, batch.summary.max_upper) << label;
       EXPECT_EQ(reassembled.max_lower, batch.summary.max_lower) << label;
 
-      // Stream framing invariants: 1-based contiguous seq, bounded chunk
-      // width, cumulative checkpoints, exactly one final marker (last).
-      ASSERT_FALSE(stream.chunks.empty()) << label;
-      std::uint64_t delivered = 0;
-      for (std::size_t i = 0; i < stream.chunks.size(); ++i) {
-        const auto& chunk = stream.chunks[i];
-        EXPECT_EQ(chunk.seq, i + 1) << label;
-        EXPECT_LE(chunk.bicliques.size(), options.stream_chunk_results);
-        delivered += chunk.bicliques.size();
-        EXPECT_EQ(chunk.results_so_far, delivered) << label;
-        EXPECT_EQ(chunk.final, i + 1 == stream.chunks.size()) << label;
-      }
-      EXPECT_EQ(delivered, batch.summary.count) << label;
+      ASSERT_NO_FATAL_FAILURE(ExpectStreamFraming(
+          stream.chunks, options.stream_chunk_results, batch.summary.count,
+          label));
     }
   }
 }
@@ -394,6 +407,90 @@ TEST(StreamSingleFlightTest, LateSubscriberAttachesToLeaderChunkStream) {
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(leader.chunks.size(), follower.chunks.size());
   EXPECT_EQ(follower.result.summary.digest, leader.result.summary.digest);
+  ExpectStreamFraming(leader.chunks, options.stream_chunk_results,
+                      leader.result.summary.count, "leader");
+  ExpectStreamFraming(follower.chunks, options.stream_chunk_results,
+                      leader.result.summary.count, "follower");
+}
+
+// A duplicate that arrives after the leader has delivered chunks
+// replays that backlog first, then rides the live stream (or, if the
+// leader finished meanwhile, settles from the complete backlog).
+TEST(StreamSingleFlightTest, MidStreamSubscriberReplaysTheBacklog) {
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.AddGraph("g", StreamTestGraph()).ok());
+  QueryExecutorOptions options;
+  options.num_threads = 2;
+  options.stream_chunk_results = 32;
+  QueryExecutor exec(catalog, options);
+
+  QueryRequest req = BaseRequest("g", FairModel::kSsfbc, FairAlgo::kPlusPlus, 1);
+  req.params.alpha = 3;
+  req.params.beta = 3;
+  req.use_cache = true;
+
+  // The leader's own callback parks inside its first chunk delivery, so
+  // that chunk is already in the flight's backlog.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool first_delivered = false, release = false, leader_done = false;
+  std::vector<QueryExecutor::StreamChunk> leader_chunks;
+  QueryResult leader_result;
+  exec.ExecuteStreaming(
+      req,
+      [&](const QueryExecutor::StreamChunk& chunk) {
+        std::unique_lock<std::mutex> lock(mu);
+        leader_chunks.push_back(chunk);
+        if (first_delivered) return;
+        first_delivered = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+      },
+      [&](QueryResult r) {
+        std::lock_guard<std::mutex> lock(mu);
+        leader_result = std::move(r);
+        leader_done = true;
+        cv.notify_all();
+      });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return first_delivered; });
+  }
+  // The duplicate subscribes from a helper thread: it waits for the
+  // flight lock the parked leader holds. Admission counts it as pending
+  // before it takes that lock.
+  StreamRun follower;
+  std::thread attacher([&] { follower.Start(exec, req); });
+  while (exec.async_pending() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  attacher.join();
+  follower.Wait();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return leader_done; });
+  }
+
+  ASSERT_TRUE(leader_result.status.ok());
+  ASSERT_TRUE(follower.result.status.ok());
+  EXPECT_FALSE(leader_result.coalesced);
+  EXPECT_TRUE(follower.result.coalesced);
+  EXPECT_EQ(exec.execution_count(), 1u);
+  EXPECT_EQ(follower.chunks.size(), leader_chunks.size());
+  const QuerySummary a = SummarizeChunks(leader_chunks);
+  const QuerySummary b = SummarizeChunks(follower.chunks);
+  EXPECT_GT(a.count, 0u);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.digest, b.digest);
+  ExpectStreamFraming(leader_chunks, options.stream_chunk_results,
+                      leader_result.summary.count, "leader");
+  ExpectStreamFraming(follower.chunks, options.stream_chunk_results,
+                      leader_result.summary.count, "follower");
 }
 
 TEST(StreamCacheTest, RetainedPayloadReplaysChunksOnRepeat) {
@@ -427,6 +524,8 @@ TEST(StreamCacheTest, RetainedPayloadReplaysChunksOnRepeat) {
   EXPECT_EQ(a.count, b.count);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(second.result.summary.digest, first.result.summary.digest);
+  ExpectStreamFraming(second.chunks, options.stream_chunk_results,
+                      first.result.summary.count, "cache replay");
 }
 
 // --- chunk wire codec -------------------------------------------------------
