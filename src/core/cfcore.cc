@@ -258,30 +258,60 @@ void ColorfulPhase(const BipartiteGraph& g, Side fair_side,
   EgoColorfulCorePeel(h, coloring, k, alive, bytes, ctx);
 }
 
+// CFCore (`bi_side` false) and BCFCore (true). The first FCore/BFCore
+// pass runs on `g`; its survivors are compacted once, the colorful phases
+// and the final core pass run on the compacted graph, and the surviving
+// masks are scattered back to `g`'s ids. Compaction keeps ids in order,
+// so every 2-hop graph, coloring (its degree-then-id order included) and
+// peel is the parent-graph computation relabeled; only the counters,
+// flags and multiplicity matrices shrink to the survivor count.
+PruneResult ColorfulCore(const BipartiteGraph& g, std::uint32_t alpha,
+                         std::uint32_t beta, bool bi_side,
+                         ReductionContext* ctx) {
+  IdMaps maps;
+  const BipartiteGraph sub = InducedSubgraph(
+      g, bi_side ? BFCore(g, alpha, beta, ctx) : FCore(g, alpha, beta, ctx),
+      &maps);
+  SideMasks masks;
+  masks.upper_alive.assign(sub.NumUpper(), 1);
+  masks.lower_alive.assign(sub.NumLower(), 1);
+  PruneResult result;
+  result.peak_struct_bytes = sub.MemoryBytes();
+
+  // Lower side: vertices must share alpha common neighbors (per upper
+  // class when bi-side); BCFCore's upper side: beta common neighbors per
+  // lower class.
+  ColorfulPhase(sub, Side::kLower, alpha, beta, /*per_attr=*/bi_side, masks,
+                &result.peak_struct_bytes, ctx);
+  if (bi_side) {
+    ColorfulPhase(sub, Side::kUpper, beta, alpha, /*per_attr=*/true, masks,
+                  &result.peak_struct_bytes, ctx);
+    BFCoreInPlace(sub, alpha, beta, masks, ctx);
+  } else {
+    FCoreInPlace(sub, alpha, beta, masks, ctx);
+  }
+
+  result.masks.upper_alive.assign(g.NumUpper(), 0);
+  result.masks.lower_alive.assign(g.NumLower(), 0);
+  for (VertexId u = 0; u < sub.NumUpper(); ++u) {
+    result.masks.upper_alive[maps.upper_to_parent[u]] = masks.upper_alive[u];
+  }
+  for (VertexId v = 0; v < sub.NumLower(); ++v) {
+    result.masks.lower_alive[maps.lower_to_parent[v]] = masks.lower_alive[v];
+  }
+  return result;
+}
+
 }  // namespace
 
 PruneResult CFCore(const BipartiteGraph& g, std::uint32_t alpha,
                    std::uint32_t beta, ReductionContext* ctx) {
-  PruneResult result;
-  result.masks = FCore(g, alpha, beta, ctx);
-  ColorfulPhase(g, Side::kLower, alpha, beta, /*per_attr=*/false, result.masks,
-                &result.peak_struct_bytes, ctx);
-  FCoreInPlace(g, alpha, beta, result.masks, ctx);
-  return result;
+  return ColorfulCore(g, alpha, beta, /*bi_side=*/false, ctx);
 }
 
 PruneResult BCFCore(const BipartiteGraph& g, std::uint32_t alpha,
                     std::uint32_t beta, ReductionContext* ctx) {
-  PruneResult result;
-  result.masks = BFCore(g, alpha, beta, ctx);
-  // Lower side: vertices must share alpha common neighbors per upper
-  // class; upper side: beta common neighbors per lower class.
-  ColorfulPhase(g, Side::kLower, alpha, beta, /*per_attr=*/true, result.masks,
-                &result.peak_struct_bytes, ctx);
-  ColorfulPhase(g, Side::kUpper, beta, alpha, /*per_attr=*/true, result.masks,
-                &result.peak_struct_bytes, ctx);
-  BFCoreInPlace(g, alpha, beta, result.masks, ctx);
-  return result;
+  return ColorfulCore(g, alpha, beta, /*bi_side=*/true, ctx);
 }
 
 }  // namespace fairbc

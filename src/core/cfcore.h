@@ -14,8 +14,10 @@ class ReductionContext;
 /// Result of a graph-reduction run (CFCore / BCFCore).
 struct PruneResult {
   SideMasks masks;
-  /// Peak bytes of pruning-owned structures (2-hop graph + color
-  /// multiplicity matrices); reported by the Fig. 8 memory experiment.
+  /// Bytes of the pruning-owned structures, all built over the compacted
+  /// FCore/BFCore survivors: the survivor subgraph, the 2-hop graphs and
+  /// the color multiplicity matrices. Reported by the Fig. 8 memory
+  /// experiment.
   std::size_t peak_struct_bytes = 0;
 };
 
@@ -35,7 +37,9 @@ void EgoColorfulCorePeel(const UnipartiteGraph& h, const Coloring& coloring,
 /// Colorful fair α-β core pruning (paper Alg. 2, CFCore): FCore, then the
 /// 2-hop graph on the fair (lower) side, degree pruning, coloring, ego
 /// colorful β-core, and a final FCore pass. Lossless for SSFBC
-/// enumeration (Lemma 2).
+/// enumeration (Lemma 2). Everything after the first FCore runs on the
+/// compacted FCore survivors (ids kept in order, so the result is the
+/// same as on the parent graph); the returned masks are over `g`.
 ///
 /// `ctx` carries the ThreadPool (nullptr or a serial context = the exact
 /// serial path: serial sweeps, GreedyColor, serial peel), the per-worker

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 
 #include "common/status.h"
 #include "core/parallel.h"
@@ -10,47 +9,36 @@
 
 namespace fairbc {
 
-Coloring GreedyColor(const UnipartiteGraph& h, const std::vector<char>& alive) {
-  const VertexId n = h.NumVertices();
-  FAIRBC_CHECK(alive.size() == n);
-  Coloring result;
-  result.color.assign(n, 0);
-
-  std::vector<VertexId> order;
-  order.reserve(n);
-  for (VertexId v = 0; v < n; ++v) {
-    if (alive[v]) order.push_back(v);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return h.Degree(a) > h.Degree(b);
-  });
-
-  std::vector<char> used;  // scratch: color -> used by a neighbor?
-  std::vector<char> assigned(n, 0);
-  for (VertexId v : order) {
-    used.assign(result.num_colors + 1, 0);
-    for (VertexId w : h.Neighbors(v)) {
-      if (alive[w] && assigned[w]) used[result.color[w]] = 1;
-    }
-    std::uint32_t c = 0;
-    while (c < used.size() && used[c]) ++c;
-    result.color[v] = c;
-    assigned[v] = 1;
-    if (c + 1 > result.num_colors) result.num_colors = c + 1;
-  }
-  return result;
-}
-
 namespace {
 
+/// Fixed total priority order: degree desc, then id asc. GreedyColor
+/// processes vertices in this order and JonesPlassmannColor ranks by it,
+/// which is what makes the two kernels byte-identical.
+struct Outranks {
+  const UnipartiteGraph& h;
+  bool operator()(VertexId a, VertexId b) const {
+    const VertexId da = h.Degree(a), db = h.Degree(b);
+    return da != db ? da > db : a < b;
+  }
+};
+
+/// Mex scratch for `h`, all zero; colors never exceed the maximum degree.
+std::vector<VertexId> MexScratch(const UnipartiteGraph& h) {
+  VertexId max_degree = 0;
+  for (VertexId v = 0; v < h.NumVertices(); ++v) {
+    max_degree = std::max(max_degree, h.Degree(v));
+  }
+  return std::vector<VertexId>(static_cast<std::size_t>(max_degree) + 2, 0);
+}
+
 /// Smallest color absent among `v`'s alive higher-priority neighbors, all
-/// of which are already colored. `mark` is a per-worker scratch stamped
-/// with `v + 1` so it never needs clearing between vertices.
-template <typename Higher>
+/// of which are already colored. `mark` (from MexScratch) is stamped with
+/// `v + 1` so it never needs clearing between vertices: a vertex costs
+/// O(degree), not O(colors).
 std::uint32_t MexColor(const UnipartiteGraph& h, const std::vector<char>& alive,
-                       const std::vector<std::uint32_t>& color,
-                       const Higher& higher, VertexId v,
+                       const std::vector<std::uint32_t>& color, VertexId v,
                        std::vector<VertexId>& mark) {
+  const Outranks higher{h};
   const VertexId stamp = v + 1;
   std::uint32_t bound = 0;  // colors seen are < number of ranked neighbors.
   for (VertexId w : h.Neighbors(v)) {
@@ -67,6 +55,29 @@ std::uint32_t MexColor(const UnipartiteGraph& h, const std::vector<char>& alive,
 
 }  // namespace
 
+Coloring GreedyColor(const UnipartiteGraph& h, const std::vector<char>& alive) {
+  const VertexId n = h.NumVertices();
+  FAIRBC_CHECK(alive.size() == n);
+  Coloring result;
+  result.color.assign(n, 0);
+
+  std::vector<VertexId> order;
+  order.reserve(n);
+  for (VertexId v = 0; v < n; ++v) {
+    if (alive[v]) order.push_back(v);
+  }
+  std::sort(order.begin(), order.end(), Outranks{h});
+
+  // Every alive neighbor that outranks v precedes it in `order`, so all of
+  // them are colored by the time v takes the mex of their colors.
+  std::vector<VertexId> mark = MexScratch(h);
+  for (VertexId v : order) {
+    result.color[v] = MexColor(h, alive, result.color, v, mark);
+    result.num_colors = std::max(result.num_colors, result.color[v] + 1);
+  }
+  return result;
+}
+
 Coloring JonesPlassmannColor(const UnipartiteGraph& h,
                              const std::vector<char>& alive,
                              ReductionContext* ctx) {
@@ -76,13 +87,7 @@ Coloring JonesPlassmannColor(const UnipartiteGraph& h,
   result.color.assign(n, 0);
   if (n == 0) return result;
 
-  // Fixed total priority order: degree desc, then id asc — the same order
-  // GreedyColor processes vertices in, which is what makes the two
-  // kernels byte-identical.
-  auto higher = [&h](VertexId a, VertexId b) {
-    const VertexId da = h.Degree(a), db = h.Degree(b);
-    return da != db ? da > db : a < b;
-  };
+  const Outranks higher{h};
 
   ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
   const unsigned workers = pool != nullptr ? pool->num_threads() : 1;
@@ -94,7 +99,6 @@ Coloring JonesPlassmannColor(const UnipartiteGraph& h,
   // colors it reads were all published by earlier rounds' barriers.
   std::vector<std::uint32_t> wait(n, 0);
   std::vector<std::vector<VertexId>> local(workers);
-  VertexId max_degree = 0;
   auto seed_range = [&](VertexId begin, VertexId end, unsigned worker) {
     for (VertexId v = begin; v < end; ++v) {
       if (!alive[v]) continue;
@@ -115,7 +119,6 @@ Coloring JonesPlassmannColor(const UnipartiteGraph& h,
   } else {
     seed_range(0, n, 0);
   }
-  for (VertexId v = 0; v < n; ++v) max_degree = std::max(max_degree, h.Degree(v));
 
   std::vector<VertexId> frontier;
   auto drain_local = [&] {
@@ -127,9 +130,7 @@ Coloring JonesPlassmannColor(const UnipartiteGraph& h,
   };
   drain_local();
 
-  // Per-worker mex scratch; colors never exceed max_degree.
-  std::vector<std::vector<VertexId>> marks(
-      workers, std::vector<VertexId>(static_cast<std::size_t>(max_degree) + 2, 0));
+  std::vector<std::vector<VertexId>> marks(workers, MexScratch(h));
 
   std::vector<VertexId> current;
   while (!frontier.empty()) {
@@ -140,7 +141,7 @@ Coloring JonesPlassmannColor(const UnipartiteGraph& h,
       auto& mark = marks[worker];
       for (std::uint64_t i = begin; i < end; ++i) {
         const VertexId v = current[i];
-        result.color[v] = MexColor(h, alive, result.color, higher, v, mark);
+        result.color[v] = MexColor(h, alive, result.color, v, mark);
         for (VertexId w : h.Neighbors(v)) {
           if (!alive[w] || !higher(v, w)) continue;
           if (pool != nullptr) {

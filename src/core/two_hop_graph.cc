@@ -10,24 +10,26 @@ namespace fairbc {
 
 namespace {
 
-/// Counter-sweep over one contiguous vertex shard `[begin, end)`: for
-/// every alive `v` in the shard, count alive 2-hop paths into `counts`
-/// (per opposite-attribute class when `per_attr`), then emit the sorted
-/// satisfying neighbors into `out` and record `deg[v]`. First touches are
-/// tracked with one flag byte per vertex (not by rescanning the count
-/// slots), and both scratch arrays are returned all-zero.
+/// Half-wedge counter sweep over one contiguous vertex shard `[begin,
+/// end)`: for every alive `v` in the shard, count the alive 2-hop paths to
+/// alive `w < v` only (per opposite-attribute class when `per_attr`), then
+/// append the sorted satisfying lower neighbors to `out` and record
+/// `lower_deg[v]`. Neighbor lists are sorted, so each walk over `N(u)`
+/// stops at the first `w >= v`; every pair is therefore counted once, from
+/// its higher endpoint. First touches are tracked with one flag byte per
+/// vertex, and both scratch arrays are returned all-zero.
 void SweepShard(const BipartiteGraph& g, Side fair_side, std::uint32_t alpha,
                 const std::vector<char>& fair_alive,
                 const std::vector<char>& other_alive, bool per_attr,
                 VertexId begin, VertexId end,
                 std::vector<std::uint32_t>& counts, std::vector<char>& touched_flag,
-                std::vector<VertexId>& out, std::vector<std::uint32_t>& deg) {
+                std::vector<VertexId>& out,
+                std::vector<std::uint32_t>& lower_deg) {
   const Side other = Opposite(fair_side);
   const std::size_t stride = per_attr ? g.NumAttrs(other) : 1;
   std::vector<VertexId> touched;
-  // A vertex can touch every other fair-side vertex; sizing up front keeps
-  // the inner loop free of growth reallocations (matches the other scratch
-  // arrays, which are already O(n)).
+  // `v` can touch every lower vertex; sizing up front keeps the inner loop
+  // free of growth reallocations (the other scratch arrays are O(n) too).
   touched.reserve(touched_flag.size());
 
   for (VertexId v = begin; v < end; ++v) {
@@ -37,7 +39,8 @@ void SweepShard(const BipartiteGraph& g, Side fair_side, std::uint32_t alpha,
       if (!other_alive[u]) continue;
       const std::size_t attr_off = per_attr ? g.Attr(other, u) : 0;
       for (VertexId w : g.Neighbors(other, u)) {
-        if (w == v || !fair_alive[w]) continue;
+        if (w >= v) break;
+        if (!fair_alive[w]) continue;
         if (!touched_flag[w]) {
           touched_flag[w] = 1;
           touched.push_back(w);
@@ -66,7 +69,7 @@ void SweepShard(const BipartiteGraph& g, Side fair_side, std::uint32_t alpha,
       touched_flag[w] = 0;
     }
     std::sort(out.begin() + out_begin, out.end());
-    deg[v] = static_cast<std::uint32_t>(out.size() - out_begin);
+    lower_deg[v] = static_cast<std::uint32_t>(out.size() - out_begin);
   }
 }
 
@@ -98,17 +101,17 @@ UnipartiteGraph ConstructImpl(const BipartiteGraph& g, Side fair_side,
   ThreadPool* pool = ctx->pool();
 
   // Shard plan: contiguous vertex ranges, several shards per worker so
-  // stealing can rebalance skewed degree distributions. The shard
-  // boundaries do not affect the output — each vertex's neighbor list is
-  // a pure function of (g, masks, alpha) — so the serial path is simply
-  // the same shards swept in order by worker 0.
+  // stealing can rebalance skewed work (higher ids see more lower
+  // neighbors). The shard boundaries do not affect the output — each
+  // vertex's lower list is a pure function of (g, masks, alpha) — so the
+  // serial path is simply the same shards swept in order by worker 0.
   const unsigned workers = pool != nullptr ? pool->num_threads() : 1;
   const VertexId shard_size = std::max<VertexId>(
       64, (n + workers * 8 - 1) / (workers * 8));
   const std::size_t num_shards = (n + shard_size - 1) / shard_size;
 
-  std::vector<std::uint32_t> deg(n, 0);
-  std::vector<std::vector<VertexId>> shard_nbrs(num_shards);
+  std::vector<std::uint32_t> lower_deg(n, 0);
+  std::vector<std::vector<VertexId>> shard_lower(num_shards);
 
   auto sweep_one = [&](std::size_t shard, unsigned worker) {
     std::vector<std::uint32_t>& counts = ctx->CountScratch(worker, counts_size);
@@ -116,7 +119,7 @@ UnipartiteGraph ConstructImpl(const BipartiteGraph& g, Side fair_side,
     const VertexId begin = static_cast<VertexId>(shard * shard_size);
     const VertexId end = std::min<VertexId>(n, begin + shard_size);
     SweepShard(g, fair_side, alpha, fair_alive, other_alive, per_attr, begin,
-               end, counts, flags, shard_nbrs[shard], deg);
+               end, counts, flags, shard_lower[shard], lower_deg);
   };
   if (pool != nullptr) {
     pool->ParallelFor(num_shards,
@@ -129,34 +132,29 @@ UnipartiteGraph ConstructImpl(const BipartiteGraph& g, Side fair_side,
     }
   }
 
-  // Prefix-sum the per-vertex counts into the CSR offsets: one serial
-  // scan over the (few) shard totals, then each shard fills its own
-  // offset range in parallel.
-  std::vector<EdgeIndex> shard_base(num_shards + 1, 0);
-  for (std::size_t shard = 0; shard < num_shards; ++shard) {
-    shard_base[shard + 1] = shard_base[shard] + shard_nbrs[shard].size();
+  // Mirror pass, serial and O(|E_H|): vertex x's list is its sorted lower
+  // neighbors followed by every higher v that listed x. Visiting v in
+  // ascending order appends those higher neighbors already sorted.
+  // `cursor[x]` first counts x's higher neighbors, then becomes the write
+  // position of the next one.
+  std::vector<EdgeIndex> cursor(n, 0);
+  for (const std::vector<VertexId>& lower : shard_lower) {
+    for (VertexId w : lower) ++cursor[w];
   }
-  auto fill_offsets = [&](std::size_t shard) {
+  for (VertexId v = 0; v < n; ++v) {
+    h.offsets[v + 1] = h.offsets[v] + lower_deg[v] + cursor[v];
+    cursor[v] = h.offsets[v] + lower_deg[v];
+  }
+  h.neighbors.resize(h.offsets[n]);
+  for (std::size_t shard = 0; shard < num_shards; ++shard) {
+    const VertexId* next = shard_lower[shard].data();
     const VertexId begin = static_cast<VertexId>(shard * shard_size);
     const VertexId end = std::min<VertexId>(n, begin + shard_size);
-    EdgeIndex off = shard_base[shard];
     for (VertexId v = begin; v < end; ++v) {
-      off += deg[v];
-      h.offsets[v + 1] = off;
+      const VertexId* const list_end = next + lower_deg[v];
+      std::copy(next, list_end, h.neighbors.begin() + h.offsets[v]);
+      for (; next != list_end; ++next) h.neighbors[cursor[*next]++] = v;
     }
-  };
-  h.neighbors.resize(shard_base[num_shards]);
-  auto scatter = [&](std::size_t shard) {
-    fill_offsets(shard);
-    std::copy(shard_nbrs[shard].begin(), shard_nbrs[shard].end(),
-              h.neighbors.begin() + shard_base[shard]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(num_shards, [&](std::uint64_t shard, unsigned) {
-      scatter(shard);
-    });
-  } else {
-    for (std::size_t shard = 0; shard < num_shards; ++shard) scatter(shard);
   }
   return h;
 }

@@ -12,15 +12,20 @@ class ReductionContext;
 
 /// Paper Alg. 3 (Construct2HopGraph): connects two alive vertices of
 /// `fair_side` iff they share at least `alpha` alive common neighbors.
-/// Runs in O(sum of squared degrees) like the paper's counter sweep.
 ///
-/// With a `ReductionContext` carrying a pool the counter sweeps shard by
-/// vertex range across workers (each worker sweeps with private
-/// counter/flag scratch from the context), the per-vertex edge counts are
-/// prefix-summed into the CSR offsets, and the shard outputs are copied
-/// into place. The output is a pure function of (g, masks, alpha) — byte
-/// identical at every thread count, including the serial null-context
-/// path.
+/// A half-wedge counter sweep: each alive `v` counts 2-hop paths only to
+/// alive `w < v`, stopping every sorted neighbor list at the first
+/// `w >= v`, so each pair is counted once. A serial O(|E_H|) mirror pass
+/// then writes every satisfying pair to both endpoints. The cost is
+/// O(sum over alive v of alive-deg^2 / 2) plus O(n + |E_H|); CFCore and
+/// BCFCore call it on the compacted FCore/BFCore survivors, so `n` is the
+/// survivor count, not the parent graph's.
+///
+/// With a `ReductionContext` carrying a pool the sweeps shard by vertex
+/// range across workers (each worker sweeps with private counter/flag
+/// scratch from the context) before the mirror pass. The output is a pure
+/// function of (g, masks, alpha) — byte identical at every thread count,
+/// including the serial null-context path.
 UnipartiteGraph Construct2HopGraph(const BipartiteGraph& g, Side fair_side,
                                    std::uint32_t alpha, const SideMasks& masks,
                                    ReductionContext* ctx = nullptr);

@@ -288,24 +288,30 @@ BipartiteGraph InducedSubgraph(const BipartiteGraph& g, const SideMasks& masks,
                        const std::vector<char>& other_alive,
                        std::vector<EdgeIndex>& offsets,
                        std::vector<VertexId>& neighbors) {
+    // Both passes are branch-free: whether a parent neighbor survived is
+    // close to a coin flip on reduced graphs, so a branch mispredicts.
     offsets.assign(to_parent.size() + 1, 0);
     for (std::size_t i = 0; i < to_parent.size(); ++i) {
+      EdgeIndex degree = 0;
       for (VertexId w : g.Neighbors(side, to_parent[i])) {
-        if (other_alive[w]) ++offsets[i + 1];
+        degree += other_alive[w] != 0;
       }
+      offsets[i + 1] = offsets[i] + degree;
     }
-    for (std::size_t i = 0; i < to_parent.size(); ++i) {
-      offsets[i + 1] += offsets[i];
-    }
-    neighbors.resize(offsets.back());
+    // Every neighbor is written and the cursor advances past survivors
+    // only; a dead neighbor's write lands on the next slot, which a later
+    // survivor (or, after the last vertex, the one slack slot) overwrites.
+    neighbors.resize(offsets.back() + 1);
     for (std::size_t i = 0; i < to_parent.size(); ++i) {
       EdgeIndex pos = offsets[i];
       for (VertexId w : g.Neighbors(side, to_parent[i])) {
-        if (other_alive[w]) neighbors[pos++] = other_new[w];
+        neighbors[pos] = other_new[w];
+        pos += other_alive[w] != 0;
       }
       // Parent lists are sorted and compaction is order-preserving, so the
       // result stays sorted.
     }
+    neighbors.pop_back();
   };
 
   std::vector<EdgeIndex> up_off, lo_off;

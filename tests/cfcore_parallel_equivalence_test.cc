@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,92 @@ TEST(PeelParallelEquivalence, EgoColorfulCorePeelDirect) {
       EgoColorfulCorePeel(h, coloring, k, parallel, nullptr, &ctx);
       EXPECT_EQ(serial, parallel)
           << "k=" << k << " threads=" << threads;
+    }
+  }
+}
+
+// FNV-1a over the upper mask bytes, then the lower mask bytes.
+std::uint64_t MaskDigest(const SideMasks& masks) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::vector<char>* side :
+       {&masks.upper_alive, &masks.lower_alive}) {
+    for (char alive : *side) {
+      h ^= static_cast<unsigned char>(alive);
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+struct GoldenMasks {
+  const char* family;
+  std::uint32_t alpha, beta;
+  VertexId fcore_upper, fcore_lower;
+  VertexId cfcore_upper, cfcore_lower;
+  std::uint64_t cfcore_digest;
+  VertexId bfcore_upper, bfcore_lower;
+  VertexId bcfcore_upper, bcfcore_lower;
+  std::uint64_t bcfcore_digest;
+};
+
+// Survivor counts and mask digests computed by the full-graph colorful
+// phase (2-hop sweep over every wedge of the parent graph, uncompacted),
+// before the reduction moved onto the compacted FCore/BFCore survivors.
+// Every point prunes past its core in at least one of CFCore/BCFCore.
+constexpr GoldenMasks kGoldenMasks[] = {
+    {"uniform", 1, 2, 596, 600, 596, 600, 0x48f3454121f459a5ull, 596, 599, 59,
+     239, 0xa61201d6563fb079ull},
+    {"uniform", 2, 5, 483, 600, 427, 522, 0x25a960d7066e551eull, 477, 592, 0,
+     0, 0xccab01a4440d43c3ull},
+    {"powerlaw", 2, 2, 369, 567, 366, 555, 0x2f65c092cc10911eull, 345, 332,
+     284, 263, 0x03308af47e0928d2ull},
+    {"powerlaw", 4, 3, 247, 424, 225, 316, 0x207f1d7aee5563a2ull, 180, 121,
+     121, 92, 0xa225e226df59bee0ull},
+    {"affiliation", 2, 2, 556, 1117, 469, 741, 0x0be778bffa599e73ull, 450,
+     432, 347, 302, 0xc4c67953983b0cfaull},
+    {"affiliation", 4, 2, 471, 549, 420, 312, 0x24a1c6ea2825c437ull, 419, 311,
+     267, 185, 0xd994136f4493cf87ull},
+};
+
+BipartiteGraph GoldenFamily(const std::string& family) {
+  if (family == "uniform") return MakeUniformRandom(600, 600, 9000, 2, 101);
+  if (family == "powerlaw") return MakePowerLaw(600, 600, 9000, 2.1, 2, 102);
+  AffiliationConfig config;
+  config.num_upper = 1500;
+  config.num_lower = 1500;
+  config.num_communities = 40;
+  config.noise_fraction = 3.0;
+  config.noise_attach_community = 0.6;
+  config.seed = 103;
+  return MakeAffiliation(config);
+}
+
+// Pins FCore -> CFCore and BFCore -> BCFCore to the masks the full-graph
+// reduction produced, at every thread count: the compacted colorful phase
+// must match the old masks, not only itself across thread counts.
+TEST(PeelGoldenMasks, MatchFullGraphReduction) {
+  for (const GoldenMasks& want : kGoldenMasks) {
+    const BipartiteGraph g = GoldenFamily(want.family);
+    const std::uint32_t a = want.alpha, b = want.beta;
+    const std::string point = std::string(want.family) + " alpha=" +
+                              std::to_string(a) + " beta=" + std::to_string(b);
+    const SideMasks f = FCore(g, a, b);
+    const SideMasks bf = BFCore(g, a, b);
+    EXPECT_EQ(f.CountAlive(Side::kUpper), want.fcore_upper) << point;
+    EXPECT_EQ(f.CountAlive(Side::kLower), want.fcore_lower) << point;
+    EXPECT_EQ(bf.CountAlive(Side::kUpper), want.bfcore_upper) << point;
+    EXPECT_EQ(bf.CountAlive(Side::kLower), want.bfcore_lower) << point;
+    for (unsigned threads : {1u, 2u, 8u}) {
+      ReductionContext ctx(threads);
+      const std::string label = point + " threads=" + std::to_string(threads);
+      const SideMasks cf = CFCore(g, a, b, &ctx).masks;
+      EXPECT_EQ(cf.CountAlive(Side::kUpper), want.cfcore_upper) << label;
+      EXPECT_EQ(cf.CountAlive(Side::kLower), want.cfcore_lower) << label;
+      EXPECT_EQ(MaskDigest(cf), want.cfcore_digest) << label;
+      const SideMasks bcf = BCFCore(g, a, b, &ctx).masks;
+      EXPECT_EQ(bcf.CountAlive(Side::kUpper), want.bcfcore_upper) << label;
+      EXPECT_EQ(bcf.CountAlive(Side::kLower), want.bcfcore_lower) << label;
+      EXPECT_EQ(MaskDigest(bcf), want.bcfcore_digest) << label;
     }
   }
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "core/kernels.h"
 #include "core/reduction_context.h"
 #include "core/two_hop_graph.h"
@@ -21,25 +24,30 @@ SideMasks AllAlive(const BipartiteGraph& g) {
   return masks;
 }
 
-// Naive O(n^2) reference: count common alive neighbors directly.
-UnipartiteGraph NaiveTwoHop(const BipartiteGraph& g, std::uint32_t alpha,
-                            const SideMasks& masks, bool per_attr) {
-  std::vector<AttrId> attrs(g.NumLower());
-  for (VertexId v = 0; v < g.NumLower(); ++v) {
-    attrs[v] = g.Attr(Side::kLower, v);
-  }
+// Naive O(n^2) reference on `side`: count common alive neighbors of
+// every alive pair directly, by binary search.
+UnipartiteGraph NaiveTwoHop(const BipartiteGraph& g, Side side,
+                            std::uint32_t alpha, const SideMasks& masks,
+                            bool per_attr) {
+  const Side other = Opposite(side);
+  const auto& alive =
+      side == Side::kLower ? masks.lower_alive : masks.upper_alive;
+  const auto& other_alive =
+      side == Side::kLower ? masks.upper_alive : masks.lower_alive;
+  const VertexId n = g.NumVertices(side);
+  std::vector<AttrId> attrs(n);
+  for (VertexId v = 0; v < n; ++v) attrs[v] = g.Attr(side, v);
   std::vector<std::pair<VertexId, VertexId>> edges;
-  const AttrId au = g.NumAttrs(Side::kUpper);
-  for (VertexId a = 0; a < g.NumLower(); ++a) {
-    if (!masks.lower_alive[a]) continue;
-    for (VertexId b = a + 1; b < g.NumLower(); ++b) {
-      if (!masks.lower_alive[b]) continue;
-      SizeVector common(au, 0);
-      for (VertexId u : g.Neighbors(Side::kLower, a)) {
-        if (!masks.upper_alive[u]) continue;
-        auto nb = g.Neighbors(Side::kLower, b);
+  for (VertexId a = 0; a < n; ++a) {
+    if (!alive[a]) continue;
+    for (VertexId b = a + 1; b < n; ++b) {
+      if (!alive[b]) continue;
+      SizeVector common(g.NumAttrs(other), 0);
+      for (VertexId u : g.Neighbors(side, a)) {
+        if (!other_alive[u]) continue;
+        auto nb = g.Neighbors(side, b);
         if (std::binary_search(nb.begin(), nb.end(), u)) {
-          ++common[g.Attr(Side::kUpper, u)];
+          ++common[g.Attr(other, u)];
         }
       }
       bool connect;
@@ -54,8 +62,8 @@ UnipartiteGraph NaiveTwoHop(const BipartiteGraph& g, std::uint32_t alpha,
       if (connect) edges.emplace_back(a, b);
     }
   }
-  return UnipartiteGraph::FromEdges(g.NumLower(), edges, std::move(attrs),
-                                    g.NumAttrs(Side::kLower));
+  return UnipartiteGraph::FromEdges(n, edges, std::move(attrs),
+                                    g.NumAttrs(side));
 }
 
 TEST(TwoHop, SimpleSharedNeighbors) {
@@ -80,7 +88,8 @@ TEST(TwoHop, MatchesNaiveOnRandomGraphs) {
     if (g.NumLower() > 2) masks.lower_alive[1] = 0;
     for (std::uint32_t alpha : {1u, 2u, 3u}) {
       UnipartiteGraph fast = Construct2HopGraph(g, Side::kLower, alpha, masks);
-      UnipartiteGraph slow = NaiveTwoHop(g, alpha, masks, false);
+      UnipartiteGraph slow =
+          NaiveTwoHop(g, Side::kLower, alpha, masks, false);
       EXPECT_EQ(fast, slow) << "seed=" << seed << " alpha=" << alpha;
     }
   }
@@ -92,7 +101,8 @@ TEST(BiTwoHop, MatchesNaiveOnRandomGraphs) {
     SideMasks masks = AllAlive(g);
     for (std::uint32_t alpha : {1u, 2u}) {
       UnipartiteGraph fast = BiConstruct2HopGraph(g, Side::kLower, alpha, masks);
-      UnipartiteGraph slow = NaiveTwoHop(g, alpha, masks, true);
+      UnipartiteGraph slow =
+          NaiveTwoHop(g, Side::kLower, alpha, masks, true);
       EXPECT_EQ(fast, slow) << "seed=" << seed << " alpha=" << alpha;
     }
   }
@@ -169,6 +179,84 @@ TEST(TwoHop, ParallelConstructionByteIdentical) {
       }
     }
   }
+}
+
+// Hub-heavy planted-affiliation graph: heavy noise with preferential
+// attachment gives the upper side high-degree hubs, so most neighbor list
+// walks stop at the `w < v` cut and many pairs reach the mirror pass.
+BipartiteGraph HubHeavyAffiliation() {
+  AffiliationConfig config;
+  config.num_upper = 90;
+  config.num_lower = 90;
+  config.num_communities = 8;
+  config.noise_fraction = 2.5;
+  config.noise_attach_community = 0.6;
+  config.num_upper_attrs = 2;
+  config.num_lower_attrs = 3;
+  config.seed = 61;
+  return MakeAffiliation(config);
+}
+
+// Kills each vertex on both sides with probability 1/4 (seeded).
+SideMasks RandomMasks(const BipartiteGraph& g, std::uint64_t seed) {
+  Rng rng(seed);
+  SideMasks masks = AllAlive(g);
+  for (char& a : masks.upper_alive) a = rng.NextBool(0.25) ? 0 : 1;
+  for (char& a : masks.lower_alive) a = rng.NextBool(0.25) ? 0 : 1;
+  return masks;
+}
+
+// Both constructions on both sides, with dead vertices on both sides,
+// match the oracle for alpha 1..4, with a null context and through
+// contexts of 1, 2 and 8 threads.
+TEST(TwoHop, MatchesNaiveOnBothSidesAndVariants) {
+  std::vector<BipartiteGraph> graphs;
+  for (std::uint64_t seed = 100; seed < 106; ++seed) {
+    graphs.push_back(RandomSmallGraph(seed, 14, 0.45));
+  }
+  graphs.push_back(HubHeavyAffiliation());
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const BipartiteGraph& g = graphs[i];
+    for (const SideMasks& masks : {AllAlive(g), RandomMasks(g, 700 + i)}) {
+      for (Side side : {Side::kLower, Side::kUpper}) {
+        for (bool per_attr : {false, true}) {
+          for (std::uint32_t alpha : {1u, 2u, 3u, 4u}) {
+            const UnipartiteGraph expected =
+                NaiveTwoHop(g, side, alpha, masks, per_attr);
+            auto build = [&](ReductionContext* ctx) {
+              return per_attr
+                         ? BiConstruct2HopGraph(g, side, alpha, masks, ctx)
+                         : Construct2HopGraph(g, side, alpha, masks, ctx);
+            };
+            const std::string label =
+                "graph=" + std::to_string(i) +
+                " side=" + (side == Side::kLower ? "lower" : "upper") +
+                " per_attr=" + std::to_string(per_attr) +
+                " alpha=" + std::to_string(alpha);
+            EXPECT_EQ(build(nullptr), expected) << label;
+            for (unsigned threads : {1u, 2u, 8u}) {
+              ReductionContext ctx(threads);
+              EXPECT_EQ(build(&ctx), expected)
+                  << label << " threads=" << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The hub-heavy graph really has a 2-hop graph worth checking: hubs make
+// dense neighborhoods, so the oracle comparison above is not vacuous.
+TEST(TwoHop, HubHeavyGraphHasDenseTwoHopNeighborhoods) {
+  const BipartiteGraph g = HubHeavyAffiliation();
+  const UnipartiteGraph h = Construct2HopGraph(g, Side::kLower, 2, AllAlive(g));
+  VertexId max_degree = 0;
+  for (VertexId v = 0; v < h.NumVertices(); ++v) {
+    max_degree = std::max(max_degree, h.Degree(v));
+  }
+  EXPECT_GT(h.NumEdges(), 2000u);
+  EXPECT_GT(max_degree, 60u);
 }
 
 TEST(Intersect, Helpers) {
