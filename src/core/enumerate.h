@@ -66,7 +66,8 @@ struct EmitWorker {
 };
 
 /// Engine-level sink of the lower-level engine entry points (FairBcemRun,
-/// FairBcemPpRun, BFairBcemRun, EnumerateMaximalBicliques): one result as
+/// FairBcemPpRun, BFairBcemRun, EnumerateMaximalBicliques, and the run
+/// driver RunSearch in core/search_context.h beneath them): one result as
 /// two ascending id spans that are valid only during the call. Calls from
 /// different workers may run concurrently (see EmitWorker). Return false
 /// to abort the enumeration.

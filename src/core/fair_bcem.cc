@@ -1,31 +1,19 @@
 #include "core/fair_bcem.h"
 
 #include <algorithm>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "core/kernels.h"
-#include "core/ordering.h"
-#include "core/parallel.h"
 #include "core/search_context.h"
-#include "fairness/fair_vector.h"
-#include "obs/trace.h"
 
 namespace fairbc {
 
 namespace {
 
-class FairBcemEngine;
-using ContextSplitter = SubtreeSplitter<std::unique_ptr<SearchContext>>;
-
 // FairBCEM recursion (paper Alg. 5) on the shared SearchContext layer:
 // the context owns stats, budget, fairness policy and sink; this class
-// owns only the branch-and-bound logic. Root-level branches are
-// independent (branch i's exclusion set is exactly the candidates before
-// it), which is what the parallel fan-out in FairBcemRun exploits; a
-// root branch whose subtree dominates re-submits its depth-1 children to
-// the pool once the queue runs dry (depth-adaptive splitting).
+// owns only the branch-and-bound logic. RunSearch runs it serially (Run)
+// or as independent branch tasks (RunBranch) on a pool.
 //
 // Every per-branch set (new L, filtered candidates, exclusion lists,
 // class counters) is carved out of the worker's ScratchArena — one
@@ -34,10 +22,9 @@ using ContextSplitter = SubtreeSplitter<std::unique_ptr<SearchContext>>;
 class FairBcemEngine {
  public:
   FairBcemEngine(SearchContext& ctx, const FairBcemSearchOptions& search,
-                 std::uint32_t min_upper, ContextSplitter* splitter = nullptr)
+                 std::uint32_t min_upper)
       : ctx_(ctx),
         search_(search),
-        splitter_(splitter),
         min_upper_(std::max(min_upper, 1u)),
         num_attrs_(ctx.graph().NumAttrs(Side::kLower)) {}
 
@@ -50,25 +37,14 @@ class FairBcemEngine {
     Recurse(upper_all, {}, zero.view(), candidates, {});
   }
 
-  /// One root-level subtree: the branch on candidates[root] with the
-  /// exclusion prefix candidates[0..root).
-  void RunRootBranch(std::span<const VertexId> upper_all,
-                     std::span<const VertexId> candidates, std::size_t root) {
-    allow_split_ = splitter_ != nullptr;
+  /// One branch task (SearchTasks::branch): the branch on p[0] and its
+  /// subtree.
+  void RunBranch(std::span<const VertexId> big_l, std::span<const VertexId> r,
+                 std::span<const VertexId> p, std::span<const VertexId> q) {
     ArenaScope frame(ctx_.arena());
-    const CountVec zero = CountVec::Zero(ctx_.arena(), num_attrs_);
-    Branch(upper_all, {}, zero.view(), candidates.subspan(root),
-           candidates.first(root));
-  }
-
-  /// One depth-1 child of a split subtree (never splits again).
-  void RunSubtreeChild(const std::shared_ptr<const SubtreeBatch>& batch,
-                       std::size_t child) {
-    allow_split_ = false;
-    const std::vector<VertexId> q = batch->ExclusionFor(child);
-    const SizeVector r_sizes = ctx_.ClassSizes(Side::kLower, batch->r);
-    std::span<const VertexId> p(batch->p);
-    Branch(batch->big_l, batch->r, r_sizes, p.subspan(child), q);
+    CountVec r_sizes = CountVec::Zero(ctx_.arena(), num_attrs_);
+    for (VertexId v : r) ++r_sizes[ctx_.graph().Attr(Side::kLower, v)];
+    Branch(big_l, r, r_sizes.view(), p, q);
   }
 
  private:
@@ -204,8 +180,8 @@ class FairBcemEngine {
           reachable = ctx_.policy().Reachable(pool.view());
         }
         if (reachable) {
-          if (!TrySplit(new_l.view(), new_r.view(), new_p.view(),
-                        new_q.view())) {
+          if (!ctx_.TrySplit(new_l.view(), new_r.view(), new_p.view(),
+                             new_q.view())) {
             Recurse(new_l.view(), new_r.view(), new_r_sizes.view(),
                     new_p.view(), new_q.view());
           }
@@ -214,37 +190,6 @@ class FairBcemEngine {
       }
     }
     return !ctx_.budget().aborted();
-  }
-
-  // Depth-adaptive task splitting: a root task re-checks the pool queue
-  // at every descend point of its serial walk and, at the first node
-  // where the queue has run dry, hands that node's depth-1 children to
-  // the pool (with the exact exclusion prefixes the serial loop would
-  // have used) instead of walking them while other workers starve.
-  // Split children never split again, and a split only fires on a
-  // near-empty queue, so the task count stays bounded. Returns true when
-  // the subtree was handed to the pool.
-  bool TrySplit(std::span<const VertexId> big_l, std::span<const VertexId> r,
-                std::span<const VertexId> p, std::span<const VertexId> q) {
-    if (!allow_split_ || splitter_ == nullptr) return false;
-    if (p.size() < 2 || !splitter_->ShouldSplit()) return false;
-    ++ctx_.stats().split_subtrees;
-    auto batch = std::make_shared<SubtreeBatch>();
-    batch->big_l.assign(big_l.begin(), big_l.end());
-    batch->r.assign(r.begin(), r.end());
-    batch->p.assign(p.begin(), p.end());
-    batch->q.assign(q.begin(), q.end());
-    const FairBcemSearchOptions* search = &search_;
-    const std::uint32_t min_upper = min_upper_;
-    for (std::size_t child = 0; child < batch->p.size(); ++child) {
-      splitter_->Submit(
-          [batch, child, search, min_upper](SearchContext& ctx) {
-            TraceSpan span(ctx.options().trace, "split");
-            FairBcemEngine(ctx, *search, min_upper)
-                .RunSubtreeChild(batch, child);
-          });
-    }
-    return true;
   }
 
   // Branches on every candidate of p in order, growing the exclusion set.
@@ -264,11 +209,8 @@ class FairBcemEngine {
 
   SearchContext& ctx_;
   const FairBcemSearchOptions& search_;
-  ContextSplitter* const splitter_;
   const std::uint32_t min_upper_;
   const AttrId num_attrs_;
-  /// True only while the root node of a parallel task is being branched.
-  bool allow_split_ = false;
 };
 
 }  // namespace
@@ -277,48 +219,18 @@ EnumStats FairBcemRun(const BipartiteGraph& g, const FairBicliqueParams& params,
                       std::uint32_t min_upper, const EnumOptions& options,
                       const FairBcemSearchOptions& search,
                       const EngineSink& sink) {
-  if (g.NumUpper() == 0 || g.NumLower() == 0) {
-    return {};
-  }
-  SpecFairnessPolicy policy(params.LowerSpec());
-  SearchBudget local_budget(options);
-  SearchBudget& budget = options.shared_budget != nullptr
-                             ? *options.shared_budget
-                             : local_budget;
-  const std::vector<VertexId> upper_all = AllVertices(g, Side::kUpper);
-  const std::vector<VertexId> candidates =
-      MakeOrder(g, Side::kLower, options.ordering);
-
-  EnumStats stats;
-  const unsigned num_threads = ResolveNumThreads(options.num_threads);
-  if (num_threads <= 1) {
-    SearchContext ctx(g, options, policy, budget, sink, /*worker=*/0);
+  const SpecFairnessPolicy policy(params.LowerSpec());
+  SearchTasks tasks;
+  tasks.serial = [&](SearchContext& ctx, std::span<const VertexId> upper_all,
+                     std::span<const VertexId> candidates) {
     FairBcemEngine(ctx, search, min_upper).Run(upper_all, candidates);
-    stats = ctx.stats();
-    stats.peak_struct_bytes =
-        std::max(stats.peak_struct_bytes, ctx.arena().HighWaterBytes());
-  } else {
-    auto contexts = FanOutRootBranches<std::unique_ptr<SearchContext>>(
-        num_threads, candidates.size(),
-        [&](unsigned worker) {
-          return std::make_unique<SearchContext>(g, options, policy, budget,
-                                                 sink, worker);
-        },
-        [&](SearchContext& ctx, std::uint64_t task, ContextSplitter& splitter) {
-          TraceSpan span(options.trace, "root");
-          FairBcemEngine(ctx, search, min_upper, &splitter)
-              .RunRootBranch(upper_all, candidates, task);
-        });
-    for (const auto& ctx : contexts) {
-      MergeEnumStats(stats, ctx->stats());
-      stats.peak_struct_bytes =
-          std::max(stats.peak_struct_bytes, ctx->arena().HighWaterBytes());
-    }
-  }
-  stats.budget_exhausted = budget.exhausted();
-  stats.remaining_upper = g.NumUpper();
-  stats.remaining_lower = g.NumLower();
-  return stats;
+  };
+  tasks.branch = [&](SearchContext& ctx, std::span<const VertexId> big_l,
+                     std::span<const VertexId> r, std::span<const VertexId> p,
+                     std::span<const VertexId> q) {
+    FairBcemEngine(ctx, search, min_upper).RunBranch(big_l, r, p, q);
+  };
+  return RunSearch(g, options, &policy, sink, tasks);
 }
 
 }  // namespace fairbc

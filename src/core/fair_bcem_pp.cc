@@ -16,40 +16,23 @@ EnumStats FairBcemPpRun(const BipartiteGraph& g,
                         const FairBicliqueParams& params,
                         std::uint32_t min_upper, const EnumOptions& options,
                         const EngineSink& sink) {
-  EnumStats stats;
-  if (g.NumUpper() == 0 || g.NumLower() == 0) return stats;
   const FairnessSpec spec = params.LowerSpec();
-  const AttrId num_attrs = g.NumAttrs(Side::kLower);
-
-  MbeaConfig config;
-  config.min_upper = std::max(min_upper, 1u);
-  config.min_lower_per_attr = params.beta;
-  config.min_lower_total =
-      std::max<std::uint32_t>(1u, params.beta * num_attrs);
-  config.ordering = options.ordering;
-  config.node_budget = options.node_budget;
-  config.time_budget_seconds = options.time_budget_seconds;
-  config.num_threads = options.num_threads;
-  config.trace = options.trace;
-  config.shared_budget = options.shared_budget;
   if (options.topk != nullptr) {
     // The fair-subset pass regrows each subset's upper side to its common
     // neighborhood, which can exceed the substrate biclique's |L| — only
     // the whole upper side of the (already reduced) graph bounds it.
     options.topk->set_upper_cap(
         static_cast<std::uint32_t>(g.NumVertices(Side::kUpper)));
-    config.topk = options.topk;
   }
 
   // The substrate may deliver maximal bicliques from several workers at
-  // once (config.num_threads != 1), so everything the per-biclique
+  // once (options.num_threads != 1), so everything the per-biclique
   // post-processing shares is atomic or per worker; `sink` follows the
   // EngineSink contract (core/enumerate.h).
   Deadline deadline(options.time_budget_seconds);
   std::atomic<bool> aborted{false};
   std::atomic<bool> subset_budget_exhausted{false};
   WorkerCounters num_results(ResolveNumThreads(options.num_threads));
-  std::atomic<std::uint64_t> visited{0};
 
   auto emit = [&](const EmitWorker& worker, std::span<const VertexId> upper,
                   std::span<const VertexId> lower) {
@@ -60,10 +43,9 @@ EnumStats FairBcemPpRun(const BipartiteGraph& g,
     return !aborted.load(std::memory_order_relaxed);
   };
 
-  MaximalBicliqueSink mb_sink = [&](const EmitWorker& worker,
-                                    std::span<const VertexId> upper,
-                                    std::span<const VertexId> lower) {
-    visited.fetch_add(1, std::memory_order_relaxed);
+  EngineSink mb_sink = [&](const EmitWorker& worker,
+                           std::span<const VertexId> upper,
+                           std::span<const VertexId> lower) {
     SizeVector sizes = AttrSizes(g, Side::kLower, lower);
     if (IsFeasibleVector(sizes, spec)) {
       // A fair closure is its own unique maximal fair subset and its
@@ -89,19 +71,16 @@ EnumStats FairBcemPpRun(const BipartiteGraph& g,
            !subset_budget_exhausted.load(std::memory_order_relaxed);
   };
 
-  MbeaStats mb_stats = EnumerateMaximalBicliques(g, config, mb_sink);
+  // The substrate counts the maximal bicliques it delivered to mb_sink
+  // (maximal_bicliques_visited); the results are the fair ones emitted.
+  const std::uint32_t min_lower_total =
+      std::max<std::uint32_t>(1u, params.beta * g.NumAttrs(Side::kLower));
+  EnumStats stats = EnumerateMaximalBicliques(
+      g, min_upper, min_lower_total, params.beta, options, mb_sink);
   stats.num_results = num_results.Sum();
-  stats.maximal_bicliques_visited = visited.load(std::memory_order_relaxed);
-  stats.search_nodes = mb_stats.search_nodes;
-  stats.split_subtrees = mb_stats.split_subtrees;
-  stats.kernels = mb_stats.kernels;
-  stats.peak_struct_bytes =
-      std::max(stats.peak_struct_bytes, mb_stats.arena_high_water_bytes);
   stats.budget_exhausted =
-      subset_budget_exhausted.load(std::memory_order_relaxed) ||
-      mb_stats.budget_exhausted;
-  stats.remaining_upper = g.NumUpper();
-  stats.remaining_lower = g.NumLower();
+      stats.budget_exhausted ||
+      subset_budget_exhausted.load(std::memory_order_relaxed);
   return stats;
 }
 

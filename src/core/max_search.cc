@@ -14,11 +14,13 @@ std::uint64_t ObjectiveValue(const Biclique& b, BicliqueObjective objective) {
 
 namespace {
 
-// The keeper itself lives in core/result_sink.h (TopKSink) now that the
-// whole result pathway is sink-based; this module keeps the historical
-// objective-named entry points and additionally feeds the sink's prune
-// bound back into the engines (EnumOptions::topk), so top-k search cuts
-// subtrees that cannot reach the current k-th best.
+// Runs `enumerate` into a TopKSink that keeps the k best results under
+// the rank matching `objective`. The sink's prune bound goes back into
+// the engines as EnumOptions::topk: once k results are kept it holds the
+// current k-th best rank value, and the engines cut every subtree whose
+// best possible result cannot reach it. The search visits fewer nodes
+// and still returns exactly the top k of the full enumeration
+// (TopKPruneBound, core/enumerate.h).
 template <typename EnumerateFn>
 MaxSearchResult RunTopK(EnumerateFn&& enumerate, const BipartiteGraph& g,
                         const FairBicliqueParams& params,

@@ -131,22 +131,4 @@ void ThreadPool::WorkerLoop(unsigned index) {
   }
 }
 
-void MergeEnumStats(EnumStats& into, const EnumStats& worker) {
-  into.num_results += worker.num_results;
-  into.search_nodes += worker.search_nodes;
-  into.maximal_bicliques_visited += worker.maximal_bicliques_visited;
-  into.split_subtrees += worker.split_subtrees;
-  into.prune_seconds += worker.prune_seconds;
-  into.prune_construct_seconds += worker.prune_construct_seconds;
-  into.prune_color_seconds += worker.prune_color_seconds;
-  into.prune_peel_seconds += worker.prune_peel_seconds;
-  into.enum_seconds += worker.enum_seconds;
-  into.budget_exhausted = into.budget_exhausted || worker.budget_exhausted;
-  into.remaining_upper = std::max(into.remaining_upper, worker.remaining_upper);
-  into.remaining_lower = std::max(into.remaining_lower, worker.remaining_lower);
-  into.peak_struct_bytes =
-      std::max(into.peak_struct_bytes, worker.peak_struct_bytes);
-  MergeKernelStats(into.kernels, worker.kernels);
-}
-
 }  // namespace fairbc

@@ -10,10 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
-
-#include "core/enumerate.h"
 
 namespace fairbc {
 
@@ -113,66 +110,6 @@ void ParallelForChunks(ThreadPool& pool, std::uint64_t n, Fn&& fn) {
     const std::uint64_t begin = chunk * kParallelChunk;
     fn(begin, std::min(n, begin + kParallelChunk), worker);
   });
-}
-
-/// Folds one worker's stats block into the run aggregate: counters and
-/// timings sum, peaks take the max, and budget_exhausted is sticky (any
-/// worker tripping the budget marks the whole run).
-void MergeEnumStats(EnumStats& into, const EnumStats& worker);
-
-/// Handle the engines use for depth-adaptive task splitting: when the
-/// pool queue runs dry while a worker walks a dominating subtree, the
-/// subtree's depth-1 branches are re-submitted as fresh tasks instead of
-/// starving the other workers. Submitted closures receive the per-worker
-/// state of whichever worker picks them up (`State` is typically a
-/// unique_ptr to a context/engine; the closure gets the dereferenced
-/// element).
-template <typename State>
-class SubtreeSplitter {
- public:
-  SubtreeSplitter(ThreadPool& pool, std::vector<State>& states)
-      : pool_(pool), states_(states) {}
-
-  SubtreeSplitter(const SubtreeSplitter&) = delete;
-  SubtreeSplitter& operator=(const SubtreeSplitter&) = delete;
-
-  /// True when splitting would feed starving workers right now.
-  bool ShouldSplit() const { return pool_.QueueNearlyDry(); }
-
-  /// Re-submits one subtree as a fresh pool task; `fn(*states[worker])`
-  /// runs on whichever worker pops it. Only valid from inside a running
-  /// task (ThreadPool::Submit's contract).
-  template <typename Fn>
-  void Submit(Fn&& fn) {
-    pool_.Submit([this, fn = std::forward<Fn>(fn)](unsigned worker) mutable {
-      fn(*states_[worker]);
-    });
-  }
-
- private:
-  ThreadPool& pool_;
-  std::vector<State>& states_;
-};
-
-/// Shared fan-out driver of the enumeration engines: builds one worker
-/// state via `make_state(worker)`, runs `run(*states[worker], task,
-/// splitter)` for every root task on a work-stealing pool, and returns the
-/// states for the caller to merge. The splitter lets a root task
-/// re-submit its depth-1 branches when the queue runs dry (depth-adaptive
-/// splitting); engines that never split may ignore it.
-template <typename State, typename MakeState, typename Run>
-std::vector<State> FanOutRootBranches(unsigned num_threads,
-                                      std::uint64_t num_tasks,
-                                      MakeState&& make_state, Run&& run) {
-  std::vector<State> states;
-  states.reserve(num_threads);
-  for (unsigned t = 0; t < num_threads; ++t) states.push_back(make_state(t));
-  ThreadPool pool(num_threads);
-  SubtreeSplitter<State> splitter(pool, states);
-  pool.ParallelFor(num_tasks, [&](std::uint64_t task, unsigned worker) {
-    run(*states[worker], task, splitter);
-  });
-  return states;
 }
 
 }  // namespace fairbc

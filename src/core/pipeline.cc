@@ -317,33 +317,14 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
   reduce_span.End();
   const double prune_seconds = prune_timer.ElapsedSeconds();
 
-  MbeaConfig config;
-  config.min_upper = min_upper;
-  config.min_lower_total = min_lower_total;
-  config.min_lower_per_attr = 0;
-  config.ordering = options.ordering;
-  config.node_budget = options.node_budget;
-  config.time_budget_seconds = options.time_budget_seconds;
-  config.num_threads = options.num_threads;
-  config.trace = options.trace;
   // Direct maximal-biclique emission: subtree shapes bound their results
-  // exactly, so the prune bound flows through with no side caps.
-  config.topk = options.topk;
-  config.shared_budget = options.shared_budget;
-
+  // exactly, so the top-k prune bound flows through with no side caps.
   EnumStats stats = EmitThroughBlocks(
       sub, maps, options, sink,
       [&](const BipartiteGraph& s, const EngineSink& engine_sink) {
-        MbeaStats mb = EnumerateMaximalBicliques(s, config, engine_sink);
-        EnumStats run;
-        run.num_results = mb.emitted;
-        run.search_nodes = mb.search_nodes;
-        run.maximal_bicliques_visited = mb.emitted;
-        run.split_subtrees = mb.split_subtrees;
-        run.budget_exhausted = mb.budget_exhausted;
-        run.kernels = mb.kernels;
-        run.peak_struct_bytes = mb.arena_high_water_bytes;
-        return run;
+        return EnumerateMaximalBicliques(s, min_upper, min_lower_total,
+                                         /*min_lower_per_attr=*/0, options,
+                                         engine_sink);
       });
   stats.prune_seconds = prune_seconds;
   return stats;

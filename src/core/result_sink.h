@@ -1,10 +1,11 @@
-// Composable result sinks for the streaming result pipeline: the
-// pipeline.h entry points deliver one Biclique at a time (core/enumerate.h
-// ResultSink / BicliqueSink contract) and every consumer above them —
-// batch collection, chunked streaming over the wire, top-k selection —
-// is a sink stage from this header stacked onto CollectSink/CountSink.
-// The service layer (service/query_executor.h ExecuteStreaming) and the
-// CLI build their pipelines out of these.
+// Result sinks beyond CollectSink/CountSink (core/enumerate.h): top-k
+// selection (TopKKeeper, TopKSink) and chunked streaming (ChunkSink,
+// StreamCheckpoint). Each is a ResultSink that a caller hands to a
+// pipeline.h entry point through AsSink(); the entry point's emission
+// stage (BlockEmitter, core/pipeline.cc) then calls it with one remapped
+// Biclique at a time. The service layer (service/query_executor.h:
+// top-k queries and ExecuteStreaming) and the CLI build their output
+// paths from these.
 //
 // Unless a class documents otherwise, sinks here follow the BicliqueSink
 // threading contract: the pipeline.h entry points hand them whole blocks

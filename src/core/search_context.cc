@@ -2,15 +2,147 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+
+#include "core/ordering.h"
+#include "core/parallel.h"
+#include "obs/trace.h"
 
 namespace fairbc {
 
-std::vector<VertexId> SubtreeBatch::ExclusionFor(std::size_t i) const {
-  std::vector<VertexId> exclusion;
-  exclusion.reserve(q.size() + i);
-  exclusion.insert(exclusion.end(), q.begin(), q.end());
-  exclusion.insert(exclusion.end(), p.begin(), p.begin() + i);
-  return exclusion;
+namespace {
+
+// Frozen state of one split search node, shared by its child tasks.
+struct SubtreeBatch {
+  std::vector<VertexId> big_l;  // upper set L at the split node.
+  std::vector<VertexId> r;      // partial pick R.
+  std::vector<VertexId> p;      // remaining candidates, in branch order.
+  std::vector<VertexId> q;      // exclusion set at the split node.
+};
+
+// Folds one worker's stats block into the run aggregate: counters and
+// timings sum, peaks take the max, and budget_exhausted is sticky.
+void MergeEnumStats(EnumStats& into, const EnumStats& worker) {
+  into.num_results += worker.num_results;
+  into.search_nodes += worker.search_nodes;
+  into.maximal_bicliques_visited += worker.maximal_bicliques_visited;
+  into.split_subtrees += worker.split_subtrees;
+  into.prune_seconds += worker.prune_seconds;
+  into.prune_construct_seconds += worker.prune_construct_seconds;
+  into.prune_color_seconds += worker.prune_color_seconds;
+  into.prune_peel_seconds += worker.prune_peel_seconds;
+  into.enum_seconds += worker.enum_seconds;
+  into.budget_exhausted = into.budget_exhausted || worker.budget_exhausted;
+  into.remaining_upper = std::max(into.remaining_upper, worker.remaining_upper);
+  into.remaining_lower = std::max(into.remaining_lower, worker.remaining_lower);
+  into.peak_struct_bytes =
+      std::max(into.peak_struct_bytes, worker.peak_struct_bytes);
+  MergeKernelStats(into.kernels, worker.kernels);
+}
+
+}  // namespace
+
+// The parallel half of RunSearch. Root branches are independent — branch
+// i needs only the exclusion prefix candidates[0..i) — so each is one
+// pool task; a root task whose subtree dominates hands its depth-1
+// children back to the pool once the queue runs dry (Split). A worker runs
+// one task at a time, so its context's fan_out_ says which kind it runs.
+class SearchFanOut {
+ public:
+  SearchFanOut(ThreadPool& pool,
+               const std::vector<std::unique_ptr<SearchContext>>& contexts,
+               const SearchTasks& tasks)
+      : pool_(pool), contexts_(contexts), tasks_(tasks) {}
+
+  void Run(std::span<const VertexId> upper_all,
+           std::span<const VertexId> candidates) {
+    pool_.ParallelFor(candidates.size(), [&](std::uint64_t root,
+                                             unsigned worker) {
+      SearchContext& ctx = *contexts_[worker];
+      TraceSpan span(ctx.options().trace, "root");
+      ctx.fan_out_ = this;
+      tasks_.branch(ctx, upper_all, {}, candidates.subspan(root),
+                    candidates.first(root));
+    });
+  }
+
+  bool Split(SearchContext& ctx, std::span<const VertexId> big_l,
+             std::span<const VertexId> r, std::span<const VertexId> p,
+             std::span<const VertexId> q) {
+    if (!pool_.QueueNearlyDry()) return false;
+    ++ctx.stats().split_subtrees;
+    auto batch = std::make_shared<const SubtreeBatch>(SubtreeBatch{
+        {big_l.begin(), big_l.end()},
+        {r.begin(), r.end()},
+        {p.begin(), p.end()},
+        {q.begin(), q.end()}});
+    for (std::size_t child = 0; child < p.size(); ++child) {
+      pool_.Submit([this, batch, child](unsigned worker) {
+        SearchContext& child_ctx = *contexts_[worker];
+        TraceSpan span(child_ctx.options().trace, "split");
+        child_ctx.fan_out_ = nullptr;
+        std::vector<VertexId> exclusion;
+        exclusion.reserve(batch->q.size() + child);
+        exclusion.insert(exclusion.end(), batch->q.begin(), batch->q.end());
+        exclusion.insert(exclusion.end(), batch->p.begin(),
+                         batch->p.begin() + child);
+        tasks_.branch(child_ctx, batch->big_l, batch->r,
+                      std::span<const VertexId>(batch->p).subspan(child),
+                      exclusion);
+      });
+    }
+    return true;
+  }
+
+ private:
+  ThreadPool& pool_;
+  const std::vector<std::unique_ptr<SearchContext>>& contexts_;
+  const SearchTasks& tasks_;
+};
+
+bool SearchContext::SplitOnPool(std::span<const VertexId> big_l,
+                                std::span<const VertexId> r,
+                                std::span<const VertexId> p,
+                                std::span<const VertexId> q) {
+  return fan_out_->Split(*this, big_l, r, p, q);
+}
+
+EnumStats RunSearch(const BipartiteGraph& g, const EnumOptions& options,
+                    const FairnessPolicy* policy, const EngineSink& sink,
+                    const SearchTasks& tasks) {
+  if (g.NumUpper() == 0 || g.NumLower() == 0) return {};
+  SearchBudget local_budget(options);
+  SearchBudget& budget = options.shared_budget != nullptr
+                             ? *options.shared_budget
+                             : local_budget;
+  const std::vector<VertexId> upper_all = AllVertices(g, Side::kUpper);
+  const std::vector<VertexId> candidates =
+      MakeOrder(g, Side::kLower, options.ordering);
+
+  const unsigned num_threads = ResolveNumThreads(options.num_threads);
+  std::vector<std::unique_ptr<SearchContext>> contexts;
+  contexts.reserve(num_threads);
+  for (unsigned worker = 0; worker < num_threads; ++worker) {
+    contexts.push_back(std::make_unique<SearchContext>(g, options, policy,
+                                                       budget, sink, worker));
+  }
+  if (num_threads <= 1) {
+    tasks.serial(*contexts[0], upper_all, candidates);
+  } else {
+    ThreadPool pool(num_threads);
+    SearchFanOut(pool, contexts, tasks).Run(upper_all, candidates);
+  }
+
+  EnumStats stats;
+  for (const auto& ctx : contexts) {
+    MergeEnumStats(stats, ctx->stats());
+    stats.peak_struct_bytes =
+        std::max(stats.peak_struct_bytes, ctx->arena().HighWaterBytes());
+  }
+  stats.budget_exhausted = budget.exhausted();
+  stats.remaining_upper = g.NumUpper();
+  stats.remaining_lower = g.NumLower();
+  return stats;
 }
 
 void FilterCandidates(const BipartiteGraph& g, Side side,

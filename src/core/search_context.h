@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -117,17 +118,21 @@ class SearchBudget {
   std::atomic<bool> exhausted_{false};
 };
 
+class SearchFanOut;
+
 /// Per-worker view of one enumeration run: a local EnumStats block plus
 /// the pieces every worker shares (graph, options, fairness policy, budget,
 /// result sink). The engines' recursion classes hold exactly one of these;
-/// the run driver merges the stats blocks afterwards (MergeEnumStats).
+/// RunSearch creates one per worker and merges their stats afterwards.
 ///
 /// The sink handed in here is invoked directly from the owning worker,
 /// tagged with `worker` (the EngineSink contract in core/enumerate.h).
 class SearchContext {
  public:
+  /// `policy` may be null for an engine that has no fairness model of its
+  /// own (the MBEA substrate); such an engine must not call policy().
   SearchContext(const BipartiteGraph& g, const EnumOptions& options,
-                const FairnessPolicy& policy, SearchBudget& budget,
+                const FairnessPolicy* policy, SearchBudget& budget,
                 const EngineSink& sink, unsigned worker)
       : g_(g), options_(options), policy_(policy), budget_(budget),
         sink_(sink), worker_{worker, &arena_} {}
@@ -137,7 +142,7 @@ class SearchContext {
 
   const BipartiteGraph& graph() const { return g_; }
   const EnumOptions& options() const { return options_; }
-  const FairnessPolicy& policy() const { return policy_; }
+  const FairnessPolicy& policy() const { return *policy_; }
   SearchBudget& budget() { return budget_; }
   EnumStats& stats() { return stats_; }
 
@@ -159,13 +164,6 @@ class SearchContext {
     budget_.CountNode();
   }
 
-  /// Class-size vector of a vertex set on `side`.
-  SizeVector ClassSizes(Side side, std::span<const VertexId> vs) const {
-    SizeVector sizes(g_.NumAttrs(side), 0);
-    for (VertexId v : vs) ++sizes[g_.Attr(side, v)];
-    return sizes;
-  }
-
   /// Emits one result (both sides sorted); counts it and latches the
   /// shared abort when the sink declines more. Returns false once the run
   /// is aborted.
@@ -178,16 +176,69 @@ class SearchContext {
     return true;
   }
 
+  /// Depth-adaptive task splitting, asked at every point where an engine
+  /// is about to descend into the subtree of the node (big_l, r, p, q).
+  /// Inside a parallel root task, when the pool's queue has run dry, the
+  /// node's depth-1 children go to the pool as fresh tasks — child i
+  /// branches on p[i] with exclusion set q + p[0..i), the sets the serial
+  /// loop would have used, so the result set is unchanged — and this
+  /// returns true: the caller must not descend itself. Always false on
+  /// serial runs and inside split children, which never split again.
+  bool TrySplit(std::span<const VertexId> big_l, std::span<const VertexId> r,
+                std::span<const VertexId> p, std::span<const VertexId> q) {
+    if (fan_out_ == nullptr || p.size() < 2) return false;
+    return SplitOnPool(big_l, r, p, q);
+  }
+
  private:
+  friend class SearchFanOut;
+
+  bool SplitOnPool(std::span<const VertexId> big_l, std::span<const VertexId> r,
+                   std::span<const VertexId> p, std::span<const VertexId> q);
+
   const BipartiteGraph& g_;
   const EnumOptions& options_;
-  const FairnessPolicy& policy_;
+  const FairnessPolicy* const policy_;
   SearchBudget& budget_;
   const EngineSink& sink_;
   EnumStats stats_;
   ScratchArena arena_;
   const EmitWorker worker_;
+  /// Set while this worker runs a root task of a parallel run.
+  SearchFanOut* fan_out_ = nullptr;
 };
+
+/// The engine side of RunSearch: how one branch-and-bound engine walks
+/// the lower-side candidates. Both callbacks construct the engine on the
+/// given worker context.
+struct SearchTasks {
+  /// The whole serial search from the root: U(G) as the upper set and
+  /// every candidate in order (num_threads == 1; the engine's own loop).
+  std::function<void(SearchContext& ctx, std::span<const VertexId> upper_all,
+                     std::span<const VertexId> candidates)>
+      serial;
+  /// One independent task: the branch on p[0] with upper set big_l,
+  /// partial pick r and exclusion set q, and its subtree. Root task i is
+  /// (U(G), {}, candidates[i..], candidates[0..i)); split child i of a
+  /// node (L, R, P, Q) is (L, R, P[i..], Q + P[0..i)).
+  std::function<void(SearchContext& ctx, std::span<const VertexId> big_l,
+                     std::span<const VertexId> r, std::span<const VertexId> p,
+                     std::span<const VertexId> q)>
+      branch;
+};
+
+/// The one run driver of the branch-and-bound engines (FairBcemRun,
+/// EnumerateMaximalBicliques). Orders the lower side (options.ordering),
+/// uses options.shared_budget or a budget of its own, and then either
+/// runs `tasks.serial` on one context (num_threads == 1: the exact serial
+/// traversal) or fans the root branches out as `tasks.branch` tasks on a
+/// work-stealing pool with one context per worker (SearchContext::TrySplit
+/// splits dominating subtrees). Returns the workers' merged stats:
+/// counters sum, peak_struct_bytes is the largest arena high-water mark,
+/// remaining_* are g's side sizes. An empty side returns zero stats.
+EnumStats RunSearch(const BipartiteGraph& g, const EnumOptions& options,
+                    const FairnessPolicy* policy, const EngineSink& sink,
+                    const SearchTasks& tasks);
 
 /// Per-worker event counters of one run (one cache line per EmitWorker
 /// index, so concurrent workers never share a line), summed afterwards.
@@ -282,23 +333,6 @@ std::uint64_t WalkFairSubsetsFolded(const BipartiteGraph& g, Side side,
   return WalkMaximalFairSubsets(PlanMaximalFairSubsets(g, side, ground, spec),
                                 visitor);
 }
-
-/// Frozen state of one search node whose children are fanned out as pool
-/// tasks (depth-adaptive task splitting): when the pool queue runs dry
-/// under a dominating subtree, the owning worker freezes the node's sets
-/// here and re-submits child `i` as a fresh task. Children share the batch
-/// via shared_ptr; child i branches on `p[i]` with the exclusion set
-/// `q + p[0..i)` — exactly the sets the serial recursion would have used,
-/// so the enumerated result set is unchanged.
-struct SubtreeBatch {
-  std::vector<VertexId> big_l;  ///< upper set L at the split node.
-  std::vector<VertexId> r;      ///< partial fair-side pick R.
-  std::vector<VertexId> p;      ///< remaining candidates, in branch order.
-  std::vector<VertexId> q;      ///< exclusion set at the split node.
-
-  /// Exclusion set of child `i`: q followed by p[0..i).
-  std::vector<VertexId> ExclusionFor(std::size_t i) const;
-};
 
 /// Splits candidate-set maintenance shared by the engines: for each v in
 /// `candidates` (vertices on `side`) computes c = |N(v) ∩ big_l| by

@@ -19,13 +19,19 @@ TEST(MbcPipeline, MatchesBruteForceAcrossThresholds) {
     BipartiteGraph g = RandomSmallGraph(seed, 8, 0.5);
     for (std::uint32_t min_u : {1u, 2u, 3u}) {
       for (std::uint32_t min_v : {1u, 2u, 4u}) {
-        CollectSink sink;
-        EnumerateMaximalBicliquesPruned(g, min_u, min_v, {}, sink.AsSink());
-        auto got = Canonicalize(sink.results());
         auto want =
             Canonicalize(BruteForceMaximalBicliques(g, min_u, min_v, 0));
-        EXPECT_EQ(got, want) << "seed=" << seed << " mu=" << min_u
-                             << " mv=" << min_v << " " << g.DebugString();
+        for (unsigned threads : {1u, 2u, 8u}) {
+          EnumOptions options;
+          options.num_threads = threads;
+          CollectSink sink;
+          EnumerateMaximalBicliquesPruned(g, min_u, min_v, options,
+                                          sink.AsSink());
+          auto got = Canonicalize(sink.results());
+          EXPECT_EQ(got, want) << "seed=" << seed << " mu=" << min_u
+                               << " mv=" << min_v << " threads=" << threads
+                               << " " << g.DebugString();
+        }
       }
     }
   }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "core/bruteforce.h"
 #include "core/mbea.h"
 #include "test_util.h"
@@ -11,11 +13,20 @@ using ::fairbc::testing::Canonicalize;
 using ::fairbc::testing::MakeGraph;
 using ::fairbc::testing::RandomSmallGraph;
 
-std::vector<Biclique> RunMbea(const BipartiteGraph& g, const MbeaConfig& cfg) {
+// Canonical result set of one run. The sink may be called from several
+// workers at once when options.num_threads != 1.
+std::vector<Biclique> RunMbea(const BipartiteGraph& g,
+                              const EnumOptions& options = {},
+                              std::uint32_t min_upper = 1,
+                              std::uint32_t min_lower_total = 1,
+                              std::uint32_t min_lower_per_attr = 0) {
+  std::mutex mu;
   std::vector<Biclique> out;
-  EnumerateMaximalBicliques(g, cfg,
+  EnumerateMaximalBicliques(g, min_upper, min_lower_total, min_lower_per_attr,
+                            options,
                             [&](const EmitWorker&, std::span<const VertexId> u,
                                 std::span<const VertexId> v) {
+                              std::lock_guard<std::mutex> lock(mu);
                               out.push_back(Biclique{{u.begin(), u.end()},
                                                      {v.begin(), v.end()}});
                               return true;
@@ -29,7 +40,7 @@ TEST(Mbea, CompleteBipartiteGraphHasOneMaximalBiclique) {
     for (VertexId v = 0; v < 4; ++v) edges.emplace_back(u, v);
   }
   BipartiteGraph g = MakeGraph(3, 4, edges, {0, 1, 0}, {0, 1, 0, 1});
-  auto result = RunMbea(g, MbeaConfig{});
+  auto result = RunMbea(g);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].upper, (std::vector<VertexId>{0, 1, 2}));
   EXPECT_EQ(result[0].lower, (std::vector<VertexId>{0, 1, 2, 3}));
@@ -40,7 +51,7 @@ TEST(Mbea, TwoDisjointBicliques) {
       {0, 0}, {0, 1}, {1, 0}, {1, 1},   // block A
       {2, 2}, {2, 3}, {3, 2}, {3, 3}};  // block B
   BipartiteGraph g = MakeGraph(4, 4, edges, {0, 1, 0, 1}, {0, 1, 0, 1});
-  auto result = RunMbea(g, MbeaConfig{});
+  auto result = RunMbea(g);
   ASSERT_EQ(result.size(), 2u);
 }
 
@@ -50,16 +61,17 @@ TEST(Mbea, MatchesBruteForceOnRandomGraphs) {
     for (std::uint32_t min_upper : {1u, 2u}) {
       for (std::uint32_t min_total : {1u, 3u}) {
         for (std::uint32_t min_attr : {0u, 1u}) {
-          MbeaConfig cfg;
-          cfg.min_upper = min_upper;
-          cfg.min_lower_total = min_total;
-          cfg.min_lower_per_attr = min_attr;
-          auto got = RunMbea(g, cfg);
           auto want = Canonicalize(
               BruteForceMaximalBicliques(g, min_upper, min_total, min_attr));
-          EXPECT_EQ(got, want)
-              << "seed=" << seed << " mu=" << min_upper << " mt=" << min_total
-              << " ma=" << min_attr << " " << g.DebugString();
+          for (unsigned threads : {1u, 2u, 8u}) {
+            EnumOptions options;
+            options.num_threads = threads;
+            auto got = RunMbea(g, options, min_upper, min_total, min_attr);
+            EXPECT_EQ(got, want)
+                << "seed=" << seed << " mu=" << min_upper
+                << " mt=" << min_total << " ma=" << min_attr
+                << " threads=" << threads << " " << g.DebugString();
+          }
         }
       }
     }
@@ -69,10 +81,10 @@ TEST(Mbea, MatchesBruteForceOnRandomGraphs) {
 TEST(Mbea, BothOrderingsGiveSameSet) {
   for (std::uint64_t seed = 100; seed < 115; ++seed) {
     BipartiteGraph g = RandomSmallGraph(seed, 12, 0.35);
-    MbeaConfig id_cfg, deg_cfg;
-    id_cfg.ordering = VertexOrdering::kId;
-    deg_cfg.ordering = VertexOrdering::kDegreeDesc;
-    EXPECT_EQ(RunMbea(g, id_cfg), RunMbea(g, deg_cfg)) << "seed=" << seed;
+    EnumOptions id_ord, deg_ord;
+    id_ord.ordering = VertexOrdering::kId;
+    deg_ord.ordering = VertexOrdering::kDegreeDesc;
+    EXPECT_EQ(RunMbea(g, id_ord), RunMbea(g, deg_ord)) << "seed=" << seed;
   }
 }
 
@@ -80,7 +92,7 @@ TEST(Mbea, NoDuplicatesEmitted) {
   for (std::uint64_t seed = 200; seed < 210; ++seed) {
     BipartiteGraph g = RandomSmallGraph(seed, 12, 0.5);
     std::vector<Biclique> raw;
-    EnumerateMaximalBicliques(g, MbeaConfig{},
+    EnumerateMaximalBicliques(g, 1, 1, 0, {},
                               [&](const EmitWorker&,
                                   std::span<const VertexId> u,
                                   std::span<const VertexId> v) {
@@ -96,23 +108,23 @@ TEST(Mbea, NoDuplicatesEmitted) {
 TEST(Mbea, SinkAbortStopsEnumeration) {
   BipartiteGraph g = RandomSmallGraph(5, 10, 0.5);
   std::uint64_t calls = 0;
-  MbeaStats stats = EnumerateMaximalBicliques(
-      g, MbeaConfig{},
+  EnumStats stats = EnumerateMaximalBicliques(
+      g, 1, 1, 0, {},
       [&](const EmitWorker&, std::span<const VertexId>,
           std::span<const VertexId>) {
         ++calls;
         return false;
       });
   EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(stats.emitted, 1u);
+  EXPECT_EQ(stats.num_results, 1u);
 }
 
 TEST(Mbea, NodeBudgetStopsEarly) {
   BipartiteGraph g = RandomSmallGraph(6, 14, 0.5);
-  MbeaConfig cfg;
-  cfg.node_budget = 3;
-  MbeaStats stats = EnumerateMaximalBicliques(
-      g, cfg,
+  EnumOptions options;
+  options.node_budget = 3;
+  EnumStats stats = EnumerateMaximalBicliques(
+      g, 1, 1, 0, options,
       [](const EmitWorker&, std::span<const VertexId>,
          std::span<const VertexId>) {
         return true;
@@ -123,13 +135,13 @@ TEST(Mbea, NodeBudgetStopsEarly) {
 
 TEST(Mbea, EmptyGraphEmitsNothing) {
   BipartiteGraph g;
-  MbeaStats stats = EnumerateMaximalBicliques(
-      g, MbeaConfig{},
+  EnumStats stats = EnumerateMaximalBicliques(
+      g, 1, 1, 0, {},
       [](const EmitWorker&, std::span<const VertexId>,
          std::span<const VertexId>) {
         return true;
       });
-  EXPECT_EQ(stats.emitted, 0u);
+  EXPECT_EQ(stats.num_results, 0u);
 }
 
 }  // namespace

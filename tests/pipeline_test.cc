@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 #include "core/pipeline.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -80,6 +83,104 @@ TEST(Pipeline, OrderingsAgreeOnResultSet) {
   EnumerateSSFBCPlusPlus(g, params, id_ord, a.AsSink());
   EnumerateSSFBCPlusPlus(g, params, deg_ord, b.AsSink());
   EXPECT_EQ(Canonicalize(a.results()), Canonicalize(b.results()));
+}
+
+// Golden serial counters: every pipeline.h entry point at num_threads = 1
+// on seeded generator graphs, pinned to the values the engines produced
+// before their run drivers were merged into one. Refactors of the search
+// layer must leave the serial traversal alone: the same nodes, the same
+// results, the same maximal bicliques, in the same emission order
+// (`order_digest`, an FNV-1a hash of the emitted id sequence).
+struct GoldenCounters {
+  std::string_view graph;
+  std::string_view entry;
+  std::uint64_t search_nodes;
+  std::uint64_t num_results;
+  std::uint64_t maximal_bicliques_visited;
+  std::uint64_t order_digest;
+};
+
+BipartiteGraph GoldenGraph(std::string_view name) {
+  if (name == "random7") return RandomSmallGraph(7, 16, 0.5);
+  if (name == "random11") return RandomSmallGraph(11, 24, 0.4);
+  AffiliationConfig config;
+  config.num_upper = 80;
+  config.num_lower = 80;
+  config.num_communities = 8;
+  config.community_upper_max = 7;
+  config.community_lower_max = 7;
+  config.seed = 31;
+  return MakeAffiliation(config);
+}
+
+EnumStats RunGoldenEntry(std::string_view entry, const BipartiteGraph& g,
+                         const BicliqueSink& sink) {
+  // Bi-side models ask for alpha per upper class, hence the smaller alpha.
+  const FairBicliqueParams params{2, 2, 1, 0.0};
+  const FairBicliqueParams bi_params{1, 2, 1, 0.0};
+  EnumOptions options;
+  options.num_threads = 1;
+  if (entry == "SSFBC") return EnumerateSSFBC(g, params, options, sink);
+  if (entry == "SSFBC++") {
+    return EnumerateSSFBCPlusPlus(g, params, options, sink);
+  }
+  if (entry == "NSF") return EnumerateSSFBCNaive(g, params, options, sink);
+  if (entry == "BSFBC") return EnumerateBSFBC(g, bi_params, options, sink);
+  if (entry == "BSFBC++") {
+    return EnumerateBSFBCPlusPlus(g, bi_params, options, sink);
+  }
+  if (entry == "BNSF") return EnumerateBSFBCNaive(g, bi_params, options, sink);
+  return EnumerateMaximalBicliquesPruned(g, 2, 2, options, sink);
+}
+
+TEST(Pipeline, GoldenSerialCounters) {
+  static constexpr GoldenCounters kGolden[] = {
+      {"random7", "SSFBC", 465, 45, 0, 11242145125337691970ull},
+      {"random7", "SSFBC++", 205, 45, 14, 4764842628917310432ull},
+      {"random7", "NSF", 3493, 45, 0, 11242145125337691970ull},
+      {"random7", "BSFBC", 197, 19, 0, 14559432779199397772ull},
+      {"random7", "BSFBC++", 26, 19, 8, 15977028598467007946ull},
+      {"random7", "BNSF", 988, 19, 0, 14559432779199397772ull},
+      {"random7", "MBC", 478, 127, 127, 4040305554376135573ull},
+      {"random11", "SSFBC", 311, 16, 0, 15033688772769608286ull},
+      {"random11", "SSFBC++", 45, 16, 7, 3735018734184983012ull},
+      {"random11", "NSF", 4171, 16, 0, 15033688772769608286ull},
+      {"random11", "BSFBC", 18, 2, 0, 16907490666053421234ull},
+      {"random11", "BSFBC++", 6, 2, 2, 16907490666053421234ull},
+      {"random11", "BNSF", 63, 2, 0, 16907490666053421234ull},
+      {"random11", "MBC", 52, 16, 16, 18331351654640868214ull},
+      {"affiliation", "SSFBC", 1394, 51, 0, 8950343517017678338ull},
+      {"affiliation", "SSFBC++", 356, 51, 30, 2168953300424831852ull},
+      {"affiliation", "NSF", 570891, 51, 0, 8950343517017678338ull},
+      {"affiliation", "BSFBC", 1343, 45, 0, 4006625783920199835ull},
+      {"affiliation", "BSFBC++", 243, 45, 24, 12827717055722749417ull},
+      {"affiliation", "BNSF", 562035, 45, 0, 4006625783920199835ull},
+      {"affiliation", "MBC", 395, 77, 77, 1763829596117506057ull},
+  };
+  for (const GoldenCounters& want : kGolden) {
+    SCOPED_TRACE(::testing::Message() << want.graph << " " << want.entry);
+    const BipartiteGraph g = GoldenGraph(want.graph);
+    std::uint64_t digest = 14695981039346656037ull;
+    auto mix = [&](std::uint64_t x) {
+      digest = (digest ^ x) * 1099511628211ull;
+    };
+    std::uint64_t seen = 0;
+    const EnumStats stats = RunGoldenEntry(want.entry, g, [&](const Biclique& b) {
+      ++seen;
+      for (VertexId u : b.upper) mix(u);
+      mix(~0ull);
+      for (VertexId v : b.lower) mix(v);
+      mix(~1ull);
+      return true;
+    });
+    EXPECT_EQ(stats.search_nodes, want.search_nodes);
+    EXPECT_EQ(stats.num_results, want.num_results);
+    EXPECT_EQ(seen, want.num_results);
+    EXPECT_EQ(stats.maximal_bicliques_visited, want.maximal_bicliques_visited);
+    EXPECT_EQ(digest, want.order_digest);
+    EXPECT_EQ(stats.split_subtrees, 0u);
+    EXPECT_FALSE(stats.budget_exhausted);
+  }
 }
 
 }  // namespace
