@@ -78,14 +78,6 @@ double EnvScale() {
   return scale > 0.0 ? scale : 1.0;
 }
 
-std::vector<NamedGraph> LoadStandardDatasets() {
-  std::vector<NamedGraph> out;
-  for (const DatasetSpec& spec : StandardDatasets(EnvScale())) {
-    out.push_back(NamedGraph{spec, MakeAffiliation(spec.config)});
-  }
-  return out;
-}
-
 NamedGraph LoadDataset(const std::string& name) {
   std::string lowered = name;
   std::transform(lowered.begin(), lowered.end(), lowered.begin(),

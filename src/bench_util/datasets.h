@@ -11,9 +11,10 @@
 namespace fairbc {
 
 /// One synthetic stand-in for a paper dataset (Table I), with the default
-/// parameters used by the experiment benches. The paper's KONECT graphs
-/// are unavailable offline; these planted-affiliation graphs reproduce
-/// the overlapping-biclique structure at laptop scale (DESIGN.md §4).
+/// parameters used by the paper experiments (bench_util/paper.h). The
+/// paper's KONECT graphs are unavailable offline; these planted-affiliation
+/// graphs reproduce the overlapping-biclique structure at laptop scale
+/// (DESIGN.md §4).
 struct DatasetSpec {
   std::string name;           ///< paper dataset this stands in for.
   AffiliationConfig config;   ///< generator parameters.
@@ -25,18 +26,15 @@ struct DatasetSpec {
 
 /// The five stand-ins, ordered as in Table I (Youtube, Twitter, IMDB,
 /// Wiki-cat, DBLP). `scale` multiplies vertex counts and community counts
-/// (1.0 = default laptop scale; the FAIRBC_SCALE env var is applied by
-/// LoadScaledDatasets).
+/// (1.0 = default laptop scale).
 std::vector<DatasetSpec> StandardDatasets(double scale);
 
-/// Reads FAIRBC_SCALE (default 1.0) and materializes name->graph pairs.
 struct NamedGraph {
   DatasetSpec spec;
   BipartiteGraph graph;
 };
-std::vector<NamedGraph> LoadStandardDatasets();
 
-/// Single dataset lookup by (case-insensitive) name at default scale.
+/// Single dataset lookup by (case-insensitive) name at FAIRBC_SCALE.
 NamedGraph LoadDataset(const std::string& name);
 
 /// Scale factor from the FAIRBC_SCALE environment variable (default 1.0).

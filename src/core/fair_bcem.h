@@ -10,9 +10,14 @@ namespace fairbc {
 
 /// Search-pruning switches of the FairBCEM branch-and-bound (paper Alg. 5
 /// Observations 2/4/5). Turning them all off yields the paper's NSF
-/// baseline; individual switches feed the ablation bench.
+/// baseline; individual switches feed ablation A2 (fairbc_paper
+/// ablation_rules). No switch changes the results, and turning one off
+/// never shrinks the search (FairBcem.SearchOptionAblationsStayCorrect).
 struct FairBcemSearchOptions {
   /// Kill a branch when |L'| < alpha (Observation 5, first half).
+  /// Redundant next to filter_candidates_alpha: a node with |L'| < alpha
+  /// keeps no candidate (none has alpha neighbors in L') and emits
+  /// nothing, so turning this off alone leaves the node count unchanged.
   bool prune_small_l = true;
   /// Kill a subtree when every attribute class has an excluded vertex
   /// fully connected to L' (Observation 2).

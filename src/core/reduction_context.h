@@ -15,7 +15,8 @@ class ThreadPool;
 
 /// Wall-clock breakdown of one graph-reduction run: 2-hop construction,
 /// coloring, and peeling (the FCore/BFCore passes count toward peel).
-/// Surfaced through EnumStats and the bench_peel_scaling JSON.
+/// Surfaced through EnumStats, the CLI stats line and the
+/// construct/color/peel trace spans.
 struct ReductionPhaseTimes {
   double construct_seconds = 0.0;
   double color_seconds = 0.0;

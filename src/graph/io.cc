@@ -1,6 +1,7 @@
 #include "graph/io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -18,6 +19,16 @@ bool IsCommentOrBlank(const std::string& line) {
   return true;
 }
 
+// Ids and vertex counts must stay below the kInvalidVertex sentinel: the
+// builder sizes each side as max id + 1, which would wrap past it.
+bool ValidVertex(long long x) {
+  return x >= 0 && x < static_cast<long long>(kInvalidVertex);
+}
+
+bool ValidAttrCount(long long x) {
+  return x >= 1 && x <= std::numeric_limits<AttrId>::max();
+}
+
 }  // namespace
 
 Result<BipartiteGraph> ReadEdgeList(const std::string& path) {
@@ -33,7 +44,7 @@ Result<BipartiteGraph> ReadEdgeList(const std::string& path) {
     if (IsCommentOrBlank(line)) continue;
     std::istringstream iss(line);
     long long u = -1, v = -1;
-    if (!(iss >> u >> v) || u < 0 || v < 0) {
+    if (!(iss >> u >> v) || !ValidVertex(u) || !ValidVertex(v)) {
       return Status::CorruptInput("bad edge at " + path + ":" +
                                   std::to_string(line_no));
     }
@@ -66,7 +77,8 @@ Result<BipartiteGraph> ReadAttributedGraph(const std::string& path) {
       return Status::CorruptInput("missing %fairbc header in " + path);
     }
   }
-  if (nu < 0 || nv < 0 || au < 1 || av < 1) {
+  if (!ValidVertex(nu) || !ValidVertex(nv) || !ValidAttrCount(au) ||
+      !ValidAttrCount(av)) {
     return Status::CorruptInput("missing or invalid %fairbc header in " + path);
   }
 

@@ -1257,7 +1257,7 @@ Status TcpServer::Listen() {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  // A deep backlog: connection floods (the 10k-connection bench tier)
+  // A deep backlog: connection floods (thousands of clients at once)
   // must queue behind the serial accept loop instead of overflowing the
   // SYN queue into multi-second client-side retransmit stalls. The
   // kernel clamps this to net.core.somaxconn.

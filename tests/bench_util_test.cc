@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <sstream>
 
 #include "bench_util/datasets.h"
-#include "bench_util/sweep.h"
-#include "bench_util/table.h"
 
 namespace fairbc {
 namespace {
@@ -45,58 +42,6 @@ TEST(Datasets, EnvScaleParsing) {
   EXPECT_DOUBLE_EQ(EnvScale(), 1.0);
   unsetenv("FAIRBC_SCALE");
   EXPECT_DOUBLE_EQ(EnvScale(), 1.0);
-}
-
-TEST(Table, AlignsColumns) {
-  TextTable table({"alg", "time"});
-  table.AddRow({"FairBCEM", "1.0"});
-  table.AddRow({"FairBCEM++", "0.01"});
-  std::ostringstream os;
-  table.Print(os);
-  std::string out = os.str();
-  EXPECT_NE(out.find("FairBCEM++"), std::string::npos);
-  EXPECT_NE(out.find("| alg"), std::string::npos);
-  // Header, separator, two data rows.
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
-}
-
-TEST(Table, Formatters) {
-  EXPECT_EQ(TextTable::Num(42), "42");
-  EXPECT_EQ(TextTable::Seconds(1.5), "1.500");
-  EXPECT_EQ(TextTable::Seconds(0.5, /*inf=*/true), "INF");
-  EXPECT_EQ(TextTable::Double(3.14159, 2), "3.14");
-}
-
-TEST(Sweep, RunCountingProducesConsistentCounts) {
-  setenv("FAIRBC_SCALE", "0.05", 1);
-  NamedGraph data = LoadDataset("youtube");
-  unsetenv("FAIRBC_SCALE");
-  EnumOptions options;
-  options.time_budget_seconds = 10.0;
-  TimedRun fast = RunCounting(AlgoFairBCEMpp(), data.graph,
-                              data.spec.ss_defaults, options);
-  TimedRun slow = RunCounting(AlgoFairBCEM(), data.graph,
-                              data.spec.ss_defaults, options);
-  EXPECT_FALSE(fast.timed_out);
-  EXPECT_FALSE(slow.timed_out);
-  EXPECT_EQ(fast.count, slow.count);
-  EXPECT_GE(fast.seconds, 0.0);
-}
-
-TEST(Sweep, AlgorithmNames) {
-  EXPECT_EQ(AlgoNSF().name, "NSF");
-  EXPECT_EQ(AlgoFairBCEM().name, "FairBCEM");
-  EXPECT_EQ(AlgoFairBCEMpp().name, "FairBCEM++");
-  EXPECT_EQ(AlgoBNSF().name, "BNSF");
-  EXPECT_EQ(AlgoBFairBCEM().name, "BFairBCEM");
-  EXPECT_EQ(AlgoBFairBCEMpp().name, "BFairBCEM++");
-}
-
-TEST(Sweep, TimeBudgetEnv) {
-  setenv("FAIRBC_TIME_BUDGET", "5.5", 1);
-  EXPECT_DOUBLE_EQ(BenchTimeBudget(), 5.5);
-  unsetenv("FAIRBC_TIME_BUDGET");
-  EXPECT_DOUBLE_EQ(BenchTimeBudget(), 8.0);
 }
 
 }  // namespace

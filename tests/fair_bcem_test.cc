@@ -65,23 +65,45 @@ TEST(FairBcem, AlphaFiltersSmallUpperSides) {
 
 TEST(FairBcem, SearchOptionAblationsStayCorrect) {
   // Each pruning observation can be disabled independently without
-  // changing the output (only the search size).
+  // changing the output, only the search size (ablation A2): a rule that
+  // is off never shrinks the search, and NSF (every rule off) searches at
+  // least as much as any row. Every rule but prune_small_l must also grow
+  // the search on some graph; prune_small_l is redundant next to the
+  // alpha candidate filter (see fair_bcem.h), so it only gets the >=.
+  constexpr int kRules = 5;
+  bool grew[kRules] = {};
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     BipartiteGraph g = RandomSmallGraph(seed, 7, 0.5);
-    FairBicliqueParams params{1, 1, 1, 0.0};
-    auto oracle = Canonicalize(BruteForceSSFBC(g, params));
-    for (int off_bit = 0; off_bit < 5; ++off_bit) {
-      FairBcemSearchOptions search;
-      if (off_bit == 0) search.prune_small_l = false;
-      if (off_bit == 1) search.prune_excluded_full = false;
-      if (off_bit == 2) search.prune_class_counts = false;
-      if (off_bit == 3) search.absorb_full_candidates = false;
-      if (off_bit == 4) search.filter_candidates_alpha = false;
-      CollectSink sink;
-      EnumerateSSFBCWithSearchOptions(g, params, {}, search, sink.AsSink());
-      EXPECT_EQ(Canonicalize(sink.results()), oracle)
-          << "seed=" << seed << " off_bit=" << off_bit;
+    for (const FairBicliqueParams& params :
+         {FairBicliqueParams{1, 1, 1, 0.0}, FairBicliqueParams{2, 1, 1, 0.0}}) {
+      auto oracle = Canonicalize(BruteForceSSFBC(g, params));
+      auto run = [&](const FairBcemSearchOptions& search) {
+        CollectSink sink;
+        EnumStats stats = EnumerateSSFBCWithSearchOptions(g, params, {}, search,
+                                                          sink.AsSink());
+        EXPECT_EQ(Canonicalize(sink.results()), oracle)
+            << "seed=" << seed << " alpha=" << params.alpha;
+        return stats.search_nodes;
+      };
+      const std::uint64_t all_on = run(FairBcemSearchOptions{});
+      const std::uint64_t nsf = run(NaiveSearchOptions());
+      EXPECT_GE(nsf, all_on) << "seed=" << seed;
+      for (int off_bit = 0; off_bit < kRules; ++off_bit) {
+        FairBcemSearchOptions search;
+        if (off_bit == 0) search.prune_small_l = false;
+        if (off_bit == 1) search.prune_excluded_full = false;
+        if (off_bit == 2) search.prune_class_counts = false;
+        if (off_bit == 3) search.absorb_full_candidates = false;
+        if (off_bit == 4) search.filter_candidates_alpha = false;
+        const std::uint64_t nodes = run(search);
+        EXPECT_GE(nodes, all_on) << "seed=" << seed << " off_bit=" << off_bit;
+        EXPECT_LE(nodes, nsf) << "seed=" << seed << " off_bit=" << off_bit;
+        grew[off_bit] = grew[off_bit] || nodes > all_on;
+      }
     }
+  }
+  for (int off_bit = 1; off_bit < kRules; ++off_bit) {
+    EXPECT_TRUE(grew[off_bit]) << "off_bit=" << off_bit;
   }
 }
 
