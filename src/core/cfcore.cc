@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "core/fcore.h"
-#include "core/parallel.h"
 #include "core/reduction_context.h"
 
 namespace fairbc {
@@ -14,7 +13,7 @@ namespace fairbc {
 namespace {
 
 // Serial ego colorful peel: the exact traversal the pre-parallel code ran
-// (queue order preserved), used when no pool is available.
+// (queue order preserved), used on serial contexts.
 void EgoPeelSerial(const UnipartiteGraph& h, const Coloring& coloring,
                    std::uint32_t k, std::vector<char>& alive,
                    std::vector<std::uint32_t>& mult,
@@ -81,15 +80,16 @@ void EgoPeelSerial(const UnipartiteGraph& h, const Coloring& coloring,
 void EgoPeelParallel(const UnipartiteGraph& h, const Coloring& coloring,
                      std::uint32_t k, std::vector<char>& alive,
                      std::vector<std::uint32_t>& mult,
-                     std::vector<std::uint32_t>& ego_deg, ThreadPool& pool) {
+                     std::vector<std::uint32_t>& ego_deg,
+                     const ReductionContext& ctx) {
   const VertexId n = h.NumVertices();
   const AttrId na = h.num_attrs;
   const std::uint32_t nc = std::max<std::uint32_t>(coloring.num_colors, 1);
   const std::size_t stride = static_cast<std::size_t>(na) * nc;
 
   // Init: vertex v's multiplicity row is filled only by v's own chunk.
-  ParallelForChunks(pool, n, [&](std::uint64_t begin, std::uint64_t end,
-                                 unsigned) {
+  ParallelForChunks(ctx, n, [&](std::uint64_t begin, std::uint64_t end,
+                                unsigned) {
     auto bump = [&](VertexId v, AttrId a, std::uint32_t c) {
       std::uint32_t& slot =
           mult[v * stride + static_cast<std::size_t>(a) * nc + c];
@@ -116,9 +116,9 @@ void EgoPeelParallel(const UnipartiteGraph& h, const Coloring& coloring,
     return false;
   };
 
-  std::vector<std::vector<VertexId>> local(pool.num_threads());
-  ParallelForChunks(pool, n, [&](std::uint64_t begin, std::uint64_t end,
-                                 unsigned worker) {
+  std::vector<std::vector<VertexId>> local(ctx.num_lanes());
+  ParallelForChunks(ctx, n, [&](std::uint64_t begin, std::uint64_t end,
+                                unsigned worker) {
     for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
       if (alive[v] && violates(v)) {
         alive[v] = 0;
@@ -140,9 +140,9 @@ void EgoPeelParallel(const UnipartiteGraph& h, const Coloring& coloring,
   std::vector<VertexId> current;
   while (!frontier.empty()) {
     current.swap(frontier);
-    ParallelForChunks(pool, current.size(), [&](std::uint64_t begin,
-                                                std::uint64_t end,
-                                                unsigned worker) {
+    ParallelForChunks(ctx, current.size(), [&](std::uint64_t begin,
+                                               std::uint64_t end,
+                                               unsigned worker) {
       auto& out = local[worker];
       for (std::uint64_t i = begin; i < end; ++i) {
         const VertexId u = current[i];
@@ -180,7 +180,6 @@ void EgoPeelParallel(const UnipartiteGraph& h, const Coloring& coloring,
 void EgoColorfulCorePeel(const UnipartiteGraph& h, const Coloring& coloring,
                          std::uint32_t k, std::vector<char>& alive,
                          std::size_t* meter_bytes, ReductionContext* ctx) {
-  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
   const VertexId n = h.NumVertices();
   const AttrId na = h.num_attrs;
   const std::uint32_t nc = std::max<std::uint32_t>(coloring.num_colors, 1);
@@ -196,8 +195,8 @@ void EgoColorfulCorePeel(const UnipartiteGraph& h, const Coloring& coloring,
                     ego_deg.size() * sizeof(std::uint32_t);
   }
 
-  if (pool != nullptr && pool->num_threads() > 1) {
-    EgoPeelParallel(h, coloring, k, alive, mult, ego_deg, *pool);
+  if (ctx != nullptr && ctx->parallel()) {
+    EgoPeelParallel(h, coloring, k, alive, mult, ego_deg, *ctx);
   } else {
     EgoPeelSerial(h, coloring, k, alive, mult, ego_deg);
   }
@@ -248,7 +247,7 @@ void ColorfulPhase(const BipartiteGraph& g, Side fair_side,
     // Jones–Plassmann evaluates the same degree-then-id greedy fixpoint in
     // parallel rounds, so the coloring (and hence the peel below) is
     // byte-identical to the serial GreedyColor path.
-    coloring = ctx != nullptr && ctx->pool() != nullptr
+    coloring = ctx != nullptr && ctx->parallel()
                    ? JonesPlassmannColor(h, alive, ctx)
                    : GreedyColor(h, alive);
   }

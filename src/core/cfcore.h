@@ -25,7 +25,7 @@ struct PruneResult {
 /// (Def. 10): every surviving vertex keeps ego colorful degree >= k for
 /// every attribute class. Updates `alive` in place. `meter_bytes`, if
 /// non-null, accumulates the peak size of the color multiplicity matrices.
-/// With a context carrying a pool the peel runs frontier-based
+/// With a parallel context the peel runs frontier-based
 /// bulk-synchronous rounds with atomic multiplicity counters; the
 /// surviving set is identical to the serial peel (the ego colorful core
 /// is a unique fixpoint).
@@ -41,10 +41,10 @@ void EgoColorfulCorePeel(const UnipartiteGraph& h, const Coloring& coloring,
 /// compacted FCore survivors (ids kept in order, so the result is the
 /// same as on the parent graph); the returned masks are over `g`.
 ///
-/// `ctx` carries the ThreadPool (nullptr or a serial context = the exact
-/// serial path: serial sweeps, GreedyColor, serial peel), the per-worker
+/// `ctx` carries the batch width (nullptr or a serial context = the exact
+/// serial path: serial sweeps, GreedyColor, serial peel), the per-lane
 /// construction scratch, and the per-phase construct/color/peel timers.
-/// With a pool the front-end runs sharded parallel 2-hop construction and
+/// In parallel the front-end runs sharded parallel 2-hop construction and
 /// Jones–Plassmann coloring; both are byte-identical to the serial
 /// kernels, so the returned masks match at every thread count.
 PruneResult CFCore(const BipartiteGraph& g, std::uint32_t alpha,

@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "common/status.h"
-#include "core/parallel.h"
 #include "core/reduction_context.h"
 
 namespace fairbc {
@@ -89,8 +88,8 @@ Coloring JonesPlassmannColor(const UnipartiteGraph& h,
 
   const Outranks higher{h};
 
-  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
-  const unsigned workers = pool != nullptr ? pool->num_threads() : 1;
+  const bool parallel = ctx != nullptr && ctx->parallel();
+  const unsigned workers = ctx != nullptr ? ctx->num_lanes() : 1;
 
   // wait[v]: uncolored alive higher-priority neighbors of v; a vertex
   // enters the frontier when its count hits zero. Two frontier vertices
@@ -110,9 +109,9 @@ Coloring JonesPlassmannColor(const UnipartiteGraph& h,
       if (pending == 0) local[worker].push_back(v);
     }
   };
-  if (pool != nullptr) {
-    ParallelForChunks(*pool, n, [&](std::uint64_t begin, std::uint64_t end,
-                                    unsigned worker) {
+  if (parallel) {
+    ParallelForChunks(*ctx, n, [&](std::uint64_t begin, std::uint64_t end,
+                                   unsigned worker) {
       seed_range(static_cast<VertexId>(begin), static_cast<VertexId>(end),
                  worker);
     });
@@ -144,7 +143,7 @@ Coloring JonesPlassmannColor(const UnipartiteGraph& h,
         result.color[v] = MexColor(h, alive, result.color, v, mark);
         for (VertexId w : h.Neighbors(v)) {
           if (!alive[w] || !higher(v, w)) continue;
-          if (pool != nullptr) {
+          if (parallel) {
             if (std::atomic_ref<std::uint32_t>(wait[w]).fetch_sub(
                     1, std::memory_order_relaxed) == 1) {
               out.push_back(w);
@@ -155,8 +154,8 @@ Coloring JonesPlassmannColor(const UnipartiteGraph& h,
         }
       }
     };
-    if (pool != nullptr) {
-      ParallelForChunks(*pool, current.size(), color_range);
+    if (parallel) {
+      ParallelForChunks(*ctx, current.size(), color_range);
     } else {
       color_range(0, current.size(), 0);
     }

@@ -227,7 +227,7 @@ struct EnumStats {
   std::uint64_t num_results = 0;
   std::uint64_t search_nodes = 0;
   std::uint64_t maximal_bicliques_visited = 0;  ///< ++ engines only.
-  /// Subtrees handed back to the pool by depth-adaptive task splitting
+  /// Subtrees handed back to the batch by depth-adaptive task splitting
   /// (0 on serial runs and whenever the queue never ran dry).
   std::uint64_t split_subtrees = 0;
   double prune_seconds = 0.0;

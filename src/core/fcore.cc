@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/parallel.h"
 #include "core/reduction_context.h"
 #include "fairness/fair_vector.h"
 
@@ -115,7 +114,7 @@ inline std::atomic_ref<std::uint32_t> AtomicAt(std::vector<std::uint32_t>& v,
 // the serial peel computes; only the traversal order differs.
 void PeelCoreParallel(const BipartiteGraph& g, std::uint32_t alpha,
                       std::uint32_t beta, bool bi_side, SideMasks& masks,
-                      ThreadPool& pool) {
+                      const ReductionContext& ctx) {
   const VertexId nu = g.NumUpper();
   const VertexId nv = g.NumLower();
   const AttrId av = g.NumAttrs(Side::kLower);
@@ -130,8 +129,8 @@ void PeelCoreParallel(const BipartiteGraph& g, std::uint32_t alpha,
 
   // Degree init: each side fills its own rows from its own adjacency, so
   // the writes of distinct chunks never alias.
-  ParallelForChunks(pool, nu, [&](std::uint64_t begin, std::uint64_t end,
-                                  unsigned) {
+  ParallelForChunks(ctx, nu, [&](std::uint64_t begin, std::uint64_t end,
+                                 unsigned) {
     for (VertexId u = static_cast<VertexId>(begin); u < end; ++u) {
       if (!masks.upper_alive[u]) continue;
       for (VertexId v : g.Neighbors(Side::kUpper, u)) {
@@ -142,8 +141,8 @@ void PeelCoreParallel(const BipartiteGraph& g, std::uint32_t alpha,
       }
     }
   });
-  ParallelForChunks(pool, nv, [&](std::uint64_t begin, std::uint64_t end,
-                                  unsigned) {
+  ParallelForChunks(ctx, nv, [&](std::uint64_t begin, std::uint64_t end,
+                                 unsigned) {
     for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
       if (!masks.lower_alive[v]) continue;
       for (VertexId u : g.Neighbors(Side::kLower, v)) {
@@ -184,13 +183,13 @@ void PeelCoreParallel(const BipartiteGraph& g, std::uint32_t alpha,
   };
 
   using Removal = std::pair<Side, VertexId>;
-  std::vector<std::vector<Removal>> local(pool.num_threads());
+  std::vector<std::vector<Removal>> local(ctx.num_lanes());
 
   // Initial frontier: unsynchronized scans are safe — each vertex is
   // examined by exactly one chunk and the scans only read counters their
   // own side's init wrote (published by the batch barrier above).
-  ParallelForChunks(pool, nu, [&](std::uint64_t begin, std::uint64_t end,
-                                  unsigned worker) {
+  ParallelForChunks(ctx, nu, [&](std::uint64_t begin, std::uint64_t end,
+                                 unsigned worker) {
     for (VertexId u = static_cast<VertexId>(begin); u < end; ++u) {
       if (masks.upper_alive[u] && upper_violates(u)) {
         masks.upper_alive[u] = 0;
@@ -198,8 +197,8 @@ void PeelCoreParallel(const BipartiteGraph& g, std::uint32_t alpha,
       }
     }
   });
-  ParallelForChunks(pool, nv, [&](std::uint64_t begin, std::uint64_t end,
-                                  unsigned worker) {
+  ParallelForChunks(ctx, nv, [&](std::uint64_t begin, std::uint64_t end,
+                                 unsigned worker) {
     for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
       if (masks.lower_alive[v] && lower_violates(v)) {
         masks.lower_alive[v] = 0;
@@ -225,9 +224,9 @@ void PeelCoreParallel(const BipartiteGraph& g, std::uint32_t alpha,
   std::vector<Removal> current;
   while (!frontier.empty()) {
     current.swap(frontier);
-    ParallelForChunks(pool, current.size(), [&](std::uint64_t begin,
-                                                std::uint64_t end,
-                                                unsigned worker) {
+    ParallelForChunks(ctx, current.size(), [&](std::uint64_t begin,
+                                               std::uint64_t end,
+                                               unsigned worker) {
       auto& out = local[worker];
       for (std::uint64_t i = begin; i < end; ++i) {
         const auto [side, x] = current[i];
@@ -275,9 +274,8 @@ void PeelCore(const BipartiteGraph& g, std::uint32_t alpha, std::uint32_t beta,
               bool bi_side, SideMasks& masks, ReductionContext* ctx) {
   ScopedPhaseTimer timer(ctx != nullptr ? &ctx->times().peel_seconds : nullptr,
                          ctx != nullptr ? ctx->trace() : nullptr, "peel");
-  ThreadPool* pool = ctx != nullptr ? ctx->pool() : nullptr;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    PeelCoreParallel(g, alpha, beta, bi_side, masks, *pool);
+  if (ctx != nullptr && ctx->parallel()) {
+    PeelCoreParallel(g, alpha, beta, bi_side, masks, *ctx);
   } else {
     PeelCoreSerial(g, alpha, beta, bi_side, masks);
   }

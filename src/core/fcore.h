@@ -18,8 +18,8 @@ class ReductionContext;
 /// (Batagelj–Zaversnik style). Returns alive masks over `g`.
 ///
 /// All peeling entry points take an optional `ReductionContext`: a null
-/// context (or one without a pool) runs the exact serial peel
-/// (deterministic traversal order); a context carrying a pool runs
+/// context (or a serial one) runs the exact serial peel
+/// (deterministic traversal order); a parallel context runs
 /// frontier-based bulk-synchronous rounds with atomic degree counters.
 /// The surviving vertex set is identical either way — the core is the
 /// unique maximal fixpoint, so peel order cannot change it. Wall-clock

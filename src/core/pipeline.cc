@@ -25,10 +25,10 @@ namespace {
 PruneResult RunPruning(const BipartiteGraph& g, const FairBicliqueParams& p,
                        PruningLevel level, bool bi_side, unsigned num_threads,
                        TraceRecorder* trace, ReductionPhaseTimes* times) {
-  // One ReductionContext serves the whole reduction: it owns the pool
-  // (created only when num_threads > 1 — the num_threads == 1 contract is
-  // the exact serial front-end), the per-worker construction scratch, and
-  // the per-phase construct/color/peel timers.
+  // One ReductionContext serves the whole reduction: it borrows the
+  // caller's pool (only when num_threads > 1 — the num_threads == 1
+  // contract is the exact serial front-end), and holds the per-lane
+  // construction scratch and the per-phase construct/color/peel timers.
   ReductionContext ctx(level != PruningLevel::kNone ? num_threads : 1);
   ctx.set_trace(trace);
 

@@ -9,27 +9,33 @@ ReductionContext::ReductionContext() : scratch_(1) {}
 
 ReductionContext::ReductionContext(unsigned num_threads) {
   if (num_threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(num_threads);
-    pool_ = owned_pool_.get();
-    num_workers_ = pool_->num_threads();
+    pool_ = &CallerPool();
+    num_lanes_ = ResolveNumThreads(num_threads);
   }
-  scratch_.resize(num_workers_);
+  scratch_.resize(num_lanes_);
 }
 
 ReductionContext::~ReductionContext() = default;
 
-std::vector<std::uint32_t>& ReductionContext::CountScratch(unsigned worker,
+void ReductionContext::ParallelFor(
+    std::uint64_t num_tasks,
+    const std::function<void(std::uint64_t, unsigned)>& fn) const {
+  FAIRBC_CHECK(pool_ != nullptr);
+  pool_->ParallelFor(num_lanes_, num_tasks, fn);
+}
+
+std::vector<std::uint32_t>& ReductionContext::CountScratch(unsigned lane,
                                                            std::size_t size) {
-  FAIRBC_CHECK(worker < scratch_.size());
-  auto& counts = scratch_[worker].counts;
+  FAIRBC_CHECK(lane < scratch_.size());
+  auto& counts = scratch_[lane].counts;
   if (counts.size() < size) counts.assign(size, 0);
   return counts;
 }
 
-std::vector<char>& ReductionContext::FlagScratch(unsigned worker,
+std::vector<char>& ReductionContext::FlagScratch(unsigned lane,
                                                  std::size_t size) {
-  FAIRBC_CHECK(worker < scratch_.size());
-  auto& flags = scratch_[worker].flags;
+  FAIRBC_CHECK(lane < scratch_.size());
+  auto& flags = scratch_[lane].flags;
   if (flags.size() < size) flags.assign(size, 0);
   return flags;
 }

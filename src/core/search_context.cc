@@ -42,23 +42,24 @@ void MergeEnumStats(EnumStats& into, const EnumStats& worker) {
 
 }  // namespace
 
-// The parallel half of RunSearch. Root branches are independent — branch
-// i needs only the exclusion prefix candidates[0..i) — so each is one
-// pool task; a root task whose subtree dominates hands its depth-1
-// children back to the pool once the queue runs dry (Split). A worker runs
-// one task at a time, so its context's fan_out_ says which kind it runs.
+// The parallel half of RunSearch: one batch with a lane per context.
+// Root branches are independent — branch i needs only the exclusion
+// prefix candidates[0..i) — so each is one batch task; a root task whose
+// subtree dominates hands its depth-1 children back to the batch once its
+// queue runs dry (Split). A lane runs one task at a time, so its
+// context's fan_out_ says which kind it runs.
 class SearchFanOut {
  public:
-  SearchFanOut(ThreadPool& pool,
-               const std::vector<std::unique_ptr<SearchContext>>& contexts,
+  SearchFanOut(const std::vector<std::unique_ptr<SearchContext>>& contexts,
                const SearchTasks& tasks)
-      : pool_(pool), contexts_(contexts), tasks_(tasks) {}
+      : contexts_(contexts), tasks_(tasks) {}
 
-  void Run(std::span<const VertexId> upper_all,
+  void Run(ThreadPool& pool, std::span<const VertexId> upper_all,
            std::span<const VertexId> candidates) {
-    pool_.ParallelFor(candidates.size(), [&](std::uint64_t root,
-                                             unsigned worker) {
-      SearchContext& ctx = *contexts_[worker];
+    pool.ParallelFor(static_cast<unsigned>(contexts_.size()),
+                     candidates.size(), [&](std::uint64_t root,
+                                            unsigned lane) {
+      SearchContext& ctx = *contexts_[lane];
       TraceSpan span(ctx.options().trace, "root");
       ctx.fan_out_ = this;
       tasks_.branch(ctx, upper_all, {}, candidates.subspan(root),
@@ -69,7 +70,7 @@ class SearchFanOut {
   bool Split(SearchContext& ctx, std::span<const VertexId> big_l,
              std::span<const VertexId> r, std::span<const VertexId> p,
              std::span<const VertexId> q) {
-    if (!pool_.QueueNearlyDry()) return false;
+    if (!ThreadPool::QueueNearlyDry()) return false;
     ++ctx.stats().split_subtrees;
     auto batch = std::make_shared<const SubtreeBatch>(SubtreeBatch{
         {big_l.begin(), big_l.end()},
@@ -77,8 +78,8 @@ class SearchFanOut {
         {p.begin(), p.end()},
         {q.begin(), q.end()}});
     for (std::size_t child = 0; child < p.size(); ++child) {
-      pool_.Submit([this, batch, child](unsigned worker) {
-        SearchContext& child_ctx = *contexts_[worker];
+      ThreadPool::Submit([this, batch, child](unsigned lane) {
+        SearchContext& child_ctx = *contexts_[lane];
         TraceSpan span(child_ctx.options().trace, "split");
         child_ctx.fan_out_ = nullptr;
         std::vector<VertexId> exclusion;
@@ -95,7 +96,6 @@ class SearchFanOut {
   }
 
  private:
-  ThreadPool& pool_;
   const std::vector<std::unique_ptr<SearchContext>>& contexts_;
   const SearchTasks& tasks_;
 };
@@ -129,8 +129,7 @@ EnumStats RunSearch(const BipartiteGraph& g, const EnumOptions& options,
   if (num_threads <= 1) {
     tasks.serial(*contexts[0], upper_all, candidates);
   } else {
-    ThreadPool pool(num_threads);
-    SearchFanOut(pool, contexts, tasks).Run(upper_all, candidates);
+    SearchFanOut(contexts, tasks).Run(CallerPool(), upper_all, candidates);
   }
 
   EnumStats stats;

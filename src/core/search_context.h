@@ -178,8 +178,8 @@ class SearchContext {
 
   /// Depth-adaptive task splitting, asked at every point where an engine
   /// is about to descend into the subtree of the node (big_l, r, p, q).
-  /// Inside a parallel root task, when the pool's queue has run dry, the
-  /// node's depth-1 children go to the pool as fresh tasks — child i
+  /// Inside a parallel root task, when the batch's queue has run dry, the
+  /// node's depth-1 children go to the batch as fresh tasks — child i
   /// branches on p[i] with exclusion set q + p[0..i), the sets the serial
   /// loop would have used, so the result set is unchanged — and this
   /// returns true: the caller must not descend itself. Always false on
@@ -231,11 +231,12 @@ struct SearchTasks {
 /// EnumerateMaximalBicliques). Orders the lower side (options.ordering),
 /// uses options.shared_budget or a budget of its own, and then either
 /// runs `tasks.serial` on one context (num_threads == 1: the exact serial
-/// traversal) or fans the root branches out as `tasks.branch` tasks on a
-/// work-stealing pool with one context per worker (SearchContext::TrySplit
-/// splits dominating subtrees). Returns the workers' merged stats:
-/// counters sum, peak_struct_bytes is the largest arena high-water mark,
-/// remaining_* are g's side sizes. An empty side returns zero stats.
+/// traversal) or fans the root branches out as one batch of
+/// `tasks.branch` tasks on CallerPool(), with one context per lane
+/// (SearchContext::TrySplit splits dominating subtrees). Returns the
+/// lanes' merged stats: counters sum, peak_struct_bytes is the largest
+/// arena high-water mark, remaining_* are g's side sizes. An empty side
+/// returns zero stats.
 EnumStats RunSearch(const BipartiteGraph& g, const EnumOptions& options,
                     const FairnessPolicy* policy, const EngineSink& sink,
                     const SearchTasks& tasks);

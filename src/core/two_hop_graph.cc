@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/status.h"
-#include "core/parallel.h"
 #include "core/reduction_context.h"
 
 namespace fairbc {
@@ -98,14 +97,13 @@ UnipartiteGraph ConstructImpl(const BipartiteGraph& g, Side fair_side,
   // context, so the scratch grow-and-zero contract lives in one place.
   ReductionContext serial_ctx;
   if (ctx == nullptr) ctx = &serial_ctx;
-  ThreadPool* pool = ctx->pool();
 
-  // Shard plan: contiguous vertex ranges, several shards per worker so
-  // stealing can rebalance skewed work (higher ids see more lower
+  // Shard plan: contiguous vertex ranges, several shards per lane so the
+  // lanes can rebalance skewed work (higher ids see more lower
   // neighbors). The shard boundaries do not affect the output — each
   // vertex's lower list is a pure function of (g, masks, alpha) — so the
-  // serial path is simply the same shards swept in order by worker 0.
-  const unsigned workers = pool != nullptr ? pool->num_threads() : 1;
+  // serial path is simply the same shards swept in order by lane 0.
+  const unsigned workers = ctx->num_lanes();
   const VertexId shard_size = std::max<VertexId>(
       64, (n + workers * 8 - 1) / (workers * 8));
   const std::size_t num_shards = (n + shard_size - 1) / shard_size;
@@ -121,11 +119,8 @@ UnipartiteGraph ConstructImpl(const BipartiteGraph& g, Side fair_side,
     SweepShard(g, fair_side, alpha, fair_alive, other_alive, per_attr, begin,
                end, counts, flags, shard_lower[shard], lower_deg);
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(num_shards,
-                      [&](std::uint64_t shard, unsigned worker) {
-                        sweep_one(shard, worker);
-                      });
+  if (ctx->parallel()) {
+    ctx->ParallelFor(num_shards, sweep_one);
   } else {
     for (std::size_t shard = 0; shard < num_shards; ++shard) {
       sweep_one(shard, 0);

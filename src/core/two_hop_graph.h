@@ -21,8 +21,8 @@ class ReductionContext;
 /// BCFCore call it on the compacted FCore/BFCore survivors, so `n` is the
 /// survivor count, not the parent graph's.
 ///
-/// With a `ReductionContext` carrying a pool the sweeps shard by vertex
-/// range across workers (each worker sweeps with private counter/flag
+/// With a parallel `ReductionContext` the sweeps shard by vertex range
+/// across lanes (each lane sweeps with private counter/flag
 /// scratch from the context) before the mirror pass. The output is a pure
 /// function of (g, masks, alpha) — byte identical at every thread count,
 /// including the serial null-context path.

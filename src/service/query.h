@@ -19,9 +19,9 @@ namespace fairbc {
 /// interrogate, which fairness model/engine, and the model parameters.
 /// EnumOptions carries ordering/pruning plus per-query deadline/budget
 /// (time_budget_seconds / node_budget → the engines' shared SearchBudget)
-/// and num_threads for the search itself. Requests executed concurrently
-/// through QueryExecutor::ExecuteBatch should normally keep num_threads
-/// at 1 — concurrency then comes from running whole queries in parallel.
+/// and num_threads, the lane count of the query's parallel reduction and
+/// search. Through QueryExecutor those lanes run on the executor's pool,
+/// so concurrent queries share its threads instead of adding their own.
 struct QueryRequest {
   std::string graph;  ///< GraphCatalog name.
   FairModel model = FairModel::kSsfbc;
@@ -95,10 +95,6 @@ struct QueryResult {
   /// (single-flight admission) and shares that run's summary instead of
   /// having run the engines itself.
   bool coalesced = false;
-  /// Worker threads the enumeration actually ran with (after the
-  /// executor's batch clamp); 0 for cache hits, coalesced waiters and
-  /// failed lookups, where no enumeration ran.
-  unsigned effective_threads = 0;
   double seconds = 0.0;  ///< wall clock incl. catalog/cache bookkeeping.
   std::uint64_t graph_version = 0;
   std::vector<Biclique> bicliques;  ///< filled iff include_bicliques.

@@ -140,47 +140,8 @@ QueryExecutor::QueryExecutor(const GraphCatalog& catalog,
                                 : options.stream_chunk_results),
       slow_query_ms_(options.slow_query_ms),
       trace_ring_(kTraceRingCapacity),
-      slow_query_log_(options.slow_query_log) {
-  const unsigned n = ResolveNumThreads(options.num_threads);
-  runners_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    runners_.emplace_back([this] { RunnerLoop(); });
-  }
-}
-
-QueryExecutor::~QueryExecutor() {
-  {
-    std::lock_guard<std::mutex> lock(runner_mu_);
-    runner_stop_ = true;
-  }
-  runner_cv_.notify_all();
-  for (std::thread& t : runners_) t.join();
-}
-
-void QueryExecutor::PostToRunner(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(runner_mu_);
-    runner_tasks_.push_back(std::move(task));
-  }
-  runner_cv_.notify_one();
-}
-
-void QueryExecutor::RunnerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(runner_mu_);
-      runner_cv_.wait(
-          lock, [this] { return runner_stop_ || !runner_tasks_.empty(); });
-      // Drain-on-stop: queued executions still carry completions someone
-      // may be waiting on, so the pool finishes them before exiting.
-      if (runner_tasks_.empty()) return;
-      task = std::move(runner_tasks_.front());
-      runner_tasks_.pop_front();
-    }
-    task();
-  }
-}
+      slow_query_log_(options.slow_query_log),
+      runners_(ResolveNumThreads(options.num_threads)) {}
 
 void QueryExecutor::FinalizeTrace(const QueryRequest& request,
                                   std::shared_ptr<TraceRecorder> trace,
@@ -281,7 +242,6 @@ void QueryExecutor::RunQuery(const QueryRequest& request,
                     trace->NowMicros() - stream_start_us);
     }
   }
-  out->effective_threads = ResolveNumThreads(request.options.num_threads);
   span.End();
 
   const EnumStats& stats = out->summary.stats;
@@ -305,7 +265,7 @@ void QueryExecutor::RunQuery(const QueryRequest& request,
 }
 
 QueryResult QueryExecutor::Execute(const QueryRequest& request) {
-  return std::move(AwaitAll({request}).front());
+  return std::move(ExecuteBatch({request}).front());
 }
 
 void QueryExecutor::ExecuteAsync(const QueryRequest& request, Completion done) {
@@ -318,16 +278,6 @@ void QueryExecutor::ExecuteStreaming(const QueryRequest& request,
 }
 
 std::vector<QueryResult> QueryExecutor::ExecuteBatch(
-    const std::vector<QueryRequest>& requests) {
-  std::vector<QueryRequest> clamped = requests;
-  // Whole queries are the batch's unit of parallelism; nested per-query
-  // pools on top of busy runners would oversubscribe the machine (see
-  // the header contract — the result set does not change).
-  for (QueryRequest& request : clamped) request.options.num_threads = 1;
-  return AwaitAll(clamped);
-}
-
-std::vector<QueryResult> QueryExecutor::AwaitAll(
     const std::vector<QueryRequest>& requests) {
   std::vector<QueryResult> results(requests.size());
   std::mutex mu;
@@ -456,9 +406,9 @@ void QueryExecutor::Admit(const QueryRequest& request, ChunkCallback on_chunk,
   // std::function demands a copyable target, so the move-only root span
   // rides in a shared_ptr (the task is only ever invoked once).
   auto root = std::make_shared<TraceSpan>(std::move(root_span));
-  PostToRunner([this, self = std::move(self), entry = std::move(entry), key,
-                flight, trace = std::move(trace), root,
-                queued_start_us]() mutable {
+  runners_.Post([this, self = std::move(self), entry = std::move(entry), key,
+                 flight, trace = std::move(trace), root,
+                 queued_start_us]() mutable {
     if (trace != nullptr) {
       trace->Record("queued", queued_start_us,
                     trace->NowMicros() - queued_start_us);

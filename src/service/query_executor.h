@@ -3,12 +3,10 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -23,8 +21,9 @@
 namespace fairbc {
 
 struct QueryExecutorOptions {
-  /// Width of the executor's query-runner pool, the fixed set of worker
-  /// threads every execution runs on. 0 = one per hardware thread.
+  /// Width of the executor's ThreadPool, the fixed set of worker threads
+  /// every execution runs on — and every query's parallel reduction and
+  /// search lanes too. 0 = one per hardware thread.
   unsigned num_threads = 0;
   /// ResultCache capacity in entries; 0 disables cross-query reuse.
   std::size_t cache_capacity = 256;
@@ -47,7 +46,7 @@ struct QueryExecutorOptions {
 };
 
 /// Concurrent query engine over a GraphCatalog: runs whole queries on a
-/// fixed pool of runner threads, shares the read-only catalog entries
+/// fixed ThreadPool of runner threads, shares the read-only catalog entries
 /// across them (no per-query graph copies), reuses summaries through an
 /// LRU ResultCache, and coalesces concurrent identical queries behind
 /// one execution (single-flight admission).
@@ -112,7 +111,6 @@ class QueryExecutor {
 
   explicit QueryExecutor(const GraphCatalog& catalog,
                          const QueryExecutorOptions& options = {});
-  ~QueryExecutor();
 
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
@@ -154,15 +152,13 @@ class QueryExecutor {
   void ExecuteStreaming(const QueryRequest& request, ChunkCallback on_chunk,
                         Completion done);
 
-  /// Runs `requests` concurrently on the runner pool via ExecuteAsync;
-  /// results are positionally aligned with the requests; returns when
-  /// all have completed. Repeated parameters inside one batch are served
+  /// Runs `requests` concurrently on the runner pool via ExecuteAsync and
+  /// waits for all of them on the calling thread; results are
+  /// positionally aligned with the requests. Repeated parameters inside one batch are served
   /// from the cache or coalesced behind the one in-flight execution.
-  /// Per-query num_threads is clamped to 1: the batch itself is the unit
-  /// of parallelism, and a query spinning a nested enumeration pool on
-  /// top of busy runners would oversubscribe the machine (the result set
-  /// is thread-count invariant, so the clamp is unobservable in the
-  /// output).
+  /// Each query honours its own num_threads: its helper lanes queue on
+  /// the same pool behind busy runners, so a batch never runs more
+  /// threads than the pool has.
   std::vector<QueryResult> ExecuteBatch(
       const std::vector<QueryRequest>& requests);
 
@@ -198,9 +194,7 @@ class QueryExecutor {
 
   ResultCache& cache() { return cache_; }
   const GraphCatalog& catalog() const { return catalog_; }
-  unsigned num_threads() const {
-    return static_cast<unsigned>(runners_.size());
-  }
+  unsigned num_threads() const { return runners_.num_threads(); }
 
   /// The registry this executor reports into (never null).
   MetricsRegistry* metrics() const { return metrics_; }
@@ -262,10 +256,6 @@ class QueryExecutor {
   /// latency and the chunk counter.
   void Deliver(Subscriber& sub, const StreamChunk& chunk);
 
-  /// Admits every request through ExecuteAsync and waits for all of them
-  /// on the calling thread (Execute and ExecuteBatch).
-  std::vector<QueryResult> AwaitAll(const std::vector<QueryRequest>& requests);
-
   /// Runs the enumeration for `request` against `graph` into `out`
   /// (digest accumulation, optional biclique collection, top-k selection,
   /// stats) under an "execute" span on `trace` (null = untraced), then
@@ -282,10 +272,6 @@ class QueryExecutor {
   /// threshold. Requires out->seconds to be final.
   void FinalizeTrace(const QueryRequest& request,
                      std::shared_ptr<TraceRecorder> trace, QueryResult* out);
-
-  /// Posts one closure to the runner pool.
-  void PostToRunner(std::function<void()> task);
-  void RunnerLoop();
 
   const GraphCatalog& catalog_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // before cache_: it
@@ -323,15 +309,10 @@ class QueryExecutor {
   std::mutex hook_mu_;
   std::function<void(const QueryRequest&)> execute_hook_;  // guarded by hook_mu_
 
-  // Fixed runner pool: a mutex/cv task deque drained by num_threads
-  // workers. Executions are coarse (a whole query each), so a plain
-  // shared deque is plenty — work stealing lives inside the enumeration
-  // engines' own pools.
-  std::mutex runner_mu_;
-  std::condition_variable runner_cv_;
-  std::deque<std::function<void()>> runner_tasks_;
-  bool runner_stop_ = false;
-  std::vector<std::thread> runners_;
+  // The runners: each execution is one posted task, and its parallel
+  // phases borrow the same pool (ThreadPool::Current()). Declared last so
+  // it drains queued executions while every other member is alive.
+  ThreadPool runners_;
 };
 
 }  // namespace fairbc

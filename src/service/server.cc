@@ -473,10 +473,11 @@ std::string ServerSession::Query(const RequestLine& req) {
 }
 
 // `sweep` expands a parameter grid (comma lists) into one batch and
-// admits it onto the executor's runner pool — this is where the server's
-// --threads width does concurrent work. Response: one JSON object
-// with the per-query results, positionally aligned with the grid in
-// alphas-outer / betas / deltas-inner order.
+// admits it onto the executor's pool, whose --threads workers run the
+// grid's queries side by side; each query keeps its own `threads=` lane
+// count, and its helper lanes queue on the same workers. Response: one
+// JSON object with the per-query results, positionally aligned with the
+// grid in alphas-outer / betas / deltas-inner order.
 std::string ServerSession::Sweep(const RequestLine& req) {
   RequestLine base = req;
   base.args["alpha"] = "0";

@@ -182,6 +182,24 @@ TEST(CliEndToEnd, JsonOutputMatchesAcrossFormats) {
   EXPECT_EQ(JsonField(from_text.output, "budget_exhausted"), "false");
 }
 
+TEST(CliEndToEnd, EnumRejectsThreadsOutOfRange) {
+  std::string graph = GraphPath();
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                " --edges=50")
+                .exit_code,
+            0);
+  // Without a range check both wrap when cast to unsigned: 2^32 + 1 would
+  // run on one thread and 2^32 on every core.
+  for (const std::string threads : {"4294967297", "4294967296"}) {
+    CommandResult r = RunCli("enum --graph=" + graph +
+                             " --model=ssfbc --count-only --threads=" + threads);
+    EXPECT_NE(r.exit_code, 0) << threads;
+    EXPECT_NE(r.output.find("--threads must be in [0, 1024]"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
 TEST(CliEndToEnd, UnknownCommandFails) {
   CommandResult r = RunCli("frobnicate");
   EXPECT_NE(r.exit_code, 0);

@@ -151,8 +151,8 @@ int RunEnum(const FlagParser& flags) {
   options.time_budget_seconds = flags.GetDouble("budget", 0.0);
   // 1 = serial (default, reproducible output order), 0 = all cores.
   std::int64_t threads = flags.GetInt("threads", 1);
-  if (threads < 0) {
-    std::cerr << "error: --threads must be >= 0\n";
+  if (threads < 0 || threads > 1024) {
+    std::cerr << "error: --threads must be in [0, 1024]\n";
     return 2;
   }
   options.num_threads = static_cast<unsigned>(threads);

@@ -42,6 +42,11 @@
 // terminate the process; stop is additionally logged as a server stop.
 // See service/server.h for the full protocol.
 //
+// --threads=N sizes the executor's one thread pool (0 = one worker per
+// hardware thread): its workers run the queries, and every query's
+// parallel reduction and search lanes (the request's `threads=`) borrow
+// the same workers, so the server never runs more query threads than N.
+//
 // --preload=NAME=PATH loads one snapshot before serving; with --mmap it
 // is mapped in place (ReadSnapshotView) instead of copied, making the
 // load allocation-free.
