@@ -31,6 +31,21 @@ struct FairBicliqueParams {
   FairnessSpec UpperSpec() const { return FairnessSpec{alpha, delta, theta}; }
 };
 
+/// The window every front door (CLI, line and binary protocols) accepts
+/// for alpha/beta/delta and top-k: far above any meaningful fairness
+/// threshold, far below the uint32 wrap a negative or huge value hits.
+inline constexpr std::int64_t kMaxParamValue = 1'000'000'000;
+
+/// True when `value` lies in [0, kMaxParamValue].
+constexpr bool ParamInRange(std::int64_t value) {
+  return value >= 0 && value <= kMaxParamValue;
+}
+
+/// True when `theta` is a proportion in [0, 1]; false for NaN.
+constexpr bool ThetaInRange(double theta) {
+  return theta >= 0.0 && theta <= 1.0;
+}
+
 /// One enumerated biclique; both sides sorted ascending, ids refer to the
 /// graph the enumeration entry point was given (pruning remaps back).
 struct Biclique {

@@ -1,6 +1,7 @@
 #include "core/fair_bcem.h"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 
 #include "core/kernels.h"
@@ -79,7 +80,6 @@ class FairBcemEngine {
     ctx_.CountNode();
     const BipartiteGraph& g = ctx_.graph();
     ScratchArena& arena = ctx_.arena();
-    KernelStats* kstats = ctx_.kernel_stats();
     const VertexId x = p.front();
 
     // Top-k branch-and-bound: no result below this node can exceed
@@ -93,43 +93,36 @@ class FairBcemEngine {
     }
 
     ArenaScope frame(arena);
-    const std::span<const VertexId> x_nbrs = g.Neighbors(Side::kLower, x);
-    IdVec new_l(arena, std::min(big_l.size(), x_nbrs.size()));
-    new_l.set_size(IntersectInto(new_l.data(), big_l, x_nbrs, &arena, kstats));
-
-    bool viable = !new_l.empty();
-    if (search_.prune_small_l && new_l.size() < min_upper_) viable = false;
-
-    // Both candidate filters probe the same L'; load its bitmap once and
-    // count each neighbor list in O(deg) probes.
-    BitsetView lbits;
+    // Both candidate filters read c = |N(v) ∩ L'|: from one wedge pass at
+    // a root branch, by probing a bitmap of L' in O(deg(v)) below it.
+    const std::optional<BranchCounts> branch = ctx_.OpenBranch(
+        big_l, r, x, search_.prune_small_l ? min_upper_ : 1u);
+    if (!branch) return true;
+    const std::span<const VertexId> new_l = branch->upper;
+    const CandidateCounts& counts = branch->counts;
     IdVec new_q(arena, q.size());
     IdVec q_full(arena, q.size());
-    if (viable) {
-      lbits = BitsetView::Load(arena, new_l.view());
-      FilterCandidates(g, Side::kLower, q, new_l.view(), lbits,
-                       CandidateThreshold(), &new_q, &q_full, kstats);
-      if (search_.prune_excluded_full && !q_full.empty()) {
-        // Observation 2: one fully-connected excluded vertex per class
-        // means no descendant can be maximal.
-        CountVec cover = CountVec::Zero(arena, num_attrs_);
-        for (VertexId v : q_full) ++cover[g.Attr(Side::kLower, v)];
-        bool all_covered = true;
-        for (auto c : cover) {
-          if (c == 0) {
-            all_covered = false;
-            break;
-          }
+    FilterCandidates(q, counts, CandidateThreshold(), FullCandidates::kKeep,
+                     &new_q, &q_full);
+    if (search_.prune_excluded_full && !q_full.empty()) {
+      // Observation 2: one fully-connected excluded vertex per class
+      // means no descendant can be maximal.
+      CountVec cover = CountVec::Zero(arena, num_attrs_);
+      for (VertexId v : q_full) ++cover[g.Attr(Side::kLower, v)];
+      bool all_covered = true;
+      for (auto c : cover) {
+        if (c == 0) {
+          all_covered = false;
+          break;
         }
-        if (all_covered) viable = false;
       }
+      if (all_covered) return true;
     }
-    if (!viable) return true;
 
     IdVec new_p(arena, p.size() - 1);
     IdVec p_full(arena, p.size() - 1);
-    FilterCandidates(g, Side::kLower, p.subspan(1), new_l.view(), lbits,
-                     CandidateThreshold(), &new_p, &p_full, kstats);
+    FilterCandidates(p.subspan(1), counts, CandidateThreshold(),
+                     FullCandidates::kKeep, &new_p, &p_full);
 
     // Tighter top-k bound now that L' and the surviving candidates are
     // known: upper ≤ |new_l|, lower ≤ |r| + 1 (x) + |new_p|.
@@ -160,14 +153,14 @@ class FairBcemEngine {
         IdVec all_r(arena, new_r.size() + p_full.size());
         for (VertexId v : new_r) all_r.push_back(v);
         for (VertexId v : p_full) all_r.push_back(v);
-        MaybeEmit(new_l.view(), all_r.view(), all_sizes.view(),
+        MaybeEmit(new_l, all_r.view(), all_sizes.view(),
                   ground_sizes.view());
         shortcut = true;
       }
     }
 
     if (!shortcut) {
-      MaybeEmit(new_l.view(), new_r.view(), new_r_sizes.view(),
+      MaybeEmit(new_l, new_r.view(), new_r_sizes.view(),
                 ground_sizes.view());
       if (ctx_.budget().aborted()) return false;
       if (!new_p.empty()) {
@@ -180,9 +173,9 @@ class FairBcemEngine {
           reachable = ctx_.policy().Reachable(pool.view());
         }
         if (reachable) {
-          if (!ctx_.TrySplit(new_l.view(), new_r.view(), new_p.view(),
+          if (!ctx_.TrySplit(new_l, new_r.view(), new_p.view(),
                              new_q.view())) {
-            Recurse(new_l.view(), new_r.view(), new_r_sizes.view(),
+            Recurse(new_l, new_r.view(), new_r_sizes.view(),
                     new_p.view(), new_q.view());
           }
           if (ctx_.ShouldStop()) return false;

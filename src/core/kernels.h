@@ -31,8 +31,9 @@ using SizeSpan = std::span<const std::uint32_t>;
 /// how much element work they did, and which kernel the dispatch heuristic
 /// picked (docs/PERF.md documents the heuristic and the crossovers).
 /// "Steps" are kernel-specific work units — merge loop iterations, gallop
-/// probe comparisons, bitset loads+probes — comparable across runs of the
-/// same workload, not across kernels.
+/// probe comparisons, bitset loads+probes, root-branch wedge visits
+/// (SearchContext::CountRootWedges) — comparable across runs of the same
+/// workload, not across kernels.
 struct KernelStats {
   std::uint64_t calls = 0;   ///< IntersectInto/Size/WithAttrCounts calls.
   std::uint64_t steps = 0;   ///< element comparisons / work units.

@@ -1,6 +1,7 @@
 #include "core/mbea.h"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 
 #include "core/kernels.h"
@@ -72,49 +73,37 @@ class MbeaEngine {
     }
 
     ArenaScope frame(arena);
-    const std::span<const VertexId> x_nbrs = g.Neighbors(Side::kLower, x);
-    IdVec new_l(arena, std::min(big_l.size(), x_nbrs.size()));
-    new_l.set_size(
-        IntersectInto(new_l.data(), big_l, x_nbrs, &arena, kstats));
-    bool viable = new_l.size() >= min_upper_;
+    // Both scans read c = |N(v) ∩ L'|: from one wedge pass at a root
+    // branch, by probing a bitmap of L' in O(deg(v)) below it.
+    const std::optional<BranchCounts> branch =
+        ctx_.OpenBranch(big_l, r, x, min_upper_);
+    if (!branch) return true;
+    const std::span<const VertexId> new_l = branch->upper;
+    const CandidateCounts& counts = branch->counts;
 
-    // Both the exclusion scan and the candidate scan intersect against
-    // the same L'; load its bitmap once and probe each neighbor list in
-    // O(deg).
-    BitsetView lbits;
-    if (viable) lbits = BitsetView::Load(arena, new_l.view());
-
+    // An excluded vertex fully connected to L' means this L' (and every
+    // L' of the subtree) was already enumerated in its branch.
     IdVec new_q(arena, q.size());
-    if (viable) {
-      for (VertexId v : q) {
-        std::uint32_t c = lbits.CountHits(g.Neighbors(Side::kLower, v),
-                                          kstats);
-        if (c == new_l.size()) {
-          // An excluded vertex is fully connected: this L (and every L
-          // of the subtree) was already enumerated in v's branch.
-          viable = false;
-          break;
-        }
-        if (c >= min_upper_) new_q.push_back(v);
-      }
+    if (!FilterCandidates(q, counts, min_upper_, FullCandidates::kStop,
+                          &new_q, nullptr)) {
+      return true;
     }
-    if (!viable) return true;
 
+    IdVec new_p(arena, p.size() - 1);
+    IdVec absorbed(arena, p.size() - 1);
+    FilterCandidates(p.subspan(1), counts, min_upper_,
+                     FullCandidates::kSeparate, &new_p, &absorbed);
     IdVec new_r(arena, r.size() + p.size());
     for (VertexId v : r) new_r.push_back(v);
     new_r.push_back(x);
-    IdVec new_p(arena, p.size() - 1);
-    for (std::size_t i = 1; i < p.size(); ++i) {
-      const VertexId v = p[i];
-      auto nbrs = g.Neighbors(Side::kLower, v);
-      std::uint32_t c = lbits.CountHits(nbrs, kstats);
-      if (c == new_l.size()) {
-        new_r.push_back(v);  // absorb: fully connected to new_l.
-        if (IntersectSize(nbrs, big_l, &arena, kstats) == c) {
-          exhausted->push_back(v);
-        }
-      } else if (c >= min_upper_) {
-        new_p.push_back(v);
+    for (VertexId v : absorbed) {
+      new_r.push_back(v);  // fully connected to L'.
+      // Exhausted: no neighbor outside L' either (|N(v) ∩ L| == |L'|;
+      // at a root branch L is U(G), so that is deg(v)).
+      const auto nbrs = g.Neighbors(Side::kLower, v);
+      if ((branch->root ? nbrs.size()
+                : IntersectSize(nbrs, big_l, &arena, kstats)) == new_l.size()) {
+        exhausted->push_back(v);
       }
     }
     std::sort(new_r.begin(), new_r.end());
@@ -132,7 +121,7 @@ class MbeaEngine {
           }
         }
       }
-      if (classes_ok && !ctx_.Emit(new_l.view(), new_r.view())) return false;
+      if (classes_ok && !ctx_.Emit(new_l, new_r.view())) return false;
     }
 
     // Recurse if the candidate pool can still reach the thresholds.
@@ -151,9 +140,8 @@ class MbeaEngine {
         }
       }
       if (reachable) {
-        if (!ctx_.TrySplit(new_l.view(), new_r.view(), new_p.view(),
-                           new_q.view())) {
-          Recurse(new_l.view(), new_r.view(), new_p.view(), new_q.view());
+        if (!ctx_.TrySplit(new_l, new_r.view(), new_p.view(), new_q.view())) {
+          Recurse(new_l, new_r.view(), new_p.view(), new_q.view());
         }
         if (ctx_.ShouldStop()) return false;
       }

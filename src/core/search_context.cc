@@ -136,7 +136,7 @@ EnumStats RunSearch(const BipartiteGraph& g, const EnumOptions& options,
   for (const auto& ctx : contexts) {
     MergeEnumStats(stats, ctx->stats());
     stats.peak_struct_bytes =
-        std::max(stats.peak_struct_bytes, ctx->arena().HighWaterBytes());
+        std::max(stats.peak_struct_bytes, ctx->ScratchBytes());
   }
   stats.budget_exhausted = budget.exhausted();
   stats.remaining_upper = g.NumUpper();
@@ -144,17 +144,63 @@ EnumStats RunSearch(const BipartiteGraph& g, const EnumOptions& options,
   return stats;
 }
 
-void FilterCandidates(const BipartiteGraph& g, Side side,
-                      std::span<const VertexId> candidates,
-                      std::span<const VertexId> big_l,
-                      const BitsetView& big_l_bits,
-                      std::uint32_t keep_threshold, IdVec* kept, IdVec* full,
-                      KernelStats* stats) {
+std::optional<BranchCounts> SearchContext::OpenBranch(
+    std::span<const VertexId> big_l, std::span<const VertexId> r, VertexId x,
+    std::uint32_t min_upper) {
+  const std::span<const VertexId> x_nbrs = g_.Neighbors(Side::kLower, x);
+  if (r.empty() && big_l.size() == g_.NumUpper()) {
+    if (x_nbrs.size() < min_upper) return std::nullopt;
+    return BranchCounts{x_nbrs,
+                        CandidateCounts(x_nbrs.size(), CountRootWedges(x)),
+                        true};
+  }
+  VertexId* out = arena_.AllocU32(std::min(big_l.size(), x_nbrs.size()));
+  const std::span<const VertexId> new_l(
+      out, IntersectInto(out, big_l, x_nbrs, &arena_, &stats_.kernels));
+  if (new_l.size() < min_upper) return std::nullopt;
+  return BranchCounts{new_l,
+                      CandidateCounts(new_l.size(), g_,
+                                      BitsetView::Load(arena_, new_l),
+                                      &stats_.kernels),
+                      false};
+}
+
+const std::uint32_t* SearchContext::CountRootWedges(VertexId x) {
+  if (root_counts_.empty()) {
+    root_counts_.assign(g_.NumLower(), 0);
+    root_touched_.resize(g_.NumLower());
+  }
+  std::uint32_t* counts = root_counts_.data();
+  VertexId* touched = root_touched_.data();
+  for (std::size_t i = 0; i < num_touched_; ++i) counts[touched[i]] = 0;
+  std::size_t num_touched = 0;
+  std::uint64_t wedges = 0;
+  for (VertexId u : g_.Neighbors(Side::kLower, x)) {
+    const std::span<const VertexId> nbrs = g_.Neighbors(Side::kUpper, u);
+    wedges += nbrs.size();
+    for (VertexId w : nbrs) {
+      if (counts[w]++ == 0) touched[num_touched++] = w;
+    }
+  }
+  num_touched_ = num_touched;
+  stats_.kernels.steps += wedges;
+  return counts;
+}
+
+bool FilterCandidates(std::span<const VertexId> candidates,
+                      const CandidateCounts& counts,
+                      std::uint32_t keep_threshold, FullCandidates mode,
+                      IdVec* kept, IdVec* full) {
   for (VertexId v : candidates) {
-    std::uint32_t c = big_l_bits.CountHits(g.Neighbors(side, v), stats);
-    if (c == big_l.size()) full->push_back(v);
+    const std::uint32_t c = counts.Count(v);
+    if (c == counts.upper_size()) {
+      if (mode == FullCandidates::kStop) return false;
+      full->push_back(v);
+      if (mode == FullCandidates::kSeparate) continue;
+    }
     if (c >= keep_threshold) kept->push_back(v);
   }
+  return true;
 }
 
 std::vector<VertexId> AllVertices(const BipartiteGraph& g, Side side) {

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -118,6 +119,45 @@ class SearchBudget {
   std::atomic<bool> exhausted_{false};
 };
 
+/// c(v) = |N(v) ∩ L'| for the lower-side candidates of one branch node
+/// with upper set L' (SearchContext::OpenBranch builds it). A root
+/// branch reads the counts of one wedge pass; a deeper node probes a
+/// loaded BitsetView of L' with v's neighbor list, in O(deg(v)).
+class CandidateCounts {
+ public:
+  /// Root branch: `root_counts` is indexed by lower id.
+  CandidateCounts(std::size_t upper_size, const std::uint32_t* root_counts)
+      : upper_size_(upper_size), root_counts_(root_counts) {}
+  /// Deeper node: `bits` holds L'.
+  CandidateCounts(std::size_t upper_size, const BipartiteGraph& g,
+                  BitsetView bits, KernelStats* stats)
+      : upper_size_(upper_size), g_(&g), bits_(bits), stats_(stats) {}
+
+  std::uint32_t Count(VertexId v) const {
+    if (root_counts_ != nullptr) return root_counts_[v];
+    return bits_.CountHits(g_->Neighbors(Side::kLower, v), stats_);
+  }
+  /// |L'|: the count of a fully connected candidate.
+  std::size_t upper_size() const { return upper_size_; }
+
+ private:
+  std::size_t upper_size_;
+  const std::uint32_t* root_counts_ = nullptr;
+  const BipartiteGraph* g_ = nullptr;
+  BitsetView bits_;
+  KernelStats* stats_ = nullptr;
+};
+
+/// One branch of the engines' search, on lower vertex x at node (L, R):
+/// L' = L ∩ N(x) and the candidate counts against it.
+struct BranchCounts {
+  std::span<const VertexId> upper;  ///< L'.
+  CandidateCounts counts;
+  /// R is empty and L is U(G) (every root task of RunSearch): L' is
+  /// N(x), and the counts come from one wedge pass.
+  bool root;
+};
+
 class SearchFanOut;
 
 /// Per-worker view of one enumeration run: a local EnumStats block plus
@@ -154,6 +194,31 @@ class SearchContext {
 
   /// Kernel telemetry shortcut (stats().kernels).
   KernelStats* kernel_stats() { return &stats_.kernels; }
+
+  /// Bytes of this worker's search scratch: the arena's high-water mark
+  /// plus the root-count arrays (EnumStats::peak_struct_bytes).
+  std::size_t ScratchBytes() const {
+    return arena_.HighWaterBytes() +
+           (root_counts_.size() + root_touched_.size()) * sizeof(std::uint32_t);
+  }
+
+  /// Opens the branch on lower vertex x at node (L = `big_l`, R = `r`).
+  /// At a root branch L' is N(x) itself and one wedge pass counts every
+  /// lower vertex (CountRootWedges); deeper, L' is intersected and loaded
+  /// into a BitsetView, both in the arena (the caller's frame). Returns
+  /// nullopt, before any count is built, when |L'| < `min_upper` (>= 1).
+  std::optional<BranchCounts> OpenBranch(std::span<const VertexId> big_l,
+                                         std::span<const VertexId> r,
+                                         VertexId x, std::uint32_t min_upper);
+
+  /// Root common-neighbor counts: one wedge pass x → u ∈ N(x) → w ∈ N(u)
+  /// yields count[w] = |N(w) ∩ N(x)| for every lower w (0 beyond two
+  /// hops). The array is indexed by lower id, owned by this worker and
+  /// valid until the next call, which first zeroes the entries this one
+  /// touched: only the first call costs O(|V|), the others
+  /// O(Σ_{u∈N(x)} deg(u)). The wedge visits are charged to
+  /// kernel_stats()->steps.
+  const std::uint32_t* CountRootWedges(VertexId x);
 
   /// True when this worker must unwind (shared abort or exhausted budget).
   bool ShouldStop() { return budget_.OverBudget(); }
@@ -203,6 +268,11 @@ class SearchContext {
   const EngineSink& sink_;
   EnumStats stats_;
   ScratchArena arena_;
+  /// CountRootWedges state, sized to the lower side on first use: the
+  /// dense counts and the lower ids whose count the last pass raised.
+  std::vector<std::uint32_t> root_counts_;
+  std::vector<VertexId> root_touched_;
+  std::size_t num_touched_ = 0;
   const EmitWorker worker_;
   /// Set while this worker runs a root task of a parallel run.
   SearchFanOut* fan_out_ = nullptr;
@@ -235,7 +305,7 @@ struct SearchTasks {
 /// `tasks.branch` tasks on CallerPool(), with one context per lane
 /// (SearchContext::TrySplit splits dominating subtrees). Returns the
 /// lanes' merged stats: counters sum, peak_struct_bytes is the largest
-/// arena high-water mark, remaining_* are g's side sizes. An empty side
+/// lane's ScratchBytes(), remaining_* are g's side sizes. An empty side
 /// returns zero stats.
 EnumStats RunSearch(const BipartiteGraph& g, const EnumOptions& options,
                     const FairnessPolicy* policy, const EngineSink& sink,
@@ -335,20 +405,23 @@ std::uint64_t WalkFairSubsetsFolded(const BipartiteGraph& g, Side side,
                                 visitor);
 }
 
-/// Splits candidate-set maintenance shared by the engines: for each v in
-/// `candidates` (vertices on `side`) computes c = |N(v) ∩ big_l| by
-/// probing `big_l_bits` (a loaded BitsetView of the sorted upper set
-/// `big_l` — load once, probe every candidate in O(deg) each), appends v
-/// to `kept` when c >= keep_threshold and to `full` when c == |big_l|
-/// (fully connected). A fully connected vertex lands in both lists iff
-/// |big_l| also meets the threshold. `kept`/`full` must have capacity >=
-/// |candidates|.
-void FilterCandidates(const BipartiteGraph& g, Side side,
-                      std::span<const VertexId> candidates,
-                      std::span<const VertexId> big_l,
-                      const BitsetView& big_l_bits,
-                      std::uint32_t keep_threshold, IdVec* kept, IdVec* full,
-                      KernelStats* stats);
+/// How FilterCandidates treats a candidate fully connected to L'.
+enum class FullCandidates {
+  kKeep,      ///< append to `full`, and to `kept` when it meets the threshold.
+  kSeparate,  ///< append to `full` only (MBEA absorbs it into R).
+  kStop,      ///< stop the scan and return false (MBEA's exclusion test).
+};
+
+/// The candidate-filter loop of both branch-and-bound engines: for each
+/// v in `candidates`, in order, reads c = |N(v) ∩ L'| from `counts` and
+/// appends v to `full` when c == |L'| (as `mode` says) and to `kept`
+/// when c >= keep_threshold. Output order is candidate order. Returns
+/// false only when kStop met a fully connected candidate. `kept`/`full`
+/// must have capacity >= |candidates|; `full` may be null under kStop.
+bool FilterCandidates(std::span<const VertexId> candidates,
+                      const CandidateCounts& counts,
+                      std::uint32_t keep_threshold, FullCandidates mode,
+                      IdVec* kept, IdVec* full);
 
 /// All vertex ids of one side, ascending (the root "L = U(G)" set).
 std::vector<VertexId> AllVertices(const BipartiteGraph& g, Side side);

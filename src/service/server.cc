@@ -34,11 +34,6 @@ namespace fairbc {
 
 namespace {
 
-/// alpha/beta/delta (and the sweep lists) live in [0, kMaxParamValue]:
-/// far above any meaningful fairness threshold, far below the uint32
-/// wrap that `query alpha=-1` used to silently hit.
-constexpr std::int64_t kMaxParamValue = 1'000'000'000;
-
 std::string Arg(const RequestLine& req, const std::string& key,
                 const std::string& default_value) {
   auto it = req.args.find(key);
@@ -144,7 +139,7 @@ Result<QueryRequest> BuildQueryRequest(const RequestLine& req) {
         {"delta", &query.params.delta, 0}}) {
     auto parsed = IntArg(req, key, default_value);
     if (!parsed.ok()) return parsed.status();
-    if (parsed.value() < 0 || parsed.value() > kMaxParamValue) {
+    if (!ParamInRange(parsed.value())) {
       return RangeError(key, "[0, 1000000000]");
     }
     *field = static_cast<std::uint32_t>(parsed.value());
@@ -152,7 +147,7 @@ Result<QueryRequest> BuildQueryRequest(const RequestLine& req) {
 
   auto theta = DoubleArg(req, "theta", 0.0);
   if (!theta.ok()) return theta.status();
-  if (!(theta.value() >= 0.0) || !(theta.value() <= 1.0)) {
+  if (!ThetaInRange(theta.value())) {
     return RangeError("theta", "[0, 1]");
   }
   query.params.theta = theta.value();
@@ -183,7 +178,7 @@ Result<QueryRequest> BuildQueryRequest(const RequestLine& req) {
 
   auto top_k = IntArg(req, "top_k", 0);
   if (!top_k.ok()) return top_k.status();
-  if (top_k.value() < 0 || top_k.value() > kMaxParamValue) {
+  if (!ParamInRange(top_k.value())) {
     return RangeError("top_k", "[0, 1000000000]");
   }
   query.top_k = static_cast<std::uint32_t>(top_k.value());
@@ -503,7 +498,7 @@ std::string ServerSession::Sweep(const RequestLine& req) {
         return Status::InvalidArgument(key + " wants a comma list of " +
                                        "integers, got \"" + token + "\"");
       }
-      if (value < 0 || value > kMaxParamValue) {
+      if (!ParamInRange(value)) {
         return RangeError(key + " values", "[0, 1000000000]");
       }
       values.push_back(static_cast<std::uint32_t>(value));

@@ -9,10 +9,6 @@ namespace wire {
 
 namespace {
 
-/// Same window as the line protocol's BuildQueryRequest: far above any
-/// meaningful fairness threshold, far below unsigned-wrap territory.
-constexpr std::uint32_t kMaxParam = 1'000'000'000;
-
 template <typename T>
 void AppendLE(std::string* out, T v) {
   char bytes[sizeof(T)];
@@ -251,12 +247,11 @@ Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
                          : FairAlgo::kNaive;
   // The exact windows of the line protocol (BuildQueryRequest): the two
   // front doors must accept and reject the same requests.
-  if (req.params.alpha > kMaxParam || req.params.beta > kMaxParam ||
-      req.params.delta > kMaxParam) {
+  if (!ParamInRange(req.params.alpha) || !ParamInRange(req.params.beta) ||
+      !ParamInRange(req.params.delta)) {
     return Status::InvalidArgument("alpha/beta/delta must be in [0, 1e9]");
   }
-  if (!std::isfinite(req.params.theta) || req.params.theta < 0.0 ||
-      req.params.theta > 1.0) {
+  if (!ThetaInRange(req.params.theta)) {
     return Status::InvalidArgument("theta must be in [0, 1]");
   }
   if (ordering > 1) return Status::InvalidArgument("bad ordering byte");
@@ -276,7 +271,7 @@ Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
   req.options.num_threads = threads;
   req.use_cache = (flags & 1) != 0;
   if (stream != nullptr) *stream = (flags & 2) != 0;
-  if (req.top_k > kMaxParam) {
+  if (!ParamInRange(req.top_k)) {
     return Status::InvalidArgument("top_k must be in [0, 1e9]");
   }
   if (rank > 2) return Status::InvalidArgument("bad rank byte");

@@ -200,6 +200,58 @@ TEST(CliEndToEnd, EnumRejectsThreadsOutOfRange) {
   }
 }
 
+// The server's window for the fairness parameters: alpha/beta/delta in
+// [0, 1e9] and theta in [0, 1], not NaN. Unchecked, --alpha=4294967297
+// wrapped to 1 and --delta=-1 to 2^32 - 1, and --theta=-1 ran as 0.
+const char* const kOutOfRangeParams[][2] = {
+    {"--alpha=4294967297", "--alpha must be in [0, 1000000000]"},
+    {"--alpha=-1", "--alpha must be in [0, 1000000000]"},
+    {"--beta=1000000001", "--beta must be in [0, 1000000000]"},
+    {"--delta=-1", "--delta must be in [0, 1000000000]"},
+    {"--theta=-1", "--theta must be in [0, 1]"},
+    {"--theta=1.5", "--theta must be in [0, 1]"},
+    {"--theta=nan", "--theta must be in [0, 1]"},
+};
+
+TEST(CliEndToEnd, EnumRejectsParamsOutOfRange) {
+  std::string graph = GraphPath();
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                " --edges=50")
+                .exit_code,
+            0);
+  for (const auto& [flag, message] : kOutOfRangeParams) {
+    CommandResult r =
+        RunCli("enum --graph=" + graph + " --model=ssfbc --count-only " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
+  }
+  // The window's edges are accepted.
+  for (const std::string flag : {"--alpha=0", "--delta=1000000000",
+                                 "--theta=0", "--theta=1"}) {
+    CommandResult r =
+        RunCli("enum --graph=" + graph + " --model=ssfbc --count-only " + flag);
+    EXPECT_EQ(r.exit_code, 0) << flag << ": " << r.output;
+  }
+}
+
+TEST(CliEndToEnd, VerifyRejectsParamsOutOfRange) {
+  std::string graph = GraphPath();
+  std::string results = ::testing::TempDir() + "/fairbc_cli_results4.txt";
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                " --edges=50")
+                .exit_code,
+            0);
+  ASSERT_EQ(RunCli("enum --graph=" + graph + " --model=ssfbc --out=" + results)
+                .exit_code,
+            0);
+  for (const auto& [flag, message] : kOutOfRangeParams) {
+    CommandResult r = RunCli("verify --graph=" + graph + " --results=" +
+                             results + " --model=ssfbc " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
+  }
+}
+
 TEST(CliEndToEnd, UnknownCommandFails) {
   CommandResult r = RunCli("frobnicate");
   EXPECT_NE(r.exit_code, 0);

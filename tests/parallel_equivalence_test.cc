@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "core/pipeline.h"
 #include "graph/generators.h"
@@ -28,11 +29,32 @@ struct NamedEngine {
   PipelineFn fn;
 };
 
+// MBC: maximal bicliques with |L| >= alpha and |R| >= beta, the MBEA
+// engine without a fair-subset pass on top.
+EnumStats MaximalBicliques(const BipartiteGraph& g,
+                           const FairBicliqueParams& params,
+                           const EnumOptions& options,
+                           const BicliqueSink& sink) {
+  return EnumerateMaximalBicliquesPruned(g, params.alpha, params.beta, options,
+                                         sink);
+}
+
+// FairBCEM, BFairBCEM, and MBEA under FairBCEM++, BFairBCEM++ and plain
+// MBC.
 const NamedEngine kEngines[] = {
     {"SSFBC", EnumerateSSFBC},
     {"SSFBC++", EnumerateSSFBCPlusPlus},
     {"BSFBC", EnumerateBSFBC},
     {"BSFBC++", EnumerateBSFBCPlusPlus},
+    {"MBC", MaximalBicliques},
+};
+
+// The NSF/BNSF baselines: FairBCEM at candidate threshold 1 with
+// prune_small_l off. Without search pruning they do not finish within
+// 5 s on the 120x120 affiliation graphs, so they run on random graphs.
+const NamedEngine kBaselineEngines[] = {
+    {"NSF", EnumerateSSFBCNaive},
+    {"BNSF", EnumerateBSFBCNaive},
 };
 
 BipartiteGraph AffiliationGraph(std::uint64_t seed) {
@@ -44,10 +66,11 @@ BipartiteGraph AffiliationGraph(std::uint64_t seed) {
   return MakeAffiliation(config);
 }
 
-void ExpectEquivalentAcrossThreads(const BipartiteGraph& g,
-                                   const FairBicliqueParams& params,
-                                   const std::string& label) {
-  for (const NamedEngine& engine : kEngines) {
+void ExpectEquivalentAcrossThreads(
+    const BipartiteGraph& g, const FairBicliqueParams& params,
+    const std::string& label,
+    std::span<const NamedEngine> engines = kEngines) {
+  for (const NamedEngine& engine : engines) {
     std::vector<Biclique> serial;
     std::uint64_t serial_count = 0;
     for (unsigned threads : {1u, 2u, 8u}) {
@@ -77,6 +100,20 @@ TEST(ParallelEquivalence, RandomSmallGraphs) {
     BipartiteGraph g = RandomSmallGraph(seed, 10, 0.45);
     ExpectEquivalentAcrossThreads(g, FairBicliqueParams{1, 1, 1, 0.0},
                                   "random seed=" + std::to_string(seed));
+    ExpectEquivalentAcrossThreads(g, FairBicliqueParams{1, 1, 1, 0.0},
+                                  "random seed=" + std::to_string(seed),
+                                  kBaselineEngines);
+  }
+}
+
+// 40x40 random graphs give the baselines 100k-190k search nodes: enough
+// root branches and depth for the 8-lane fan-out to split subtrees.
+TEST(ParallelEquivalence, BaselinesOnLargerRandomGraphs) {
+  for (std::uint64_t seed = 0; seed < 2; ++seed) {
+    BipartiteGraph g = MakeUniformRandom(40, 40, 400, 2, seed);
+    ExpectEquivalentAcrossThreads(g, FairBicliqueParams{1, 2, 1, 0.0},
+                                  "uniform seed=" + std::to_string(seed),
+                                  kBaselineEngines);
   }
 }
 

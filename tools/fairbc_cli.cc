@@ -45,11 +45,13 @@
 // Chrome trace-event JSON — load FILE in Perfetto / chrome://tracing.
 // See docs/OBSERVABILITY.md.
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -122,6 +124,31 @@ fairbc::Result<BipartiteGraph> LoadGraph(const FlagParser& flags) {
   return g;
 }
 
+// Reads --alpha/--beta/--delta/--theta. Prints the error and returns
+// false when a value lies outside the window the server's front doors
+// accept (ParamInRange, ThetaInRange).
+bool ReadFairParams(const FlagParser& flags,
+                    fairbc::FairBicliqueParams* params) {
+  for (auto [name, field, default_value] :
+       {std::tuple<const char*, std::uint32_t*, std::int64_t>{
+            "alpha", &params->alpha, 1},
+        {"beta", &params->beta, 1},
+        {"delta", &params->delta, 0}}) {
+    const std::int64_t value = flags.GetInt(name, default_value);
+    if (!fairbc::ParamInRange(value)) {
+      std::cerr << "error: --" << name << " must be in [0, 1000000000]\n";
+      return false;
+    }
+    *field = static_cast<std::uint32_t>(value);
+  }
+  params->theta = flags.GetDouble("theta", 0.0);
+  if (!fairbc::ThetaInRange(params->theta)) {
+    std::cerr << "error: --theta must be in [0, 1]\n";
+    return false;
+  }
+  return true;
+}
+
 int RunStats(const FlagParser& flags) {
   auto loaded = LoadGraph(flags);
   if (!loaded.ok()) return Fail(loaded.status());
@@ -135,10 +162,7 @@ int RunEnum(const FlagParser& flags) {
   const BipartiteGraph& g = loaded.value();
 
   fairbc::FairBicliqueParams params;
-  params.alpha = static_cast<std::uint32_t>(flags.GetInt("alpha", 1));
-  params.beta = static_cast<std::uint32_t>(flags.GetInt("beta", 1));
-  params.delta = static_cast<std::uint32_t>(flags.GetInt("delta", 0));
-  params.theta = flags.GetDouble("theta", 0.0);
+  if (!ReadFairParams(flags, &params)) return 2;
 
   fairbc::EnumOptions options;
   std::string ordering = flags.GetString("ordering", "deg");
@@ -167,7 +191,7 @@ int RunEnum(const FlagParser& flags) {
     return Fail(Status::InvalidArgument("bad --rank (weight|size|balance)"));
   }
   const std::int64_t top_k_flag = flags.GetInt("top-k", 0);
-  if (top_k_flag < 0 || top_k_flag > 1'000'000'000) {
+  if (!fairbc::ParamInRange(top_k_flag)) {
     return Fail(Status::InvalidArgument("--top-k must be in [0, 1e9]"));
   }
   const auto top_k = static_cast<std::uint32_t>(top_k_flag);
@@ -456,10 +480,7 @@ int RunVerify(const FlagParser& flags) {
   if (!results.ok()) return Fail(results.status());
 
   fairbc::FairBicliqueParams params;
-  params.alpha = static_cast<std::uint32_t>(flags.GetInt("alpha", 1));
-  params.beta = static_cast<std::uint32_t>(flags.GetInt("beta", 1));
-  params.delta = static_cast<std::uint32_t>(flags.GetInt("delta", 0));
-  params.theta = flags.GetDouble("theta", 0.0);
+  if (!ReadFairParams(flags, &params)) return 2;
   fairbc::FairModel model = flags.GetString("model", "ssfbc") == "bsfbc"
                                 ? fairbc::FairModel::kBsfbc
                                 : fairbc::FairModel::kSsfbc;
