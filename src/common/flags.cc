@@ -50,7 +50,10 @@ std::int64_t FlagParser::GetInt(const std::string& name,
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') return default_value;
+  if (end == it->second.c_str() || *end != '\0') {
+    bad_.insert(name);
+    return default_value;
+  }
   return v;
 }
 
@@ -61,7 +64,10 @@ double FlagParser::GetDouble(const std::string& name,
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') return default_value;
+  if (end == it->second.c_str() || *end != '\0') {
+    bad_.insert(name);
+    return default_value;
+  }
   return v;
 }
 
@@ -78,6 +84,10 @@ std::vector<std::string> FlagParser::UnusedFlags() const {
     if (queried_.count(name) == 0) unused.push_back(name);
   }
   return unused;
+}
+
+std::vector<std::string> FlagParser::BadFlags() const {
+  return {bad_.begin(), bad_.end()};
 }
 
 }  // namespace fairbc

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,10 @@ class FlagParser {
 
   bool Has(const std::string& name) const;
 
-  /// Typed getters with defaults; parse errors fall back to the default.
+  /// Typed getters with defaults. A value that does not parse as the
+  /// asked-for type falls back to the default and is recorded in
+  /// BadFlags(), so a tool can refuse it instead of running on the
+  /// default.
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   std::int64_t GetInt(const std::string& name,
@@ -34,9 +38,13 @@ class FlagParser {
   /// reject typos.
   std::vector<std::string> UnusedFlags() const;
 
+  /// Flags whose value GetInt/GetDouble could not parse, in name order.
+  std::vector<std::string> BadFlags() const;
+
  private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> queried_;
+  mutable std::set<std::string> bad_;
   std::vector<std::string> positional_;
 };
 

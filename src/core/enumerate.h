@@ -2,6 +2,7 @@
 #define FAIRBC_CORE_ENUMERATE_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -44,6 +45,12 @@ constexpr bool ParamInRange(std::int64_t value) {
 /// True when `theta` is a proportion in [0, 1]; false for NaN.
 constexpr bool ThetaInRange(double theta) {
   return theta >= 0.0 && theta <= 1.0;
+}
+
+/// True when `seconds` is a time budget every front door accepts: finite
+/// and >= 0 (0 = unlimited); false for NaN and infinities.
+inline bool BudgetInRange(double seconds) {
+  return std::isfinite(seconds) && seconds >= 0.0;
 }
 
 /// One enumerated biclique; both sides sorted ascending, ids refer to the

@@ -26,19 +26,14 @@ std::vector<Biclique> TopKKeeper::Take() {
 ChunkSink::ChunkSink(std::size_t chunk_results, FlushFn flush,
                      const SearchBudget* budget)
     : chunk_results_(chunk_results < 1 ? 1 : chunk_results),
-      flush_(std::move(flush)), budget_(budget) {
-  buffer_.reserve(chunk_results_);
-}
+      flush_(std::move(flush)), budget_(budget) {}
 
 bool ChunkSink::Flush() {
   StreamCheckpoint checkpoint;
   checkpoint.results = results_;
   checkpoint.nodes = budget_ != nullptr ? budget_->nodes() : 0;
   ++chunks_;
-  std::vector<Biclique> chunk;
-  chunk.swap(buffer_);
-  buffer_.reserve(chunk_results_);
-  if (!flush_(std::move(chunk), checkpoint)) {
+  if (!flush_(writer_.Take(), checkpoint)) {
     aborted_ = true;
     return false;
   }
@@ -47,9 +42,9 @@ bool ChunkSink::Flush() {
 
 bool ChunkSink::Accept(const Biclique& b) {
   if (aborted_) return false;
-  buffer_.push_back(b);
+  writer_.Append(b);
   ++results_;
-  if (buffer_.size() >= chunk_results_) return Flush();
+  if (writer_.count() >= chunk_results_) return Flush();
   return true;
 }
 
@@ -57,7 +52,7 @@ void ChunkSink::Finish() {
   // The final flush always runs (even for an empty result set) so the
   // stream carries at least one chunk and its terminal checkpoint —
   // unless a mid-run flush already aborted.
-  if (!aborted_ && (!buffer_.empty() || chunks_ == 0)) Flush();
+  if (!aborted_ && (writer_.count() > 0 || chunks_ == 0)) Flush();
 }
 
 }  // namespace fairbc

@@ -1,6 +1,7 @@
 // Result sinks beyond CollectSink/CountSink (core/enumerate.h): top-k
 // selection (TopKKeeper, TopKSink) and chunked streaming (ChunkSink,
-// StreamCheckpoint). Each is a ResultSink that a caller hands to a
+// StreamCheckpoint), whose chunks are compact encoded bodies
+// (core/chunk_body.h). Each is a ResultSink that a caller hands to a
 // pipeline.h entry point through AsSink(); the entry point's emission
 // stage (BlockEmitter, core/pipeline.cc) then calls it with one remapped
 // Biclique at a time. The service layer (service/query_executor.h:
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/chunk_body.h"
 #include "core/enumerate.h"
 
 namespace fairbc {
@@ -103,18 +105,21 @@ struct StreamCheckpoint {
   std::uint64_t nodes = 0;    ///< search nodes accounted so far.
 };
 
-/// Bounded-buffer streaming stage: buffers accepted results and hands
-/// them to `flush` as chunks of at most `chunk_results`, with the final
-/// (possibly short, possibly empty-run) flush driven by Finish(). The
-/// flush callback returning false aborts the enumeration, exactly like a
-/// sink would. Follows the serialized-sink contract — the callback runs
-/// on whichever worker thread emitted the chunk-completing result, one
-/// call at a time.
+/// Bounded-buffer streaming stage: encodes accepted results straight
+/// into a compact chunk body (core/chunk_body.h) and hands `flush` each
+/// body of at most `chunk_results` results, with the final (possibly
+/// short, possibly empty-run) flush driven by Finish(). The body is the
+/// form the result keeps all the way to the client: the executor's
+/// backlog, the payload cache and the wire share its bytes. The flush
+/// callback returning false aborts the enumeration, exactly like a sink
+/// would. Follows the serialized-sink contract — the callback runs on
+/// whichever worker thread emitted the chunk-completing result, one call
+/// at a time.
 class ChunkSink final : public ResultSink {
  public:
-  /// Receives one chunk (moved) and its checkpoint; false aborts the run.
+  /// Receives one body (moved) and its checkpoint; false aborts the run.
   using FlushFn =
-      std::function<bool(std::vector<Biclique>&& chunk,
+      std::function<bool(ChunkBody&& chunk,
                          const StreamCheckpoint& checkpoint)>;
 
   /// `budget` (optional) supplies StreamCheckpoint::nodes; it must
@@ -138,7 +143,7 @@ class ChunkSink final : public ResultSink {
   const std::size_t chunk_results_;
   const FlushFn flush_;
   const SearchBudget* budget_;
-  std::vector<Biclique> buffer_;
+  ChunkBodyWriter writer_;
   std::uint64_t results_ = 0;
   std::uint64_t chunks_ = 0;
   bool aborted_ = false;

@@ -10,9 +10,9 @@
 namespace fairbc {
 namespace {
 
-/// Byte budget for result bicliques retained in the cache alongside their
-/// summaries (ResultCache payload), so repeated include_bicliques and
-/// streaming queries skip the engines entirely.
+/// Byte budget for encoded result payloads retained in the cache alongside
+/// their summaries (ResultCache payload), so repeated include_bicliques
+/// and streaming queries skip the engines entirely.
 constexpr std::size_t kCacheBicliqueBytes = 16u << 20;
 /// Capacity of the retained-trace ring (`trace` command history).
 constexpr std::size_t kTraceRingCapacity = 32;
@@ -21,32 +21,59 @@ constexpr std::size_t kTraceSpanCapacity = 4096;
 
 using StreamChunk = QueryExecutor::StreamChunk;
 
-/// Frames a result sequence as a stream: bounded chunks with 1-based
-/// contiguous seq and cumulative checkpoints, then an empty `final`
-/// marker carrying the totals. Live runs feed it from the engines and
-/// payload-cache hits from the retained bicliques, so a replayed stream
-/// is framed exactly like the run that filled the cache.
+/// Frames a result sequence as a stream: chunks with 1-based contiguous
+/// seq and cumulative checkpoints, then an empty `final` marker carrying
+/// the totals. Live runs feed it the bodies their ChunkSink encodes and
+/// payload-cache hits the stored bodies, so a replayed stream is framed
+/// exactly like the run that filled the cache.
+class StreamFramer {
+ public:
+  explicit StreamFramer(QueryExecutor::ChunkCallback emit)
+      : emit_(std::move(emit)) {}
+
+  void Chunk(ChunkBody body, std::uint64_t nodes) {
+    results_ += body.count;
+    StreamChunk chunk;
+    chunk.seq = ++seq_;
+    chunk.body = std::move(body);
+    chunk.results_so_far = results_;
+    chunk.nodes_so_far = nodes;
+    emit_(chunk);
+  }
+
+  void End(std::uint64_t nodes) {
+    StreamChunk end;
+    end.seq = ++seq_;
+    end.results_so_far = results_;
+    end.nodes_so_far = nodes;
+    end.final = true;
+    emit_(end);
+  }
+
+ private:
+  const QueryExecutor::ChunkCallback emit_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t results_ = 0;
+};
+
+/// A live run's stream: a ChunkSink encoding bounded bodies into a
+/// StreamFramer.
 class ChunkStream {
  public:
   /// `budget` (nullable) supplies the nodes checkpoint; it must outlive
   /// the stream.
   ChunkStream(std::size_t chunk_results, const SearchBudget* budget,
               QueryExecutor::ChunkCallback emit)
-      : emit_(std::move(emit)),
+      : framer_(std::move(emit)),
         budget_(budget),
         sink_(
             chunk_results,
-            [this](std::vector<Biclique>&& bicliques,
-                   const StreamCheckpoint& checkpoint) {
+            [this](ChunkBody&& body, const StreamCheckpoint& checkpoint) {
               // ChunkSink's guaranteed empty-run flush is skipped: the
               // final marker carries the totals either way.
-              if (bicliques.empty()) return true;
-              StreamChunk chunk;
-              chunk.seq = ++seq_;
-              chunk.bicliques = std::move(bicliques);
-              chunk.results_so_far = checkpoint.results;
-              chunk.nodes_so_far = checkpoint.nodes;
-              emit_(chunk);
+              if (body.count > 0) {
+                framer_.Chunk(std::move(body), checkpoint.nodes);
+              }
               return true;
             },
             budget) {}
@@ -58,20 +85,29 @@ class ChunkStream {
   /// Flushes the last partial chunk, then emits the final marker.
   void Finish() {
     sink_.Finish();
-    StreamChunk end;
-    end.seq = ++seq_;
-    end.results_so_far = sink_.results();
-    end.nodes_so_far = budget_ != nullptr ? budget_->nodes() : 0;
-    end.final = true;
-    emit_(end);
+    framer_.End(budget_ != nullptr ? budget_->nodes() : 0);
   }
 
  private:
-  const QueryExecutor::ChunkCallback emit_;
+  StreamFramer framer_;
   const SearchBudget* const budget_;
-  std::uint64_t seq_ = 0;
   ChunkSink sink_;
 };
+
+/// Encodes a collected result set as the bodies a stream of it would
+/// carry, for the payload cache.
+ResultCache::Payload EncodePayload(const std::vector<Biclique>& bicliques,
+                                   std::size_t chunk_results) {
+  auto bodies = std::make_shared<std::vector<ChunkBody>>();
+  ChunkSink sink(chunk_results,
+                 [&](ChunkBody&& body, const StreamCheckpoint&) {
+                   if (body.count > 0) bodies->push_back(std::move(body));
+                   return true;
+                 });
+  for (const Biclique& b : bicliques) sink.Accept(b);
+  sink.Finish();
+  return bodies;
+}
 
 }  // namespace
 
@@ -371,12 +407,16 @@ void QueryExecutor::Admit(const QueryRequest& request, ChunkCallback on_chunk,
     out.cache_hit = true;
     out.graph_version = entry->version;
     if (streaming) {
-      ChunkStream replay(stream_chunk_results_, nullptr,
-                         [&](const StreamChunk& c) { Deliver(self, c); });
-      for (const Biclique& b : *payload) replay.sink().Accept(b);
-      replay.Finish();
+      // The stored bodies go out as they are: a replay encodes nothing.
+      StreamFramer replay([&](const StreamChunk& c) { Deliver(self, c); });
+      for (const ChunkBody& body : *payload) replay.Chunk(body, 0);
+      replay.End(0);
     } else if (request.include_bicliques) {
-      out.bicliques = *payload;
+      for (const ChunkBody& body : *payload) {
+        out.status = DecodeChunkBody(*body.bytes, &out.bicliques);
+        if (!out.status.ok()) break;
+      }
+      if (!out.status.ok()) failures_->Increment();
     }
     out.seconds = self.timer.ElapsedSeconds();
     self.done(std::move(out));
@@ -450,16 +490,16 @@ void QueryExecutor::Finish(const std::string& key, const Subscriber& leader,
   if (publish && streaming && flight != nullptr) {
     // The run is over and this thread was the backlog's only writer, so
     // it reads the backlog without the flight mutex. Unshared (budgeted)
-    // streams kept no backlog and publish the summary alone.
-    auto bicliques = std::make_shared<std::vector<Biclique>>();
-    bicliques->reserve(static_cast<std::size_t>(out.summary.count));
+    // streams kept no backlog and publish the summary alone. The cache
+    // shares the backlog's bodies; nothing is copied or re-encoded.
+    auto bodies = std::make_shared<std::vector<ChunkBody>>();
+    bodies->reserve(flight->backlog.size());
     for (const StreamChunk& c : flight->backlog) {
-      bicliques->insert(bicliques->end(), c.bicliques.begin(),
-                        c.bicliques.end());
+      if (!c.final) bodies->push_back(c.body);
     }
-    payload = std::move(bicliques);
+    payload = std::move(bodies);
   } else if (publish && !streaming && request.include_bicliques) {
-    payload = std::make_shared<const std::vector<Biclique>>(out.bicliques);
+    payload = EncodePayload(out.bicliques, stream_chunk_results_);
   }
   // Cache insert and flight retirement are one step under the admission
   // lock: no duplicate can miss the cache without finding the flight.

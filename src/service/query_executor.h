@@ -95,7 +95,11 @@ class QueryExecutor {
   /// One streamed slice of a query's result set (ExecuteStreaming).
   struct StreamChunk {
     std::uint64_t seq = 0;  ///< 1-based chunk index within the stream.
-    std::vector<Biclique> bicliques;
+    /// The slice's results as one encoded chunk body (core/chunk_body.h;
+    /// DecodeChunkBody reads it back). Encoded once by the run's
+    /// ChunkSink; the flight backlog, every subscriber, the payload
+    /// cache and the server share its bytes. Empty on the final marker.
+    ChunkBody body;
     /// Cooperative checkpoint: results delivered up to and including this
     /// chunk, and search nodes the shared SearchBudget had accounted when
     /// the chunk was cut (0 for cache-replayed streams — nothing ran).
@@ -144,11 +148,13 @@ class QueryExecutor {
   /// invalid request), which invoke `done` with the error and no chunks.
   ///
   /// Admission is ExecuteAsync's. A cached payload replays inline as
-  /// chunks (cache_hit), framed exactly like a live run. A duplicate of
-  /// an in-flight *streaming* query attaches to the leader's chunk
-  /// stream: the backlog replays inline, live chunks follow, and `done`
-  /// fires with coalesced=true. Streams carrying their own budgets
-  /// neither lead nor attach, so partial streams are never shared.
+  /// chunks (cache_hit): the stored bodies themselves, nothing encoded,
+  /// framed exactly like a live run (nodes_so_far 0: nothing ran). A
+  /// duplicate of an in-flight *streaming* query attaches to the
+  /// leader's chunk stream: the backlog replays inline, live chunks
+  /// follow, and `done` fires with coalesced=true. Streams carrying
+  /// their own budgets neither lead nor attach, so partial streams are
+  /// never shared.
   void ExecuteStreaming(const QueryRequest& request, ChunkCallback on_chunk,
                         Completion done);
 

@@ -143,8 +143,13 @@ std::string StreamChunkJson(const QueryRequest& request,
   os << "\"seq\":" << chunk.seq
      << ",\"results_so_far\":" << chunk.results_so_far
      << ",\"nodes_so_far\":" << chunk.nodes_so_far
-     << ",\"final\":" << (chunk.final ? "true" : "false")
-     << ",\"bicliques\":" << BicliquesJson(chunk.bicliques) << "}";
+     << ",\"final\":" << (chunk.final ? "true" : "false");
+  // The executor's own encoder wrote the body, so it always decodes.
+  std::vector<Biclique> bicliques;
+  if (chunk.body.bytes != nullptr) {
+    FAIRBC_CHECK(DecodeChunkBody(*chunk.body.bytes, &bicliques).ok());
+  }
+  os << ",\"bicliques\":" << BicliquesJson(bicliques) << "}";
   return os.str();
 }
 

@@ -54,7 +54,8 @@ std::string BicliquesJson(const std::vector<Biclique>& bicliques);
 /// One streamed chunk of a `query ... stream=1` line-protocol response:
 /// {"ok":true,"cmd":"chunk","seq":N,...,"bicliques":[...]} — one line per
 /// chunk, followed by the regular query reply line as the end-of-stream
-/// marker. Mirrors the binary protocol's kReplyChunk/kReplyEnd framing.
+/// marker. Mirrors the binary protocol's kReplyChunk/kReplyEnd framing;
+/// the chunk's encoded body is decoded into the "bicliques" array.
 std::string StreamChunkJson(const QueryRequest& request,
                             const QueryExecutor::StreamChunk& chunk);
 

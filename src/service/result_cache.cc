@@ -19,22 +19,20 @@ ResultCache::ResultCache(std::size_t capacity, MetricsRegistry* metrics,
                                    "LRU evictions from the cache.");
   payload_hits_ = metrics->GetCounter(
       "fairbc_cache_payload_hits_total",
-      "Cache hits that also returned retained result bicliques.");
+      "Cache hits that also returned a retained result payload.");
   payload_evictions_ = metrics->GetCounter(
       "fairbc_cache_payload_evictions_total",
-      "Retained biclique payloads shed for the byte budget (or evicted).");
+      "Retained result payloads shed for the byte budget (or evicted).");
   entries_ = metrics->GetGauge("fairbc_cache_entries",
                                "Summaries currently cached.");
   payload_bytes_gauge_ =
       metrics->GetGauge("fairbc_cache_payload_bytes",
-                        "Bytes of retained result bicliques in the cache.");
+                        "Encoded bytes of retained result payloads.");
 }
 
-std::size_t ResultCache::PayloadBytes(const std::vector<Biclique>& bicliques) {
-  std::size_t bytes = bicliques.size() * sizeof(Biclique);
-  for (const Biclique& b : bicliques) {
-    bytes += (b.upper.size() + b.lower.size()) * sizeof(VertexId);
-  }
+std::size_t ResultCache::PayloadBytes(const std::vector<ChunkBody>& bodies) {
+  std::size_t bytes = 0;
+  for (const ChunkBody& body : bodies) bytes += body.bytes->size();
   return bytes;
 }
 

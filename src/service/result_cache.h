@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/chunk_body.h"
 #include "obs/metrics.h"
 #include "service/query.h"
 
@@ -22,10 +23,12 @@ namespace fairbc {
 /// near-identical queries, so even a small cache absorbs most repeats.
 /// Capacity 0 disables the cache (every lookup misses, inserts drop).
 ///
-/// Entries may additionally retain the result *bicliques* (shared,
-/// immutable) up to `biclique_byte_budget` bytes across the cache, so
+/// Entries may additionally retain the result set as the encoded chunk
+/// bodies a stream of it carries (core/chunk_body.h; shared, immutable)
+/// up to `biclique_byte_budget` encoded bytes across the cache, so
 /// repeated include_bicliques / streaming queries skip the engines
-/// entirely. Payloads are dropped LRU-first when the budget is exceeded
+/// entirely: a stream replays the bodies as they are, a collecting query
+/// decodes them. Payloads are dropped LRU-first when the budget is exceeded
 /// — the summary always survives its payload. Budget 0 disables payload
 /// retention (summary-only, the pre-streaming behavior).
 ///
@@ -40,8 +43,9 @@ namespace fairbc {
 /// nothing for a private registry (exact per-instance counts in tests).
 class ResultCache {
  public:
-  /// Shared immutable result payload retained alongside a summary.
-  using Payload = std::shared_ptr<const std::vector<Biclique>>;
+  /// Shared immutable result payload retained alongside a summary: the
+  /// result set's chunk bodies, in stream order.
+  using Payload = std::shared_ptr<const std::vector<ChunkBody>>;
 
   explicit ResultCache(std::size_t capacity,
                        MetricsRegistry* metrics = nullptr,
@@ -51,7 +55,7 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the cached summary and refreshes its recency, or nullopt.
-  /// When `payload` is non-null it receives the retained bicliques (null
+  /// When `payload` is non-null it receives the retained bodies (null
   /// when the entry has none) — a summary hit with a null payload still
   /// needs the engines if the caller wants the bicliques themselves.
   std::optional<QuerySummary> Lookup(const std::string& key,
@@ -91,8 +95,8 @@ class ResultCache {
   std::size_t capacity() const { return capacity_; }
   std::size_t biclique_byte_budget() const { return payload_budget_; }
 
-  /// Approximate retained size of a payload (vector headers + id arrays).
-  static std::size_t PayloadBytes(const std::vector<Biclique>& bicliques);
+  /// Retained size of a payload: its encoded body bytes.
+  static std::size_t PayloadBytes(const std::vector<ChunkBody>& bodies);
 
  private:
   struct CachedResult {

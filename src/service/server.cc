@@ -162,7 +162,7 @@ Result<QueryRequest> BuildQueryRequest(const RequestLine& req) {
 
   auto budget = DoubleArg(req, "budget", 0.0);
   if (!budget.ok()) return budget.status();
-  if (!(budget.value() >= 0.0)) return RangeError("budget", "[0, inf)");
+  if (!BudgetInRange(budget.value())) return RangeError("budget", "[0, inf)");
   query.options.time_budget_seconds = budget.value();
 
   auto threads = IntArg(req, "threads", 1);
@@ -611,7 +611,7 @@ class Reactor {
   /// Hands a freshly accepted (non-blocking, CLOEXEC, NODELAY) socket to
   /// this reactor. Called from the accept thread.
   void Adopt(int fd, std::uint64_t id) {
-    PostOp(Op{Op::kAdopt, fd, id, 0, {}});
+    PostOp(Op{Op::kAdopt, fd, id, 0, {}, {}});
   }
 
   /// Delivers an async query result for connection `conn_id`'s response
@@ -620,15 +620,26 @@ class Reactor {
   /// admission, only the body travels.
   void PostCompletion(std::uint64_t conn_id, std::uint64_t seq,
                       std::string body) {
-    PostOp(Op{Op::kComplete, -1, conn_id, seq, std::move(body)});
+    PostOp(Op{Op::kComplete, -1, conn_id, seq, std::move(body), {}});
   }
 
-  /// Delivers one encoded stream chunk for connection `conn_id`'s slot
-  /// `seq`. The op queue is FIFO, so chunk order — and the final
-  /// PostCompletion after the last chunk — is inherited from the
-  /// executor's per-stream delivery order.
-  void PostChunk(std::uint64_t conn_id, std::uint64_t seq, std::string body) {
-    PostOp(Op{Op::kChunk, -1, conn_id, seq, std::move(body)});
+  /// One stream chunk on its way to a connection: the shared encoded
+  /// body with its kReplyChunk header fields on binary connections, a
+  /// pre-tagged JSON line on line-protocol ones.
+  struct StreamPart {
+    std::uint64_t seq = 0;
+    std::uint64_t results_so_far = 0;
+    std::uint64_t nodes_so_far = 0;
+    ChunkBody body;
+    std::string line;
+  };
+
+  /// Delivers one stream chunk for connection `conn_id`'s slot `seq`. The
+  /// op queue is FIFO, so chunk order — and the final PostCompletion
+  /// after the last chunk — is inherited from the executor's per-stream
+  /// delivery order.
+  void PostChunk(std::uint64_t conn_id, std::uint64_t seq, StreamPart part) {
+    PostOp(Op{Op::kChunk, -1, conn_id, seq, {}, std::move(part)});
   }
 
   void RequestStop() {
@@ -697,10 +708,8 @@ class Reactor {
       wire::Opcode opcode = wire::Opcode::kReply;
       std::uint64_t request_id = 0;
       std::string body;
-      /// Encoded-but-unflushed stream chunks, in stream order:
-      /// kReplyChunk payloads on binary connections, pre-tagged JSON
-      /// lines on line-protocol ones.
-      std::deque<std::string> chunks;
+      /// Unflushed stream chunks, in stream order.
+      std::vector<StreamPart> chunks;
     };
     std::deque<Slot> pending;
     std::uint64_t next_seq = 1;
@@ -713,15 +722,21 @@ class Reactor {
     int fd;
     std::uint64_t conn_id;
     std::uint64_t seq;
-    std::string body;
+    std::string body;  ///< kComplete: the response body.
+    StreamPart part;   ///< kChunk: the chunk.
   };
 
   void PostOp(Op op) {
+    bool was_empty;
     {
       std::lock_guard<std::mutex> lock(ops_mu_);
+      was_empty = ops_.empty();
       ops_.push_back(std::move(op));
     }
-    Wake();
+    // Only the post that makes the queue non-empty wakes the loop: the
+    // loop swaps the whole queue out after draining the eventfd, so any
+    // later post lands in a batch it has yet to take, or wakes it anew.
+    if (was_empty) Wake();
   }
 
   void Wake() {
@@ -777,12 +792,16 @@ class Reactor {
     return ops_.empty();
   }
 
+  /// Applies the whole queued batch, then flushes each connection it
+  /// touched once, so a burst of chunks leaves in as few sends as the
+  /// socket allows.
   void ApplyOps() {
     std::vector<Op> ops;
     {
       std::lock_guard<std::mutex> lock(ops_mu_);
       ops.swap(ops_);
     }
+    std::vector<std::uint64_t> touched;
     for (Op& op : ops) {
       if (op.kind == Op::kAdopt) {
         auto conn = std::make_unique<Connection>(server_.catalog_,
@@ -807,7 +826,7 @@ class Reactor {
         for (Connection::Slot& slot : c->pending) {
           if (slot.seq == op.seq) {
             if (op.kind == Op::kChunk) {
-              slot.chunks.push_back(std::move(op.body));
+              slot.chunks.push_back(std::move(op.part));
             } else {
               slot.body = std::move(op.body);
               slot.ready = true;
@@ -815,8 +834,15 @@ class Reactor {
             break;
           }
         }
-        Flush(c);
+        touched.push_back(op.conn_id);
       }
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (std::uint64_t id : touched) {
+      // Flush may close its connection, so no pointer outlives it.
+      auto it = conns_.find(id);
+      if (it != conns_.end()) Flush(it->second.get());
     }
   }
 
@@ -1107,13 +1133,17 @@ class Reactor {
           // The executor's empty end-of-stream marker is dropped: the
           // kReplyEnd frame / regular reply line is the wire's marker.
           if (chunk.final) return;
-          std::string body =
-              binary ? wire::EncodeChunkPayload(chunk.seq,
-                                                chunk.results_so_far,
-                                                chunk.nodes_so_far,
-                                                chunk.bicliques)
-                     : TagSessionJson(conn_id, StreamChunkJson(query, chunk));
-          self->PostChunk(conn_id, seq, std::move(body));
+          StreamPart part;
+          if (binary) {
+            // The body travels as encoded; the reactor only frames it.
+            part.seq = chunk.seq;
+            part.results_so_far = chunk.results_so_far;
+            part.nodes_so_far = chunk.nodes_so_far;
+            part.body = chunk.body;
+          } else {
+            part.line = TagSessionJson(conn_id, StreamChunkJson(query, chunk));
+          }
+          self->PostChunk(conn_id, seq, std::move(part));
         },
         std::move(complete));
   }
@@ -1127,19 +1157,20 @@ class Reactor {
       Connection::Slot& slot = c->pending.front();
       // Stream chunks flush as soon as their slot reaches the front:
       // progressive delivery without ever reordering responses.
-      while (!slot.chunks.empty()) {
+      for (const StreamPart& part : slot.chunks) {
         if (slot.binary) {
-          wire::Frame frame;
-          frame.opcode = wire::Opcode::kReplyChunk;
-          frame.request_id = slot.request_id;
-          frame.payload = std::move(slot.chunks.front());
-          wire::EncodeFrame(frame, &c->wbuf);
+          const std::string& body = *part.body.bytes;
+          wire::AppendFrameHeader(&c->wbuf, wire::Opcode::kReplyChunk,
+                                  slot.request_id,
+                                  wire::kChunkHeaderBytes + body.size());
+          wire::AppendChunkPayload(&c->wbuf, part.seq, part.results_so_far,
+                                   part.nodes_so_far, body);
         } else {
-          c->wbuf += slot.chunks.front();
+          c->wbuf += part.line;
           c->wbuf += '\n';
         }
-        slot.chunks.pop_front();
       }
+      slot.chunks.clear();
       if (!slot.ready) break;  // response (or stream tail) still pending.
       if (slot.binary) {
         wire::Frame frame;

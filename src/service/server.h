@@ -80,9 +80,10 @@ RequestLine ParseRequestLine(const std::string& line);
 /// defaults as `fairbc_cli enum`. Numeric arguments are strictly
 /// validated: alpha/beta/delta/top_k must be integers in [0, 1e9] (a
 /// negative value must NOT wrap to a huge unsigned), theta must be in
-/// [0, 1], budget must be >= 0 and threads in [0, 1024]; rid must pass
-/// ValidRequestId. The `stream` key is transport-level and read by the
-/// caller, not stored in the QueryRequest.
+/// [0, 1], budget must be finite and >= 0 (BudgetInRange, also the
+/// binary protocol's and the CLI's window) and threads in [0, 1024]; rid
+/// must pass ValidRequestId. The `stream` key is transport-level and read
+/// by the caller, not stored in the QueryRequest.
 Result<QueryRequest> BuildQueryRequest(const RequestLine& req);
 
 /// Prefixes `"session":id` into a `{...}` response object (identity on

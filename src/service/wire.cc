@@ -1,8 +1,9 @@
 #include "service/wire.h"
 
 #include <bit>
-#include <cmath>
 #include <cstring>
+
+#include "core/chunk_body.h"
 
 namespace fairbc {
 namespace wire {
@@ -113,14 +114,29 @@ bool Reader::ReadString16(std::string* v) {
   return true;
 }
 
-void EncodeFrame(const Frame& frame, std::string* out) {
-  FAIRBC_CHECK(frame.payload.size() <= 0xFFFFFFFFu);
+namespace {
+
+void AppendHeader(std::string* out, std::uint8_t version, Opcode opcode,
+                  std::uint64_t request_id, std::size_t payload_len) {
+  FAIRBC_CHECK(payload_len <= 0xFFFFFFFFu);
   AppendU16(out, kMagic);
-  AppendU8(out, frame.version);
-  AppendU8(out, static_cast<std::uint8_t>(frame.opcode));
-  AppendU64(out, frame.request_id);
-  AppendU32(out, static_cast<std::uint32_t>(frame.payload.size()));
+  AppendU8(out, version);
+  AppendU8(out, static_cast<std::uint8_t>(opcode));
+  AppendU64(out, request_id);
+  AppendU32(out, static_cast<std::uint32_t>(payload_len));
+}
+
+}  // namespace
+
+void EncodeFrame(const Frame& frame, std::string* out) {
+  AppendHeader(out, frame.version, frame.opcode, frame.request_id,
+               frame.payload.size());
   out->append(frame.payload);
+}
+
+void AppendFrameHeader(std::string* out, Opcode opcode,
+                       std::uint64_t request_id, std::size_t payload_len) {
+  AppendHeader(out, kVersion, opcode, request_id, payload_len);
 }
 
 DecodeResult DecodeFrame(std::string_view buf, std::size_t max_payload,
@@ -199,7 +215,7 @@ std::string EncodeQueryPayload(const QueryRequest& request, bool stream) {
   AppendU8(&out, static_cast<std::uint8_t>((request.use_cache ? 1 : 0) |
                                            (stream ? 2 : 0)));
   // Extension tail (always emitted by this encoder; decoders treat its
-  // absence — v1 frames from older clients — as all defaults).
+  // absence — the short form older encoders wrote — as all defaults).
   AppendU32(&out, request.top_k);
   AppendU8(&out, request.rank == TopKRank::kWeight ? 0
                  : request.rank == TopKRank::kSize ? 1
@@ -261,8 +277,7 @@ Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
   req.options.pruning = pruning == 0   ? PruningLevel::kColorful
                         : pruning == 1 ? PruningLevel::kCore
                                        : PruningLevel::kNone;
-  if (!std::isfinite(req.options.time_budget_seconds) ||
-      req.options.time_budget_seconds < 0.0) {
+  if (!BudgetInRange(req.options.time_budget_seconds)) {
     return Status::InvalidArgument("budget must be in [0, inf)");
   }
   if (threads > 1024) {
@@ -286,64 +301,34 @@ Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
   return req;
 }
 
+void AppendChunkPayload(std::string* out, std::uint64_t seq,
+                        std::uint64_t results_so_far,
+                        std::uint64_t nodes_so_far, std::string_view body) {
+  AppendU64(out, seq);
+  AppendU64(out, results_so_far);
+  AppendU64(out, nodes_so_far);
+  out->append(body.data(), body.size());
+}
+
 std::string EncodeChunkPayload(std::uint64_t seq, std::uint64_t results_so_far,
                                std::uint64_t nodes_so_far,
                                const std::vector<Biclique>& bicliques) {
   std::string out;
-  AppendU64(&out, seq);
-  AppendU64(&out, results_so_far);
-  AppendU64(&out, nodes_so_far);
-  FAIRBC_CHECK(bicliques.size() <= 0xFFFFFFFFu);
-  AppendU32(&out, static_cast<std::uint32_t>(bicliques.size()));
-  for (const Biclique& b : bicliques) {
-    FAIRBC_CHECK(b.upper.size() <= 0xFFFFFFFFu &&
-                 b.lower.size() <= 0xFFFFFFFFu);
-    AppendU32(&out, static_cast<std::uint32_t>(b.upper.size()));
-    for (VertexId v : b.upper) AppendU32(&out, v);
-    AppendU32(&out, static_cast<std::uint32_t>(b.lower.size()));
-    for (VertexId v : b.lower) AppendU32(&out, v);
-  }
+  AppendChunkPayload(&out, seq, results_so_far, nodes_so_far,
+                     *EncodeChunkBody(bicliques).bytes);
   return out;
 }
 
 Result<ChunkPayload> DecodeChunkPayload(std::string_view payload) {
   Reader r(payload);
   ChunkPayload chunk;
-  std::uint32_t count = 0;
   if (!r.ReadU64(&chunk.seq) || !r.ReadU64(&chunk.results_so_far) ||
-      !r.ReadU64(&chunk.nodes_so_far) || !r.ReadU32(&count)) {
+      !r.ReadU64(&chunk.nodes_so_far)) {
     return Status::InvalidArgument("truncated chunk payload");
   }
-  // Each biclique needs at least its two u32 size fields, so a hostile
-  // count is refused against the remaining bytes before any allocation.
-  if (count > r.remaining() / 8) {
-    return Status::InvalidArgument("chunk count exceeds payload");
-  }
-  chunk.bicliques.resize(count);
-  for (Biclique& b : chunk.bicliques) {
-    std::uint32_t n = 0;
-    if (!r.ReadU32(&n) || n > r.remaining() / sizeof(std::uint32_t)) {
-      return Status::InvalidArgument("truncated chunk biclique");
-    }
-    b.upper.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!r.ReadU32(&b.upper[i])) {
-        return Status::InvalidArgument("truncated chunk biclique");
-      }
-    }
-    if (!r.ReadU32(&n) || n > r.remaining() / sizeof(std::uint32_t)) {
-      return Status::InvalidArgument("truncated chunk biclique");
-    }
-    b.lower.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!r.ReadU32(&b.lower[i])) {
-        return Status::InvalidArgument("truncated chunk biclique");
-      }
-    }
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after chunk payload");
-  }
+  Status st =
+      DecodeChunkBody(payload.substr(kChunkHeaderBytes), &chunk.bicliques);
+  if (!st.ok()) return st;
   return chunk;
 }
 

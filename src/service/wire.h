@@ -20,7 +20,7 @@ namespace wire {
 ///
 ///   offset  size  field
 ///   0       2     magic        0xFBBC
-///   2       1     version      kVersion (currently 1)
+///   2       1     version      kVersion (currently 2)
 ///   3       1     opcode       Opcode
 ///   4       8     request id   echoed verbatim in the response frame
 ///   12      4     payload len  bytes following the header
@@ -32,9 +32,13 @@ namespace wire {
 /// headers are answered with one kError frame (ErrorCode::kBadFrame /
 /// kUnsupportedVersion) before the connection closes — a parser can not
 /// resynchronize inside a corrupt length-prefixed stream.
+///
+/// Version 2 carries kReplyChunk results as compact chunk bodies
+/// (core/chunk_body.h) instead of version 1's raw u32 ids; a version 1
+/// peer is answered with kUnsupportedVersion rather than misparsing one.
 
 inline constexpr std::uint16_t kMagic = 0xFBBC;
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// True when a connection's first byte announces the binary protocol.
@@ -50,7 +54,7 @@ enum class Opcode : std::uint8_t {
   // Responses (high bit set).
   kPong = 0x81,   ///< reply to kPing; empty payload.
   kReply = 0x82,  ///< payload: the JSON object the line protocol prints.
-  /// One streamed slice of a query's result set (EncodeChunkPayload).
+  /// One streamed slice of a query's result set (AppendChunkPayload).
   /// A streaming query is answered by zero or more kReplyChunk frames
   /// followed by exactly one kReplyEnd frame, all echoing the request id,
   /// delivered contiguously and in stream order — responses stay in
@@ -129,6 +133,11 @@ class Reader {
 /// Serializes `frame` (header + payload) onto `out`.
 void EncodeFrame(const Frame& frame, std::string* out);
 
+/// Appends a kVersion frame header announcing `payload_len` bytes; the
+/// caller appends exactly that many payload bytes after it.
+void AppendFrameHeader(std::string* out, Opcode opcode,
+                       std::uint64_t request_id, std::size_t payload_len);
+
 enum class FrameStatus {
   kOk,        ///< one complete frame decoded; `consumed` bytes used.
   kNeedMore,  ///< the buffer holds a valid prefix; read more bytes.
@@ -164,8 +173,8 @@ DecodeResult DecodeFrame(std::string_view buf, std::size_t max_payload,
 ///   u32       threads
 ///   u8        flags      bit0 = use_cache, bit1 = stream
 ///
-/// followed by an OPTIONAL extension tail (absent in v1 frames from older
-/// clients — the decoder treats end-of-payload here as all defaults):
+/// followed by an OPTIONAL extension tail (absent in the short form older
+/// encoders wrote — the decoder treats end-of-payload here as all defaults):
 ///
 ///   u32       top_k      0 = full enumeration
 ///   u8        rank       0 = weight, 1 = size, 2 = balance
@@ -192,14 +201,21 @@ struct ChunkPayload {
 /// kReplyChunk payload:
 ///
 ///   u64  seq, u64 results_so_far, u64 nodes_so_far
-///   u32  count
-///   then per biclique: u32 |L| + |L| x u32 ids, u32 |R| + |R| x u32 ids
+///   then one chunk body (core/chunk_body.h) to the end of the payload
+inline constexpr std::size_t kChunkHeaderBytes = 24;
+
+/// Appends a kReplyChunk payload carrying an already encoded `body`.
+void AppendChunkPayload(std::string* out, std::uint64_t seq,
+                        std::uint64_t results_so_far,
+                        std::uint64_t nodes_so_far, std::string_view body);
+
+/// Encodes `bicliques` as one body, then as a kReplyChunk payload.
 std::string EncodeChunkPayload(std::uint64_t seq, std::uint64_t results_so_far,
                                std::uint64_t nodes_so_far,
                                const std::vector<Biclique>& bicliques);
 
-/// Strict inverse of EncodeChunkPayload (truncated/trailing bytes and
-/// hostile counts rejected from the declared sizes before allocation).
+/// Strict inverse of AppendChunkPayload (a truncated header and every
+/// DecodeChunkBody rejection come back as InvalidArgument).
 Result<ChunkPayload> DecodeChunkPayload(std::string_view payload);
 
 /// kError payload: u16 code + UTF-8 message (rest of payload).

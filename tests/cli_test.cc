@@ -252,6 +252,65 @@ TEST(CliEndToEnd, VerifyRejectsParamsOutOfRange) {
   }
 }
 
+// An unparsable typed flag used to fall back to its default and run:
+// --alpha=abc enumerated as alpha=1 and --threads=abc ran on one thread,
+// both exiting 0. They are usage errors now, and name the flag.
+TEST(CliEndToEnd, UnparsableFlagValuesAreUsageErrors) {
+  std::string graph = GraphPath();
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                " --edges=50")
+                .exit_code,
+            0);
+  for (const std::string flag :
+       {"--alpha=abc", "--threads=abc", "--theta=0.5x", "--budget=soon"}) {
+    const std::string name = flag.substr(2, flag.find('=') - 2);
+    CommandResult r =
+        RunCli("enum --graph=" + graph + " --model=ssfbc --count-only " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find("--" + name + " has an unparsable value"),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("count:"), std::string::npos)
+        << flag << " must not run: " << r.output;
+  }
+  CommandResult gen = RunCli("gen --out=" + graph + " --kind=uniform --nu=2x");
+  EXPECT_EQ(gen.exit_code, 2) << gen.output;
+  EXPECT_NE(gen.output.find("--nu has an unparsable value"), std::string::npos)
+      << gen.output;
+}
+
+// A budget outside the window both server front doors accept (finite and
+// >= 0) is a usage error; it used to run with no budget at all. So are
+// an out-of-range --top-k or --chunk, which used to exit 1.
+TEST(CliEndToEnd, EnumRejectsBudgetTopKAndChunkOutOfRange) {
+  std::string graph = GraphPath();
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                " --edges=50")
+                .exit_code,
+            0);
+  const char* const cases[][2] = {
+      {"--budget=-1", "--budget must be a finite number of seconds >= 0"},
+      {"--budget=nan", "--budget must be a finite number of seconds >= 0"},
+      {"--budget=inf", "--budget must be a finite number of seconds >= 0"},
+      {"--top-k=-1", "--top-k must be in [0, 1e9]"},
+      {"--top-k=1000000001", "--top-k must be in [0, 1e9]"},
+      {"--stream --chunk=0", "--chunk must be in [1, 1e6]"},
+      {"--stream --chunk=1000001", "--chunk must be in [1, 1e6]"},
+  };
+  for (const auto& [flag, message] : cases) {
+    CommandResult r = RunCli("enum --graph=" + graph + " --model=ssfbc " +
+                             std::string(flag) + " --output=json");
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
+  }
+  // The window's edges run.
+  for (const std::string flag : {"--budget=0", "--budget=30", "--top-k=0"}) {
+    CommandResult r =
+        RunCli("enum --graph=" + graph + " --model=ssfbc --count-only " + flag);
+    EXPECT_EQ(r.exit_code, 0) << flag << ": " << r.output;
+  }
+}
+
 TEST(CliEndToEnd, UnknownCommandFails) {
   CommandResult r = RunCli("frobnicate");
   EXPECT_NE(r.exit_code, 0);

@@ -55,6 +55,27 @@ TEST(Flags, DefaultsOnMissingAndMalformed) {
   EXPECT_EQ(p.GetInt("absent", -1), -1);
 }
 
+TEST(Flags, UnparsableTypedValuesAreRecorded) {
+  FlagParser p = Parse({"--alpha=abc", "--theta=0.x", "--threads=3x",
+                        "--beta=2", "--name=imdb"});
+  // Getters still fall back to the default...
+  EXPECT_EQ(p.GetInt("alpha", 1), 1);
+  EXPECT_DOUBLE_EQ(p.GetDouble("theta", 0.0), 0.0);
+  EXPECT_EQ(p.GetInt("beta", 0), 2);
+  EXPECT_EQ(p.GetString("name", ""), "imdb");
+  // ...but the parser remembers which flags did not parse, so a tool can
+  // refuse them. Unread flags are not judged.
+  EXPECT_EQ(p.BadFlags(), (std::vector<std::string>{"alpha", "theta"}));
+  EXPECT_EQ(p.GetInt("threads", 1), 1);
+  EXPECT_EQ(p.BadFlags(),
+            (std::vector<std::string>{"alpha", "theta", "threads"}));
+  // Strings and booleans never fail to parse.
+  FlagParser q = Parse({"--name=12x", "--verbose=maybe"});
+  EXPECT_EQ(q.GetString("name", ""), "12x");
+  EXPECT_FALSE(q.GetBool("verbose", false));
+  EXPECT_TRUE(q.BadFlags().empty());
+}
+
 TEST(Flags, NegativeIntegers) {
   FlagParser p = Parse({"--offset=-12"});
   EXPECT_EQ(p.GetInt("offset", 0), -12);

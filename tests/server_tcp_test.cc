@@ -31,6 +31,7 @@
 #include "graph/snapshot.h"
 #include "service/graph_catalog.h"
 #include "service/query_executor.h"
+#include "service/response_json.h"
 #include "service/wire.h"
 
 namespace fairbc {
@@ -313,11 +314,12 @@ class WireClient {
     return SendRaw(encoded);
   }
 
-  bool SendQuery(std::uint64_t request_id, const std::string& line) {
+  bool SendQuery(std::uint64_t request_id, const std::string& line,
+                 bool stream = false) {
     auto built = BuildQueryRequest(ParseRequestLine(line));
     FAIRBC_CHECK(built.ok());
     return SendFrame(wire::Opcode::kQuery, request_id,
-                     wire::EncodeQueryPayload(built.value()));
+                     wire::EncodeQueryPayload(built.value(), stream));
   }
 
   bool SendRaw(const std::string& data) {
@@ -694,6 +696,104 @@ TEST(WireServerTest, PipelinedBurstKeepsOrderAndCoalescesDuplicates) {
     }
   }
   EXPECT_EQ(fx.executor().execution_count(), kUnique);
+}
+
+/// Reads one binary stream: its kReplyChunk payloads, then the kReplyEnd
+/// JSON. False on a transport error or an unexpected frame.
+bool RecvStream(WireClient& client, std::uint64_t id,
+                std::vector<std::string>* chunks, std::string* end) {
+  for (;;) {
+    wire::Frame frame;
+    if (!client.RecvFrame(&frame) || frame.request_id != id) return false;
+    if (frame.opcode == wire::Opcode::kReplyEnd) {
+      *end = std::move(frame.payload);
+      return true;
+    }
+    if (frame.opcode != wire::Opcode::kReplyChunk) return false;
+    chunks->push_back(std::move(frame.payload));
+  }
+}
+
+/// A stream served live and the same stream replayed from the payload
+/// cache go out as the same frames: equal count, seq and results_so_far,
+/// byte-identical chunk bodies. Both reassemble to the batch digest, the
+/// line protocol's stream=1 replay carries the same bicliques, and a
+/// request pipelined behind a stream is answered after its kReplyEnd.
+TEST(WireServerTest, LiveAndReplayedStreamsCarryIdenticalChunkBodies) {
+  ServerFixture fx;
+  ASSERT_TRUE(fx.catalog().AddGraph("g", ServerTestGraph()).ok());
+  const std::string query = "query graph=g alpha=2 beta=2 delta=1";
+
+  WireClient client(fx.port());
+  ASSERT_TRUE(client.connected());
+  std::vector<std::string> live, replay;
+  std::string live_end, replay_end;
+  ASSERT_TRUE(client.SendQuery(1, query, /*stream=*/true));
+  ASSERT_TRUE(RecvStream(client, 1, &live, &live_end));
+  EXPECT_EQ(JsonField(live_end, "cache_hit"), "false") << live_end;
+
+  // The replay, with a ping pipelined right behind it.
+  ASSERT_TRUE(client.SendQuery(2, query, /*stream=*/true));
+  ASSERT_TRUE(client.SendFrame(wire::Opcode::kPing, 3));
+  ASSERT_TRUE(RecvStream(client, 2, &replay, &replay_end));
+  EXPECT_EQ(JsonField(replay_end, "cache_hit"), "true") << replay_end;
+  wire::Frame pong;
+  ASSERT_TRUE(client.RecvFrame(&pong));
+  EXPECT_EQ(pong.opcode, wire::Opcode::kPong);
+  EXPECT_EQ(pong.request_id, 3u);
+  EXPECT_EQ(fx.executor().execution_count(), 1u);
+
+  ASSERT_GE(live.size(), 2u) << "the query must span several chunks";
+  ASSERT_EQ(replay.size(), live.size());
+  DigestAccumulator digest;
+  BicliqueSink sink = digest.Wrap([](const Biclique&) { return true; });
+  std::vector<std::vector<Biclique>> chunk_sets;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    auto a = wire::DecodeChunkPayload(live[i]);
+    auto b = wire::DecodeChunkPayload(replay[i]);
+    ASSERT_TRUE(a.ok() && b.ok()) << i;
+    EXPECT_EQ(a.value().seq, i + 1);
+    EXPECT_EQ(b.value().seq, i + 1);
+    EXPECT_EQ(a.value().results_so_far, b.value().results_so_far) << i;
+    EXPECT_EQ(b.value().nodes_so_far, 0u) << "a replay runs nothing";
+    EXPECT_EQ(live[i].substr(wire::kChunkHeaderBytes),
+              replay[i].substr(wire::kChunkHeaderBytes))
+        << "chunk " << i << " body differs between live and replay";
+    for (const Biclique& bc : a.value().bicliques) sink(bc);
+    chunk_sets.push_back(std::move(a.value().bicliques));
+  }
+  QuerySummary reassembled;
+  digest.FillSummary(&reassembled);
+
+  ASSERT_TRUE(client.SendQuery(4, query));
+  wire::Frame batch;
+  ASSERT_TRUE(client.RecvFrame(&batch));
+  ASSERT_EQ(batch.opcode, wire::Opcode::kReply);
+  EXPECT_EQ(JsonHex64(reassembled.digest), JsonField(batch.payload, "digest"));
+  EXPECT_EQ(std::to_string(reassembled.count),
+            JsonField(batch.payload, "count"));
+  EXPECT_EQ(JsonField(live_end, "digest"), JsonField(batch.payload, "digest"));
+
+  // The line protocol decodes the same bodies into its JSON chunk lines.
+  LineClient line(fx.port());
+  ASSERT_TRUE(line.connected());
+  ASSERT_TRUE(line.Send(query + " stream=1"));
+  for (std::size_t i = 0; i < chunk_sets.size(); ++i) {
+    const std::string chunk_line = line.RecvLine();
+    ASSERT_NE(chunk_line.find("\"cmd\":\"chunk\""), std::string::npos)
+        << chunk_line;
+    const std::string marker = "\"bicliques\":";
+    const std::size_t at = chunk_line.find(marker);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(chunk_line.substr(at + marker.size(),
+                                chunk_line.size() - at - marker.size() - 1),
+              BicliquesJson(chunk_sets[i]))
+        << "chunk " << i;
+  }
+  const std::string end_line = line.RecvLine();
+  EXPECT_EQ(JsonField(end_line, "cache_hit"), "true") << end_line;
+  EXPECT_EQ(JsonField(end_line, "digest"), JsonField(batch.payload, "digest"));
+  line.Ask("quit");
 }
 
 /// Admission control: with --max-inflight=1 and the only slot held by a

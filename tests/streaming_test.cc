@@ -71,6 +71,16 @@ Biclique MakeBiclique(std::vector<VertexId> upper, std::vector<VertexId> lower) 
   return b;
 }
 
+// A chunk body's results, through the decoder (a null body — the final
+// marker's — holds none).
+std::vector<Biclique> DecodeBody(const ChunkBody& body) {
+  std::vector<Biclique> out;
+  if (body.bytes != nullptr) {
+    EXPECT_TRUE(DecodeChunkBody(*body.bytes, &out).ok());
+  }
+  return out;
+}
+
 // Reassembles a stream's payload into the same order-independent summary
 // the executor computes, so streamed output can be compared byte-for-byte
 // (count/digest/max sizes) against a batch run.
@@ -79,7 +89,7 @@ QuerySummary SummarizeChunks(
   DigestAccumulator acc;
   BicliqueSink sink = acc.Wrap([](const Biclique&) { return true; });
   for (const auto& chunk : chunks)
-    for (const Biclique& b : chunk.bicliques) sink(b);
+    for (const Biclique& b : DecodeBody(chunk.body)) sink(b);
   QuerySummary summary;
   acc.FillSummary(&summary);
   return summary;
@@ -97,8 +107,9 @@ void ExpectStreamFraming(const std::vector<QueryExecutor::StreamChunk>& chunks,
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     const auto& chunk = chunks[i];
     EXPECT_EQ(chunk.seq, i + 1) << label;
-    EXPECT_LE(chunk.bicliques.size(), chunk_results);
-    delivered += chunk.bicliques.size();
+    const std::vector<Biclique> bicliques = DecodeBody(chunk.body);
+    EXPECT_LE(bicliques.size(), chunk_results);
+    delivered += bicliques.size();
     EXPECT_EQ(chunk.results_so_far, delivered) << label;
     EXPECT_EQ(chunk.final, i + 1 == chunks.size()) << label;
   }
@@ -207,8 +218,8 @@ TEST(TopKKeeperTest, KZeroClampsToOne) {
 TEST(ChunkSinkTest, FlushBoundariesCheckpointsAndFinish) {
   std::vector<std::size_t> sizes;
   std::vector<std::uint64_t> checkpoints;
-  ChunkSink sink(3, [&](std::vector<Biclique>&& chunk,
-                        const StreamCheckpoint& cp) {
+  ChunkSink sink(3, [&](ChunkBody&& body, const StreamCheckpoint& cp) {
+    const std::vector<Biclique> chunk = DecodeBody(body);
     sizes.push_back(chunk.size());
     checkpoints.push_back(cp.results);
     return true;
@@ -224,7 +235,8 @@ TEST(ChunkSinkTest, FlushBoundariesCheckpointsAndFinish) {
 
 TEST(ChunkSinkTest, EmptyRunStillFlushesOnce) {
   std::size_t flushes = 0;
-  ChunkSink sink(4, [&](std::vector<Biclique>&& chunk, const StreamCheckpoint&) {
+  ChunkSink sink(4, [&](ChunkBody&& body, const StreamCheckpoint&) {
+    const std::vector<Biclique> chunk = DecodeBody(body);
     ++flushes;
     EXPECT_TRUE(chunk.empty());
     return true;
@@ -234,7 +246,7 @@ TEST(ChunkSinkTest, EmptyRunStillFlushesOnce) {
 }
 
 TEST(ChunkSinkTest, FlushRejectionAbortsTheRun) {
-  ChunkSink sink(1, [](std::vector<Biclique>&&, const StreamCheckpoint&) {
+  ChunkSink sink(1, [](ChunkBody&&, const StreamCheckpoint&) {
     return false;
   });
   EXPECT_FALSE(sink.Accept(MakeBiclique({1}, {2})));
@@ -526,6 +538,57 @@ TEST(StreamCacheTest, RetainedPayloadReplaysChunksOnRepeat) {
   EXPECT_EQ(second.result.summary.digest, first.result.summary.digest);
   ExpectStreamFraming(second.chunks, options.stream_chunk_results,
                       first.result.summary.count, "cache replay");
+}
+
+// One payload serves both kinds of cache hit: a collecting run's payload
+// replays as a stream framed like a live one, and a stream's payload
+// decodes back into a collecting hit's bicliques, in emission order.
+TEST(StreamCacheTest, PayloadServesCollectingAndStreamingHits) {
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.AddGraph("g", StreamTestGraph()).ok());
+  QueryExecutorOptions options;
+  options.num_threads = 2;
+  options.stream_chunk_results = 32;
+  QueryExecutor exec(catalog, options);
+
+  QueryRequest collect =
+      BaseRequest("g", FairModel::kSsfbc, FairAlgo::kPlusPlus, 1);
+  collect.use_cache = true;
+  collect.include_bicliques = true;
+  const QueryResult collected = exec.Execute(collect);
+  ASSERT_TRUE(collected.status.ok());
+  ASSERT_GT(collected.bicliques.size(), options.stream_chunk_results);
+  StreamRun replay;
+  replay.Start(exec, collect);
+  replay.Wait();
+  ASSERT_TRUE(replay.result.cache_hit);
+  ExpectStreamFraming(replay.chunks, options.stream_chunk_results,
+                      collected.summary.count, "collected payload replay");
+  std::vector<Biclique> replayed;
+  for (const auto& chunk : replay.chunks) {
+    for (Biclique& b : DecodeBody(chunk.body)) replayed.push_back(std::move(b));
+  }
+  EXPECT_EQ(replayed, collected.bicliques);
+
+  QueryRequest stream =
+      BaseRequest("g", FairModel::kSsfbc, FairAlgo::kPlusPlus, 1);
+  stream.params.alpha = 3;
+  stream.use_cache = true;
+  StreamRun live;
+  live.Start(exec, stream);
+  live.Wait();
+  ASSERT_FALSE(live.result.cache_hit);
+  std::vector<Biclique> streamed;
+  for (const auto& chunk : live.chunks) {
+    for (Biclique& b : DecodeBody(chunk.body)) streamed.push_back(std::move(b));
+  }
+  stream.include_bicliques = true;
+  const QueryResult hit = exec.Execute(stream);
+  ASSERT_TRUE(hit.status.ok());
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.bicliques, streamed);
+  EXPECT_EQ(hit.summary.digest, live.result.summary.digest);
+  EXPECT_EQ(exec.execution_count(), 2u);
 }
 
 // --- chunk wire codec -------------------------------------------------------

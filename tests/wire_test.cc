@@ -4,17 +4,23 @@
 // decoder's inputs are hostile by definition — rejection paths for
 // truncated, oversized and corrupted bytes, including a deterministic
 // fuzz-style corruption loop that the ASan/UBSan CI job turns into a
-// no-undefined-behavior proof.
+// no-undefined-behavior proof. The kReplyChunk body codec
+// (core/chunk_body.h) gets a round-trip property over random ascending
+// bicliques and a seeded hostile-input fuzz of its decoder.
 
 #include "service/wire.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "core/chunk_body.h"
+#include "core/result_sink.h"
+#include "graph/varint_codec.h"
 #include "service/query.h"
 
 namespace fairbc {
@@ -319,6 +325,194 @@ TEST(WireReaderTest, BoundsCheckedReadsNeverOverrun) {
   EXPECT_FALSE(r2.ReadString16(&out));
 }
 
+
+// --- chunk bodies -----------------------------------------------------------
+
+/// Deterministic xorshift so failures reproduce.
+struct XorShift {
+  std::uint64_t state;
+  std::uint64_t operator()() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  }
+};
+
+/// Up to `n` distinct ascending valid ids drawn from [lo, lo + span).
+std::vector<VertexId> AscendingIds(XorShift& rng, std::size_t n,
+                                   std::uint64_t lo, std::uint64_t span) {
+  const std::uint64_t hi = std::min<std::uint64_t>(lo + span, kInvalidVertex);
+  std::vector<VertexId> ids;
+  std::uint64_t id = lo;
+  for (std::size_t i = 0; i < n; ++i) {
+    id += rng() % 5;
+    if (id >= hi) break;
+    ids.push_back(static_cast<VertexId>(id));
+    ++id;
+  }
+  return ids;
+}
+
+/// A random result sequence shaped like FairBCEM++ output: runs that keep
+/// one side and vary the other, identical repeats, empty sides, and ids
+/// up to the largest valid one.
+std::vector<Biclique> RandomResults(XorShift& rng, std::size_t count) {
+  std::vector<Biclique> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    Biclique b;
+    const std::uint64_t kind = rng() % 6;
+    if (kind == 0 && !out.empty()) {
+      b = out.back();  // identical to the previous result.
+    } else if (kind <= 2 && !out.empty()) {
+      b = out.back();  // keeps a prefix of one side, regrows its tail.
+      std::vector<VertexId>& side = rng() % 2 == 0 ? b.upper : b.lower;
+      side.resize(side.empty() ? 0 : rng() % (side.size() + 1));
+      const std::uint64_t from = side.empty() ? 0 : side.back() + 1;
+      for (VertexId v : AscendingIds(rng, rng() % 6, from, 64)) {
+        side.push_back(v);
+      }
+    } else {
+      const std::uint64_t lo =
+          rng() % 4 == 0 ? kInvalidVertex - 40 : rng() % 1000;
+      b.upper = AscendingIds(rng, rng() % 8, lo, 40);
+      b.lower = AscendingIds(rng, rng() % 8, rng() % 1000, 200);
+    }
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+TEST(ChunkBodyTest, RoundTripsRandomAscendingBicliquesPerChunk) {
+  XorShift rng{0xC0FFEE1234567ull};
+  for (int round = 0; round < 200; ++round) {
+    const std::vector<Biclique> results = RandomResults(rng, rng() % 200);
+    const std::size_t width = 1 + rng() % 70;
+    std::vector<ChunkBody> bodies;
+    ChunkSink sink(width, [&](ChunkBody&& body, const StreamCheckpoint&) {
+      bodies.push_back(std::move(body));
+      return true;
+    });
+    for (const Biclique& b : results) ASSERT_TRUE(sink.Accept(b));
+    sink.Finish();
+
+    std::vector<Biclique> decoded;
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      // Each body decodes on its own: the prefix state resets at every
+      // chunk start, so the sink's body is byte-identical to a fresh
+      // encoding of the same slice.
+      const std::size_t begin = i * width;
+      const std::size_t end = std::min(results.size(), begin + width);
+      const std::vector<Biclique> slice(results.begin() + begin,
+                                        results.begin() + end);
+      EXPECT_EQ(bodies[i].count, slice.size());
+      EXPECT_EQ(*bodies[i].bytes, *EncodeChunkBody(slice).bytes);
+      std::vector<Biclique> alone;
+      ASSERT_TRUE(DecodeChunkBody(*bodies[i].bytes, &alone).ok());
+      EXPECT_EQ(alone, slice);
+      ASSERT_TRUE(DecodeChunkBody(*bodies[i].bytes, &decoded).ok());
+    }
+    EXPECT_EQ(decoded, results) << "round " << round;
+  }
+  // Through the wire payload too, header fields included.
+  const std::vector<Biclique> results = RandomResults(rng, 50);
+  auto chunk = DecodeChunkPayload(EncodeChunkPayload(4, 200, 17, results));
+  ASSERT_TRUE(chunk.ok());
+  EXPECT_EQ(chunk.value().seq, 4u);
+  EXPECT_EQ(chunk.value().results_so_far, 200u);
+  EXPECT_EQ(chunk.value().nodes_so_far, 17u);
+  EXPECT_EQ(chunk.value().bicliques, results);
+}
+
+/// A hand-built body: `varints` in order.
+std::string Body(std::initializer_list<std::uint64_t> varints) {
+  std::string out;
+  for (std::uint64_t v : varints) AppendVarint(&out, v);
+  return out;
+}
+
+TEST(ChunkBodyTest, HandBuiltBodiesAndTheirRejections) {
+  std::vector<Biclique> out;
+  // count 1: upper {5, 7} (gaps 5, 1), lower {} .
+  ASSERT_TRUE(DecodeChunkBody(Body({1, 0, 2, 5, 1, 0, 0}), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].upper, (std::vector<VertexId>{5, 7}));
+  EXPECT_TRUE(out[0].lower.empty());
+  // Second result shares upper's prefix of 1 ({5}) and appends 6.
+  out.clear();
+  ASSERT_TRUE(
+      DecodeChunkBody(Body({2, 0, 2, 5, 1, 0, 0, 1, 1, 0, 0, 0}), &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].upper, (std::vector<VertexId>{5, 6}));
+  // The largest valid id decodes; one past it does not.
+  out.clear();
+  EXPECT_TRUE(DecodeChunkBody(Body({1, 0, 1, kInvalidVertex - 1, 0, 0}), &out)
+                  .ok());
+  out.clear();
+
+  const std::string rejected[] = {
+      Body({}),                                   // no count.
+      Body({1000, 0, 0, 0, 0}),                   // count beyond the bytes.
+      Body({std::numeric_limits<std::uint64_t>::max()}),
+      Body({1, 1, 0, 0, 0}),                      // prefix on the first result.
+      Body({2, 0, 1, 5, 0, 0, 2, 0, 0, 0}),       // prefix longer than prev.
+      Body({1, 0, 100, 1, 2, 3}),                 // suffix beyond the bytes.
+      Body({1, 0, 1, kInvalidVertex, 0, 0}),      // id == kInvalidVertex.
+      Body({1, 0, 2, kInvalidVertex - 1, 0, 0, 0}),  // next id overflows.
+      Body({1, 0, 1, std::numeric_limits<std::uint64_t>::max(), 0, 0}),
+      Body({1, 0, 1, 5, 0, 0, 9}),                // trailing byte.
+      std::string("\x01\x00\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f",
+                  14),                            // over-long varint.
+  };
+  for (const std::string& body : rejected) {
+    out.assign(1, Biclique{});  // a rejected body leaves `out` as it was.
+    EXPECT_FALSE(DecodeChunkBody(body, &out).ok());
+    EXPECT_EQ(out.size(), 1u);
+  }
+}
+
+TEST(ChunkBodyTest, FuzzedBodiesAlwaysComeBackAsStatus) {
+  XorShift rng{0x5EED5EED5EEDull};
+  const std::string pristine = *EncodeChunkBody(RandomResults(rng, 64)).bytes;
+  std::vector<Biclique> out;
+  // Every truncation of a valid body, and a trailing byte.
+  for (std::size_t len = 0; len < pristine.size(); ++len) {
+    out.clear();
+    EXPECT_FALSE(DecodeChunkBody(pristine.substr(0, len), &out).ok()) << len;
+  }
+  EXPECT_FALSE(DecodeChunkBody(pristine + '\0', &out).ok());
+  // Bit flips: the decoder may accept a flipped body (a flipped gap is
+  // just another id) but must report through Status, and whatever it
+  // accepts must be ascending and in range.
+  for (int round = 0; round < 3000; ++round) {
+    std::string bytes = pristine;
+    const int flips = 1 + static_cast<int>(rng() % 4);
+    for (int f = 0; f < flips; ++f) {
+      bytes[rng() % bytes.size()] ^= static_cast<char>(1u << (rng() % 8));
+    }
+    out.clear();
+    if (!DecodeChunkBody(bytes, &out).ok()) continue;
+    for (const Biclique& b : out) {
+      for (const auto* side : {&b.upper, &b.lower}) {
+        for (std::size_t i = 0; i < side->size(); ++i) {
+          ASSERT_LT((*side)[i], kInvalidVertex);
+          if (i > 0) ASSERT_LT((*side)[i - 1], (*side)[i]);
+        }
+      }
+    }
+  }
+  // Random bytes of any length, bare and behind a chunk header.
+  for (int round = 0; round < 3000; ++round) {
+    std::string bytes;
+    const std::size_t len = rng() % 96;
+    for (std::size_t i = 0; i < len; ++i) {
+      bytes.push_back(static_cast<char>(rng() & 0xFF));
+    }
+    out.clear();
+    (void)DecodeChunkBody(bytes, &out);
+    (void)DecodeChunkPayload(bytes);
+  }
+}
 }  // namespace
 }  // namespace wire
 }  // namespace fairbc

@@ -3,7 +3,9 @@
 # fairbc_server, replay a canned 20-query trace over the line protocol,
 # and assert every response's count + result-set digest matches a
 # fairbc_cli run of the same parameters. Also checks the repeated
-# queries at the end of the trace were served from the ResultCache.
+# queries at the end of the trace were served from the ResultCache, and
+# replays the trace once more with stream=1, checking every query's JSON
+# chunk lines and end line against the same oracle.
 # Then restarts the server in TCP mode (--port=0, mmap preload) and
 # replays the same trace through TWO PARALLEL TCP clients, diffing both
 # response streams against the same CLI oracle — exercising concurrent
@@ -154,6 +156,46 @@ if [ "$hits" -lt 4 ] || [ "$cache_hits" -lt 4 ]; then
   exit 1
 fi
 echo "stdin OK: 20 responses match fairbc_cli; $hits cache hits"
+
+echo "== streamed line-protocol replay: JSON chunk lines vs the oracle"
+# The same trace with stream=1 on stdin: every query answers with
+# {"cmd":"chunk",...} lines (decoded from the compact chunk bodies) and
+# then its regular reply line. Per query, the bicliques summed over its
+# chunk lines and the end line's count + digest must equal the oracle's.
+sed 's/^query .*/& stream=1/' "$TRACE" > "$WORK/trace_stream.txt"
+"$SERVER" < "$WORK/trace_stream.txt" > "$WORK/responses_stream.txt"
+ORACLE=$(for i in "${!PARAMS[@]}"; do
+  echo "${CLI_COUNT[$i]} ${CLI_DIGEST[$i]}"
+done)
+ORACLE="$ORACLE" python3 - "$WORK/responses_stream.txt" <<'PY' \
+  || { echo "streamed line-protocol replay failed"; exit 1; }
+import json, os, sys
+oracle = [line.split() for line in os.environ["ORACLE"].splitlines()]
+lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
+assert lines[0].get("ok") and lines[0].get("cmd") == "load", lines[0]
+pos, chunks_seen = 1, 0
+for i, (count, digest) in enumerate(oracle):
+    streamed, seq = 0, 0
+    while lines[pos].get("cmd") == "chunk":
+        chunk = lines[pos]
+        seq += 1
+        streamed += len(chunk["bicliques"])
+        assert chunk["seq"] == seq, (i, chunk["seq"], seq)
+        assert chunk["results_so_far"] == streamed, (i, chunk)
+        pos += 1
+    end = lines[pos]
+    pos += 1
+    chunks_seen += seq
+    assert end.get("ok"), (i, end)
+    if streamed != int(count) or str(end["count"]) != count \
+            or end["digest"] != digest:
+        sys.exit("stream query %d: chunks carry %d, end line %s/%s, "
+                 "oracle %s/%s" % (i, streamed, end["count"],
+                                   end["digest"], count, digest))
+assert chunks_seen >= len(oracle), chunks_seen
+print("line stream OK: %d streamed queries match fairbc_cli (%d chunk lines)"
+      % (len(oracle), chunks_seen))
+PY
 
 echo "== differential check: v3 (compressed) snapshot vs the v2 oracle"
 # Save the served graph as a v3 compressed snapshot through the server's

@@ -83,6 +83,24 @@ int Fail(const Status& status) {
   return 1;
 }
 
+/// Usage errors (bad flag values) exit 2, like Usage().
+int UsageError(const std::string& message) {
+  std::cerr << "error: " << message << "\n";
+  return 2;
+}
+
+/// Names every integer or number flag whose value did not parse; true
+/// when there was one. Called once a command has read its flags and
+/// before it acts, so a typo like --alpha=abc never runs as the default.
+bool ReportBadFlags(const FlagParser& flags) {
+  const std::vector<std::string> bad = flags.BadFlags();
+  for (const std::string& name : bad) {
+    std::cerr << "error: --" << name << " has an unparsable value \""
+              << flags.GetString(name, "") << "\"\n";
+  }
+  return !bad.empty();
+}
+
 int Usage() {
   std::cerr << "usage: fairbc_cli <stats|enum|gen|snapshot|verify> [flags]\n"
                "run with a command to see its flags (top of tools/"
@@ -152,6 +170,7 @@ bool ReadFairParams(const FlagParser& flags,
 int RunStats(const FlagParser& flags) {
   auto loaded = LoadGraph(flags);
   if (!loaded.ok()) return Fail(loaded.status());
+  if (ReportBadFlags(flags)) return 2;
   std::cout << fairbc::StatsReport(loaded.value());
   return 0;
 }
@@ -173,6 +192,11 @@ int RunEnum(const FlagParser& flags) {
                     : pruning == "core" ? fairbc::PruningLevel::kCore
                                         : fairbc::PruningLevel::kColorful;
   options.time_budget_seconds = flags.GetDouble("budget", 0.0);
+  // The window both server front doors accept (BudgetInRange): a NaN or
+  // negative budget must not run as "no budget".
+  if (!fairbc::BudgetInRange(options.time_budget_seconds)) {
+    return UsageError("--budget must be a finite number of seconds >= 0");
+  }
   // 1 = serial (default, reproducible output order), 0 = all cores.
   std::int64_t threads = flags.GetInt("threads", 1);
   if (threads < 0 || threads > 1024) {
@@ -192,14 +216,15 @@ int RunEnum(const FlagParser& flags) {
   }
   const std::int64_t top_k_flag = flags.GetInt("top-k", 0);
   if (!fairbc::ParamInRange(top_k_flag)) {
-    return Fail(Status::InvalidArgument("--top-k must be in [0, 1e9]"));
+    return UsageError("--top-k must be in [0, 1e9]");
   }
   const auto top_k = static_cast<std::uint32_t>(top_k_flag);
   const bool stream = flags.GetBool("stream", false);
   const std::int64_t chunk_results = flags.GetInt("chunk", 64);
   if (chunk_results < 1 || chunk_results > 1'000'000) {
-    return Fail(Status::InvalidArgument("--chunk must be in [1, 1e6]"));
+    return UsageError("--chunk must be in [1, 1e6]");
   }
+  if (ReportBadFlags(flags)) return 2;
 
   const bool json = flags.GetString("output", "text") == "json";
   const std::string trace_out = flags.GetString("trace-out", "");
@@ -243,18 +268,20 @@ int RunEnum(const FlagParser& flags) {
     options.shared_budget = &*stream_budget;
     chunker.emplace(
         static_cast<std::size_t>(chunk_results),
-        [&](std::vector<fairbc::Biclique>&& bicliques,
+        [&](fairbc::ChunkBody&& body,
             const fairbc::StreamCheckpoint& checkpoint) {
-          if (bicliques.empty()) return true;
+          if (body.count == 0) return true;
           if (json) {
             fairbc::QueryExecutor::StreamChunk chunk;
             chunk.seq = ++chunk_seq;
             chunk.results_so_far = checkpoint.results;
             chunk.nodes_so_far = checkpoint.nodes;
-            chunk.bicliques = std::move(bicliques);
+            chunk.body = std::move(body);
             std::cout << fairbc::StreamChunkJson(fairbc::QueryRequest(), chunk)
                       << "\n";
           } else {
+            std::vector<fairbc::Biclique> bicliques;
+            FAIRBC_CHECK(fairbc::DecodeChunkBody(*body.bytes, &bicliques).ok());
             for (const fairbc::Biclique& b : bicliques) {
               std::cout << b.DebugString() << "\n";
             }
@@ -385,6 +412,7 @@ int RunSnapshot(const FlagParser& flags) {
       return Fail(Status::InvalidArgument("--block-edges must be in [1, 1e9]"));
     }
     options.block_edges = static_cast<std::uint32_t>(block_edges);
+    if (ReportBadFlags(flags)) return 2;
     Status st = fairbc::WriteSnapshot(loaded.value(), out, options);
     if (!st.ok()) return Fail(st);
     std::cout << "wrote snapshot " << out << " v" << options.version
@@ -445,19 +473,21 @@ int RunGen(const FlagParser& flags) {
   auto attrs = static_cast<fairbc::AttrId>(flags.GetInt("attrs", 2));
   auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   std::string kind = flags.GetString("kind", "affiliation");
+  const double gamma = flags.GetDouble("gamma", 2.2);
+  const auto communities =
+      static_cast<std::uint32_t>(flags.GetInt("communities", 60));
+  if (ReportBadFlags(flags)) return 2;
 
   BipartiteGraph g;
   if (kind == "uniform") {
     g = fairbc::MakeUniformRandom(nu, nv, edges, attrs, seed);
   } else if (kind == "powerlaw") {
-    g = fairbc::MakePowerLaw(nu, nv, edges, flags.GetDouble("gamma", 2.2),
-                             attrs, seed);
+    g = fairbc::MakePowerLaw(nu, nv, edges, gamma, attrs, seed);
   } else {
     fairbc::AffiliationConfig config;
     config.num_upper = nu;
     config.num_lower = nv;
-    config.num_communities =
-        static_cast<std::uint32_t>(flags.GetInt("communities", 60));
+    config.num_communities = communities;
     config.num_upper_attrs = attrs;
     config.num_lower_attrs = attrs;
     config.seed = seed;
@@ -481,6 +511,7 @@ int RunVerify(const FlagParser& flags) {
 
   fairbc::FairBicliqueParams params;
   if (!ReadFairParams(flags, &params)) return 2;
+  if (ReportBadFlags(flags)) return 2;
   fairbc::FairModel model = flags.GetString("model", "ssfbc") == "bsfbc"
                                 ? fairbc::FairModel::kBsfbc
                                 : fairbc::FairModel::kSsfbc;

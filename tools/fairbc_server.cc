@@ -54,6 +54,7 @@
 #include <csignal>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -91,21 +92,46 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Every flag is read before anything starts, so an unparsable value
+  // stops the server before it listens or loads instead of running as
+  // the flag's default.
+  const auto pool_threads = flags.GetInt("threads", 0);
+  const auto cache = flags.GetInt("cache", 256);
+  const double slow_query_ms = flags.GetDouble("slow-query-ms", -1.0);
+  const auto metrics_port = flags.GetInt("metrics-port", -1);
+  const std::string preload = flags.GetString("preload", "");
+  const bool use_mmap = flags.GetBool("mmap", false);
+  const auto port = flags.GetInt("port", -1);
+  const auto max_sessions = flags.GetInt("max-sessions", 8);
+  const auto reactor_threads = flags.GetInt("reactor-threads", 0);
+  const auto max_inflight = flags.GetInt("max-inflight", 256);
+  const auto max_request_bytes =
+      flags.GetInt("max-request-bytes",
+                   static_cast<std::int64_t>(fairbc::kDefaultMaxRequestBytes));
+  const auto client_deadline_ms = flags.GetInt("client-deadline-ms", 0);
+  const std::vector<std::string> bad = flags.BadFlags();
+  for (const std::string& name : bad) {
+    std::cerr << "error: --" << name << " has an unparsable value \""
+              << flags.GetString(name, "") << "\"\n";
+  }
+  if (!bad.empty()) return 2;
+  for (const std::string& name : flags.UnusedFlags()) {
+    std::cerr << "warning: unknown flag --" << name << " ignored\n";
+  }
+
   GraphCatalog catalog;
   fairbc::QueryExecutorOptions options;
-  auto pool_threads = flags.GetInt("threads", 0);
   if (pool_threads < 0 || pool_threads > 1024) {
     std::cerr << "error: --threads must be in [0, 1024]\n";
     return 1;
   }
   options.num_threads = static_cast<unsigned>(pool_threads);
-  auto cache = flags.GetInt("cache", 256);
   options.cache_capacity = cache < 0 ? 0 : static_cast<std::size_t>(cache);
   // The server reports into the process registry so one scrape (the
   // `metrics` command or --metrics-port) covers executor, cache, kernel
   // and reactor counters together.
   options.metrics = &fairbc::MetricsRegistry::Global();
-  options.slow_query_ms = flags.GetDouble("slow-query-ms", -1.0);
+  options.slow_query_ms = slow_query_ms;
   if (options.slow_query_ms >= 0.0) {
     options.slow_query_log = [](const fairbc::QueryRequest& request,
                                 const fairbc::QueryResult& result) {
@@ -119,7 +145,6 @@ int main(int argc, char** argv) {
   fairbc::QueryExecutor executor(catalog, options);
 
   fairbc::MetricsHttpServer metrics_http(&fairbc::MetricsRegistry::Global());
-  auto metrics_port = flags.GetInt("metrics-port", -1);
   if (metrics_port >= 0) {
     if (metrics_port > 65535) {
       std::cerr << "error: --metrics-port must be in [0, 65535]\n";
@@ -137,8 +162,6 @@ int main(int argc, char** argv) {
 
   // --preload=NAME=PATH loads one snapshot before serving (--mmap maps
   // it in place instead of copying).
-  std::string preload = flags.GetString("preload", "");
-  const bool use_mmap = flags.GetBool("mmap", false);
   if (!preload.empty()) {
     auto eq = preload.find('=');
     if (eq == std::string::npos) {
@@ -155,17 +178,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto port = flags.GetInt("port", -1);
-  auto max_sessions = flags.GetInt("max-sessions", 8);
-  auto reactor_threads = flags.GetInt("reactor-threads", 0);
-  auto max_inflight = flags.GetInt("max-inflight", 256);
-  auto max_request_bytes =
-      flags.GetInt("max-request-bytes",
-                   static_cast<std::int64_t>(fairbc::kDefaultMaxRequestBytes));
-  auto client_deadline_ms = flags.GetInt("client-deadline-ms", 0);
-  for (const std::string& name : flags.UnusedFlags()) {
-    std::cerr << "warning: unknown flag --" << name << " ignored\n";
-  }
   if (port >= 0) {
     if (port > 65535) {
       std::cerr << "error: --port must be in [0, 65535]\n";
