@@ -136,4 +136,13 @@ Status DecodeChunkBody(std::string_view body, std::vector<Biclique>* out) {
   return Status::OK();
 }
 
+Status DecodeChunkBodies(const std::vector<ChunkBody>& bodies,
+                         std::vector<Biclique>* out) {
+  for (const ChunkBody& body : bodies) {
+    Status st = DecodeChunkBody(*body.bytes, out);
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
+
 }  // namespace fairbc

@@ -83,6 +83,11 @@ ChunkBody EncodeChunkBody(const std::vector<Biclique>& bicliques);
 /// kMaxChunkBodyIds ids. On error `out` is left as it was.
 Status DecodeChunkBody(std::string_view body, std::vector<Biclique>* out);
 
+/// Decodes `bodies` in order, appending their results to `out`; stops at
+/// the first body DecodeChunkBody rejects and returns its error.
+Status DecodeChunkBodies(const std::vector<ChunkBody>& bodies,
+                         std::vector<Biclique>* out);
+
 }  // namespace fairbc
 
 #endif  // FAIRBC_CORE_CHUNK_BODY_H_

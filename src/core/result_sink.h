@@ -4,9 +4,9 @@
 // (core/chunk_body.h). Each is a ResultSink that a caller hands to a
 // pipeline.h entry point through AsSink(); the entry point's emission
 // stage (BlockEmitter, core/pipeline.cc) then calls it with one remapped
-// Biclique at a time. The service layer (service/query_executor.h:
-// top-k queries and ExecuteStreaming) and the CLI build their output
-// paths from these.
+// Biclique at a time. The query runner (RunQuery, service/query.h)
+// builds every query's output path — for the executor and the CLI —
+// from these.
 //
 // Unless a class documents otherwise, sinks here follow the BicliqueSink
 // threading contract: the pipeline.h entry points hand them whole blocks

@@ -158,4 +158,46 @@ BipartiteGraph SampleEdges(const BipartiteGraph& g, double fraction,
   return std::move(result).value();
 }
 
+Result<BipartiteGraph> GenerateGraph(const GraphSpec& spec) {
+  if (spec.num_upper < 1 || spec.num_upper > 20'000'000 ||
+      spec.num_lower < 1 || spec.num_lower > 20'000'000) {
+    return Status::InvalidArgument("nu/nv must be in [1, 2e7]");
+  }
+  if (spec.num_edges < 0 || spec.num_edges > 200'000'000) {
+    return Status::InvalidArgument("edges must be in [0, 2e8]");
+  }
+  if (spec.num_attrs < 1 || spec.num_attrs > 1024) {
+    return Status::InvalidArgument("attrs must be in [1, 1024]");
+  }
+  if (spec.num_communities < 1 || spec.num_communities > 1'000'000) {
+    return Status::InvalidArgument("communities must be in [1, 1e6]");
+  }
+  if (!(spec.gamma > 1.0) || spec.gamma > 10.0) {
+    return Status::InvalidArgument("gamma must be in (1, 10]");
+  }
+  const auto num_upper = static_cast<VertexId>(spec.num_upper);
+  const auto num_lower = static_cast<VertexId>(spec.num_lower);
+  const auto num_edges = static_cast<EdgeIndex>(spec.num_edges);
+  const auto num_attrs = static_cast<AttrId>(spec.num_attrs);
+  if (spec.kind == "uniform") {
+    return MakeUniformRandom(num_upper, num_lower, num_edges, num_attrs,
+                             spec.seed);
+  }
+  if (spec.kind == "powerlaw") {
+    return MakePowerLaw(num_upper, num_lower, num_edges, spec.gamma,
+                        num_attrs, spec.seed);
+  }
+  if (spec.kind == "affiliation") {
+    AffiliationConfig config;
+    config.num_upper = num_upper;
+    config.num_lower = num_lower;
+    config.num_communities = static_cast<std::uint32_t>(spec.num_communities);
+    config.num_upper_attrs = num_attrs;
+    config.num_lower_attrs = num_attrs;
+    config.seed = spec.seed;
+    return MakeAffiliation(config);
+  }
+  return Status::InvalidArgument("bad kind (uniform|powerlaw|affiliation)");
+}
+
 }  // namespace fairbc

@@ -2,8 +2,10 @@
 #define FAIRBC_GRAPH_GENERATORS_H_
 
 #include <cstdint>
+#include <string>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "graph/bipartite_graph.h"
 
 namespace fairbc {
@@ -63,6 +65,28 @@ BipartiteGraph MakeAffiliation(const AffiliationConfig& config);
 /// and attributes are preserved.
 BipartiteGraph SampleEdges(const BipartiteGraph& g, double fraction,
                            std::uint64_t seed);
+
+/// A generator run as the `gen` front doors (fairbc_cli, the server's
+/// line protocol) read it from their callers: the kind and its raw,
+/// unchecked values. Values a kind does not use are still checked.
+struct GraphSpec {
+  std::string kind = "affiliation";  ///< uniform | powerlaw | affiliation
+  std::int64_t num_upper = 1000;
+  std::int64_t num_lower = 1000;
+  std::int64_t num_edges = 5000;       ///< uniform, powerlaw.
+  std::int64_t num_attrs = 2;          ///< attribute classes per side.
+  std::int64_t num_communities = 60;   ///< affiliation.
+  double gamma = 2.2;                  ///< powerlaw degree exponent.
+  std::uint64_t seed = 42;
+};
+
+/// Checks `spec` against the windows the front doors accept (num_upper
+/// and num_lower in [1, 2e7], num_edges in [0, 2e8], num_attrs in
+/// [1, 1024], num_communities in [1, 1e6], gamma in (1, 10]) and a known
+/// kind, then runs its generator. Out-of-range values are an
+/// InvalidArgument naming the first one, before anything is allocated —
+/// the generators themselves abort on bad parameters.
+Result<BipartiteGraph> GenerateGraph(const GraphSpec& spec);
 
 }  // namespace fairbc
 

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
+#include "core/result_sink.h"
+#include "core/search_context.h"
 #include "graph/snapshot.h"
 
 namespace fairbc {
@@ -19,12 +22,16 @@ std::uint64_t BicliqueHash(const Biclique& b) {
   return Fnv1a64(b.lower.data(), b.lower.size() * sizeof(VertexId), state);
 }
 
+void DigestAccumulator::Add(const Biclique& b) {
+  ++count_;
+  digest_ += BicliqueHash(b);
+  max_upper_ = std::max(max_upper_, static_cast<std::uint32_t>(b.upper.size()));
+  max_lower_ = std::max(max_lower_, static_cast<std::uint32_t>(b.lower.size()));
+}
+
 BicliqueSink DigestAccumulator::Wrap(BicliqueSink inner) {
   return [this, inner = std::move(inner)](const Biclique& b) {
-    ++count_;
-    digest_ += BicliqueHash(b);
-    max_upper_ = std::max(max_upper_, static_cast<std::uint32_t>(b.upper.size()));
-    max_lower_ = std::max(max_lower_, static_cast<std::uint32_t>(b.lower.size()));
+    Add(b);
     return inner(b);
   };
 }
@@ -34,6 +41,100 @@ void DigestAccumulator::FillSummary(QuerySummary* summary) const {
   summary->digest = digest_;
   summary->max_upper = max_upper_;
   summary->max_lower = max_lower_;
+}
+
+void StreamFramer::Chunk(ChunkBody body, std::uint64_t nodes) {
+  results_ += body.count;
+  StreamChunk chunk;
+  chunk.seq = ++seq_;
+  chunk.body = std::move(body);
+  chunk.results_so_far = results_;
+  chunk.nodes_so_far = nodes;
+  emit_(chunk);
+}
+
+void StreamFramer::End(std::uint64_t nodes) {
+  StreamChunk end;
+  end.seq = ++seq_;
+  end.results_so_far = results_;
+  end.nodes_so_far = nodes;
+  end.final = true;
+  emit_(end);
+}
+
+QueryRun RunQuery(const QueryRequest& request, const BipartiteGraph& graph,
+                  std::size_t chunk_results, TraceRecorder* trace,
+                  const ChunkCallback& stream) {
+  QueryRun run;
+  EnumOptions options = request.options;
+  options.trace = trace;
+  // Run-owned budget when streaming: chunk checkpoints read the node
+  // count mid-run, which the engines' internal budget would keep private.
+  std::optional<SearchBudget> budget;
+  std::optional<StreamFramer> framer;
+  if (stream) {
+    budget.emplace(options);
+    options.shared_budget = &*budget;
+    framer.emplace(stream);
+  }
+
+  // The one terminal stage: bounded bodies for the stream framer or the
+  // collected set; none for a summary-only run. ChunkSink's guaranteed
+  // empty-run flush is skipped: the final marker carries the totals, and
+  // an empty set collects no body.
+  std::optional<ChunkSink> chunks;
+  if (stream || request.include_bicliques) {
+    chunks.emplace(
+        chunk_results,
+        [&](ChunkBody&& body, const StreamCheckpoint& checkpoint) {
+          if (body.count == 0) return true;
+          if (framer) {
+            framer->Chunk(std::move(body), checkpoint.nodes);
+          } else {
+            run.bodies.push_back(std::move(body));
+          }
+          return true;
+        },
+        budget ? &*budget : nullptr);
+  }
+  ResultSink* const terminal = chunks ? &*chunks : nullptr;
+  DigestAccumulator digest;
+  BicliqueSink deliver = [&digest, terminal](const Biclique& b) {
+    digest.Add(b);
+    return terminal == nullptr || terminal->Accept(b);
+  };
+
+  if (request.top_k > 0) {
+    // The keeper absorbs the full emission, publishing the k-th best into
+    // the engines' prune bound as it fills; the final ranking then
+    // replays through digest and terminal, so the summary and any stream
+    // describe exactly the kept set, best first.
+    TopKSink topk(request.top_k, request.rank);
+    options.topk = topk.prune_bound();
+    run.summary.stats = RunEnumeration(graph, request.model, request.algo,
+                                       request.params, options, topk.AsSink());
+    topk.Finish();
+    const std::vector<Biclique> best = topk.Take();
+    for (const Biclique& b : best) {
+      if (!deliver(b)) break;
+    }
+    run.summary.stats.num_results = best.size();
+  } else {
+    run.summary.stats = RunEnumeration(graph, request.model, request.algo,
+                                       request.params, options, deliver);
+  }
+  digest.FillSummary(&run.summary);
+  if (chunks) {
+    // A stream's "stream" span covers the post-enumeration delivery tail
+    // (final chunk flush + end-of-stream marker): mid-run flushes happen
+    // inside the enumerate span, and Chrome trace complete events on one
+    // thread must nest — a first-flush-to-last span would straddle
+    // enumerate's boundary.
+    TraceSpan span(framer ? trace : nullptr, "stream");
+    chunks->Finish();
+    if (framer) framer->End(budget->nodes());
+  }
+  return run;
 }
 
 std::string CanonicalCacheKey(const QueryRequest& req,
@@ -89,6 +190,19 @@ std::optional<TopKRank> ParseTopKRank(const std::string& name) {
   if (name == "weight") return TopKRank::kWeight;
   if (name == "size") return TopKRank::kSize;
   if (name == "balance") return TopKRank::kBalance;
+  return std::nullopt;
+}
+
+std::optional<VertexOrdering> ParseVertexOrdering(const std::string& name) {
+  if (name == "deg") return VertexOrdering::kDegreeDesc;
+  if (name == "id") return VertexOrdering::kId;
+  return std::nullopt;
+}
+
+std::optional<PruningLevel> ParsePruningLevel(const std::string& name) {
+  if (name == "colorful") return PruningLevel::kColorful;
+  if (name == "core") return PruningLevel::kCore;
+  if (name == "none") return PruningLevel::kNone;
   return std::nullopt;
 }
 

@@ -1,13 +1,16 @@
 #ifndef FAIRBC_SERVICE_QUERY_H_
 #define FAIRBC_SERVICE_QUERY_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "core/chunk_body.h"
 #include "core/enumerate.h"
 #include "core/pipeline.h"
 #include "core/verify.h"
@@ -62,13 +65,15 @@ struct QuerySummary {
   EnumStats stats;              ///< per-query stats of the producing run.
 };
 
-/// Streaming accumulator for QuerySummary's result-derived fields. Wrap()
-/// returns a sink adapter that updates the accumulator then forwards to
-/// `inner`; it is NOT internally synchronized, which is safe for sinks
-/// handed to the pipeline.h entry points (they serialize sink invocation
-/// — see the BicliqueSink contract in core/enumerate.h).
+/// Streaming accumulator for QuerySummary's result-derived fields. Add()
+/// folds in one result; Wrap() returns a sink adapter that adds each
+/// result then forwards to `inner`. It is NOT internally synchronized,
+/// which is safe for sinks handed to the pipeline.h entry points (they
+/// serialize sink invocation — see the BicliqueSink contract in
+/// core/enumerate.h).
 class DigestAccumulator {
  public:
+  void Add(const Biclique& b);
   BicliqueSink Wrap(BicliqueSink inner);
 
   std::uint64_t count() const { return count_; }
@@ -85,6 +90,76 @@ class DigestAccumulator {
   std::uint32_t max_upper_ = 0;
   std::uint32_t max_lower_ = 0;
 };
+
+/// One streamed slice of a query's result set (RunQuery's stream,
+/// QueryExecutor::ExecuteStreaming).
+struct StreamChunk {
+  std::uint64_t seq = 0;  ///< 1-based chunk index within the stream.
+  /// The slice's results as one encoded chunk body (core/chunk_body.h;
+  /// DecodeChunkBody reads it back). Encoded once by the run's ChunkSink;
+  /// the flight backlog, every subscriber, the payload cache and the
+  /// server share its bytes. Empty on the final marker.
+  ChunkBody body;
+  /// Cooperative checkpoint: results delivered up to and including this
+  /// chunk, and search nodes the run's SearchBudget had accounted when
+  /// the chunk was cut (0 for cache-replayed streams — nothing ran).
+  std::uint64_t results_so_far = 0;
+  std::uint64_t nodes_so_far = 0;
+  bool final = false;  ///< last chunk of the stream.
+};
+
+/// Invoked once per chunk, strictly in stream order, from whichever
+/// thread produced it. Must not block for long and, under QueryExecutor,
+/// must not call back into the executor (the server's reactors hand
+/// chunks straight to a cross-thread post).
+using ChunkCallback = std::function<void(const StreamChunk&)>;
+
+/// Frames a result sequence as a stream: chunks with 1-based contiguous
+/// seq and cumulative checkpoints, then an empty `final` marker carrying
+/// the totals. Live runs (RunQuery) feed it the bodies their ChunkSink
+/// encodes and payload-cache hits the stored bodies, so a replayed
+/// stream is framed exactly like the run that filled the cache.
+class StreamFramer {
+ public:
+  explicit StreamFramer(ChunkCallback emit) : emit_(std::move(emit)) {}
+
+  void Chunk(ChunkBody body, std::uint64_t nodes);
+  void End(std::uint64_t nodes);
+
+ private:
+  const ChunkCallback emit_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t results_ = 0;
+};
+
+/// What one run of a query delivered besides its stream.
+struct QueryRun {
+  QuerySummary summary;
+  /// The result set as the chunk bodies a stream of it would carry
+  /// (DecodeChunkBodies reads them back); filled iff the request asked
+  /// for its bicliques and the run did not stream.
+  std::vector<ChunkBody> bodies;
+};
+
+/// Runs `request` against `graph` and owns the query's whole result path,
+/// the one wiring behind QueryExecutor and `fairbc_cli enum`:
+///  - with `stream` set, a run-owned SearchBudget becomes the engines'
+///    shared budget (chunk checkpoints read its node count) and the
+///    results go to `stream` in chunks of at most `chunk_results`, framed
+///    by a StreamFramer and closed by its final marker; a "stream" span
+///    on `trace` covers that post-enumeration delivery tail;
+///  - otherwise, when request.include_bicliques, they are collected into
+///    QueryRun::bodies, `chunk_results` per body;
+///  - top_k > 0 puts a TopKSink in front (its prune bound goes to the
+///    engines), then replays the kept set best first through the rest,
+///    and stats.num_results counts the kept results.
+/// The summary's count and digest describe exactly the delivered set.
+/// `trace` (null = untraced) receives the engines' phase spans. The
+/// pipeline serializes sink invocation, so this is safe at any
+/// num_threads.
+QueryRun RunQuery(const QueryRequest& request, const BipartiteGraph& graph,
+                  std::size_t chunk_results, TraceRecorder* trace = nullptr,
+                  const ChunkCallback& stream = nullptr);
 
 /// Outcome of one executed (or cache-served, or coalesced) query.
 struct QueryResult {
@@ -120,6 +195,8 @@ std::string CanonicalCacheKey(const QueryRequest& req,
 std::optional<FairModel> ParseFairModel(const std::string& name);
 std::optional<FairAlgo> ParseFairAlgo(const std::string& name);
 std::optional<TopKRank> ParseTopKRank(const std::string& name);
+std::optional<VertexOrdering> ParseVertexOrdering(const std::string& name);
+std::optional<PruningLevel> ParsePruningLevel(const std::string& name);
 const char* ToString(FairModel model);
 const char* ToString(FairAlgo algo);
 const char* ToString(VertexOrdering ordering);

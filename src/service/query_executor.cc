@@ -4,9 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/result_sink.h"
-#include "core/search_context.h"
-
 namespace fairbc {
 namespace {
 
@@ -18,96 +15,6 @@ constexpr std::size_t kCacheBicliqueBytes = 16u << 20;
 constexpr std::size_t kTraceRingCapacity = 32;
 /// Span capacity of each per-query trace buffer.
 constexpr std::size_t kTraceSpanCapacity = 4096;
-
-using StreamChunk = QueryExecutor::StreamChunk;
-
-/// Frames a result sequence as a stream: chunks with 1-based contiguous
-/// seq and cumulative checkpoints, then an empty `final` marker carrying
-/// the totals. Live runs feed it the bodies their ChunkSink encodes and
-/// payload-cache hits the stored bodies, so a replayed stream is framed
-/// exactly like the run that filled the cache.
-class StreamFramer {
- public:
-  explicit StreamFramer(QueryExecutor::ChunkCallback emit)
-      : emit_(std::move(emit)) {}
-
-  void Chunk(ChunkBody body, std::uint64_t nodes) {
-    results_ += body.count;
-    StreamChunk chunk;
-    chunk.seq = ++seq_;
-    chunk.body = std::move(body);
-    chunk.results_so_far = results_;
-    chunk.nodes_so_far = nodes;
-    emit_(chunk);
-  }
-
-  void End(std::uint64_t nodes) {
-    StreamChunk end;
-    end.seq = ++seq_;
-    end.results_so_far = results_;
-    end.nodes_so_far = nodes;
-    end.final = true;
-    emit_(end);
-  }
-
- private:
-  const QueryExecutor::ChunkCallback emit_;
-  std::uint64_t seq_ = 0;
-  std::uint64_t results_ = 0;
-};
-
-/// A live run's stream: a ChunkSink encoding bounded bodies into a
-/// StreamFramer.
-class ChunkStream {
- public:
-  /// `budget` (nullable) supplies the nodes checkpoint; it must outlive
-  /// the stream.
-  ChunkStream(std::size_t chunk_results, const SearchBudget* budget,
-              QueryExecutor::ChunkCallback emit)
-      : framer_(std::move(emit)),
-        budget_(budget),
-        sink_(
-            chunk_results,
-            [this](ChunkBody&& body, const StreamCheckpoint& checkpoint) {
-              // ChunkSink's guaranteed empty-run flush is skipped: the
-              // final marker carries the totals either way.
-              if (body.count > 0) {
-                framer_.Chunk(std::move(body), checkpoint.nodes);
-              }
-              return true;
-            },
-            budget) {}
-  ChunkStream(const ChunkStream&) = delete;  // the sink captures `this`.
-  ChunkStream& operator=(const ChunkStream&) = delete;
-
-  ResultSink& sink() { return sink_; }
-
-  /// Flushes the last partial chunk, then emits the final marker.
-  void Finish() {
-    sink_.Finish();
-    framer_.End(budget_ != nullptr ? budget_->nodes() : 0);
-  }
-
- private:
-  StreamFramer framer_;
-  const SearchBudget* const budget_;
-  ChunkSink sink_;
-};
-
-/// Encodes a collected result set as the bodies a stream of it would
-/// carry, for the payload cache.
-ResultCache::Payload EncodePayload(const std::vector<Biclique>& bicliques,
-                                   std::size_t chunk_results) {
-  auto bodies = std::make_shared<std::vector<ChunkBody>>();
-  ChunkSink sink(chunk_results,
-                 [&](ChunkBody&& body, const StreamCheckpoint&) {
-                   if (body.count > 0) bodies->push_back(std::move(body));
-                   return true;
-                 });
-  for (const Biclique& b : bicliques) sink.Accept(b);
-  sink.Finish();
-  return bodies;
-}
 
 }  // namespace
 
@@ -201,9 +108,9 @@ void QueryExecutor::FinalizeTrace(const QueryRequest& request,
   }
 }
 
-void QueryExecutor::RunQuery(const QueryRequest& request,
-                             const BipartiteGraph& graph, QueryResult* out,
-                             TraceRecorder* trace, const ChunkCallback* emit) {
+QueryRun QueryExecutor::Run(const QueryRequest& request,
+                            const BipartiteGraph& graph, TraceRecorder* trace,
+                            const ChunkCallback& emit) {
   std::function<void(const QueryRequest&)> hook;
   {
     std::lock_guard<std::mutex> lock(hook_mu_);
@@ -212,75 +119,11 @@ void QueryExecutor::RunQuery(const QueryRequest& request,
   if (hook) hook(request);
   TraceSpan span(trace, "execute");
   Timer run_timer;
-  DigestAccumulator digest;
-  EnumOptions options = request.options;
-  options.trace = trace;
-  // Executor-owned budget when streaming: chunk checkpoints read the node
-  // count mid-run, which the engines' internal budget would keep private.
-  SearchBudget budget(options);
-  if (emit != nullptr) options.shared_budget = &budget;
-
-  std::optional<ChunkStream> chunker;
-  if (emit != nullptr) chunker.emplace(stream_chunk_results_, &budget, *emit);
-
-  // Terminal stage the per-result digest wrapper forwards into: streamed
-  // chunks, batch collection, or nothing (summary-only).
-  BicliqueSink terminal;
-  if (chunker) {
-    terminal = chunker->sink().AsSink();
-  } else if (request.include_bicliques) {
-    terminal = [out](const Biclique& b) {
-      out->bicliques.push_back(b);
-      return true;
-    };
-  } else {
-    terminal = [](const Biclique&) { return true; };
-  }
-
-  // The pipeline entry points serialize sink invocation, so the plain
-  // accumulator, vector push_back and chunk buffer are safe at any
-  // num_threads.
-  if (request.top_k > 0) {
-    // Top-k interposes between the engines and the terminal stage: the
-    // keeper absorbs the full emission (publishing the k-th best into the
-    // engines' prune bound as it fills), then the final ranking replays
-    // through digest + terminal so the summary — and any stream — describe
-    // exactly the kept set, best first.
-    TopKSink topk(request.top_k, request.rank);
-    options.topk = topk.prune_bound();
-    out->summary.stats =
-        RunEnumeration(graph, request.model, request.algo, request.params,
-                       options, topk.AsSink());
-    topk.Finish();
-    std::vector<Biclique> best = topk.Take();
-    BicliqueSink wrapped = digest.Wrap(std::move(terminal));
-    for (const Biclique& b : best) {
-      if (!wrapped(b)) break;
-    }
-    out->summary.stats.num_results = best.size();
-  } else {
-    out->summary.stats =
-        RunEnumeration(graph, request.model, request.algo, request.params,
-                       options, digest.Wrap(std::move(terminal)));
-  }
-  digest.FillSummary(&out->summary);
-  if (chunker) {
-    // The "stream" span covers the post-enumeration delivery tail (final
-    // chunk flush + end-of-stream marker): mid-run chunk flushes happen
-    // inside the enumerate span, and Chrome trace complete events on one
-    // thread must nest — a first-flush-to-last span would straddle
-    // enumerate's boundary. First-chunk latency lives in the
-    // fairbc_stream_first_result_seconds histogram instead.
-    const double stream_start_us = trace != nullptr ? trace->NowMicros() : 0.0;
-    chunker->Finish();
-    if (trace != nullptr) {
-      trace->Record("stream", stream_start_us,
-                    trace->NowMicros() - stream_start_us);
-    }
-  }
+  QueryRun run =
+      RunQuery(request, graph, stream_chunk_results_, trace, emit);
   span.End();
 
-  const EnumStats& stats = out->summary.stats;
+  const EnumStats& stats = run.summary.stats;
   executions_->Increment();
   query_seconds_->Observe(run_timer.ElapsedSeconds());
   if (stats.prune_construct_seconds > 0) {
@@ -298,6 +141,7 @@ void QueryExecutor::RunQuery(const QueryRequest& request,
   kernel_merge_->Increment(stats.kernels.merge);
   kernel_gallop_->Increment(stats.kernels.gallop);
   kernel_bitset_->Increment(stats.kernels.bitset);
+  return run;
 }
 
 QueryResult QueryExecutor::Execute(const QueryRequest& request) {
@@ -412,10 +256,7 @@ void QueryExecutor::Admit(const QueryRequest& request, ChunkCallback on_chunk,
       for (const ChunkBody& body : *payload) replay.Chunk(body, 0);
       replay.End(0);
     } else if (request.include_bicliques) {
-      for (const ChunkBody& body : *payload) {
-        out.status = DecodeChunkBody(*body.bytes, &out.bicliques);
-        if (!out.status.ok()) break;
-      }
+      out.status = DecodeChunkBodies(*payload, &out.bicliques);
       if (!out.status.ok()) failures_->Increment();
     }
     out.seconds = self.timer.ElapsedSeconds();
@@ -453,21 +294,32 @@ void QueryExecutor::Admit(const QueryRequest& request, ChunkCallback on_chunk,
       trace->Record("queued", queued_start_us,
                     trace->NowMicros() - queued_start_us);
     }
+    ChunkCallback emit;
+    if (self.on_chunk) {
+      emit = [&](const StreamChunk& chunk) {
+        if (flight == nullptr) return Deliver(self, chunk);
+        // Deliver under the flight mutex: backlog append, own callback
+        // and subscriber fan-out stay atomic against late attachers.
+        std::lock_guard<std::mutex> lock(flight->mu);
+        flight->backlog.push_back(chunk);
+        Deliver(self, chunk);
+        for (Subscriber& sub : flight->subscribers) Deliver(sub, chunk);
+      };
+    }
+    QueryRun run = Run(self.request, entry->graph, trace.get(), emit);
     QueryResult out;
     out.graph_version = entry->version;
-    ChunkCallback emit = [&](const StreamChunk& chunk) {
-      if (flight == nullptr) return Deliver(self, chunk);
-      // Deliver under the flight mutex: backlog append, own callback and
-      // subscriber fan-out stay atomic against late attachers.
-      std::lock_guard<std::mutex> lock(flight->mu);
-      flight->backlog.push_back(chunk);
-      Deliver(self, chunk);
-      for (Subscriber& sub : flight->subscribers) Deliver(sub, chunk);
-    };
-    RunQuery(self.request, entry->graph, &out, trace.get(),
-             self.on_chunk ? &emit : nullptr);
+    out.summary = std::move(run.summary);
+    // A collecting run publishes the bodies it collected as its payload;
+    // its own encoder wrote them, so they always decode.
+    ResultCache::Payload collected;
+    if (self.request.include_bicliques && !self.on_chunk) {
+      FAIRBC_CHECK(DecodeChunkBodies(run.bodies, &out.bicliques).ok());
+      collected =
+          std::make_shared<std::vector<ChunkBody>>(std::move(run.bodies));
+    }
     TraceSpan publish_span(trace.get(), "publish");
-    Finish(key, self, flight, out);
+    Finish(key, self, flight, out, std::move(collected));
     publish_span.End();
     root->End();
     out.seconds = self.timer.ElapsedSeconds();
@@ -479,13 +331,13 @@ void QueryExecutor::Admit(const QueryRequest& request, ChunkCallback on_chunk,
 
 void QueryExecutor::Finish(const std::string& key, const Subscriber& leader,
                            const std::shared_ptr<Flight>& flight,
-                           const QueryResult& out) {
-  const QueryRequest& request = leader.request;
+                           const QueryResult& out,
+                           ResultCache::Payload collected) {
   const bool streaming = static_cast<bool>(leader.on_chunk);
   // Partial runs (deadline/budget tripped) must not poison the cache —
   // and must not be adopted by subscribers, whose own budgets may differ.
   const bool publish =
-      request.use_cache && !out.summary.stats.budget_exhausted;
+      leader.request.use_cache && !out.summary.stats.budget_exhausted;
   ResultCache::Payload payload;
   if (publish && streaming && flight != nullptr) {
     // The run is over and this thread was the backlog's only writer, so
@@ -498,8 +350,8 @@ void QueryExecutor::Finish(const std::string& key, const Subscriber& leader,
       if (!c.final) bodies->push_back(c.body);
     }
     payload = std::move(bodies);
-  } else if (publish && !streaming && request.include_bicliques) {
-    payload = EncodePayload(out.bicliques, stream_chunk_results_);
+  } else if (publish) {
+    payload = std::move(collected);
   }
   // Cache insert and flight retirement are one step under the admission
   // lock: no duplicate can miss the cache without finding the flight.

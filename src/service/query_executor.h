@@ -27,7 +27,8 @@ struct QueryExecutorOptions {
   unsigned num_threads = 0;
   /// ResultCache capacity in entries; 0 disables cross-query reuse.
   std::size_t cache_capacity = 256;
-  /// Results per streamed chunk (ExecuteStreaming's ChunkSink width).
+  /// Results per streamed chunk, and per collected payload body
+  /// (RunQuery's chunk_results).
   std::size_t stream_chunk_results = 64;
   /// Registry all executor and cache telemetry reports through. null =
   /// the executor owns a private registry (exact per-instance counts —
@@ -91,27 +92,6 @@ struct QueryExecutorOptions {
 class QueryExecutor {
  public:
   using Completion = std::function<void(QueryResult)>;
-
-  /// One streamed slice of a query's result set (ExecuteStreaming).
-  struct StreamChunk {
-    std::uint64_t seq = 0;  ///< 1-based chunk index within the stream.
-    /// The slice's results as one encoded chunk body (core/chunk_body.h;
-    /// DecodeChunkBody reads it back). Encoded once by the run's
-    /// ChunkSink; the flight backlog, every subscriber, the payload
-    /// cache and the server share its bytes. Empty on the final marker.
-    ChunkBody body;
-    /// Cooperative checkpoint: results delivered up to and including this
-    /// chunk, and search nodes the shared SearchBudget had accounted when
-    /// the chunk was cut (0 for cache-replayed streams — nothing ran).
-    std::uint64_t results_so_far = 0;
-    std::uint64_t nodes_so_far = 0;
-    bool final = false;  ///< last chunk of the stream.
-  };
-  /// Invoked once per chunk, strictly in stream order. Same calling
-  /// convention as Completion: any thread, must not block for long, and
-  /// must not call back into the executor (the server's reactors hand
-  /// chunks straight to a cross-thread post).
-  using ChunkCallback = std::function<void(const StreamChunk&)>;
 
   explicit QueryExecutor(const GraphCatalog& catalog,
                          const QueryExecutorOptions& options = {});
@@ -249,10 +229,12 @@ class QueryExecutor {
              Completion done);
 
   /// Leader epilogue: publishes a complete run to the cache (with its
-  /// payload for collecting and streaming runs), retires the flight and
-  /// settles its subscribers. `flight` is null for unshared runs.
+  /// payload: the stream's backlog, or `collected`, the bodies a
+  /// collecting run gathered), retires the flight and settles its
+  /// subscribers. `flight` is null for unshared runs.
   void Finish(const std::string& key, const Subscriber& leader,
-              const std::shared_ptr<Flight>& flight, const QueryResult& out);
+              const std::shared_ptr<Flight>& flight, const QueryResult& out,
+              ResultCache::Payload collected);
 
   /// Completes a subscriber with the leader's result (coalesced), or
   /// re-admits it when the leader's run was partial.
@@ -262,16 +244,12 @@ class QueryExecutor {
   /// latency and the chunk counter.
   void Deliver(Subscriber& sub, const StreamChunk& chunk);
 
-  /// Runs the enumeration for `request` against `graph` into `out`
-  /// (digest accumulation, optional biclique collection, top-k selection,
-  /// stats) under an "execute" span on `trace` (null = untraced), then
-  /// folds the run's stats into the registry histograms and kernel
-  /// counters. `emit` (nullable) receives streamed chunks; when set, the
-  /// run drives a ChunkSink over a shared SearchBudget and records a
-  /// "stream" span over the post-enumeration delivery tail.
-  void RunQuery(const QueryRequest& request, const BipartiteGraph& graph,
-                QueryResult* out, TraceRecorder* trace,
-                const ChunkCallback* emit = nullptr);
+  /// One real execution: the execute hook, then RunQuery (the query's
+  /// whole result path; `emit` empty = not streaming) under an "execute"
+  /// span on `trace` (null = untraced), then folds the run's stats into
+  /// the registry histograms and kernel counters.
+  QueryRun Run(const QueryRequest& request, const BipartiteGraph& graph,
+               TraceRecorder* trace, const ChunkCallback& emit);
 
   /// Stamps metadata on the recorder, attaches it to `out`, and retains
   /// it in the ring (+ slow-query log) when out->seconds reaches the

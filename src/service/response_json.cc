@@ -134,7 +134,7 @@ std::string BicliquesJson(const std::vector<Biclique>& bicliques) {
 }
 
 std::string StreamChunkJson(const QueryRequest& request,
-                            const QueryExecutor::StreamChunk& chunk) {
+                            const StreamChunk& chunk) {
   std::ostringstream os;
   os << "{\"ok\":true,\"cmd\":\"chunk\",";
   if (!request.request_id.empty()) {

@@ -57,7 +57,7 @@ std::string BicliquesJson(const std::vector<Biclique>& bicliques);
 /// marker. Mirrors the binary protocol's kReplyChunk/kReplyEnd framing;
 /// the chunk's encoded body is decoded into the "bicliques" array.
 std::string StreamChunkJson(const QueryRequest& request,
-                            const QueryExecutor::StreamChunk& chunk);
+                            const StreamChunk& chunk);
 
 /// Telemetry reply for the server's `cache` command: the ResultCache
 /// counters plus the executor's single-flight counters ("executions",

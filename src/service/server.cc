@@ -152,13 +152,14 @@ Result<QueryRequest> BuildQueryRequest(const RequestLine& req) {
   }
   query.params.theta = theta.value();
 
-  const std::string ordering = Arg(req, "ordering", "deg");
-  query.options.ordering = ordering == "id" ? VertexOrdering::kId
-                                            : VertexOrdering::kDegreeDesc;
-  const std::string pruning = Arg(req, "pruning", "colorful");
-  query.options.pruning = pruning == "none"   ? PruningLevel::kNone
-                          : pruning == "core" ? PruningLevel::kCore
-                                              : PruningLevel::kColorful;
+  auto ordering = ParseVertexOrdering(Arg(req, "ordering", "deg"));
+  if (!ordering) return Status::InvalidArgument("bad ordering (deg|id)");
+  query.options.ordering = *ordering;
+  auto pruning = ParsePruningLevel(Arg(req, "pruning", "colorful"));
+  if (!pruning) {
+    return Status::InvalidArgument("bad pruning (colorful|core|none)");
+  }
+  query.options.pruning = *pruning;
 
   auto budget = DoubleArg(req, "budget", 0.0);
   if (!budget.ok()) return budget.status();
@@ -302,63 +303,28 @@ std::string ServerSession::Load(const RequestLine& req) {
 std::string ServerSession::Gen(const RequestLine& req) {
   const std::string name = Arg(req, "name", "");
   if (name.empty()) return ErrorJson("gen needs name=NAME");
-  const std::string kind = Arg(req, "kind", "affiliation");
-  // Validate everything before casting: the generators FAIRBC_CHECK
-  // (abort) on bad parameters, and a resident server must never die
-  // on a request line.
-  auto nu = IntArg(req, "nu", 1000);
-  auto nv = IntArg(req, "nv", 1000);
-  auto edges = IntArg(req, "edges", 5000);
-  auto attrs = IntArg(req, "attrs", 2);
-  auto communities = IntArg(req, "communities", 60);
-  auto gamma = DoubleArg(req, "gamma", 2.2);
-  auto seed = IntArg(req, "seed", 42);
-  for (const auto* parsed : {&nu, &nv, &edges, &attrs, &communities, &seed}) {
-    if (!parsed->ok()) return ErrorJson(parsed->status());
+  GraphSpec spec;
+  spec.kind = Arg(req, "kind", spec.kind);
+  for (auto [key, field] :
+       {std::pair<const char*, std::int64_t*>{"nu", &spec.num_upper},
+        {"nv", &spec.num_lower},
+        {"edges", &spec.num_edges},
+        {"attrs", &spec.num_attrs},
+        {"communities", &spec.num_communities}}) {
+    auto parsed = IntArg(req, key, *field);
+    if (!parsed.ok()) return ErrorJson(parsed.status());
+    *field = parsed.value();
   }
+  auto gamma = DoubleArg(req, "gamma", spec.gamma);
   if (!gamma.ok()) return ErrorJson(gamma.status());
-  if (nu.value() < 1 || nu.value() > 20'000'000 || nv.value() < 1 ||
-      nv.value() > 20'000'000) {
-    return ErrorJson("nu/nv must be in [1, 2e7]");
-  }
-  if (edges.value() < 0 || edges.value() > 200'000'000) {
-    return ErrorJson("edges must be in [0, 2e8]");
-  }
-  if (attrs.value() < 1 || attrs.value() > 1024) {
-    return ErrorJson("attrs must be in [1, 1024]");
-  }
-  if (communities.value() < 1 || communities.value() > 1'000'000) {
-    return ErrorJson("communities must be in [1, 1e6]");
-  }
-  if (!(gamma.value() > 1.0) || gamma.value() > 10.0) {
-    return ErrorJson("gamma must be in (1, 10]");
-  }
-  BipartiteGraph g;
-  if (kind == "uniform") {
-    g = MakeUniformRandom(static_cast<VertexId>(nu.value()),
-                          static_cast<VertexId>(nv.value()),
-                          static_cast<EdgeIndex>(edges.value()),
-                          static_cast<AttrId>(attrs.value()),
-                          static_cast<std::uint64_t>(seed.value()));
-  } else if (kind == "powerlaw") {
-    g = MakePowerLaw(static_cast<VertexId>(nu.value()),
-                     static_cast<VertexId>(nv.value()),
-                     static_cast<EdgeIndex>(edges.value()), gamma.value(),
-                     static_cast<AttrId>(attrs.value()),
-                     static_cast<std::uint64_t>(seed.value()));
-  } else if (kind == "affiliation") {
-    AffiliationConfig config;
-    config.num_upper = static_cast<VertexId>(nu.value());
-    config.num_lower = static_cast<VertexId>(nv.value());
-    config.num_communities = static_cast<std::uint32_t>(communities.value());
-    config.num_upper_attrs = static_cast<AttrId>(attrs.value());
-    config.num_lower_attrs = static_cast<AttrId>(attrs.value());
-    config.seed = static_cast<std::uint64_t>(seed.value());
-    g = MakeAffiliation(config);
-  } else {
-    return ErrorJson("bad kind (uniform|powerlaw|affiliation)");
-  }
-  Status st = catalog_.AddGraph(name, std::move(g), "<gen:" + kind + ">");
+  spec.gamma = gamma.value();
+  auto seed = IntArg(req, "seed", 42);
+  if (!seed.ok()) return ErrorJson(seed.status());
+  spec.seed = static_cast<std::uint64_t>(seed.value());
+  Result<BipartiteGraph> generated = GenerateGraph(spec);
+  if (!generated.ok()) return ErrorJson(generated.status().message());
+  Status st = catalog_.AddGraph(name, std::move(generated).value(),
+                                "<gen:" + spec.kind + ">");
   if (!st.ok()) return ErrorJson(st);
   return EntryReply("gen", name);
 }
@@ -444,7 +410,7 @@ std::string ServerSession::Query(const RequestLine& req) {
   QueryResult result;
   executor_.ExecuteStreaming(
       query,
-      [&](const QueryExecutor::StreamChunk& chunk) {
+      [&](const StreamChunk& chunk) {
         if (chunk.final) return;  // the reply line is the end marker.
         std::lock_guard<std::mutex> lock(mu);
         lines.push_back(StreamChunkJson(query, chunk));
@@ -1129,7 +1095,7 @@ class Reactor {
     server_.executor_.ExecuteStreaming(
         query,
         [self, conn_id, seq, binary,
-         query](const QueryExecutor::StreamChunk& chunk) {
+         query](const StreamChunk& chunk) {
           // The executor's empty end-of-stream marker is dropped: the
           // kReplyEnd frame / regular reply line is the wire's marker.
           if (chunk.final) return;

@@ -4,11 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "core/enumerate.h"
+#include "core/result_sink.h"
+#include "graph/biclique_io.h"
+#include "service/query.h"
+#include "service/response_json.h"
 
 namespace fairbc {
 namespace {
@@ -309,6 +317,265 @@ TEST(CliEndToEnd, EnumRejectsBudgetTopKAndChunkOutOfRange) {
         RunCli("enum --graph=" + graph + " --model=ssfbc --count-only " + flag);
     EXPECT_EQ(r.exit_code, 0) << flag << ": " << r.output;
   }
+}
+
+// --- enum output in every mode -------------------------------------------
+
+// The ids of a comma list such as "1,2,3" (empty for "").
+std::vector<VertexId> ParseIds(const std::string& list) {
+  std::vector<VertexId> ids;
+  std::istringstream in(list);
+  std::string token;
+  while (std::getline(in, token, ',')) {
+    ids.push_back(static_cast<VertexId>(std::stoul(token)));
+  }
+  return ids;
+}
+
+// The bicliques of enum's text output, in order: one Biclique::DebugString
+// line ("U{1,2} V{3,4}") per result; other lines are skipped.
+std::vector<Biclique> TextBicliques(const std::string& output) {
+  std::vector<Biclique> out;
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("U{", 0) != 0) continue;
+    const auto upper_end = line.find('}');
+    const auto lower_begin = line.find("V{");
+    EXPECT_NE(lower_begin, std::string::npos) << line;
+    Biclique b;
+    b.upper = ParseIds(line.substr(2, upper_end - 2));
+    b.lower =
+        ParseIds(line.substr(lower_begin + 2, line.size() - lower_begin - 3));
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+// One {"cmd":"chunk",...} line of `enum --stream --output=json`.
+struct ChunkLine {
+  std::uint64_t seq = 0;
+  std::uint64_t results_so_far = 0;
+  std::vector<Biclique> bicliques;
+};
+
+std::vector<ChunkLine> JsonChunkLines(const std::string& output) {
+  std::vector<ChunkLine> chunks;
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"cmd\":\"chunk\"") == std::string::npos) continue;
+    ChunkLine chunk;
+    chunk.seq = std::stoull(JsonField(line, "seq"));
+    chunk.results_so_far = std::stoull(JsonField(line, "results_so_far"));
+    // "bicliques":[{"upper":[...],"lower":[...]},...]
+    for (auto pos = line.find("{\"upper\":["); pos != std::string::npos;
+         pos = line.find("{\"upper\":[", pos + 1)) {
+      const auto upper_begin = pos + 10;
+      const auto upper_end = line.find(']', upper_begin);
+      const auto lower_begin = line.find("\"lower\":[", upper_end) + 9;
+      const auto lower_end = line.find(']', lower_begin);
+      Biclique b;
+      b.upper = ParseIds(line.substr(upper_begin, upper_end - upper_begin));
+      b.lower = ParseIds(line.substr(lower_begin, lower_end - lower_begin));
+      chunk.bicliques.push_back(std::move(b));
+    }
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
+// Stream framing of `enum --stream --output=json`: seq contiguous from 1,
+// results_so_far cumulative, at most `chunk_results` per line. Returns
+// the bicliques of all chunk lines, reassembled in order.
+std::vector<Biclique> ReassembleChunks(const std::string& output,
+                                       std::size_t chunk_results) {
+  std::vector<Biclique> out;
+  const std::vector<ChunkLine> chunks = JsonChunkLines(output);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i].seq, i + 1);
+    EXPECT_LE(chunks[i].bicliques.size(), chunk_results);
+    out.insert(out.end(), chunks[i].bicliques.begin(),
+               chunks[i].bicliques.end());
+    EXPECT_EQ(chunks[i].results_so_far, out.size());
+  }
+  return out;
+}
+
+// The count and digest a JSON summary must report for `set`.
+void ExpectJsonSummary(const std::string& output,
+                       const std::vector<Biclique>& set,
+                       const std::string& label) {
+  std::uint64_t digest = 0;
+  for (const Biclique& b : set) digest += BicliqueHash(b);
+  const std::string summary = output.substr(output.rfind("{\"ok\":true"));
+  EXPECT_EQ(JsonField(summary, "cmd"), "enum") << label;
+  EXPECT_EQ(JsonField(summary, "count"), std::to_string(set.size())) << label;
+  EXPECT_EQ(JsonField(summary, "digest"), JsonHex64(digest)) << label;
+}
+
+std::vector<Biclique> ReadResultFile(const std::string& path) {
+  auto read = ReadBicliques(path);
+  EXPECT_TRUE(read.ok()) << read.status().ToString();
+  return read.ok() ? read.value() : std::vector<Biclique>();
+}
+
+// Pins what `enum` prints in every output mode against its own --out
+// file at --threads=1 (a fixed emission order): text and streamed text
+// lines, streamed JSON chunk framing, the JSON count and digest, and for
+// each rank the --top-k=5 set, which must be the 5 best of the full set.
+TEST(CliEndToEnd, EnumOutputModesAgreeWithTheOutFile) {
+  const std::string graph = ::testing::TempDir() + "/fairbc_cli_modes.fbg";
+  const std::string file = ::testing::TempDir() + "/fairbc_cli_modes.txt";
+  ASSERT_EQ(RunCli("gen --out=" + graph +
+                   " --kind=affiliation --nu=300 --nv=300 --communities=15"
+                   " --seed=5")
+                .exit_code,
+            0);
+  const std::string enumerate = "enum --graph=" + graph +
+                                " --model=ssfbc --alpha=2 --beta=2 --delta=1"
+                                " --threads=1";
+  CommandResult wrote = RunCli(enumerate + " --out=" + file);
+  ASSERT_EQ(wrote.exit_code, 0) << wrote.output;
+  const std::vector<Biclique> all = ReadResultFile(file);
+  ASSERT_GT(all.size(), 20u);
+
+  CommandResult text = RunCli(enumerate);
+  ASSERT_EQ(text.exit_code, 0) << text.output;
+  EXPECT_EQ(TextBicliques(text.output), all);
+
+  CommandResult streamed_text = RunCli(enumerate + " --stream --chunk=7");
+  ASSERT_EQ(streamed_text.exit_code, 0) << streamed_text.output;
+  EXPECT_EQ(TextBicliques(streamed_text.output), all);
+
+  CommandResult streamed_json =
+      RunCli(enumerate + " --stream --chunk=7 --output=json");
+  ASSERT_EQ(streamed_json.exit_code, 0) << streamed_json.output;
+  EXPECT_EQ(ReassembleChunks(streamed_json.output, 7), all);
+  ExpectJsonSummary(streamed_json.output, all, "stream json");
+
+  for (const std::string mode : {" --output=json", " --count-only --output=json"}) {
+    CommandResult json = RunCli(enumerate + mode);
+    ASSERT_EQ(json.exit_code, 0) << json.output;
+    ExpectJsonSummary(json.output, all, mode);
+  }
+
+  for (TopKRank rank :
+       {TopKRank::kWeight, TopKRank::kSize, TopKRank::kBalance}) {
+    const std::string label = ToString(rank);
+    TopKKeeper keeper(5, rank);
+    for (const Biclique& b : all) keeper.Offer(b);
+    const std::vector<Biclique> best = keeper.Take();
+    ASSERT_EQ(best.size(), 5u) << label;
+
+    const std::string top =
+        enumerate + " --top-k=5 --rank=" + std::string(ToString(rank));
+    const std::string top_file =
+        ::testing::TempDir() + "/fairbc_cli_top_" + label + ".txt";
+    CommandResult top_wrote = RunCli(top + " --out=" + top_file);
+    ASSERT_EQ(top_wrote.exit_code, 0) << top_wrote.output;
+    EXPECT_EQ(ReadResultFile(top_file), best) << label;
+
+    CommandResult top_json = RunCli(top + " --output=json");
+    ASSERT_EQ(top_json.exit_code, 0) << top_json.output;
+    ExpectJsonSummary(top_json.output, best, label);
+
+    CommandResult top_stream = RunCli(top + " --stream --chunk=2 --output=json");
+    ASSERT_EQ(top_stream.exit_code, 0) << top_stream.output;
+    EXPECT_EQ(ReassembleChunks(top_stream.output, 2), best) << label;
+    ExpectJsonSummary(top_stream.output, best, label + " stream");
+  }
+}
+
+// --- gen and enum value checks ---------------------------------------------
+
+bool FileExists(const std::string& path) { return std::ifstream(path).good(); }
+
+// `gen` checks its values against the windows the server's `gen` uses and
+// writes nothing when one is out of range. Unchecked, --kind=bogus wrote
+// an affiliation graph, --attrs=65537 wrapped to one class,
+// --communities=0 wrote an edgeless graph, --edges=-1 wrapped, and
+// --attrs=0 or a powerlaw --gamma <= 1 aborted in a generator check.
+TEST(CliEndToEnd, GenRejectsOutOfRangeValues) {
+  const std::string out = ::testing::TempDir() + "/fairbc_cli_gen_bad.fbg";
+  const char* const cases[][2] = {
+      {"--kind=bogus", "bad kind (uniform|powerlaw|affiliation)"},
+      {"--attrs=65537", "attrs must be in [1, 1024]"},
+      {"--attrs=0", "attrs must be in [1, 1024]"},
+      {"--communities=0", "communities must be in [1, 1e6]"},
+      {"--kind=powerlaw --gamma=0.5", "gamma must be in (1, 10]"},
+      {"--edges=-1", "edges must be in [0, 2e8]"},
+  };
+  for (const auto& [flag, message] : cases) {
+    std::remove(out.c_str());
+    CommandResult r =
+        RunCli("gen --out=" + out + " --nu=20 --nv=20 " + std::string(flag));
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
+    EXPECT_FALSE(FileExists(out)) << flag << " must not write a graph";
+  }
+  // The windows' edges run.
+  for (const std::string flag :
+       {"--kind=uniform --edges=0 --attrs=1", "--attrs=1024",
+        "--communities=1", "--kind=powerlaw --edges=40 --gamma=10"}) {
+    CommandResult r = RunCli("gen --out=" + out + " --nu=20 --nv=20 " + flag);
+    EXPECT_EQ(r.exit_code, 0) << flag << ": " << r.output;
+  }
+}
+
+// A negative vertex count is rejected before anything is allocated (it
+// used to wrap to 4294967295 vertices).
+TEST(CliEndToEnd, GenRejectsNegativeVertexCounts) {
+  const std::string out = ::testing::TempDir() + "/fairbc_cli_gen_neg.fbg";
+  for (const std::string flag : {"--nu=-1", "--nv=-1", "--nu=20000001"}) {
+    std::remove(out.c_str());
+    CommandResult r = RunCli("gen --out=" + out + " " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find("nu/nv must be in [1, 2e7]"), std::string::npos)
+        << r.output;
+    EXPECT_FALSE(FileExists(out)) << flag << " must not write a graph";
+  }
+}
+
+// Unknown names are usage errors: --pruning=colorfull and --ordering=idd
+// used to run as the defaults, and a bad --model/--algo/--rank exited 1.
+// `verify` used to read an unknown --model as ssfbc.
+TEST(CliEndToEnd, EnumAndVerifyRejectUnknownNames) {
+  std::string graph = GraphPath();
+  std::string results = ::testing::TempDir() + "/fairbc_cli_results5.txt";
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                " --edges=50")
+                .exit_code,
+            0);
+  const char* const cases[][2] = {
+      {"--pruning=colorfull", "bad --pruning (colorful|core|none)"},
+      {"--ordering=idd", "bad --ordering (deg|id)"},
+      {"--model=ssfb", "bad --model (ssfbc|bsfbc)"},
+      {"--algo=ppp", "bad --algo (pp|bcem|naive)"},
+      {"--rank=heavy", "bad --rank (weight|size|balance)"},
+  };
+  for (const auto& [flag, message] : cases) {
+    CommandResult r =
+        RunCli("enum --graph=" + graph + " --count-only " + std::string(flag));
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("count:"), std::string::npos)
+        << flag << " must not run: " << r.output;
+  }
+  for (const std::string flag : {"--pruning=none", "--pruning=core",
+                                 "--pruning=colorful", "--ordering=id",
+                                 "--ordering=deg"}) {
+    CommandResult r = RunCli("enum --graph=" + graph + " --count-only " + flag);
+    EXPECT_EQ(r.exit_code, 0) << flag << ": " << r.output;
+  }
+
+  ASSERT_EQ(RunCli("enum --graph=" + graph + " --out=" + results).exit_code, 0);
+  CommandResult verify = RunCli("verify --graph=" + graph + " --results=" +
+                                results + " --model=bogus");
+  EXPECT_EQ(verify.exit_code, 2) << verify.output;
+  EXPECT_NE(verify.output.find("bad --model (ssfbc|bsfbc)"), std::string::npos)
+      << verify.output;
+  EXPECT_EQ(verify.output.find("OK:"), std::string::npos) << verify.output;
 }
 
 TEST(CliEndToEnd, UnknownCommandFails) {

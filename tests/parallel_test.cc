@@ -222,7 +222,7 @@ TEST(BoundedThreadsTest, WideExecutorQueryAddsNoThreads) {
     QueryResult result;
     executor.ExecuteStreaming(
         request,
-        [peak](const QueryExecutor::StreamChunk&) {
+        [peak](const StreamChunk&) {
           if (peak != nullptr) peak->Sample();
         },
         [&](QueryResult r) {

@@ -96,6 +96,34 @@ TEST(BuildQueryRequestTest, ValidatesThetaIntoUnitInterval) {
   EXPECT_TRUE(BuildStatus("query graph=g theta=0.4").ok());
 }
 
+// Unknown names are errors, the way a bad rank is: ordering=idd and
+// pruning=colorfull used to run as the defaults.
+TEST(BuildQueryRequestTest, RejectsUnknownOrderingAndPruning) {
+  for (const char* line :
+       {"query graph=g ordering=idd", "query graph=g pruning=colorfull",
+        "query graph=g ordering=", "query graph=g rank=heavy"}) {
+    const Status st = BuildStatus(line);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << line;
+  }
+  EXPECT_NE(BuildStatus("query graph=g ordering=idd").ToString().find(
+                "bad ordering (deg|id)"),
+            std::string::npos);
+  EXPECT_NE(BuildStatus("query graph=g pruning=colorfull").ToString().find(
+                "bad pruning (colorful|core|none)"),
+            std::string::npos);
+  auto built = BuildQueryRequest(
+      ParseRequestLine("query graph=g ordering=id pruning=core"));
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(built.value().options.ordering, VertexOrdering::kId);
+  EXPECT_EQ(built.value().options.pruning, PruningLevel::kCore);
+  built = BuildQueryRequest(
+      ParseRequestLine("query graph=g ordering=deg pruning=none"));
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(built.value().options.ordering, VertexOrdering::kDegreeDesc);
+  EXPECT_EQ(built.value().options.pruning, PruningLevel::kNone);
+  EXPECT_TRUE(BuildStatus("query graph=g pruning=colorful").ok());
+}
+
 TEST(BuildQueryRequestTest, AcceptsDefaultsAndBoundaryValues) {
   auto built = BuildQueryRequest(
       ParseRequestLine("query graph=g alpha=0 beta=1000000000 delta=0"));

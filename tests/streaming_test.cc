@@ -3,8 +3,10 @@
 // byte-equivalence (count + order-independent digest) across all four
 // engine paths at thread widths {1, 2, 8}, top-k agreement with the full
 // enumeration under every rank with branch-and-bound pruning live, the
-// streaming single-flight (late subscriber attaches to the leader's
-// chunk stream, replaying its backlog when it arrives mid-stream),
+// query runner's top-k (RunQuery) against brute-force maxima at one and
+// eight lanes, the streaming single-flight (late subscriber attaches to
+// the leader's chunk stream, replaying its backlog when it arrives
+// mid-stream),
 // payload-cache chunk replay, the chunk wire codec, and
 // the server line protocol's chunked framing + strict trace/cache
 // argument validation. Runs in the TSan job (.github/workflows/ci.yml)
@@ -25,7 +27,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/bruteforce.h"
 #include "core/enumerate.h"
+#include "core/pipeline.h"
 #include "core/search_context.h"
 #include "graph/generators.h"
 #include "service/graph_catalog.h"
@@ -33,9 +37,12 @@
 #include "service/query_executor.h"
 #include "service/server.h"
 #include "service/wire.h"
+#include "test_util.h"
 
 namespace fairbc {
 namespace {
+
+using ::fairbc::testing::RandomSmallGraph;
 
 BipartiteGraph StreamTestGraph() {
   AffiliationConfig config;
@@ -85,7 +92,7 @@ std::vector<Biclique> DecodeBody(const ChunkBody& body) {
 // the executor computes, so streamed output can be compared byte-for-byte
 // (count/digest/max sizes) against a batch run.
 QuerySummary SummarizeChunks(
-    const std::vector<QueryExecutor::StreamChunk>& chunks) {
+    const std::vector<StreamChunk>& chunks) {
   DigestAccumulator acc;
   BicliqueSink sink = acc.Wrap([](const Biclique&) { return true; });
   for (const auto& chunk : chunks)
@@ -98,7 +105,7 @@ QuerySummary SummarizeChunks(
 // Stream framing invariants: 1-based contiguous seq, chunk width bounded
 // by `chunk_results`, cumulative results_so_far, and exactly one final
 // marker, which comes last; the stream delivers `expect_results` in all.
-void ExpectStreamFraming(const std::vector<QueryExecutor::StreamChunk>& chunks,
+void ExpectStreamFraming(const std::vector<StreamChunk>& chunks,
                          std::size_t chunk_results,
                          std::uint64_t expect_results,
                          const std::string& label) {
@@ -123,12 +130,12 @@ struct StreamRun {
   std::condition_variable cv;
   bool done = false;
   QueryResult result;
-  std::vector<QueryExecutor::StreamChunk> chunks;
+  std::vector<StreamChunk> chunks;
 
   void Start(QueryExecutor& exec, const QueryRequest& req) {
     exec.ExecuteStreaming(
         req,
-        [this](const QueryExecutor::StreamChunk& chunk) {
+        [this](const StreamChunk& chunk) {
           std::lock_guard<std::mutex> lock(mu);
           chunks.push_back(chunk);
         },
@@ -361,6 +368,162 @@ TEST(TopKQueryTest, TopKEqualsTopKOfFullEnumerationUnderEveryRank) {
   }
 }
 
+// The runner's top-k against brute-force oracles on small random graphs,
+// at one and eight lanes.
+
+std::uint64_t Rank(const Biclique& b, TopKRank rank) {
+  return RankValue(b.upper.size(), b.lower.size(), rank);
+}
+
+// A top-k request for RunQuery that collects the kept set.
+QueryRequest TopKRequest(FairModel model, const FairBicliqueParams& params,
+                         std::uint32_t k, TopKRank rank, unsigned threads) {
+  QueryRequest req;
+  req.model = model;
+  req.params = params;
+  req.top_k = k;
+  req.rank = rank;
+  req.include_bicliques = true;
+  req.options.num_threads = threads;
+  return req;
+}
+
+// The bicliques a RunQuery run delivered, decoded from its bodies; the
+// run's count must agree with them.
+std::vector<Biclique> RunCollected(const QueryRequest& req,
+                                   const BipartiteGraph& g) {
+  QueryRun run = RunQuery(req, g, 4);
+  std::vector<Biclique> out;
+  EXPECT_TRUE(DecodeChunkBodies(run.bodies, &out).ok());
+  EXPECT_EQ(run.summary.count, out.size());
+  EXPECT_EQ(run.summary.stats.num_results, out.size());
+  return out;
+}
+
+TEST(TopKQueryTest, RankValueComputesBothObjectives) {
+  const Biclique b = MakeBiclique({1, 2, 3}, {4, 5});
+  EXPECT_EQ(Rank(b, TopKRank::kWeight), 6u);  // |L| * |R|
+  EXPECT_EQ(Rank(b, TopKRank::kSize), 5u);    // |L| + |R|
+}
+
+TEST(TopKQueryTest, SsfbcTopOneMatchesBruteForceMaximum) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    BipartiteGraph g = RandomSmallGraph(seed, 8, 0.5);
+    FairBicliqueParams params{1, 1, 1, 0.0};
+    const auto oracle = BruteForceSSFBC(g, params);
+    for (TopKRank rank : {TopKRank::kWeight, TopKRank::kSize}) {
+      std::uint64_t best = 0;
+      for (const auto& b : oracle) best = std::max(best, Rank(b, rank));
+      for (unsigned threads : {1u, 8u}) {
+        const std::vector<Biclique> got = RunCollected(
+            TopKRequest(FairModel::kSsfbc, params, 1, rank, threads), g);
+        const std::string label = "seed=" + std::to_string(seed) + " " +
+                                  ToString(rank) + " t" +
+                                  std::to_string(threads);
+        if (oracle.empty()) {
+          EXPECT_TRUE(got.empty()) << label;
+          continue;
+        }
+        ASSERT_EQ(got.size(), 1u) << label;
+        EXPECT_EQ(Rank(got[0], rank), best) << label;
+      }
+    }
+  }
+}
+
+TEST(TopKQueryTest, BsfbcTopOneMatchesBruteForceMaximum) {
+  for (std::uint64_t seed = 60; seed < 72; ++seed) {
+    BipartiteGraph g = RandomSmallGraph(seed, 6, 0.6);
+    FairBicliqueParams params{1, 1, 1, 0.0};
+    const auto oracle = BruteForceBSFBC(g, params);
+    std::uint64_t best = 0;
+    for (const auto& b : oracle) best = std::max(best, Rank(b, TopKRank::kWeight));
+    for (unsigned threads : {1u, 8u}) {
+      const std::vector<Biclique> got = RunCollected(
+          TopKRequest(FairModel::kBsfbc, params, 1, TopKRank::kWeight,
+                      threads),
+          g);
+      const std::string label =
+          "seed=" + std::to_string(seed) + " t" + std::to_string(threads);
+      if (oracle.empty()) {
+        EXPECT_TRUE(got.empty()) << label;
+        continue;
+      }
+      ASSERT_FALSE(got.empty()) << label;
+      EXPECT_EQ(Rank(got[0], TopKRank::kWeight), best) << label;
+    }
+  }
+}
+
+TEST(TopKQueryTest, DeliversBestFirst) {
+  BipartiteGraph g = RandomSmallGraph(33, 10, 0.5);
+  FairBicliqueParams params{1, 1, 2, 0.0};
+  for (unsigned threads : {1u, 8u}) {
+    const std::vector<Biclique> got = RunCollected(
+        TopKRequest(FairModel::kSsfbc, params, 5, TopKRank::kWeight, threads),
+        g);
+    ASSERT_LE(got.size(), 5u);
+    for (std::size_t i = 1; i < got.size(); ++i) {
+      EXPECT_GE(Rank(got[i - 1], TopKRank::kWeight),
+                Rank(got[i], TopKRank::kWeight))
+          << "t" << threads;
+    }
+  }
+}
+
+TEST(TopKQueryTest, KLargerThanResultSetKeepsEverything) {
+  BipartiteGraph g = RandomSmallGraph(7, 6, 0.5);
+  FairBicliqueParams params{1, 1, 1, 0.0};
+  for (unsigned threads : {1u, 8u}) {
+    QueryRequest full =
+        TopKRequest(FairModel::kSsfbc, params, 0, TopKRank::kSize, threads);
+    full.include_bicliques = false;
+    const QueryRun everything = RunQuery(full, g, 4);
+    const std::vector<Biclique> got = RunCollected(
+        TopKRequest(FairModel::kSsfbc, params, 1000, TopKRank::kSize, threads),
+        g);
+    EXPECT_EQ(got.size(), everything.summary.stats.num_results)
+        << "t" << threads;
+  }
+}
+
+// A request's top_k = 0 means "no top-k"; the k = 0 clamp lives in the
+// TopKSink the runner builds, which keeps at most one result then — the
+// runner's own top-1.
+TEST(TopKQueryTest, ZeroKSinkIsTreatedAsOne) {
+  BipartiteGraph g = RandomSmallGraph(9, 6, 0.6);
+  FairBicliqueParams params{1, 1, 1, 0.0};
+  for (unsigned threads : {1u, 8u}) {
+    TopKSink sink(0, TopKRank::kWeight);
+    EnumOptions options;
+    options.num_threads = threads;
+    options.topk = sink.prune_bound();
+    EnumerateSSFBCPlusPlus(g, params, options, sink.AsSink());
+    sink.Finish();
+    const std::vector<Biclique> kept = sink.Take();
+    EXPECT_LE(kept.size(), 1u) << "t" << threads;
+    EXPECT_EQ(kept,
+              RunCollected(TopKRequest(FairModel::kSsfbc, params, 1,
+                                       TopKRank::kWeight, threads),
+                           g))
+        << "t" << threads;
+  }
+}
+
+TEST(TopKQueryTest, EqualTopKUnderIdAndDegreeOrdering) {
+  BipartiteGraph g = RandomSmallGraph(44, 10, 0.45);
+  FairBicliqueParams params{1, 1, 1, 0.0};
+  for (unsigned threads : {1u, 8u}) {
+    QueryRequest id_ord =
+        TopKRequest(FairModel::kSsfbc, params, 3, TopKRank::kWeight, threads);
+    id_ord.options.ordering = VertexOrdering::kId;
+    QueryRequest deg_ord = id_ord;
+    deg_ord.options.ordering = VertexOrdering::kDegreeDesc;
+    EXPECT_EQ(RunCollected(id_ord, g), RunCollected(deg_ord, g))
+        << "t" << threads;
+  }
+}
+
 // --- streaming single-flight and payload cache ------------------------------
 
 TEST(StreamSingleFlightTest, LateSubscriberAttachesToLeaderChunkStream) {
@@ -446,11 +609,11 @@ TEST(StreamSingleFlightTest, MidStreamSubscriberReplaysTheBacklog) {
   std::mutex mu;
   std::condition_variable cv;
   bool first_delivered = false, release = false, leader_done = false;
-  std::vector<QueryExecutor::StreamChunk> leader_chunks;
+  std::vector<StreamChunk> leader_chunks;
   QueryResult leader_result;
   exec.ExecuteStreaming(
       req,
-      [&](const QueryExecutor::StreamChunk& chunk) {
+      [&](const StreamChunk& chunk) {
         std::unique_lock<std::mutex> lock(mu);
         leader_chunks.push_back(chunk);
         if (first_delivered) return;

@@ -5,7 +5,9 @@
 # fairbc_cli run of the same parameters. Also checks the repeated
 # queries at the end of the trace were served from the ResultCache, and
 # replays the trace once more with stream=1, checking every query's JSON
-# chunk lines and end line against the same oracle.
+# chunk lines and end line against the same oracle. Top-k queries (four
+# parameter points x three ranks) are compared the same way against
+# fairbc_cli --top-k.
 # Then restarts the server in TCP mode (--port=0, mmap preload) and
 # replays the same trace through TWO PARALLEL TCP clients, diffing both
 # response streams against the same CLI oracle — exercising concurrent
@@ -156,6 +158,45 @@ if [ "$hits" -lt 4 ] || [ "$cache_hits" -lt 4 ]; then
   exit 1
 fi
 echo "stdin OK: 20 responses match fairbc_cli; $hits cache hits"
+
+echo "== top-k: line-protocol top_k=5 vs fairbc_cli --top-k=5, every rank"
+# Top-k is the one query kind both front doors run with their own flags;
+# four parameter points (both models) x the three ranks, each compared on
+# count + digest of the kept set.
+TOPK_POINTS=(0 5 10 15)
+TOPK_RANKS=(weight size balance)
+{
+  echo "load name=g path=$WORK/g.snap format=snapshot"
+  for i in "${TOPK_POINTS[@]}"; do
+    read -r model alpha beta delta <<<"${PARAMS[$i]}"
+    for rank in "${TOPK_RANKS[@]}"; do
+      echo "query graph=g model=$model alpha=$alpha beta=$beta delta=$delta top_k=5 rank=$rank"
+    done
+  done
+  echo "quit"
+} > "$WORK/trace_topk.txt"
+"$SERVER" < "$WORK/trace_topk.txt" > "$WORK/responses_topk.txt"
+mapfile -t TOPK_RESP < "$WORK/responses_topk.txt"
+n=1
+for i in "${TOPK_POINTS[@]}"; do
+  read -r model alpha beta delta <<<"${PARAMS[$i]}"
+  for rank in "${TOPK_RANKS[@]}"; do
+    r="${TOPK_RESP[$n]}"
+    n=$((n + 1))
+    cli_out=$("$CLI" enum --graph="$WORK/g.snap" --format=snapshot \
+      --model="$model" --alpha="$alpha" --beta="$beta" --delta="$delta" \
+      --top-k=5 --rank="$rank" --count-only --output=json)
+    if ! grep -q '"ok":true' <<<"$r" \
+       || [ "$(jsonfield "$r" count)" != "$(jsonfield "$cli_out" count)" ] \
+       || [ "$(jsonfield "$r" digest)" != "$(jsonfield "$cli_out" digest)" ]; then
+      echo "top-k MISMATCH (${PARAMS[$i]} rank=$rank):" >&2
+      echo "  server $r" >&2
+      echo "  cli    $cli_out" >&2
+      exit 1
+    fi
+  done
+done
+echo "top-k OK: $((n - 1)) line-protocol top-k queries match fairbc_cli"
 
 echo "== streamed line-protocol replay: JSON chunk lines vs the oracle"
 # The same trace with stream=1 on stdin: every query answers with

@@ -28,6 +28,10 @@
 // `--format=mmap` maps the same snapshot in place (read-only view, no
 // copy — ReadSnapshotView).
 //
+// `enum` turns its flags into a QueryRequest and runs it through
+// RunQuery (service/query.h), the result path the server's queries take;
+// an unknown name or out-of-range value is a usage error (exit 2).
+//
 // `--output=json` replaces enum's human-readable lines with one JSON
 // object (count, result-set digest, per-phase stats) emitted through the
 // same serializer as the fairbc_server responses.
@@ -49,7 +53,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -57,11 +60,9 @@
 
 #include "common/flags.h"
 #include "common/timer.h"
-#include "core/pipeline.h"
-#include "core/result_sink.h"
-#include "core/search_context.h"
-#include "obs/trace.h"
+#include "core/chunk_body.h"
 #include "core/verify.h"
+#include "obs/trace.h"
 #include "graph/biclique_io.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -167,6 +168,16 @@ bool ReadFairParams(const FlagParser& flags,
   return true;
 }
 
+/// Prints the bicliques of `bodies` one per line (Biclique::DebugString).
+/// The run's own encoder wrote them, so they always decode.
+void PrintBicliques(const std::vector<fairbc::ChunkBody>& bodies) {
+  std::vector<fairbc::Biclique> bicliques;
+  FAIRBC_CHECK(fairbc::DecodeChunkBodies(bodies, &bicliques).ok());
+  for (const fairbc::Biclique& b : bicliques) {
+    std::cout << b.DebugString() << "\n";
+  }
+}
+
 int RunStats(const FlagParser& flags) {
   auto loaded = LoadGraph(flags);
   if (!loaded.ok()) return Fail(loaded.status());
@@ -178,19 +189,11 @@ int RunStats(const FlagParser& flags) {
 int RunEnum(const FlagParser& flags) {
   auto loaded = LoadGraph(flags);
   if (!loaded.ok()) return Fail(loaded.status());
-  const BipartiteGraph& g = loaded.value();
 
-  fairbc::FairBicliqueParams params;
-  if (!ReadFairParams(flags, &params)) return 2;
-
-  fairbc::EnumOptions options;
-  std::string ordering = flags.GetString("ordering", "deg");
-  options.ordering = ordering == "id" ? fairbc::VertexOrdering::kId
-                                      : fairbc::VertexOrdering::kDegreeDesc;
-  std::string pruning = flags.GetString("pruning", "colorful");
-  options.pruning = pruning == "none"   ? fairbc::PruningLevel::kNone
-                    : pruning == "core" ? fairbc::PruningLevel::kCore
-                                        : fairbc::PruningLevel::kColorful;
+  fairbc::QueryRequest request;
+  request.graph = flags.GetString("graph", "");
+  if (!ReadFairParams(flags, &request.params)) return 2;
+  fairbc::EnumOptions& options = request.options;
   options.time_budget_seconds = flags.GetDouble("budget", 0.0);
   // The window both server front doors accept (BudgetInRange): a NaN or
   // negative budget must not run as "no budget".
@@ -200,25 +203,30 @@ int RunEnum(const FlagParser& flags) {
   // 1 = serial (default, reproducible output order), 0 = all cores.
   std::int64_t threads = flags.GetInt("threads", 1);
   if (threads < 0 || threads > 1024) {
-    std::cerr << "error: --threads must be in [0, 1024]\n";
-    return 2;
+    return UsageError("--threads must be in [0, 1024]");
   }
   options.num_threads = static_cast<unsigned>(threads);
 
   auto model = fairbc::ParseFairModel(flags.GetString("model", "ssfbc"));
-  if (!model) return Fail(Status::InvalidArgument("bad --model (ssfbc|bsfbc)"));
+  if (!model) return UsageError("bad --model (ssfbc|bsfbc)");
+  request.model = *model;
   auto algo = fairbc::ParseFairAlgo(flags.GetString("algo", "pp"));
-  if (!algo) return Fail(Status::InvalidArgument("bad --algo (pp|bcem|naive)"));
-
+  if (!algo) return UsageError("bad --algo (pp|bcem|naive)");
+  request.algo = *algo;
+  auto ordering = fairbc::ParseVertexOrdering(flags.GetString("ordering", "deg"));
+  if (!ordering) return UsageError("bad --ordering (deg|id)");
+  options.ordering = *ordering;
+  auto pruning = fairbc::ParsePruningLevel(flags.GetString("pruning", "colorful"));
+  if (!pruning) return UsageError("bad --pruning (colorful|core|none)");
+  options.pruning = *pruning;
   auto rank = fairbc::ParseTopKRank(flags.GetString("rank", "weight"));
-  if (!rank) {
-    return Fail(Status::InvalidArgument("bad --rank (weight|size|balance)"));
-  }
-  const std::int64_t top_k_flag = flags.GetInt("top-k", 0);
-  if (!fairbc::ParamInRange(top_k_flag)) {
+  if (!rank) return UsageError("bad --rank (weight|size|balance)");
+  request.rank = *rank;
+  const std::int64_t top_k = flags.GetInt("top-k", 0);
+  if (!fairbc::ParamInRange(top_k)) {
     return UsageError("--top-k must be in [0, 1e9]");
   }
-  const auto top_k = static_cast<std::uint32_t>(top_k_flag);
+  request.top_k = static_cast<std::uint32_t>(top_k);
   const bool stream = flags.GetBool("stream", false);
   const std::int64_t chunk_results = flags.GetInt("chunk", 64);
   if (chunk_results < 1 || chunk_results > 1'000'000) {
@@ -227,138 +235,65 @@ int RunEnum(const FlagParser& flags) {
   if (ReportBadFlags(flags)) return 2;
 
   const bool json = flags.GetString("output", "text") == "json";
+  const std::string out = flags.GetString("out", "");
+  const bool count_only = flags.GetBool("count-only", false);
+  if (stream && (!out.empty() || count_only)) {
+    return Fail(Status::InvalidArgument(
+        "--stream is incompatible with --out/--count-only"));
+  }
+  // Text output prints the bicliques and --out writes them, so those runs
+  // collect them; JSON and --count-only report the summary alone.
+  request.include_bicliques =
+      !stream && !count_only && (!out.empty() || !json);
+
   const std::string trace_out = flags.GetString("trace-out", "");
   std::unique_ptr<fairbc::TraceRecorder> recorder;
   if (!trace_out.empty()) {
     recorder = std::make_unique<fairbc::TraceRecorder>();
-    recorder->set_label(flags.GetString("graph", "") + " " +
-                        fairbc::ToString(*model) + "/" +
+    recorder->set_label(request.graph + " " + fairbc::ToString(*model) + "/" +
                         fairbc::ToString(*algo));
-    options.trace = recorder.get();
   }
-  // The digest feeds the JSON output; the pipeline serializes sink
-  // invocation, so the plain accumulator is safe at any --threads.
-  fairbc::DigestAccumulator digest;
+  fairbc::ChunkCallback print_chunk;
+  if (stream) {
+    // With JSON, the server's {"cmd":"chunk",...} lines; the summary
+    // object below closes the stream instead of the final marker.
+    print_chunk = [&](const fairbc::StreamChunk& chunk) {
+      if (chunk.final) return;
+      if (json) {
+        std::cout << fairbc::StreamChunkJson(request, chunk) << "\n";
+      } else {
+        PrintBicliques({chunk.body});
+      }
+      std::cout << std::flush;  // progressive delivery is the point.
+    };
+  }
   fairbc::Timer wall;
-  // The digest must cover exactly the DELIVERED result set (all results,
-  // or the K best for --top-k), so top-k runs wrap it around the replay
-  // of the kept set, not around the enumeration sink.
-  auto run = [&](fairbc::BicliqueSink sink, bool wrap_digest) {
-    if (json && wrap_digest) sink = digest.Wrap(std::move(sink));
+  fairbc::QueryRun run;
+  {
     // The root "query" span makes CLI traces the same shape as the
     // server's retained slow-query traces (one validator fits both).
     fairbc::TraceSpan root(recorder.get(), "query");
-    return fairbc::RunEnumeration(g, *model, *algo, params, options, sink);
-  };
-
-  fairbc::EnumStats stats;
-  std::string wrote;
-  const std::string out = flags.GetString("out", "");
-  const bool count_only = flags.GetBool("count-only", false);
-
-  std::uint64_t chunk_seq = 0;
-  std::optional<fairbc::SearchBudget> stream_budget;
-  std::optional<fairbc::ChunkSink> chunker;
-  if (stream) {
-    if (!out.empty() || count_only) {
-      return Fail(Status::InvalidArgument(
-          "--stream is incompatible with --out/--count-only"));
-    }
-    stream_budget.emplace(options);
-    options.shared_budget = &*stream_budget;
-    chunker.emplace(
-        static_cast<std::size_t>(chunk_results),
-        [&](fairbc::ChunkBody&& body,
-            const fairbc::StreamCheckpoint& checkpoint) {
-          if (body.count == 0) return true;
-          if (json) {
-            fairbc::QueryExecutor::StreamChunk chunk;
-            chunk.seq = ++chunk_seq;
-            chunk.results_so_far = checkpoint.results;
-            chunk.nodes_so_far = checkpoint.nodes;
-            chunk.body = std::move(body);
-            std::cout << fairbc::StreamChunkJson(fairbc::QueryRequest(), chunk)
-                      << "\n";
-          } else {
-            std::vector<fairbc::Biclique> bicliques;
-            FAIRBC_CHECK(fairbc::DecodeChunkBody(*body.bytes, &bicliques).ok());
-            for (const fairbc::Biclique& b : bicliques) {
-              std::cout << b.DebugString() << "\n";
-            }
-          }
-          std::cout << std::flush;  // progressive delivery is the point.
-          return true;
-        },
-        stream_budget.has_value() ? &*stream_budget : nullptr);
+    run = fairbc::RunQuery(request, loaded.value(),
+                           static_cast<std::size_t>(chunk_results),
+                           recorder.get(), print_chunk);
   }
+  const fairbc::EnumStats& stats = run.summary.stats;
 
-  if (top_k > 0) {
-    // Rank the whole (pruned) enumeration, keep the K best, then push
-    // them through the normal output path best-first. The prune bound
-    // lets engines skip subtrees that cannot beat the current K-th best,
-    // exactly like the server's top-k queries.
-    fairbc::TopKSink topk(top_k, *rank);
-    options.topk = topk.prune_bound();
-    stats = run(topk.AsSink(), /*wrap_digest=*/false);
-    topk.Finish();
-    std::vector<fairbc::Biclique> best = topk.Take();
-    stats.num_results = best.size();
-    fairbc::CollectSink collected;
-    fairbc::BicliqueSink deliver;
-    if (chunker) {
-      deliver = chunker->AsSink();
-    } else if (count_only) {
-      deliver = [](const fairbc::Biclique&) { return true; };
-    } else {
-      deliver = collected.AsSink();
+  std::string wrote;
+  if (count_only) {
+    if (!json) std::cout << "count: " << run.summary.count << "\n";
+  } else if (!out.empty()) {
+    std::vector<fairbc::Biclique> bicliques;
+    FAIRBC_CHECK(fairbc::DecodeChunkBodies(run.bodies, &bicliques).ok());
+    Status st = fairbc::WriteBicliques(bicliques, out);
+    if (!st.ok()) return Fail(st);
+    wrote = out;
+    if (!json) {
+      std::cout << "wrote " << bicliques.size() << " bicliques to " << out
+                << "\n";
     }
-    if (json) deliver = digest.Wrap(std::move(deliver));
-    for (const fairbc::Biclique& b : best) {
-      if (!deliver(b)) break;
-    }
-    if (chunker) {
-      chunker->Finish();
-    } else if (count_only) {
-      if (!json) std::cout << "count: " << best.size() << "\n";
-    } else if (!out.empty()) {
-      Status st = fairbc::WriteBicliques(collected.results(), out);
-      if (!st.ok()) return Fail(st);
-      wrote = out;
-      if (!json) {
-        std::cout << "wrote " << collected.results().size()
-                  << " bicliques to " << out << "\n";
-      }
-    } else if (!json) {
-      for (const fairbc::Biclique& b : collected.results()) {
-        std::cout << b.DebugString() << "\n";
-      }
-    }
-  } else if (chunker) {
-    stats = run(chunker->AsSink(), /*wrap_digest=*/true);
-    chunker->Finish();
-  } else if (count_only || (json && out.empty())) {
-    // JSON mode only ever reports count/digest/stats, so unless the
-    // bicliques are written to a file the streaming accumulator is all
-    // that's needed — never buffer the result set just to drop it.
-    fairbc::CountSink sink;
-    stats = run(sink.AsSink(), /*wrap_digest=*/true);
-    if (!json) std::cout << "count: " << sink.count() << "\n";
-  } else {
-    fairbc::CollectSink sink;
-    stats = run(sink.AsSink(), /*wrap_digest=*/true);
-    if (!out.empty()) {
-      Status st = fairbc::WriteBicliques(sink.results(), out);
-      if (!st.ok()) return Fail(st);
-      wrote = out;
-      if (!json) {
-        std::cout << "wrote " << sink.results().size() << " bicliques to "
-                  << out << "\n";
-      }
-    } else {
-      for (const fairbc::Biclique& b : sink.results()) {
-        std::cout << b.DebugString() << "\n";
-      }
-    }
+  } else if (request.include_bicliques) {
+    PrintBicliques(run.bodies);
   }
   if (recorder != nullptr) {
     recorder->set_wall_seconds(wall.ElapsedSeconds());
@@ -377,10 +312,9 @@ int RunEnum(const FlagParser& flags) {
     // The params/summary fragment is the exact emitter the fairbc_server
     // `query` response uses, so CLI runs and server responses stay
     // textually comparable (the CI smoke relies on this).
-    fairbc::QuerySummary summary;
-    digest.FillSummary(&summary);
     std::cout << "{\"ok\":true,\"cmd\":\"enum\","
-              << fairbc::QueryParamsSummaryJson(*model, *algo, params, summary);
+              << fairbc::QueryParamsSummaryJson(*model, *algo, request.params,
+                                                run.summary);
     if (!wrote.empty()) {
       std::cout << ",\"wrote\":\"" << fairbc::JsonEscape(wrote) << "\"";
     }
@@ -467,32 +401,20 @@ int RunSnapshot(const FlagParser& flags) {
 int RunGen(const FlagParser& flags) {
   std::string out = flags.GetString("out", "");
   if (out.empty()) return Fail(Status::InvalidArgument("--out is required"));
-  auto nu = static_cast<fairbc::VertexId>(flags.GetInt("nu", 1000));
-  auto nv = static_cast<fairbc::VertexId>(flags.GetInt("nv", 1000));
-  auto edges = static_cast<fairbc::EdgeIndex>(flags.GetInt("edges", 5000));
-  auto attrs = static_cast<fairbc::AttrId>(flags.GetInt("attrs", 2));
-  auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  std::string kind = flags.GetString("kind", "affiliation");
-  const double gamma = flags.GetDouble("gamma", 2.2);
-  const auto communities =
-      static_cast<std::uint32_t>(flags.GetInt("communities", 60));
+  fairbc::GraphSpec spec;
+  spec.kind = flags.GetString("kind", spec.kind);
+  spec.num_upper = flags.GetInt("nu", spec.num_upper);
+  spec.num_lower = flags.GetInt("nv", spec.num_lower);
+  spec.num_edges = flags.GetInt("edges", spec.num_edges);
+  spec.num_attrs = flags.GetInt("attrs", spec.num_attrs);
+  spec.num_communities = flags.GetInt("communities", spec.num_communities);
+  spec.gamma = flags.GetDouble("gamma", spec.gamma);
+  spec.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   if (ReportBadFlags(flags)) return 2;
 
-  BipartiteGraph g;
-  if (kind == "uniform") {
-    g = fairbc::MakeUniformRandom(nu, nv, edges, attrs, seed);
-  } else if (kind == "powerlaw") {
-    g = fairbc::MakePowerLaw(nu, nv, edges, gamma, attrs, seed);
-  } else {
-    fairbc::AffiliationConfig config;
-    config.num_upper = nu;
-    config.num_lower = nv;
-    config.num_communities = communities;
-    config.num_upper_attrs = attrs;
-    config.num_lower_attrs = attrs;
-    config.seed = seed;
-    g = fairbc::MakeAffiliation(config);
-  }
+  auto generated = fairbc::GenerateGraph(spec);
+  if (!generated.ok()) return UsageError(generated.status().message());
+  const BipartiteGraph& g = generated.value();
   Status st = fairbc::WriteAttributedGraph(g, out);
   if (!st.ok()) return Fail(st);
   std::cout << "wrote " << g.DebugString() << " to " << out << "\n";
@@ -511,12 +433,11 @@ int RunVerify(const FlagParser& flags) {
 
   fairbc::FairBicliqueParams params;
   if (!ReadFairParams(flags, &params)) return 2;
+  auto model = fairbc::ParseFairModel(flags.GetString("model", "ssfbc"));
+  if (!model) return UsageError("bad --model (ssfbc|bsfbc)");
   if (ReportBadFlags(flags)) return 2;
-  fairbc::FairModel model = flags.GetString("model", "ssfbc") == "bsfbc"
-                                ? fairbc::FairModel::kBsfbc
-                                : fairbc::FairModel::kSsfbc;
   Status st = fairbc::VerifyResultSet(loaded.value(), results.value(), params,
-                                      model);
+                                      *model);
   if (!st.ok()) return Fail(st);
   std::cout << "OK: " << results.value().size()
             << " results verified (biclique, fairness, maximality, no "
