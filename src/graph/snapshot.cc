@@ -16,10 +16,7 @@
 #include "graph/varint_codec.h"
 
 namespace fairbc {
-
-// Named (not anonymous) so SnapshotReader::Impl — an externally visible
-// class — can hold these without tripping -Wsubobject-linkage.
-namespace snapshot_detail {
+namespace {
 
 struct SnapshotCounts {
   std::uint32_t num_upper = 0;
@@ -54,14 +51,6 @@ struct BlockIndexEntry {
   std::uint32_t reserved = 0;
 };
 static_assert(sizeof(BlockIndexEntry) == 24, "packed block index entry");
-
-}  // namespace snapshot_detail
-
-namespace {
-
-using snapshot_detail::BlockIndexEntry;
-using snapshot_detail::SnapshotCounts;
-using snapshot_detail::V3Header;
 
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -113,39 +102,10 @@ void WriteArray(std::ofstream& out, std::span<const T> data) {
             static_cast<std::streamsize>(PadTo8(data.size() * sizeof(T))));
 }
 
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return in.gcount() == sizeof(T);
-}
-
-template <typename T>
-bool ReadArray(std::ifstream& in, std::size_t count, bool padded,
-               std::vector<T>* out) {
-  out->resize(count);
-  const auto bytes = static_cast<std::streamsize>(count * sizeof(T));
-  in.read(reinterpret_cast<char*>(out->data()), bytes);
-  if (in.gcount() != bytes) return false;
-  if (padded) {
-    // Padding must be zero: the checksum excludes it, so this is the
-    // only thing standing between a flipped pad byte and a clean load.
-    char pad[kSectionAlign] = {};
-    const auto pad_bytes =
-        static_cast<std::streamsize>(PadTo8(count * sizeof(T)));
-    in.read(pad, pad_bytes);
-    if (in.gcount() != pad_bytes) return false;
-    for (std::streamsize i = 0; i < pad_bytes; ++i) {
-      if (pad[i] != 0) return false;
-    }
-  }
-  return static_cast<bool>(in);
-}
-
-/// Payload size implied by the count fields: the six raw arrays, plus the
-/// per-section alignment padding for version-2 files. 128-bit because a
+/// Version-2 payload size implied by the count fields: the six raw
+/// arrays plus each section's alignment padding. 128-bit because a
 /// corrupt num_edges alone can overflow a u64 byte count.
-unsigned __int128 ExpectedPayloadBytes(const SnapshotCounts& counts,
-                                       std::uint32_t version) {
+unsigned __int128 ExpectedPayloadBytes(const SnapshotCounts& counts) {
   const unsigned __int128 sections[6] = {
       (static_cast<unsigned __int128>(counts.num_upper) + 1) *
           sizeof(EdgeIndex),
@@ -156,10 +116,7 @@ unsigned __int128 ExpectedPayloadBytes(const SnapshotCounts& counts,
       static_cast<unsigned __int128>(counts.num_upper) * sizeof(AttrId),
       static_cast<unsigned __int128>(counts.num_lower) * sizeof(AttrId)};
   unsigned __int128 total = 0;
-  for (unsigned __int128 bytes : sections) {
-    total += bytes;
-    if (version >= 2) total += PadTo8(bytes);
-  }
+  for (unsigned __int128 bytes : sections) total += bytes + PadTo8(bytes);
   return total;
 }
 
@@ -177,8 +134,8 @@ unsigned __int128 ExpectedPayloadBytes(const SnapshotCounts& counts,
 // `index_checksum` covers the count block, the v3 header remainder, the
 // block index and the four eager sections — everything a reader must
 // trust before sizing an allocation — and is verified first. Each
-// neighbor block carries its own folded-FNV checksum in the index so
-// lazy per-range decodes stay self-verifying.
+// neighbor block carries its own folded-FNV checksum in the index,
+// verified before the block is decoded.
 
 constexpr std::uint64_t kCommonHeaderBytes = 48;
 
@@ -388,6 +345,315 @@ Status WriteSnapshotV3(const BipartiteGraph& g, const std::string& path,
   return Status::OK();
 }
 
+// ---------------------------------------------------------------------------
+// Reading. Every loader starts from MapSnapshot, the one header parser.
+
+Status Corrupt(const std::string& what, const std::string& path) {
+  return Status::CorruptInput(what + ": " + path);
+}
+
+/// A snapshot file mapped read-only, its header checked against the file
+/// length. For version 3 the metadata (count block, v3 header, block
+/// index, eager sections) is also checksum-verified and the block index
+/// validated, so every count a loader sizes an allocation from is
+/// bounded by the file's own bytes.
+struct MappedSnapshot {
+  std::shared_ptr<const void> mapping;
+  const unsigned char* base = nullptr;
+  std::uint64_t file_size = 0;
+  std::uint32_t version = 0;
+  std::uint64_t checksum = 0;  ///< content fingerprint.
+  SnapshotCounts counts;
+  // Version 3 only.
+  V3Header v3;
+  std::vector<BlockIndexEntry> index;  ///< upper blocks, then lower blocks.
+  std::uint64_t eager_offset = 0;      ///< file offset of upper_offsets_c.
+  std::uint64_t blocks_offset = 0;     ///< file offset of the blocks region.
+};
+
+/// Checks a version-3 file's geometry, verifies its index checksum and
+/// validates the block index, all before anything is sized from the
+/// (as yet unauthenticated) counts.
+Status ParseV3Layout(MappedSnapshot* s, const std::string& path) {
+  constexpr std::uint64_t kIndexOffset = kCommonHeaderBytes + sizeof(V3Header);
+  if (s->file_size < kIndexOffset) {
+    return Corrupt("truncated snapshot header", path);
+  }
+  V3Header& h = s->v3;
+  const SnapshotCounts& c = s->counts;
+  std::memcpy(&h, s->base + kCommonHeaderBytes, sizeof(h));
+  if (h.block_edges == 0) return Corrupt("snapshot block_edges is zero", path);
+  const std::uint64_t blocks =
+      c.num_edges == 0 ? 0 : (c.num_edges - 1) / h.block_edges + 1;
+  if (h.num_upper_blocks != blocks || h.num_lower_blocks != blocks) {
+    return Corrupt("snapshot block count does not match its edge count", path);
+  }
+  // Exact size, in 128-bit arithmetic so crafted lengths cannot wrap the
+  // check, before any section length is trusted.
+  const unsigned __int128 index_bytes =
+      static_cast<unsigned __int128>(2 * blocks) * sizeof(BlockIndexEntry);
+  const unsigned __int128 eager_bytes =
+      static_cast<unsigned __int128>(h.upper_offsets_bytes) +
+      h.lower_offsets_bytes + h.upper_attrs_bytes + h.lower_attrs_bytes;
+  if (kIndexOffset + index_bytes + eager_bytes + h.blocks_bytes !=
+      s->file_size) {
+    return Corrupt("snapshot payload size does not match its header counts",
+                   path);
+  }
+  s->eager_offset = kIndexOffset + static_cast<std::uint64_t>(index_bytes);
+  s->blocks_offset = s->eager_offset + static_cast<std::uint64_t>(eager_bytes);
+
+  // The block index and the four eager sections are contiguous in the
+  // file, hence one pass.
+  std::uint64_t state = Fnv1a64(s->base + 24, sizeof(SnapshotCounts));
+  state = Fnv1a64(s->base + kCommonHeaderBytes + sizeof(h.index_checksum),
+                  sizeof(V3Header) - sizeof(h.index_checksum), state);
+  state = Fnv1a64(s->base + kIndexOffset, s->blocks_offset - kIndexOffset,
+                  state);
+  if (state != h.index_checksum) {
+    return Corrupt("snapshot index checksum mismatch", path);
+  }
+
+  // A varint takes at least one byte, so each eager section bounds its
+  // vertex count.
+  if (c.num_upper + std::uint64_t{1} > h.upper_offsets_bytes ||
+      c.num_lower + std::uint64_t{1} > h.lower_offsets_bytes ||
+      c.num_upper > h.upper_attrs_bytes || c.num_lower > h.lower_attrs_bytes) {
+    return Corrupt("snapshot section too short for its vertex count", path);
+  }
+  // Entries must tile the blocks region exactly in order, which makes
+  // every entry's byte range safe to read without per-access bounds
+  // math. Every coded value takes at least one bit (a Rice k=0 zero; a
+  // varint takes a byte), so a block of n values needs n bits: that
+  // bounds num_edges by 8 x each direction's block bytes.
+  s->index.resize(2 * blocks);
+  if (blocks != 0) {
+    std::memcpy(s->index.data(), s->base + kIndexOffset,
+                static_cast<std::size_t>(index_bytes));
+  }
+  std::uint64_t running = 0;
+  for (std::size_t i = 0; i < s->index.size(); ++i) {
+    const BlockIndexEntry& entry = s->index[i];
+    if (entry.offset != running || entry.bytes > h.blocks_bytes - running ||
+        entry.codec > static_cast<std::uint16_t>(BlockCodec::kRice) ||
+        entry.rice_k > 63 || entry.reserved != 0) {
+      return Corrupt("snapshot block index invalid", path);
+    }
+    const std::uint64_t first = (i % blocks) * h.block_edges;
+    if (std::uint64_t{entry.bytes} * 8 <
+        std::min<std::uint64_t>(h.block_edges, c.num_edges - first)) {
+      return Corrupt("snapshot block too short for its edge count", path);
+    }
+    running += entry.bytes;
+  }
+  if (running != h.blocks_bytes) {
+    return Corrupt("snapshot block index invalid", path);
+  }
+  return Status::OK();
+}
+
+Result<MappedSnapshot> MapSnapshot(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::NotFound("cannot open: " + path);
+  struct stat st{};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Corrupt("not a regular file", path);
+  }
+  MappedSnapshot s;
+  s.file_size = static_cast<std::uint64_t>(st.st_size);
+  if (s.file_size < kCommonHeaderBytes) {
+    ::close(fd);
+    return Corrupt("truncated snapshot header", path);
+  }
+  void* mapped = ::mmap(nullptr, s.file_size, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);  // the mapping keeps its own reference.
+  if (mapped == MAP_FAILED) return Status::Internal("mmap failed: " + path);
+  s.mapping = std::shared_ptr<const void>(
+      mapped, [size = s.file_size](const void* p) {
+        ::munmap(const_cast<void*>(p), size);
+      });
+  s.base = static_cast<const unsigned char*>(mapped);
+
+  if (std::memcmp(s.base, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+    return Corrupt("not a fairbc snapshot", path);
+  }
+  std::memcpy(&s.version, s.base + 8, sizeof(s.version));
+  std::memcpy(&s.checksum, s.base + 16, sizeof(s.checksum));
+  std::memcpy(&s.counts, s.base + 24, sizeof(s.counts));
+  if (s.version == kSnapshotVersionCompressed) {
+    FAIRBC_RETURN_IF_ERROR(ParseV3Layout(&s, path));
+    return s;
+  }
+  if (s.version != kSnapshotVersion) {
+    return Corrupt("unsupported snapshot version " + std::to_string(s.version),
+                   path);
+  }
+  // Exact, so it also rejects trailing bytes.
+  if (ExpectedPayloadBytes(s.counts) != s.file_size - kCommonHeaderBytes) {
+    return Corrupt("snapshot payload size does not match its header counts",
+                   path);
+  }
+  return s;
+}
+
+Result<BipartiteGraph> Validated(BipartiteGraph g, const std::string& path) {
+  Status valid = g.Validate();
+  if (!valid.ok()) {
+    return Corrupt("snapshot fails graph validation (" + valid.message() + ")",
+                   path);
+  }
+  return g;
+}
+
+/// Slices the six version-2 sections out of the mapping into a view.
+/// Every section starts 8-byte aligned (the padding, and page-aligned
+/// mmap bases); padding bytes must be zero since the checksum excludes
+/// them.
+Result<BipartiteGraph> ViewRawSections(const MappedSnapshot& s,
+                                       const std::string& path) {
+  std::uint64_t pos = kCommonHeaderBytes;
+  bool padding_clean = true;
+  auto take = [&](std::uint64_t count, auto* span_out) {
+    using T = typename std::remove_reference_t<decltype(*span_out)>::value_type;
+    const std::uint64_t bytes = count * sizeof(T);
+    *span_out = std::span<const T>(reinterpret_cast<const T*>(s.base + pos),
+                                   static_cast<std::size_t>(count));
+    pos += bytes;
+    for (std::uint64_t i = 0; i < PadTo8(bytes); ++i) {
+      padding_clean = padding_clean && s.base[pos + i] == 0;
+    }
+    pos += PadTo8(bytes);
+  };
+  const SnapshotCounts& c = s.counts;
+  std::span<const EdgeIndex> upper_offsets, lower_offsets;
+  std::span<const VertexId> upper_neighbors, lower_neighbors;
+  std::span<const AttrId> upper_attrs, lower_attrs;
+  take(c.num_upper + std::uint64_t{1}, &upper_offsets);
+  take(c.num_edges, &upper_neighbors);
+  take(c.num_lower + std::uint64_t{1}, &lower_offsets);
+  take(c.num_edges, &lower_neighbors);
+  take(c.num_upper, &upper_attrs);
+  take(c.num_lower, &lower_attrs);
+  if (!padding_clean) return Corrupt("snapshot padding bytes corrupted", path);
+
+  std::uint64_t state = Fnv1a64(&c, sizeof(c));
+  state = FoldSpan(state, upper_offsets);
+  state = FoldSpan(state, upper_neighbors);
+  state = FoldSpan(state, lower_offsets);
+  state = FoldSpan(state, lower_neighbors);
+  state = FoldSpan(state, upper_attrs);
+  state = FoldSpan(state, lower_attrs);
+  if (state != s.checksum) return Corrupt("snapshot checksum mismatch", path);
+  return Validated(
+      BipartiteGraph::MakeView(upper_offsets, upper_neighbors, lower_offsets,
+                               lower_neighbors, upper_attrs, lower_attrs,
+                               static_cast<AttrId>(c.num_upper_attrs),
+                               static_cast<AttrId>(c.num_lower_attrs),
+                               s.mapping),
+      path);
+}
+
+/// Decodes one direction's neighbor blocks, starting at index entry
+/// `first_block`, into `out`. Each block's checksum is verified before it
+/// is decoded; the delta map is undone with the same vertex-pointer walk
+/// the encoder used (absolute at a block or list start, gap-minus-one
+/// otherwise). Decoded ids index the opposite side, of size `opposite`.
+Status DecodeNeighborBlocks(const MappedSnapshot& s, std::size_t first_block,
+                            const std::vector<EdgeIndex>& offsets,
+                            std::uint64_t opposite,
+                            std::vector<VertexId>* out) {
+  const std::uint64_t num_edges = s.counts.num_edges;
+  const std::uint64_t block_edges = s.v3.block_edges;
+  out->resize(static_cast<std::size_t>(num_edges));
+  std::vector<std::uint64_t> vals(
+      static_cast<std::size_t>(std::min(block_edges, num_edges)));
+  std::size_t vp = 0;  // current vertex: offsets[vp] <= e < offsets[vp+1].
+  std::size_t b = first_block;
+  for (std::uint64_t start = 0; start < num_edges; start += block_edges, ++b) {
+    const BlockIndexEntry& entry = s.index[b];
+    const std::size_t n = static_cast<std::size_t>(
+        std::min(block_edges, num_edges - start));
+    const unsigned char* data = s.base + s.blocks_offset + entry.offset;
+    if (Fold32(Fnv1a64(data, entry.bytes)) != entry.checksum) {
+      return Status::CorruptInput("snapshot block checksum mismatch");
+    }
+    FAIRBC_RETURN_IF_ERROR(DecodeBlock(
+        std::string_view(reinterpret_cast<const char*>(data), entry.bytes),
+        static_cast<BlockCodec>(entry.codec), entry.rice_k, n, vals.data()));
+    std::uint64_t prev = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t e = start + i;
+      while (vp + 1 < offsets.size() && offsets[vp + 1] <= e) ++vp;
+      const bool restart = i == 0 || offsets[vp] == e;
+      // Bound the raw value first so prev + vals[i] + 1 cannot wrap.
+      if (vals[i] >= opposite) {
+        return Status::CorruptInput("snapshot neighbor id out of range");
+      }
+      const std::uint64_t value = restart ? vals[i] : prev + vals[i] + 1;
+      if (value >= opposite) {
+        return Status::CorruptInput("snapshot neighbor id out of range");
+      }
+      prev = value;
+      (*out)[static_cast<std::size_t>(e)] = static_cast<VertexId>(value);
+    }
+  }
+  return Status::OK();
+}
+
+/// Whole-graph version-3 decode: one pass over the mapped sections into
+/// owned CSR vectors, then the content fingerprint and Validate().
+Result<BipartiteGraph> DecodeCompressed(const MappedSnapshot& s,
+                                        const std::string& path) {
+  const SnapshotCounts& c = s.counts;
+  const V3Header& h = s.v3;
+  const unsigned char* upper_offsets_c = s.base + s.eager_offset;
+  const unsigned char* lower_offsets_c = upper_offsets_c + h.upper_offsets_bytes;
+  const unsigned char* upper_attrs_c = lower_offsets_c + h.lower_offsets_bytes;
+  const unsigned char* lower_attrs_c = upper_attrs_c + h.upper_attrs_bytes;
+  std::vector<EdgeIndex> upper_offsets, lower_offsets;
+  std::vector<VertexId> upper_neighbors, lower_neighbors;
+  std::vector<AttrId> upper_attrs, lower_attrs;
+  Status st = DecodeOffsetsSection(upper_offsets_c, h.upper_offsets_bytes,
+                                   c.num_upper + std::size_t{1}, c.num_edges,
+                                   &upper_offsets);
+  if (st.ok()) {
+    st = DecodeOffsetsSection(lower_offsets_c, h.lower_offsets_bytes,
+                              c.num_lower + std::size_t{1}, c.num_edges,
+                              &lower_offsets);
+  }
+  if (st.ok()) {
+    st = DecodeAttrsSection(upper_attrs_c, h.upper_attrs_bytes, c.num_upper,
+                            c.num_upper_attrs, &upper_attrs);
+  }
+  if (st.ok()) {
+    st = DecodeAttrsSection(lower_attrs_c, h.lower_attrs_bytes, c.num_lower,
+                            c.num_lower_attrs, &lower_attrs);
+  }
+  if (st.ok()) {
+    st = DecodeNeighborBlocks(s, 0, upper_offsets, c.num_lower,
+                              &upper_neighbors);
+  }
+  if (st.ok()) {
+    st = DecodeNeighborBlocks(s, h.num_upper_blocks, lower_offsets,
+                              c.num_upper, &lower_neighbors);
+  }
+  if (!st.ok()) return Corrupt(st.message(), path);
+
+  BipartiteGraph g(std::move(upper_offsets), std::move(upper_neighbors),
+                   std::move(lower_offsets), std::move(lower_neighbors),
+                   std::move(upper_attrs), std::move(lower_attrs),
+                   static_cast<AttrId>(c.num_upper_attrs),
+                   static_cast<AttrId>(c.num_lower_attrs));
+  // The block checksums authenticated each block, but the header
+  // fingerprint is the cross-format contract (it is what v2 files carry
+  // and what GraphCatalog/ResultCache key on): verify it too.
+  if (GraphFingerprint(g) != s.checksum) {
+    return Corrupt("snapshot checksum mismatch", path);
+  }
+  return Validated(std::move(g), path);
+}
+
 }  // namespace
 
 std::uint64_t Fnv1a64(const void* data, std::size_t size, std::uint64_t state) {
@@ -444,591 +710,53 @@ Status WriteSnapshot(const BipartiteGraph& g, const std::string& path,
                                  std::to_string(options.version));
 }
 
-Result<BipartiteGraph> ReadSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open: " + path);
-  }
-
-  char magic[sizeof(kSnapshotMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
-    return Status::CorruptInput("not a fairbc snapshot: " + path);
-  }
-  std::uint32_t version = 0;
-  std::uint32_t reserved = 0;
-  std::uint64_t checksum = 0;
-  SnapshotCounts counts;
-  if (!ReadPod(in, &version) || !ReadPod(in, &reserved) ||
-      !ReadPod(in, &checksum) || !ReadPod(in, &counts)) {
-    return Status::CorruptInput("truncated snapshot header: " + path);
-  }
-  if (version == kSnapshotVersionCompressed) {
-    in.close();
-    Result<SnapshotReader> reader = SnapshotReader::Open(path);
-    if (!reader.ok()) return reader.status();
-    return reader.value().DecodeGraph();
-  }
-  if (version != 1 && version != kSnapshotVersion) {
-    return Status::CorruptInput("unsupported snapshot version " +
-                                std::to_string(version) + ": " + path);
-  }
-
-  // Bound the payload by the actual file size *before* sizing any
-  // vector from the (as yet unauthenticated) count fields: a corrupt
-  // num_edges must come back as a Status, not a length_error/OOM. The
-  // exact-size check also rejects trailing garbage.
-  const std::streampos payload_start = in.tellg();
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(payload_start);
-  if (ExpectedPayloadBytes(counts, version) !=
-      file_size - static_cast<std::uint64_t>(payload_start)) {
-    return Status::CorruptInput(
-        "snapshot payload size does not match its header counts: " + path);
-  }
-
-  const bool padded = version >= 2;
-  std::vector<EdgeIndex> upper_offsets;
-  std::vector<VertexId> upper_neighbors;
-  std::vector<EdgeIndex> lower_offsets;
-  std::vector<VertexId> lower_neighbors;
-  std::vector<AttrId> upper_attrs;
-  std::vector<AttrId> lower_attrs;
-  if (!ReadArray(in, counts.num_upper + std::size_t{1}, padded,
-                 &upper_offsets) ||
-      !ReadArray(in, counts.num_edges, padded, &upper_neighbors) ||
-      !ReadArray(in, counts.num_lower + std::size_t{1}, padded,
-                 &lower_offsets) ||
-      !ReadArray(in, counts.num_edges, padded, &lower_neighbors) ||
-      !ReadArray(in, counts.num_upper, padded, &upper_attrs) ||
-      !ReadArray(in, counts.num_lower, padded, &lower_attrs)) {
-    return Status::CorruptInput("truncated snapshot payload: " + path);
-  }
-  std::uint64_t state = Fnv1a64(&counts, sizeof(counts));
-  state = FoldSpan(state, std::span<const EdgeIndex>(upper_offsets));
-  state = FoldSpan(state, std::span<const VertexId>(upper_neighbors));
-  state = FoldSpan(state, std::span<const EdgeIndex>(lower_offsets));
-  state = FoldSpan(state, std::span<const VertexId>(lower_neighbors));
-  state = FoldSpan(state, std::span<const AttrId>(upper_attrs));
-  state = FoldSpan(state, std::span<const AttrId>(lower_attrs));
-  if (state != checksum) {
-    return Status::CorruptInput("snapshot checksum mismatch: " + path);
-  }
-
-  BipartiteGraph g(std::move(upper_offsets), std::move(upper_neighbors),
-                   std::move(lower_offsets), std::move(lower_neighbors),
-                   std::move(upper_attrs), std::move(lower_attrs),
-                   static_cast<AttrId>(counts.num_upper_attrs),
-                   static_cast<AttrId>(counts.num_lower_attrs));
-  Status valid = g.Validate();
-  if (!valid.ok()) {
-    return Status::CorruptInput("snapshot fails graph validation (" +
-                                valid.message() + "): " + path);
-  }
-  return g;
-}
-
 Result<BipartiteGraph> ReadSnapshotView(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::NotFound("cannot open: " + path);
+  Result<MappedSnapshot> mapped = MapSnapshot(path);
+  if (!mapped.ok()) return mapped.status();
+  // Compressed sections cannot be viewed in place.
+  if (mapped.value().version == kSnapshotVersionCompressed) {
+    return DecodeCompressed(mapped.value(), path);
   }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    return Status::CorruptInput("cannot stat: " + path);
-  }
-  const auto file_size = static_cast<std::uint64_t>(st.st_size);
-  constexpr std::uint64_t kHeaderBytes =
-      sizeof(kSnapshotMagic) + 2 * sizeof(std::uint32_t) +
-      sizeof(std::uint64_t) + sizeof(SnapshotCounts);
-  static_assert(kHeaderBytes == 48 && kHeaderBytes % kSectionAlign == 0);
-  if (file_size < kHeaderBytes) {
-    return (::close(fd),
-            Status::CorruptInput("truncated snapshot header: " + path));
-  }
-  void* mapped = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference.
-  if (mapped == MAP_FAILED) {
-    return Status::Internal("mmap failed: " + path);
-  }
-  std::shared_ptr<const void> backing(
-      mapped, [file_size](const void* p) {
-        ::munmap(const_cast<void*>(p), file_size);
-      });
-  const auto* base = static_cast<const unsigned char*>(mapped);
+  return ViewRawSections(mapped.value(), path);
+}
 
-  if (std::memcmp(base, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return Status::CorruptInput("not a fairbc snapshot: " + path);
-  }
-  std::uint32_t version = 0;
-  std::uint64_t checksum = 0;
-  SnapshotCounts counts;
-  std::memcpy(&version, base + 8, sizeof(version));
-  std::memcpy(&checksum, base + 16, sizeof(checksum));
-  std::memcpy(&counts, base + 24, sizeof(counts));
-  if (version == 1 || version == kSnapshotVersionCompressed) {
-    // Version 1 has no alignment padding, so its u64 sections may start
-    // misaligned in the mapping; version 3 sections are compressed and
-    // cannot be viewed in place at all. Both fall back to the copying
-    // (for v3: eager-decoding) loader — same bytes, IsView() false.
-    backing.reset();
-    return ReadSnapshot(path);
-  }
-  if (version != kSnapshotVersion) {
-    return Status::CorruptInput("unsupported snapshot version " +
-                                std::to_string(version) + ": " + path);
-  }
-  if (ExpectedPayloadBytes(counts, version) != file_size - kHeaderBytes) {
-    return Status::CorruptInput(
-        "snapshot payload size does not match its header counts: " + path);
-  }
-
-  // Slice the six sections out of the mapping; every section start is
-  // 8-byte aligned by the v2 padding (and mmap bases are page-aligned).
-  // Padding bytes must be zero — the checksum excludes them.
-  std::uint64_t pos = kHeaderBytes;
-  bool padding_clean = true;
-  auto take = [&](std::uint64_t count, auto* span_out) {
-    using T = typename std::remove_reference_t<decltype(*span_out)>::value_type;
-    const std::uint64_t bytes = count * sizeof(T);
-    *span_out = std::span<const T>(reinterpret_cast<const T*>(base + pos),
-                                   static_cast<std::size_t>(count));
-    pos += bytes;
-    for (std::uint64_t i = 0; i < PadTo8(bytes); ++i) {
-      padding_clean = padding_clean && base[pos + i] == 0;
-    }
-    pos += PadTo8(bytes);
+Result<BipartiteGraph> ReadSnapshot(const std::string& path) {
+  Result<BipartiteGraph> loaded = ReadSnapshotView(path);
+  if (!loaded.ok() || !loaded.value().IsView()) return loaded;
+  // Copy the verified view into owned arrays; the mapping dies with it.
+  const BipartiteGraph& view = loaded.value();
+  auto owned = [](auto span) {
+    return std::vector<typename decltype(span)::value_type>(span.begin(),
+                                                            span.end());
   };
-  std::span<const EdgeIndex> upper_offsets, lower_offsets;
-  std::span<const VertexId> upper_neighbors, lower_neighbors;
-  std::span<const AttrId> upper_attrs, lower_attrs;
-  take(counts.num_upper + std::uint64_t{1}, &upper_offsets);
-  take(counts.num_edges, &upper_neighbors);
-  take(counts.num_lower + std::uint64_t{1}, &lower_offsets);
-  take(counts.num_edges, &lower_neighbors);
-  take(counts.num_upper, &upper_attrs);
-  take(counts.num_lower, &lower_attrs);
-  if (!padding_clean) {
-    return Status::CorruptInput("snapshot padding bytes corrupted: " + path);
-  }
-
-  std::uint64_t state = Fnv1a64(&counts, sizeof(counts));
-  state = FoldSpan(state, upper_offsets);
-  state = FoldSpan(state, upper_neighbors);
-  state = FoldSpan(state, lower_offsets);
-  state = FoldSpan(state, lower_neighbors);
-  state = FoldSpan(state, upper_attrs);
-  state = FoldSpan(state, lower_attrs);
-  if (state != checksum) {
-    return Status::CorruptInput("snapshot checksum mismatch: " + path);
-  }
-
-  BipartiteGraph g = BipartiteGraph::MakeView(
-      upper_offsets, upper_neighbors, lower_offsets, lower_neighbors,
-      upper_attrs, lower_attrs, static_cast<AttrId>(counts.num_upper_attrs),
-      static_cast<AttrId>(counts.num_lower_attrs), std::move(backing));
-  Status valid = g.Validate();
-  if (!valid.ok()) {
-    return Status::CorruptInput("snapshot fails graph validation (" +
-                                valid.message() + "): " + path);
-  }
-  return g;
-}
-
-struct SnapshotReader::Impl {
-  std::shared_ptr<const void> backing;
-  const unsigned char* base = nullptr;
-  std::uint64_t file_size = 0;
-  std::string path;
-  SnapshotCounts counts;
-  std::uint64_t checksum = 0;
-  V3Header header;
-  std::vector<BlockIndexEntry> index;  ///< upper blocks, then lower blocks.
-  std::uint64_t blocks_region = 0;     ///< file offset of the blocks region.
-  std::vector<EdgeIndex> upper_offsets;
-  std::vector<EdgeIndex> lower_offsets;
-  std::vector<AttrId> upper_attrs;
-  std::vector<AttrId> lower_attrs;
-};
-
-Result<SnapshotReader> SnapshotReader::Open(const std::string& path) {
-  auto impl = std::make_shared<Impl>();
-  impl->path = path;
-
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::NotFound("cannot open: " + path);
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    return Status::CorruptInput("cannot stat: " + path);
-  }
-  impl->file_size = static_cast<std::uint64_t>(st.st_size);
-  if (impl->file_size < kCommonHeaderBytes + sizeof(V3Header)) {
-    ::close(fd);
-    return Status::CorruptInput("truncated snapshot header: " + path);
-  }
-  void* mapped =
-      ::mmap(nullptr, impl->file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (mapped == MAP_FAILED) {
-    return Status::Internal("mmap failed: " + path);
-  }
-  const std::uint64_t file_size = impl->file_size;
-  impl->backing = std::shared_ptr<const void>(
-      mapped, [file_size](const void* p) {
-        ::munmap(const_cast<void*>(p), file_size);
-      });
-  const auto* base = static_cast<const unsigned char*>(mapped);
-  impl->base = base;
-
-  if (std::memcmp(base, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return Status::CorruptInput("not a fairbc snapshot: " + path);
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, base + 8, sizeof(version));
-  if (version != kSnapshotVersionCompressed) {
-    return Status::CorruptInput("not a compressed (v3) snapshot, version " +
-                                std::to_string(version) + ": " + path);
-  }
-  std::memcpy(&impl->checksum, base + 16, sizeof(impl->checksum));
-  std::memcpy(&impl->counts, base + 24, sizeof(impl->counts));
-  std::memcpy(&impl->header, base + kCommonHeaderBytes, sizeof(V3Header));
-  const SnapshotCounts& counts = impl->counts;
-  const V3Header& header = impl->header;
-
-  if (header.block_edges == 0) {
-    return Status::CorruptInput("snapshot block_edges is zero: " + path);
-  }
-  const std::uint64_t expect_blocks =
-      counts.num_edges == 0
-          ? 0
-          : (counts.num_edges - 1) / header.block_edges + 1;
-  if (header.num_upper_blocks != expect_blocks ||
-      header.num_lower_blocks != expect_blocks) {
-    return Status::CorruptInput(
-        "snapshot block count does not match its edge count: " + path);
-  }
-  const std::uint64_t num_blocks = 2 * expect_blocks;
-  const unsigned __int128 index_bytes =
-      static_cast<unsigned __int128>(num_blocks) * sizeof(BlockIndexEntry);
-  // Exact-size check before trusting any of the section lengths: a
-  // corrupt header must come back as a Status, not a wild read.
-  unsigned __int128 total = kCommonHeaderBytes + sizeof(V3Header);
-  total += index_bytes;
-  total += header.upper_offsets_bytes;
-  total += header.lower_offsets_bytes;
-  total += header.upper_attrs_bytes;
-  total += header.lower_attrs_bytes;
-  total += header.blocks_bytes;
-  if (total != impl->file_size) {
-    return Status::CorruptInput(
-        "snapshot payload size does not match its header counts: " + path);
-  }
-
-  // Metadata checksum — verified before any count-derived allocation, so
-  // a flipped num_upper/num_edges cannot cause OOM. The block index and
-  // the four eager sections are contiguous in the file, hence one pass.
-  const std::uint64_t index_off = kCommonHeaderBytes + sizeof(V3Header);
-  const std::uint64_t eager_bytes =
-      header.upper_offsets_bytes + header.lower_offsets_bytes +
-      header.upper_attrs_bytes + header.lower_attrs_bytes;
-  std::uint64_t state = Fnv1a64(base + 24, sizeof(SnapshotCounts));
-  state = Fnv1a64(base + kCommonHeaderBytes + sizeof(header.index_checksum),
-                  sizeof(V3Header) - sizeof(header.index_checksum), state);
-  state = Fnv1a64(base + index_off,
-                  static_cast<std::size_t>(index_bytes) + eager_bytes, state);
-  if (state != header.index_checksum) {
-    return Status::CorruptInput("snapshot index checksum mismatch: " + path);
-  }
-
-  impl->index.resize(num_blocks);
-  if (num_blocks != 0) {
-    std::memcpy(impl->index.data(), base + index_off,
-                static_cast<std::size_t>(index_bytes));
-  }
-  // Entries must tile the blocks region exactly in order — this is what
-  // makes `base + blocks_region + entry.offset .. + entry.bytes` safe to
-  // read for every entry without per-access bounds math.
-  std::uint64_t running = 0;
-  for (const BlockIndexEntry& entry : impl->index) {
-    if (entry.offset != running ||
-        entry.bytes > header.blocks_bytes - running ||
-        entry.codec > static_cast<std::uint16_t>(BlockCodec::kRice) ||
-        entry.rice_k > 63 || entry.reserved != 0) {
-      return Status::CorruptInput("snapshot block index invalid: " + path);
-    }
-    running += entry.bytes;
-  }
-  if (running != header.blocks_bytes) {
-    return Status::CorruptInput("snapshot block index invalid: " + path);
-  }
-  impl->blocks_region = index_off + static_cast<std::uint64_t>(index_bytes) +
-                        eager_bytes;
-
-  // Eagerly decode the O(vertices) sections; neighbor blocks stay cold.
-  std::uint64_t pos = index_off + static_cast<std::uint64_t>(index_bytes);
-  auto decode_section = [&](std::uint64_t bytes, auto&& fn) -> Status {
-    Status s = fn(base + pos, static_cast<std::size_t>(bytes));
-    pos += bytes;
-    return s;
-  };
-  auto wrap = [&path](Status s) {
-    return s.ok() ? s : Status::CorruptInput(s.message() + ": " + path);
-  };
-  Status s = wrap(decode_section(
-      header.upper_offsets_bytes, [&](const unsigned char* d, std::size_t n) {
-        return DecodeOffsetsSection(d, n, counts.num_upper + std::size_t{1},
-                                    counts.num_edges, &impl->upper_offsets);
-      }));
-  if (!s.ok()) return s;
-  s = wrap(decode_section(
-      header.lower_offsets_bytes, [&](const unsigned char* d, std::size_t n) {
-        return DecodeOffsetsSection(d, n, counts.num_lower + std::size_t{1},
-                                    counts.num_edges, &impl->lower_offsets);
-      }));
-  if (!s.ok()) return s;
-  s = wrap(decode_section(
-      header.upper_attrs_bytes, [&](const unsigned char* d, std::size_t n) {
-        return DecodeAttrsSection(d, n, counts.num_upper,
-                                  counts.num_upper_attrs, &impl->upper_attrs);
-      }));
-  if (!s.ok()) return s;
-  s = wrap(decode_section(
-      header.lower_attrs_bytes, [&](const unsigned char* d, std::size_t n) {
-        return DecodeAttrsSection(d, n, counts.num_lower,
-                                  counts.num_lower_attrs, &impl->lower_attrs);
-      }));
-  if (!s.ok()) return s;
-
-  SnapshotReader reader;
-  reader.impl_ = std::move(impl);
-  return reader;
-}
-
-std::uint32_t SnapshotReader::NumUpper() const { return impl_->counts.num_upper; }
-std::uint32_t SnapshotReader::NumLower() const { return impl_->counts.num_lower; }
-std::uint64_t SnapshotReader::NumEdges() const { return impl_->counts.num_edges; }
-std::uint16_t SnapshotReader::NumAttrs(Side side) const {
-  return side == Side::kUpper ? impl_->counts.num_upper_attrs
-                              : impl_->counts.num_lower_attrs;
-}
-std::uint32_t SnapshotReader::BlockEdges() const {
-  return impl_->header.block_edges;
-}
-std::uint64_t SnapshotReader::NumBlocks() const {
-  return impl_->header.num_upper_blocks;
-}
-std::uint64_t SnapshotReader::Checksum() const { return impl_->checksum; }
-std::uint64_t SnapshotReader::FileBytes() const { return impl_->file_size; }
-
-const std::vector<EdgeIndex>& SnapshotReader::Offsets(Side side) const {
-  return side == Side::kUpper ? impl_->upper_offsets : impl_->lower_offsets;
-}
-const std::vector<AttrId>& SnapshotReader::Attrs(Side side) const {
-  return side == Side::kUpper ? impl_->upper_attrs : impl_->lower_attrs;
-}
-
-Status SnapshotReader::DecodeEdgeRange(Side side, std::uint64_t first,
-                                       std::uint64_t count,
-                                       std::vector<VertexId>* out) const {
-  FAIRBC_CHECK(impl_ != nullptr);
-  const Impl& im = *impl_;
-  const std::uint64_t num_edges = im.counts.num_edges;
-  if (first > num_edges || count > num_edges - first) {
-    return Status::InvalidArgument("snapshot edge range out of bounds");
-  }
-  out->clear();
-  out->resize(static_cast<std::size_t>(count));
-  if (count == 0) return Status::OK();
-
-  const std::vector<EdgeIndex>& offsets =
-      side == Side::kUpper ? im.upper_offsets : im.lower_offsets;
-  const std::uint64_t block = im.header.block_edges;
-  const std::uint64_t side_base =
-      side == Side::kUpper ? 0 : im.header.num_upper_blocks;
-  // Decoded ids index the *opposite* side.
-  const std::uint64_t opposite =
-      side == Side::kUpper ? im.counts.num_lower : im.counts.num_upper;
-
-  const std::uint64_t b0 = first / block;
-  const std::uint64_t b1 = (first + count - 1) / block;
-  std::vector<std::uint64_t> vals(
-      static_cast<std::size_t>(std::min<std::uint64_t>(block, num_edges)));
-  for (std::uint64_t b = b0; b <= b1; ++b) {
-    const BlockIndexEntry& entry = im.index[static_cast<std::size_t>(
-        side_base + b)];
-    const std::uint64_t block_start = b * block;
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(block, num_edges - block_start));
-    const unsigned char* data = im.base + im.blocks_region + entry.offset;
-    if (Fold32(Fnv1a64(data, entry.bytes)) != entry.checksum) {
-      return Status::CorruptInput("snapshot block checksum mismatch: " +
-                                  im.path);
-    }
-    Status s = DecodeBlock(
-        std::string_view(reinterpret_cast<const char*>(data), entry.bytes),
-        static_cast<BlockCodec>(entry.codec), entry.rice_k, n, vals.data());
-    if (!s.ok()) {
-      return Status::CorruptInput(s.message() + ": " + im.path);
-    }
-    // Un-delta with the same vertex-pointer walk the encoder used: the
-    // value is absolute at a block start or a list start, gap-minus-one
-    // otherwise.
-    std::size_t vp = static_cast<std::size_t>(
-        std::upper_bound(offsets.begin(), offsets.end(), block_start) -
-        offsets.begin() - 1);
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t e = block_start + i;
-      while (vp + 1 < offsets.size() && offsets[vp + 1] <= e) ++vp;
-      const bool restart = i == 0 || offsets[vp] == e;
-      // Bound the raw value first so prev + vals[i] + 1 cannot wrap.
-      if (vals[i] >= opposite) {
-        return Status::CorruptInput("snapshot neighbor id out of range: " +
-                                    im.path);
-      }
-      const std::uint64_t value = restart ? vals[i] : prev + vals[i] + 1;
-      if (value >= opposite) {
-        return Status::CorruptInput("snapshot neighbor id out of range: " +
-                                    im.path);
-      }
-      prev = value;
-      // Only the requested slice lands in `out`: the last block can run
-      // past `first + count`, and those tail entries must not be stored.
-      if (e >= first && e - first < count) {
-        (*out)[static_cast<std::size_t>(e - first)] =
-            static_cast<VertexId>(value);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status SnapshotReader::DecodeNeighbors(Side side, VertexId v,
-                                       std::vector<VertexId>* out) const {
-  FAIRBC_CHECK(impl_ != nullptr);
-  const std::vector<EdgeIndex>& offsets = Offsets(side);
-  if (static_cast<std::size_t>(v) + 1 >= offsets.size()) {
-    return Status::InvalidArgument("snapshot vertex id out of bounds");
-  }
-  return DecodeEdgeRange(side, offsets[v], offsets[v + 1] - offsets[v], out);
-}
-
-Result<BipartiteGraph> SnapshotReader::DecodeGraph() const {
-  FAIRBC_CHECK(impl_ != nullptr);
-  const Impl& im = *impl_;
-  std::vector<VertexId> upper_neighbors;
-  std::vector<VertexId> lower_neighbors;
-  Status s = DecodeEdgeRange(Side::kUpper, 0, im.counts.num_edges,
-                             &upper_neighbors);
-  if (!s.ok()) return s;
-  s = DecodeEdgeRange(Side::kLower, 0, im.counts.num_edges, &lower_neighbors);
-  if (!s.ok()) return s;
-
-  BipartiteGraph g(im.upper_offsets, std::move(upper_neighbors),
-                   im.lower_offsets, std::move(lower_neighbors),
-                   im.upper_attrs, im.lower_attrs,
-                   static_cast<AttrId>(im.counts.num_upper_attrs),
-                   static_cast<AttrId>(im.counts.num_lower_attrs));
-  // The per-block checksums already authenticated each section, but the
-  // header fingerprint is the cross-format contract (it is what v2 files
-  // carry and what GraphCatalog/ResultCache key on) — verify it too.
-  if (GraphFingerprint(g) != im.checksum) {
-    return Status::CorruptInput("snapshot checksum mismatch: " + im.path);
-  }
-  Status valid = g.Validate();
-  if (!valid.ok()) {
-    return Status::CorruptInput("snapshot fails graph validation (" +
-                                valid.message() + "): " + im.path);
-  }
-  return g;
+  return BipartiteGraph(
+      owned(view.Offsets(Side::kUpper)), owned(view.NeighborArray(Side::kUpper)),
+      owned(view.Offsets(Side::kLower)), owned(view.NeighborArray(Side::kLower)),
+      owned(view.AttrArray(Side::kUpper)), owned(view.AttrArray(Side::kLower)),
+      view.NumAttrs(Side::kUpper), view.NumAttrs(Side::kLower));
 }
 
 Result<SnapshotInfo> ProbeSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open: " + path);
-  }
-  char magic[sizeof(kSnapshotMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
-    return Status::CorruptInput("not a fairbc snapshot: " + path);
-  }
+  Result<MappedSnapshot> mapped = MapSnapshot(path);
+  if (!mapped.ok()) return mapped.status();
+  const MappedSnapshot& s = mapped.value();
   SnapshotInfo info;
-  std::uint32_t reserved = 0;
-  SnapshotCounts counts;
-  if (!ReadPod(in, &info.version) || !ReadPod(in, &reserved) ||
-      !ReadPod(in, &info.checksum) || !ReadPod(in, &counts)) {
-    return Status::CorruptInput("truncated snapshot header: " + path);
-  }
-  info.num_upper = counts.num_upper;
-  info.num_lower = counts.num_lower;
-  info.num_edges = counts.num_edges;
-  info.num_upper_attrs = counts.num_upper_attrs;
-  info.num_lower_attrs = counts.num_lower_attrs;
-
-  const std::streampos here = in.tellg();
-  in.seekg(0, std::ios::end);
-  info.file_bytes = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(here);
-
-  const unsigned __int128 v2_payload = ExpectedPayloadBytes(counts, 2);
-  if (v2_payload >
-      ~std::uint64_t{0} - kCommonHeaderBytes) {  // corrupt counts.
-    return Status::CorruptInput(
-        "snapshot counts imply an impossible payload size: " + path);
-  }
+  info.version = s.version;
+  info.file_bytes = s.file_size;
+  info.checksum = s.checksum;
+  info.num_upper = s.counts.num_upper;
+  info.num_lower = s.counts.num_lower;
+  info.num_edges = s.counts.num_edges;
+  info.num_upper_attrs = s.counts.num_upper_attrs;
+  info.num_lower_attrs = s.counts.num_lower_attrs;
+  // The parse bounded every count by the file's bytes, so this fits.
   info.uncompressed_bytes =
-      kCommonHeaderBytes + static_cast<std::uint64_t>(v2_payload);
-
-  if (info.version == 1 || info.version == kSnapshotVersion) {
-    if (ExpectedPayloadBytes(counts, info.version) !=
-        info.file_bytes - kCommonHeaderBytes) {
-      return Status::CorruptInput(
-          "snapshot payload size does not match its header counts: " + path);
-    }
-    return info;
+      kCommonHeaderBytes +
+      static_cast<std::uint64_t>(ExpectedPayloadBytes(s.counts));
+  if (s.version == kSnapshotVersionCompressed) {
+    info.block_edges = s.v3.block_edges;
+    info.num_blocks = s.v3.num_upper_blocks;
   }
-  if (info.version != kSnapshotVersionCompressed) {
-    return Status::CorruptInput("unsupported snapshot version " +
-                                std::to_string(info.version) + ": " + path);
-  }
-  V3Header header;
-  if (!ReadPod(in, &header)) {
-    return Status::CorruptInput("truncated snapshot header: " + path);
-  }
-  if (header.block_edges == 0) {
-    return Status::CorruptInput("snapshot block_edges is zero: " + path);
-  }
-  const std::uint64_t expect_blocks =
-      counts.num_edges == 0
-          ? 0
-          : (counts.num_edges - 1) / header.block_edges + 1;
-  if (header.num_upper_blocks != expect_blocks ||
-      header.num_lower_blocks != expect_blocks) {
-    return Status::CorruptInput(
-        "snapshot block count does not match its edge count: " + path);
-  }
-  unsigned __int128 total = kCommonHeaderBytes + sizeof(V3Header);
-  total += static_cast<unsigned __int128>(2 * expect_blocks) *
-           sizeof(BlockIndexEntry);
-  total += header.upper_offsets_bytes;
-  total += header.lower_offsets_bytes;
-  total += header.upper_attrs_bytes;
-  total += header.lower_attrs_bytes;
-  total += header.blocks_bytes;
-  if (total != info.file_bytes) {
-    return Status::CorruptInput(
-        "snapshot payload size does not match its header counts: " + path);
-  }
-  info.block_edges = header.block_edges;
-  info.num_blocks = expect_blocks;
   return info;
 }
 

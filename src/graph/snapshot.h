@@ -2,9 +2,7 @@
 #define FAIRBC_GRAPH_SNAPSHOT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "graph/bipartite_graph.h"
@@ -12,10 +10,10 @@
 namespace fairbc {
 
 /// Versioned binary snapshot of an attributed bipartite graph. Loading a
-/// snapshot is a handful of bulk reads straight into the CSR vectors — no
-/// text parsing — which is what makes GraphCatalog preloading cheap. The
-/// mmap loader (ReadSnapshotView) skips even those reads and maps the CSR
-/// sections in place.
+/// snapshot copies the mapped CSR sections straight into the graph's
+/// vectors — no text parsing — which is what makes GraphCatalog
+/// preloading cheap. The mmap loader (ReadSnapshotView) skips even the
+/// copy and views the CSR sections in place.
 ///
 /// Layout (native-endian; the checksum catches cross-endian loads too,
 /// since the payload bytes differ):
@@ -42,37 +40,39 @@ namespace fairbc {
 /// the 48-byte header is itself 8-aligned, which is what lets an mmap'd
 /// file be read through typed u64 spans without misaligned loads. The
 /// padding bytes are *excluded* from the checksum, so a graph's
-/// GraphFingerprint still equals its snapshot header checksum in both
-/// versions. Version-1 files (unpadded) remain readable by both loaders;
-/// ReadSnapshotView falls back to a copying load for them.
+/// GraphFingerprint equals its snapshot header checksum. Version 1 (the
+/// unpadded layout) is no longer read: it is rejected as an unsupported
+/// version.
 ///
 /// Version 3 (optional, written on request) compresses every array
 /// section. After the same 48-byte common header — whose checksum field
 /// still holds the *decoded-content* fingerprint, so
-/// `GraphFingerprint(g) == header.checksum` across all three versions —
-/// comes a 64-byte v3 header, a block index, four eagerly-decoded varint
-/// sections (offsets as first-absolute + deltas, attrs as raw varints),
-/// and a region of independently decodable neighbor blocks of
-/// `block_edges` edges each (delta-coded with absolute restarts at block
-/// and list starts, per block either LEB128 varint or Golomb–Rice —
-/// whichever is smaller). The v3 header's `index_checksum` covers the
-/// count block, the v3 header remainder, the block index and the four
-/// eager sections, and is verified *before any allocation*, so corrupt
-/// counts still cannot cause OOM; each neighbor block carries its own
-/// folded-FNV checksum, verified on (lazy) decode. See
-/// docs/SNAPSHOT_FORMAT.md for the byte-level spec.
+/// `GraphFingerprint(g) == header.checksum` in both versions — comes a
+/// 64-byte v3 header, a block index, four varint sections (offsets as
+/// first-absolute + deltas, attrs as raw varints), and a region of
+/// neighbor blocks of `block_edges` edges each (delta-coded with
+/// absolute restarts at block and list starts, per block either LEB128
+/// varint or Golomb–Rice — whichever is smaller). The v3 header's
+/// `index_checksum` covers the count block, the v3 header remainder, the
+/// block index and the four varint sections, and is verified before any
+/// allocation; each neighbor block carries its own folded-FNV checksum,
+/// verified before it is decoded. See docs/SNAPSHOT_FORMAT.md for the
+/// byte-level spec.
 ///
-/// ReadSnapshot validates magic, version, checksum, exact file length and
-/// the full BipartiteGraph::Validate() invariants; every failure is a
-/// Status (kCorruptInput / kNotFound), never a crash.
+/// All three entry points share one header parse, which bounds every
+/// count by the file's own bytes before anything is sized from it (v2:
+/// exact length; v3: exact length, then at least one byte per varint
+/// and one bit per neighbor-block value), so corrupt counts cannot cause
+/// OOM. Every failure is a Status (kCorruptInput / kNotFound), never a
+/// crash.
 
 inline constexpr char kSnapshotMagic[8] = {'F', 'B', 'C', 'S', 'N', 'A', 'P', '1'};
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::uint32_t kSnapshotVersionCompressed = 3;
 
-/// Default v3 neighbor-block granularity: small enough that a point
-/// lookup decodes a few KiB, large enough that the 24-byte index entry
-/// is amortized to well under 1% of a typical block.
+/// Default v3 neighbor-block granularity: large enough that the 24-byte
+/// index entry is amortized to well under 1% of a typical block, small
+/// enough that the decoder's per-block scratch stays a few KiB.
 inline constexpr std::uint32_t kDefaultSnapshotBlockEdges = 4096;
 
 /// Incremental FNV-1a (64-bit) over a byte range.
@@ -88,7 +88,7 @@ std::uint64_t GraphFingerprint(const BipartiteGraph& g);
 
 struct SnapshotWriteOptions {
   /// kSnapshotVersion (2, raw + mmap-aligned) or
-  /// kSnapshotVersionCompressed (3). Version 1 is read-only legacy.
+  /// kSnapshotVersionCompressed (3).
   std::uint32_t version = kSnapshotVersion;
   /// Edges per compressed neighbor block (v3 only). Must be >= 1.
   std::uint32_t block_edges = kDefaultSnapshotBlockEdges;
@@ -102,8 +102,11 @@ Status WriteSnapshot(const BipartiteGraph& g, const std::string& path);
 Status WriteSnapshot(const BipartiteGraph& g, const std::string& path,
                      const SnapshotWriteOptions& options);
 
-/// Reads a snapshot written by WriteSnapshot. The returned graph is
+/// Reads a snapshot written by WriteSnapshot into an owned graph,
 /// byte-identical to the one written (same CSR arrays, same fingerprint).
+/// Validates magic, version, checksums, exact file length and the full
+/// BipartiteGraph::Validate() invariants; a v3 file is decoded in one
+/// pass and its content fingerprint re-checked.
 Result<BipartiteGraph> ReadSnapshot(const std::string& path);
 
 /// Maps `path` read-only and returns a BipartiteGraph *view* whose CSR
@@ -111,16 +114,17 @@ Result<BipartiteGraph> ReadSnapshot(const std::string& path);
 /// making the load allocation-free: the only O(n) work is the checksum
 /// verification, which doubles as page warm-up. The mapping is owned by
 /// the returned graph (and any copies) and unmapped with the last one.
-/// Version-1 snapshots lack the alignment padding, so they fall back to
-/// the copying ReadSnapshot — same bytes, IsView() false. All validation
-/// (magic, version, checksum, exact length, graph invariants) matches
-/// ReadSnapshot; the file must stay unmodified while mapped.
+/// Compressed (v3) sections cannot be viewed in place, so a v3 file is
+/// decoded as ReadSnapshot does — same bytes, IsView() false. All
+/// validation matches ReadSnapshot; the file must stay unmodified while
+/// mapped.
 Result<BipartiteGraph> ReadSnapshotView(const std::string& path);
 
-/// Cheap header-only inspection of a snapshot file: version, counts,
-/// content fingerprint and (v3) compression geometry, without decoding
-/// any payload. Sizes are cross-checked against the actual file length;
-/// checksums are *not* verified (that happens on load).
+/// Cheap header inspection of a snapshot file: version, counts, content
+/// fingerprint and (v3) compression geometry, without decoding any
+/// payload. Runs the loaders' header parse, so it rejects exactly the
+/// headers they reject (for v3 that includes the index checksum); the
+/// content and per-block checksums are verified only on load.
 struct SnapshotInfo {
   std::uint32_t version = 0;
   std::uint64_t file_bytes = 0;
@@ -133,66 +137,12 @@ struct SnapshotInfo {
   /// Size the same graph takes as a v2 snapshot (header + raw aligned
   /// sections) — the denominator-free way to report compression ratio.
   std::uint64_t uncompressed_bytes = 0;
-  /// v3 only; zero for v1/v2.
+  /// v3 only; zero for v2.
   std::uint32_t block_edges = 0;
   std::uint64_t num_blocks = 0;  ///< per direction.
 };
 
 Result<SnapshotInfo> ProbeSnapshot(const std::string& path);
-
-/// Lazy reader for v3 (compressed) snapshots. Open() mmaps the file,
-/// verifies the metadata checksum (count block + v3 header + block index
-/// + offsets/attrs sections) and eagerly decodes the O(vertices)
-/// offsets/attrs — but touches *no* neighbor blocks. Neighbor data is
-/// then decoded per request, one block (`block_edges` edges) at a time,
-/// with the block's own checksum verified first — this is the hot-graph
-/// path that serves point lookups from a compressed file without paying
-/// a full decompression. DecodeGraph() is the cold-load path: it decodes
-/// everything, re-verifies the content fingerprint against the header
-/// checksum and runs BipartiteGraph::Validate().
-///
-/// Readers are cheap to copy (shared immutable state); a
-/// default-constructed reader is only a placeholder and must not be
-/// used. All methods are const and thread-safe on an opened reader.
-class SnapshotReader {
- public:
-  SnapshotReader() = default;
-
-  static Result<SnapshotReader> Open(const std::string& path);
-
-  std::uint32_t NumUpper() const;
-  std::uint32_t NumLower() const;
-  std::uint64_t NumEdges() const;
-  std::uint16_t NumAttrs(Side side) const;
-  std::uint32_t BlockEdges() const;
-  std::uint64_t NumBlocks() const;  ///< per direction.
-  std::uint64_t Checksum() const;   ///< content fingerprint from header.
-  std::uint64_t FileBytes() const;
-
-  /// Eagerly decoded CSR offsets / attribute arrays for `side`.
-  const std::vector<EdgeIndex>& Offsets(Side side) const;
-  const std::vector<AttrId>& Attrs(Side side) const;
-
-  /// Decodes neighbor-array entries [first, first + count) of `side`
-  /// into `out` (resized to `count`). Touches only the blocks covering
-  /// the range; InvalidArgument on an out-of-bounds range, CorruptInput
-  /// on a bad block (checksum, truncation, trailing data, id overflow).
-  Status DecodeEdgeRange(Side side, std::uint64_t first, std::uint64_t count,
-                         std::vector<VertexId>* out) const;
-
-  /// Decodes the adjacency list of vertex `v` on `side`.
-  Status DecodeNeighbors(Side side, VertexId v,
-                         std::vector<VertexId>* out) const;
-
-  /// Full eager decode: owned BipartiteGraph, fingerprint-verified
-  /// against the header checksum and Validate()d — the same guarantees
-  /// ReadSnapshot gives for v1/v2 files.
-  Result<BipartiteGraph> DecodeGraph() const;
-
- private:
-  struct Impl;
-  std::shared_ptr<const Impl> impl_;
-};
 
 }  // namespace fairbc
 

@@ -45,11 +45,7 @@ Status GraphCatalog::AddGraph(const std::string& name, BipartiteGraph graph,
 Status GraphCatalog::AddFromFile(const std::string& name,
                                  const std::string& path, Format format) {
   Timer timer;
-  Result<BipartiteGraph> loaded =
-      format == Format::kSnapshot     ? ReadSnapshot(path)
-      : format == Format::kSnapshotMmap ? ReadSnapshotView(path)
-      : format == Format::kAttr       ? ReadAttributedGraph(path)
-                                      : ReadEdgeList(path);
+  Result<BipartiteGraph> loaded = ReadGraphFile(path, format);
   if (!loaded.ok()) return loaded.status();
   std::uint64_t source_bytes = 0;
   struct stat st{};
@@ -91,6 +87,15 @@ std::vector<std::shared_ptr<const CatalogEntry>> GraphCatalog::List() const {
 std::size_t GraphCatalog::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
+}
+
+Result<BipartiteGraph> ReadGraphFile(const std::string& path,
+                                     GraphCatalog::Format format) {
+  return format == GraphCatalog::Format::kSnapshot ? ReadSnapshot(path)
+         : format == GraphCatalog::Format::kSnapshotMmap
+             ? ReadSnapshotView(path)
+         : format == GraphCatalog::Format::kAttr ? ReadAttributedGraph(path)
+                                                 : ReadEdgeList(path);
 }
 
 std::optional<GraphCatalog::Format> ParseCatalogFormat(

@@ -28,7 +28,7 @@ struct CatalogEntry {
   std::uint64_t version = 0;
   std::string source;  ///< originating path, or "<memory>".
   double load_seconds = 0.0;
-  /// Snapshot format version of the source file (1/2 raw, 3 compressed);
+  /// Snapshot format version of the source file (2 raw, 3 compressed);
   /// 0 when the entry did not come from a snapshot.
   std::uint32_t snapshot_version = 0;
   /// On-disk size of the source file; 0 for in-memory/generated entries.
@@ -82,6 +82,11 @@ class GraphCatalog {
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const CatalogEntry>> entries_;
 };
+
+/// Reads `path` in `format`: the one format→reader dispatch behind
+/// AddFromFile and fairbc_cli's --format.
+Result<BipartiteGraph> ReadGraphFile(const std::string& path,
+                                     GraphCatalog::Format format);
 
 /// Wire-name parser/printer for Format ("snapshot" / "mmap" / "attr" /
 /// "edges").

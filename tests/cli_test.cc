@@ -539,7 +539,8 @@ TEST(CliEndToEnd, GenRejectsNegativeVertexCounts) {
 
 // Unknown names are usage errors: --pruning=colorfull and --ordering=idd
 // used to run as the defaults, and a bad --model/--algo/--rank exited 1.
-// `verify` used to read an unknown --model as ssfbc.
+// --output=jsn used to print text and --format=snapshto to load the file
+// as attr. `verify` used to read an unknown --model as ssfbc.
 TEST(CliEndToEnd, EnumAndVerifyRejectUnknownNames) {
   std::string graph = GraphPath();
   std::string results = ::testing::TempDir() + "/fairbc_cli_results5.txt";
@@ -553,6 +554,8 @@ TEST(CliEndToEnd, EnumAndVerifyRejectUnknownNames) {
       {"--model=ssfb", "bad --model (ssfbc|bsfbc)"},
       {"--algo=ppp", "bad --algo (pp|bcem|naive)"},
       {"--rank=heavy", "bad --rank (weight|size|balance)"},
+      {"--output=jsn", "bad --output (text|json)"},
+      {"--format=snapshto", "bad --format (edges|attr|snapshot|mmap)"},
   };
   for (const auto& [flag, message] : cases) {
     CommandResult r =
@@ -564,7 +567,8 @@ TEST(CliEndToEnd, EnumAndVerifyRejectUnknownNames) {
   }
   for (const std::string flag : {"--pruning=none", "--pruning=core",
                                  "--pruning=colorful", "--ordering=id",
-                                 "--ordering=deg"}) {
+                                 "--ordering=deg", "--output=text",
+                                 "--output=json", "--format=attr"}) {
     CommandResult r = RunCli("enum --graph=" + graph + " --count-only " + flag);
     EXPECT_EQ(r.exit_code, 0) << flag << ": " << r.output;
   }

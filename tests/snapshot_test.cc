@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/varint_codec.h"
 #include "test_util.h"
 
 namespace fairbc {
@@ -257,6 +258,13 @@ TEST(SnapshotViewTest, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
+TEST(SnapshotViewTest, DirectoryIsCorruptInput) {
+  const std::string dir = ::testing::TempDir();
+  EXPECT_EQ(ReadSnapshot(dir).status().code(), StatusCode::kCorruptInput);
+  EXPECT_EQ(ReadSnapshotView(dir).status().code(), StatusCode::kCorruptInput);
+  EXPECT_EQ(ProbeSnapshot(dir).status().code(), StatusCode::kCorruptInput);
+}
+
 /// Serializes `g` in the (unpadded) version-1 layout, which WriteSnapshot
 /// no longer emits: the count block + six raw arrays, version field 1.
 /// The checksum definition is identical across versions.
@@ -297,24 +305,22 @@ void WriteV1Snapshot(const BipartiteGraph& g, const std::string& path) {
   ASSERT_TRUE(out.good());
 }
 
-/// Version-1 files (no alignment padding) stay loadable: the copying
-/// loader reads them directly and the mmap loader falls back to a copy
-/// (its u64 sections may start misaligned in a mapping).
-TEST(SnapshotViewTest, Version1FilesLoadAndFallBackToCopy) {
-  // An odd vertex count makes the attr sections odd-sized, so the v1 and
-  // v2 encodings genuinely differ (padding would be nonzero).
+/// Version 1 (the unpadded layout) is no longer read: every entry point
+/// rejects it as an unsupported version.
+TEST(SnapshotViewTest, Version1FilesAreRejected) {
   const BipartiteGraph g = MakeUniformRandom(101, 77, 900, 3, 11);
   const std::string path = TempPath("v1.snap");
   WriteV1Snapshot(g, path);
 
-  auto copied = ReadSnapshot(path);
-  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-  ExpectByteIdentical(g, copied.value());
-
-  auto view = ReadSnapshotView(path);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_FALSE(view.value().IsView());  // fallback = owned copy.
-  ExpectByteIdentical(g, view.value());
+  const Status statuses[] = {ReadSnapshot(path).status(),
+                             ReadSnapshotView(path).status(),
+                             ProbeSnapshot(path).status()};
+  for (const Status& st : statuses) {
+    EXPECT_EQ(st.code(), StatusCode::kCorruptInput);
+    EXPECT_NE(st.message().find("unsupported snapshot version 1"),
+              std::string::npos)
+        << st.ToString();
+  }
 }
 
 /// Corruption suite for the v3 (compressed) format. The v3 layout is
@@ -325,8 +331,9 @@ TEST(SnapshotViewTest, Version1FilesLoadAndFallBackToCopy) {
 ///   [112, +24*(nub+nlb))  block index entries
 ///   four eager varint sections (offsets x2, attrs x2)
 ///   blocks region (last blocks_bytes bytes of the file)
-/// Every mutation must come back as a Status from BOTH eager loaders and
-/// from the lazy SnapshotReader — never a throw, crash or huge allocation.
+/// Every mutation must come back as a Status from both loaders and from
+/// ProbeSnapshot (which runs the same header parse) — never a throw,
+/// crash or huge allocation.
 class SnapshotV3Corruption : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -388,22 +395,15 @@ class SnapshotV3Corruption : public ::testing::Test {
     if (loaded.ok()) return StatusCode::kOk;
     return loaded.status().code();
   }
-  /// Lazy path: Open + full-range decode of both directions.
-  StatusCode LazyCode() {
-    auto opened = SnapshotReader::Open(path_);
-    if (!opened.ok()) return opened.status().code();
-    std::vector<VertexId> out;
-    for (Side side : {Side::kUpper, Side::kLower}) {
-      Status s = opened.value().DecodeEdgeRange(
-          side, 0, opened.value().NumEdges(), &out);
-      if (!s.ok()) return s.code();
-    }
-    return StatusCode::kOk;
+  StatusCode ProbeCode() {
+    auto probed = ProbeSnapshot(path_);
+    if (probed.ok()) return StatusCode::kOk;
+    return probed.status().code();
   }
   void ExpectAllLoadersReject(StatusCode code = StatusCode::kCorruptInput) {
     EXPECT_EQ(LoadCode(), code);
     EXPECT_EQ(LoadViewCode(), code);
-    EXPECT_EQ(LazyCode(), code);
+    EXPECT_EQ(ProbeCode(), code);
   }
 
   BipartiteGraph g_;
@@ -414,7 +414,7 @@ class SnapshotV3Corruption : public ::testing::Test {
 TEST_F(SnapshotV3Corruption, IntactFileLoadsEverywhere) {
   EXPECT_EQ(LoadCode(), StatusCode::kOk);
   EXPECT_EQ(LoadViewCode(), StatusCode::kOk);
-  EXPECT_EQ(LazyCode(), StatusCode::kOk);
+  EXPECT_EQ(ProbeCode(), StatusCode::kOk);
 }
 
 TEST_F(SnapshotV3Corruption, TruncationAtEverySectionBoundary) {
@@ -454,19 +454,21 @@ TEST_F(SnapshotV3Corruption, BitFlipInEagerSectionsFailsIndexChecksum) {
 }
 
 TEST_F(SnapshotV3Corruption, BitFlipInCompressedBlockFailsBlockChecksum) {
-  // Metadata stays intact, so the lazy Open succeeds — the corruption
-  // must then be caught by the per-block checksum on decode, in both the
-  // eager loaders and the lazy range decode.
+  // Metadata stays intact, so the header parse (and ProbeSnapshot)
+  // accepts the file — the corruption must then be caught by the
+  // per-block checksum on decode, before the fingerprint re-check.
   for (std::size_t off : {BlocksStart(), bytes_.size() - 1,
                           BlocksStart() + (bytes_.size() - BlocksStart()) / 2}) {
     std::string mutated = bytes_;
     mutated[off] ^= 0x20;
     WriteFileBytes(path_, mutated);
-    EXPECT_EQ(LoadCode(), StatusCode::kCorruptInput);
-    EXPECT_EQ(LoadViewCode(), StatusCode::kCorruptInput);
-    auto opened = SnapshotReader::Open(path_);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    EXPECT_EQ(LazyCode(), StatusCode::kCorruptInput);
+    EXPECT_EQ(ProbeCode(), StatusCode::kOk);
+    for (const Status& st :
+         {ReadSnapshot(path_).status(), ReadSnapshotView(path_).status()}) {
+      EXPECT_EQ(st.code(), StatusCode::kCorruptInput);
+      EXPECT_NE(st.message().find("block checksum"), std::string::npos)
+          << st.ToString();
+    }
   }
 }
 
@@ -515,14 +517,78 @@ TEST_F(SnapshotV3Corruption, ForgedBlockCountMismatchRejected) {
 
 TEST_F(SnapshotV3Corruption, ForgedIndexEntryGeometryRejected) {
   // Grow the first block's `bytes` field and forge the checksum: entries
-  // no longer tile the blocks region exactly and must be rejected at
-  // Open, before any entry-relative pointer is formed.
+  // no longer tile the blocks region exactly and must be rejected by the
+  // header parse, before any entry-relative pointer is formed.
   std::uint32_t first_bytes = U32At(112 + 8);
   first_bytes += 1;
   std::memcpy(bytes_.data() + 112 + 8, &first_bytes, sizeof(first_bytes));
   ReforgeIndexChecksum();
   WriteFileBytes(path_, bytes_);
   ExpectAllLoadersReject();
+}
+
+TEST_F(SnapshotV3Corruption, ForgedCountsBeyondSectionBytesRejected) {
+  // A hand-built 1x1 file that passes every size, tiling and checksum
+  // check, but whose one block per direction claims 2^24 edges from 8
+  // bytes. Every coded value takes at least one bit, so the header parse
+  // must reject it before a decoder sizes anything from num_edges.
+  const std::uint64_t num_edges = std::uint64_t{1} << 24;
+  const std::string block(8, '\0');  // eight varint zeros.
+  std::string offsets;
+  AppendVarint(&offsets, 0);
+  AppendVarint(&offsets, num_edges);
+  auto forge = [&](std::uint32_t num_vertices, const std::string& attrs) {
+    std::string f(kSnapshotMagic, sizeof(kSnapshotMagic));
+    auto put = [&f](auto v) {
+      f.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(kSnapshotVersionCompressed);
+    put(std::uint32_t{0});
+    put(std::uint64_t{0});  // content fingerprint: never reached.
+    put(num_vertices);      // num_upper
+    put(num_vertices);      // num_lower
+    put(num_edges);
+    put(std::uint16_t{1});  // attr domains
+    put(std::uint16_t{1});
+    put(std::uint32_t{0});
+    put(std::uint64_t{0});  // index_checksum: reforged below.
+    put(std::uint32_t{0xFFFFFFFFu});  // block_edges: one block per side.
+    put(std::uint32_t{1});
+    put(std::uint32_t{1});
+    put(std::uint32_t{0});
+    for (std::uint64_t bytes : {offsets.size(), offsets.size(), attrs.size(),
+                                attrs.size(), 2 * block.size()}) {
+      put(bytes);
+    }
+    for (std::uint64_t offset : {std::uint64_t{0}, std::uint64_t{block.size()}}) {
+      put(offset);
+      put(static_cast<std::uint32_t>(block.size()));
+      const std::uint64_t h = Fnv1a64(block.data(), block.size());
+      put(static_cast<std::uint32_t>(h ^ (h >> 32)));
+      put(std::uint16_t{0});  // varint codec.
+      put(std::uint16_t{0});
+      put(std::uint32_t{0});
+    }
+    return f + offsets + offsets + attrs + attrs + block + block;
+  };
+
+  bytes_ = forge(1, std::string(1, '\0'));
+  ReforgeIndexChecksum();
+  WriteFileBytes(path_, bytes_);
+  ExpectAllLoadersReject();
+  EXPECT_NE(ReadSnapshot(path_).status().message().find(
+                "block too short for its edge count"),
+            std::string::npos);
+
+  // The same bound for vertex counts: one byte per varint, so 1000
+  // claimed vertices cannot come from 1-byte attr sections.
+  bytes_ = forge(1000, std::string(1, '\0'));
+  ReforgeIndexChecksum();
+  WriteFileBytes(path_, bytes_);
+  ExpectAllLoadersReject();
+  EXPECT_NE(ProbeSnapshot(path_).status().message().find(
+                "too short for its vertex count"),
+            std::string::npos);
 }
 
 }  // namespace

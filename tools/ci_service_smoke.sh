@@ -270,8 +270,21 @@ if [ -z "$V2_VERSION" ] || [ "$V2_VERSION" != "$V3_VERSION" ]; then
   echo "fingerprint drift across formats: v2=$V2_VERSION v3=$V3_VERSION"
   exit 1
 fi
+# format=mmap on a v3 file takes ReadSnapshotView's decode path
+# (compressed sections cannot be viewed in place): same fingerprint.
+printf 'load name=g path=%s format=mmap\nquit\n' "$WORK/g_v3.snap" \
+  | "$SERVER" > "$WORK/load_v3_mmap.txt"
+MMAP_LINE=$(sed -n 1p "$WORK/load_v3_mmap.txt")
+grep -q '"ok":true' <<<"$MMAP_LINE" || { echo "v3 mmap load failed: $MMAP_LINE"; exit 1; }
+test "$(jsonfield "$MMAP_LINE" snapshot_version)" = "3" \
+  || { echo "expected snapshot_version 3: $MMAP_LINE"; exit 1; }
+V3_MMAP_VERSION=$(jsonfield "$MMAP_LINE" version)
+if [ "$V3_MMAP_VERSION" != "$V2_VERSION" ]; then
+  echo "fingerprint drift through format=mmap: v2=$V2_VERSION v3=$V3_MMAP_VERSION"
+  exit 1
+fi
 echo "v3 OK: 20 responses match the v2 oracle; fingerprint $V3_VERSION" \
-     "identical; ${V2_BYTES}B -> ${V3_BYTES}B"
+     "identical (also through format=mmap); ${V2_BYTES}B -> ${V3_BYTES}B"
 
 echo "== restart in TCP mode (mmap preload) and replay through 2 parallel clients"
 # max-sessions covers the 2 line clients + the wire client + its

@@ -109,18 +109,18 @@ int Usage() {
   return 2;
 }
 
-fairbc::Result<BipartiteGraph> LoadGraph(const FlagParser& flags) {
+/// Loads --graph in --format (a GraphCatalog format name, "attr" by
+/// default) and applies --rand-attrs. Returns the exit code: 0 with the
+/// graph in `*out`, 2 on an unknown --format, 1 when the load fails.
+int LoadGraph(const FlagParser& flags, BipartiteGraph* out) {
   std::string path = flags.GetString("graph", "");
   if (path.empty()) {
-    return Status::InvalidArgument("--graph is required");
+    return Fail(Status::InvalidArgument("--graph is required"));
   }
-  std::string format = flags.GetString("format", "attr");
-  fairbc::Result<BipartiteGraph> loaded =
-      format == "edges"      ? fairbc::ReadEdgeList(path)
-      : format == "snapshot" ? fairbc::ReadSnapshot(path)
-      : format == "mmap"     ? fairbc::ReadSnapshotView(path)
-                             : fairbc::ReadAttributedGraph(path);
-  if (!loaded.ok()) return loaded;
+  auto format = fairbc::ParseCatalogFormat(flags.GetString("format", "attr"));
+  if (!format) return UsageError("bad --format (edges|attr|snapshot|mmap)");
+  fairbc::Result<BipartiteGraph> loaded = fairbc::ReadGraphFile(path, *format);
+  if (!loaded.ok()) return Fail(loaded.status());
   BipartiteGraph g = std::move(loaded).value();
 
   auto rand_attrs = flags.GetInt("rand-attrs", 0);
@@ -138,9 +138,12 @@ fairbc::Result<BipartiteGraph> LoadGraph(const FlagParser& flags) {
                               rng);
     builder.AssignRandomAttrs(Side::kLower, static_cast<fairbc::AttrId>(rand_attrs),
                               rng);
-    return builder.Build();
+    auto built = builder.Build();
+    if (!built.ok()) return Fail(built.status());
+    g = std::move(built).value();
   }
-  return g;
+  *out = std::move(g);
+  return 0;
 }
 
 // Reads --alpha/--beta/--delta/--theta. Prints the error and returns
@@ -179,16 +182,16 @@ void PrintBicliques(const std::vector<fairbc::ChunkBody>& bodies) {
 }
 
 int RunStats(const FlagParser& flags) {
-  auto loaded = LoadGraph(flags);
-  if (!loaded.ok()) return Fail(loaded.status());
+  BipartiteGraph g;
+  if (int rc = LoadGraph(flags, &g); rc != 0) return rc;
   if (ReportBadFlags(flags)) return 2;
-  std::cout << fairbc::StatsReport(loaded.value());
+  std::cout << fairbc::StatsReport(g);
   return 0;
 }
 
 int RunEnum(const FlagParser& flags) {
-  auto loaded = LoadGraph(flags);
-  if (!loaded.ok()) return Fail(loaded.status());
+  BipartiteGraph g;
+  if (int rc = LoadGraph(flags, &g); rc != 0) return rc;
 
   fairbc::QueryRequest request;
   request.graph = flags.GetString("graph", "");
@@ -232,9 +235,13 @@ int RunEnum(const FlagParser& flags) {
   if (chunk_results < 1 || chunk_results > 1'000'000) {
     return UsageError("--chunk must be in [1, 1e6]");
   }
+  const std::string output = flags.GetString("output", "text");
+  if (output != "text" && output != "json") {
+    return UsageError("bad --output (text|json)");
+  }
   if (ReportBadFlags(flags)) return 2;
 
-  const bool json = flags.GetString("output", "text") == "json";
+  const bool json = output == "json";
   const std::string out = flags.GetString("out", "");
   const bool count_only = flags.GetBool("count-only", false);
   if (stream && (!out.empty() || count_only)) {
@@ -273,7 +280,7 @@ int RunEnum(const FlagParser& flags) {
     // The root "query" span makes CLI traces the same shape as the
     // server's retained slow-query traces (one validator fits both).
     fairbc::TraceSpan root(recorder.get(), "query");
-    run = fairbc::RunQuery(request, loaded.value(),
+    run = fairbc::RunQuery(request, g,
                            static_cast<std::size_t>(chunk_results),
                            recorder.get(), print_chunk);
   }
@@ -334,8 +341,8 @@ int RunSnapshot(const FlagParser& flags) {
     // (--block-edges sets its block granularity).
     std::string out = flags.GetString("out", "");
     if (out.empty()) return Fail(Status::InvalidArgument("--out is required"));
-    auto loaded = LoadGraph(flags);
-    if (!loaded.ok()) return Fail(loaded.status());
+    BipartiteGraph g;
+    if (int rc = LoadGraph(flags, &g); rc != 0) return rc;
     fairbc::SnapshotWriteOptions options;
     if (flags.GetBool("compress", false)) {
       options.version = fairbc::kSnapshotVersionCompressed;
@@ -347,12 +354,12 @@ int RunSnapshot(const FlagParser& flags) {
     }
     options.block_edges = static_cast<std::uint32_t>(block_edges);
     if (ReportBadFlags(flags)) return 2;
-    Status st = fairbc::WriteSnapshot(loaded.value(), out, options);
+    Status st = fairbc::WriteSnapshot(g, out, options);
     if (!st.ok()) return Fail(st);
     std::cout << "wrote snapshot " << out << " v" << options.version
               << " version "
-              << fairbc::JsonHex64(fairbc::GraphFingerprint(loaded.value()))
-              << " (" << loaded.value().DebugString() << ")\n";
+              << fairbc::JsonHex64(fairbc::GraphFingerprint(g))
+              << " (" << g.DebugString() << ")\n";
     return 0;
   }
   if (sub == "load") {
@@ -422,8 +429,8 @@ int RunGen(const FlagParser& flags) {
 }
 
 int RunVerify(const FlagParser& flags) {
-  auto loaded = LoadGraph(flags);
-  if (!loaded.ok()) return Fail(loaded.status());
+  BipartiteGraph g;
+  if (int rc = LoadGraph(flags, &g); rc != 0) return rc;
   std::string results_path = flags.GetString("results", "");
   if (results_path.empty()) {
     return Fail(Status::InvalidArgument("--results is required"));
@@ -436,7 +443,7 @@ int RunVerify(const FlagParser& flags) {
   auto model = fairbc::ParseFairModel(flags.GetString("model", "ssfbc"));
   if (!model) return UsageError("bad --model (ssfbc|bsfbc)");
   if (ReportBadFlags(flags)) return 2;
-  Status st = fairbc::VerifyResultSet(loaded.value(), results.value(), params,
+  Status st = fairbc::VerifyResultSet(g, results.value(), params,
                                       *model);
   if (!st.ok()) return Fail(st);
   std::cout << "OK: " << results.value().size()
