@@ -18,6 +18,7 @@ namespace fairbc {
 
 class TraceRecorder;
 class SearchBudget;
+struct ReductionCacheRef;
 
 /// Parameters of the four fair-biclique models (Defs. 3–6).
 struct FairBicliqueParams {
@@ -242,6 +243,13 @@ struct EnumOptions {
   /// caller must construct it with the same limits as this options block
   /// and must not reuse it across runs. null = engine-owned (default).
   SearchBudget* shared_budget = nullptr;
+  /// Optional reuse of graph reductions across runs
+  /// (core/reduction_cache.h): the pipeline takes the run's reduction
+  /// from the referenced cache, under the referenced graph version, or
+  /// computes it and keeps it there. Like `trace`, not part of a query's
+  /// identity: a cached reduction equals a fresh one. null = every run
+  /// reduces (the default).
+  const ReductionCacheRef* reductions = nullptr;
 };
 
 /// Counters reported by every enumeration entry point.
@@ -261,6 +269,10 @@ struct EnumStats {
   double prune_peel_seconds = 0.0;
   double enum_seconds = 0.0;
   bool budget_exhausted = false;
+  /// The reduction came from EnumOptions::reductions: nothing was
+  /// reduced, so prune_seconds and its phase split are 0, while
+  /// remaining_* and peak_struct_bytes describe the cached reduction.
+  bool reduction_cached = false;
   /// Vertices surviving the graph reduction.
   VertexId remaining_upper = 0;
   VertexId remaining_lower = 0;

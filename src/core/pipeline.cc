@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "core/fcore.h"
 #include "core/mbea.h"
 #include "core/parallel.h"
+#include "core/reduction_cache.h"
 #include "core/reduction_context.h"
 #include "obs/trace.h"
 
@@ -49,6 +51,23 @@ PruneResult RunPruning(const BipartiteGraph& g, const FairBicliqueParams& p,
   }
   if (times != nullptr) *times = ctx.times();
   return result;
+}
+
+// The configured reduction of `g` plus compaction, as one value.
+std::shared_ptr<const Reduction> Reduce(const BipartiteGraph& g,
+                                        const FairBicliqueParams& params,
+                                        const EnumOptions& options,
+                                        bool bi_side) {
+  Timer timer;
+  auto reduction = std::make_shared<Reduction>();
+  PruneResult pruned =
+      RunPruning(g, params, options.pruning, bi_side,
+                 ResolveNumThreads(options.num_threads), options.trace,
+                 &reduction->times);
+  reduction->graph = InducedSubgraph(g, pruned.masks, &reduction->maps);
+  reduction->peak_struct_bytes = pruned.peak_struct_bytes;
+  reduction->seconds = timer.ElapsedSeconds();
+  return reduction;
 }
 
 // The one emission stage between an engine and the caller's sink. Each
@@ -158,28 +177,36 @@ EnumStats EmitThroughBlocks(const BipartiteGraph& sub, const IdMaps& maps,
   return stats;
 }
 
+// The one place a run gets its reduction: from EnumOptions::reductions
+// when it holds the key, else computed (and kept there, if given).
 template <typename EngineFn>
 EnumStats RunPipeline(const BipartiteGraph& g, const FairBicliqueParams& params,
                       const EnumOptions& options, bool bi_side,
                       const BicliqueSink& sink, EngineFn&& engine) {
-  Timer prune_timer;
   TraceSpan reduce_span(options.trace, "reduce");
-  ReductionPhaseTimes phase_times;
-  PruneResult pruned =
-      RunPruning(g, params, options.pruning, bi_side,
-                 ResolveNumThreads(options.num_threads), options.trace,
-                 &phase_times);
-  IdMaps maps;
-  BipartiteGraph sub = InducedSubgraph(g, pruned.masks, &maps);
+  const ReductionCacheRef* ref = options.reductions;
+  const ReductionKey key{ref != nullptr ? ref->graph_version : 0, bi_side,
+                         params.alpha, params.beta, options.pruning};
+  std::shared_ptr<const Reduction> reduction =
+      ref != nullptr ? ref->cache->Lookup(key) : nullptr;
+  const bool cached = reduction != nullptr;
+  if (!cached) {
+    reduction = Reduce(g, params, options, bi_side);
+    if (ref != nullptr) ref->cache->Insert(key, reduction);
+  }
   reduce_span.End();
-  const double prune_seconds = prune_timer.ElapsedSeconds();
 
-  EnumStats stats = EmitThroughBlocks(sub, maps, options, sink, engine);
-  stats.prune_seconds = prune_seconds;
-  stats.prune_construct_seconds = phase_times.construct_seconds;
-  stats.prune_color_seconds = phase_times.color_seconds;
-  stats.prune_peel_seconds = phase_times.peel_seconds;
-  stats.peak_struct_bytes += pruned.peak_struct_bytes;
+  EnumStats stats =
+      EmitThroughBlocks(reduction->graph, reduction->maps, options, sink,
+                        engine);
+  stats.reduction_cached = cached;
+  if (!cached) {
+    stats.prune_seconds = reduction->seconds;
+    stats.prune_construct_seconds = reduction->times.construct_seconds;
+    stats.prune_color_seconds = reduction->times.color_seconds;
+    stats.prune_peel_seconds = reduction->times.peel_seconds;
+  }
+  stats.peak_struct_bytes += reduction->peak_struct_bytes;
   return stats;
 }
 

@@ -159,8 +159,8 @@ BipartiteGraph SampleEdges(const BipartiteGraph& g, double fraction,
 }
 
 Result<BipartiteGraph> GenerateGraph(const GraphSpec& spec) {
-  if (spec.num_upper < 1 || spec.num_upper > 20'000'000 ||
-      spec.num_lower < 1 || spec.num_lower > 20'000'000) {
+  if (spec.num_upper < 1 || spec.num_upper > kMaxSideVertices ||
+      spec.num_lower < 1 || spec.num_lower > kMaxSideVertices) {
     return Status::InvalidArgument("nu/nv must be in [1, 2e7]");
   }
   if (spec.num_edges < 0 || spec.num_edges > 200'000'000) {

@@ -66,6 +66,13 @@ BipartiteGraph MakeAffiliation(const AffiliationConfig& config);
 BipartiteGraph SampleEdges(const BipartiteGraph& g, double fraction,
                            std::uint64_t seed);
 
+/// Largest vertex count per side a graph built from caller-supplied
+/// counts or ids may have: `gen`'s num_upper/num_lower window and the
+/// text readers' ids and declared counts (graph/io.h). Far above the
+/// paper's datasets; larger graphs come in as snapshots, whose sizes the
+/// file itself bounds.
+inline constexpr std::int64_t kMaxSideVertices = 20'000'000;
+
 /// A generator run as the `gen` front doors (fairbc_cli, the server's
 /// line protocol) read it from their callers: the kind and its raw,
 /// unchecked values. Values a kind does not use are still checked.

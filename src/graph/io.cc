@@ -6,6 +6,7 @@
 #include <string>
 
 #include "graph/builder.h"
+#include "graph/generators.h"
 
 namespace fairbc {
 
@@ -19,10 +20,14 @@ bool IsCommentOrBlank(const std::string& line) {
   return true;
 }
 
-// Ids and vertex counts must stay below the kInvalidVertex sentinel: the
-// builder sizes each side as max id + 1, which would wrap past it.
-bool ValidVertex(long long x) {
-  return x >= 0 && x < static_cast<long long>(kInvalidVertex);
+// The builder sizes each side as max id + 1 (or the declared count) before
+// it sees a single edge, so an id or count past the per-side limit would
+// let a one-line file demand gigabytes. Ids lie below the limit, declared
+// counts at most at it.
+bool ValidVertexId(long long x) { return x >= 0 && x < kMaxSideVertices; }
+
+bool ValidVertexCount(long long x) {
+  return x >= 0 && x <= kMaxSideVertices;
 }
 
 bool ValidAttrCount(long long x) {
@@ -44,7 +49,7 @@ Result<BipartiteGraph> ReadEdgeList(const std::string& path) {
     if (IsCommentOrBlank(line)) continue;
     std::istringstream iss(line);
     long long u = -1, v = -1;
-    if (!(iss >> u >> v) || !ValidVertex(u) || !ValidVertex(v)) {
+    if (!(iss >> u >> v) || !ValidVertexId(u) || !ValidVertexId(v)) {
       return Status::CorruptInput("bad edge at " + path + ":" +
                                   std::to_string(line_no));
     }
@@ -77,7 +82,7 @@ Result<BipartiteGraph> ReadAttributedGraph(const std::string& path) {
       return Status::CorruptInput("missing %fairbc header in " + path);
     }
   }
-  if (!ValidVertex(nu) || !ValidVertex(nv) || !ValidAttrCount(au) ||
+  if (!ValidVertexCount(nu) || !ValidVertexCount(nv) || !ValidAttrCount(au) ||
       !ValidAttrCount(av)) {
     return Status::CorruptInput("missing or invalid %fairbc header in " + path);
   }

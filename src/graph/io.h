@@ -19,9 +19,10 @@ namespace fairbc {
 ///   V <id> <attr>    attribute assignment, one per lower vertex (optional)
 ///   E <u> <v>        edge
 ///
-/// Unattributed vertices default to attribute 0. Vertex ids and counts
-/// must be below kInvalidVertex and attribute counts in [1, 65535]; the
-/// readers reject anything else with CorruptInput.
+/// Unattributed vertices default to attribute 0. Vertex ids must be
+/// below kMaxSideVertices (graph/generators.h), declared vertex counts at
+/// most kMaxSideVertices, and attribute counts in [1, 65535]; the readers
+/// reject anything else with CorruptInput before allocating for it.
 
 /// Reads a plain `u v` edge list. Vertex counts are inferred from the
 /// largest ids; attributes default to 0 with domain sizes 1.

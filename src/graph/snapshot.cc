@@ -710,9 +710,11 @@ Status WriteSnapshot(const BipartiteGraph& g, const std::string& path,
                                  std::to_string(options.version));
 }
 
-Result<BipartiteGraph> ReadSnapshotView(const std::string& path) {
+Result<BipartiteGraph> ReadSnapshotView(const std::string& path,
+                                        std::uint32_t* version) {
   Result<MappedSnapshot> mapped = MapSnapshot(path);
   if (!mapped.ok()) return mapped.status();
+  if (version != nullptr) *version = mapped.value().version;
   // Compressed sections cannot be viewed in place.
   if (mapped.value().version == kSnapshotVersionCompressed) {
     return DecodeCompressed(mapped.value(), path);
@@ -720,8 +722,9 @@ Result<BipartiteGraph> ReadSnapshotView(const std::string& path) {
   return ViewRawSections(mapped.value(), path);
 }
 
-Result<BipartiteGraph> ReadSnapshot(const std::string& path) {
-  Result<BipartiteGraph> loaded = ReadSnapshotView(path);
+Result<BipartiteGraph> ReadSnapshot(const std::string& path,
+                                    std::uint32_t* version) {
+  Result<BipartiteGraph> loaded = ReadSnapshotView(path, version);
   if (!loaded.ok() || !loaded.value().IsView()) return loaded;
   // Copy the verified view into owned arrays; the mapping dies with it.
   const BipartiteGraph& view = loaded.value();

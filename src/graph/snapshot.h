@@ -106,8 +106,11 @@ Status WriteSnapshot(const BipartiteGraph& g, const std::string& path,
 /// byte-identical to the one written (same CSR arrays, same fingerprint).
 /// Validates magic, version, checksums, exact file length and the full
 /// BipartiteGraph::Validate() invariants; a v3 file is decoded in one
-/// pass and its content fingerprint re-checked.
-Result<BipartiteGraph> ReadSnapshot(const std::string& path);
+/// pass and its content fingerprint re-checked. `version`, when given,
+/// receives the file's format version once its header parsed (it may be
+/// set even when a later check fails the load).
+Result<BipartiteGraph> ReadSnapshot(const std::string& path,
+                                    std::uint32_t* version = nullptr);
 
 /// Maps `path` read-only and returns a BipartiteGraph *view* whose CSR
 /// spans point straight into the mapped pages (BipartiteGraph::IsView()),
@@ -116,9 +119,10 @@ Result<BipartiteGraph> ReadSnapshot(const std::string& path);
 /// the returned graph (and any copies) and unmapped with the last one.
 /// Compressed (v3) sections cannot be viewed in place, so a v3 file is
 /// decoded as ReadSnapshot does — same bytes, IsView() false. All
-/// validation matches ReadSnapshot; the file must stay unmodified while
-/// mapped.
-Result<BipartiteGraph> ReadSnapshotView(const std::string& path);
+/// validation matches ReadSnapshot, `version` included; the file must
+/// stay unmodified while mapped.
+Result<BipartiteGraph> ReadSnapshotView(const std::string& path,
+                                        std::uint32_t* version = nullptr);
 
 /// Cheap header inspection of a snapshot file: version, counts, content
 /// fingerprint and (v3) compression geometry, without decoding any

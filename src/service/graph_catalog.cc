@@ -45,20 +45,14 @@ Status GraphCatalog::AddGraph(const std::string& name, BipartiteGraph graph,
 Status GraphCatalog::AddFromFile(const std::string& name,
                                  const std::string& path, Format format) {
   Timer timer;
-  Result<BipartiteGraph> loaded = ReadGraphFile(path, format);
+  std::uint32_t snapshot_version = 0;
+  Result<BipartiteGraph> loaded = ReadGraphFile(path, format,
+                                                &snapshot_version);
   if (!loaded.ok()) return loaded.status();
   std::uint64_t source_bytes = 0;
   struct stat st{};
   if (::stat(path.c_str(), &st) == 0 && st.st_size >= 0) {
     source_bytes = static_cast<std::uint64_t>(st.st_size);
-  }
-  std::uint32_t snapshot_version = 0;
-  if (format == Format::kSnapshot || format == Format::kSnapshotMmap) {
-    // The load above already authenticated the file; the probe only
-    // recovers which format version it was, for catalog telemetry
-    // (compressed catalogs report their on-disk footprint).
-    Result<SnapshotInfo> info = ProbeSnapshot(path);
-    if (info.ok()) snapshot_version = info.value().version;
   }
   return Publish(mu_, entries_, name, std::move(loaded).value(), path,
                  timer.ElapsedSeconds(), snapshot_version, source_bytes);
@@ -90,10 +84,12 @@ std::size_t GraphCatalog::size() const {
 }
 
 Result<BipartiteGraph> ReadGraphFile(const std::string& path,
-                                     GraphCatalog::Format format) {
-  return format == GraphCatalog::Format::kSnapshot ? ReadSnapshot(path)
+                                     GraphCatalog::Format format,
+                                     std::uint32_t* snapshot_version) {
+  return format == GraphCatalog::Format::kSnapshot
+             ? ReadSnapshot(path, snapshot_version)
          : format == GraphCatalog::Format::kSnapshotMmap
-             ? ReadSnapshotView(path)
+             ? ReadSnapshotView(path, snapshot_version)
          : format == GraphCatalog::Format::kAttr ? ReadAttributedGraph(path)
                                                  : ReadEdgeList(path);
 }

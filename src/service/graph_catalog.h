@@ -84,9 +84,12 @@ class GraphCatalog {
 };
 
 /// Reads `path` in `format`: the one format→reader dispatch behind
-/// AddFromFile and fairbc_cli's --format.
+/// AddFromFile and fairbc_cli's --format. For the snapshot formats,
+/// `snapshot_version` (when given) receives the version the load parsed;
+/// text formats leave it untouched.
 Result<BipartiteGraph> ReadGraphFile(const std::string& path,
-                                     GraphCatalog::Format format);
+                                     GraphCatalog::Format format,
+                                     std::uint32_t* snapshot_version = nullptr);
 
 /// Wire-name parser/printer for Format ("snapshot" / "mmap" / "attr" /
 /// "edges").

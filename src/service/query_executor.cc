@@ -11,6 +11,10 @@ namespace {
 /// their summaries (ResultCache payload), so repeated include_bicliques
 /// and streaming queries skip the engines entirely.
 constexpr std::size_t kCacheBicliqueBytes = 16u << 20;
+/// Byte budget for compacted survivor graphs kept by the ReductionCache,
+/// so queries sharing (graph, side model, alpha, beta, pruning) reduce
+/// once — result-cache misses and use_cache=0 runs included.
+constexpr std::size_t kCacheReductionBytes = 4u << 20;
 /// Capacity of the retained-trace ring (`trace` command history).
 constexpr std::size_t kTraceRingCapacity = 32;
 /// Span capacity of each per-query trace buffer.
@@ -78,6 +82,7 @@ QueryExecutor::QueryExecutor(const GraphCatalog& catalog,
           "fairbc_stream_first_result_seconds",
           "Streaming admission to first delivered chunk.")),
       cache_(options.cache_capacity, metrics_, kCacheBicliqueBytes),
+      reductions_(kCacheReductionBytes, metrics_),
       stream_chunk_results_(options.stream_chunk_results < 1
                                 ? 1
                                 : options.stream_chunk_results),
@@ -109,7 +114,7 @@ void QueryExecutor::FinalizeTrace(const QueryRequest& request,
 }
 
 QueryRun QueryExecutor::Run(const QueryRequest& request,
-                            const BipartiteGraph& graph, TraceRecorder* trace,
+                            const CatalogEntry& entry, TraceRecorder* trace,
                             const ChunkCallback& emit) {
   std::function<void(const QueryRequest&)> hook;
   {
@@ -119,8 +124,11 @@ QueryRun QueryExecutor::Run(const QueryRequest& request,
   if (hook) hook(request);
   TraceSpan span(trace, "execute");
   Timer run_timer;
+  const ReductionCacheRef reductions{&reductions_, entry.version};
+  QueryRequest run_request = request;
+  run_request.options.reductions = &reductions;
   QueryRun run =
-      RunQuery(request, graph, stream_chunk_results_, trace, emit);
+      RunQuery(run_request, entry.graph, stream_chunk_results_, trace, emit);
   span.End();
 
   const EnumStats& stats = run.summary.stats;
@@ -306,7 +314,7 @@ void QueryExecutor::Admit(const QueryRequest& request, ChunkCallback on_chunk,
         for (Subscriber& sub : flight->subscribers) Deliver(sub, chunk);
       };
     }
-    QueryRun run = Run(self.request, entry->graph, trace.get(), emit);
+    QueryRun run = Run(self.request, *entry, trace.get(), emit);
     QueryResult out;
     out.graph_version = entry->version;
     out.summary = std::move(run.summary);
@@ -403,6 +411,7 @@ void QueryExecutor::Deliver(Subscriber& sub, const StreamChunk& chunk) {
 QueryExecutor::Telemetry QueryExecutor::telemetry() const {
   Telemetry t;
   t.cache = cache_.telemetry();
+  t.reductions = reductions_.telemetry();
   t.executions = executions_->Value();
   t.coalesced = coalesced_->Value();
   return t;

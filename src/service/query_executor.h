@@ -12,6 +12,7 @@
 
 #include "common/timer.h"
 #include "core/parallel.h"
+#include "core/reduction_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/graph_catalog.h"
@@ -49,8 +50,11 @@ struct QueryExecutorOptions {
 /// Concurrent query engine over a GraphCatalog: runs whole queries on a
 /// fixed ThreadPool of runner threads, shares the read-only catalog entries
 /// across them (no per-query graph copies), reuses summaries through an
-/// LRU ResultCache, and coalesces concurrent identical queries behind
-/// one execution (single-flight admission).
+/// LRU ResultCache, reuses graph reductions through a ReductionCache,
+/// and coalesces concurrent identical queries behind one execution
+/// (single-flight admission). A request's use_cache governs the result
+/// cache only: every execution, use_cache=0 included, takes its reduction
+/// from the ReductionCache when it holds the key.
 ///
 /// Concurrency invariants:
 ///  - catalog entries are immutable shared_ptr<const>, so queries read
@@ -84,8 +88,9 @@ struct QueryExecutorOptions {
 /// stats.budget_exhausted and is never cached.
 ///
 /// Observability: every counter lives in the MetricsRegistry
-/// (fairbc_query_* / fairbc_kernel_* families, plus the cache's
-/// fairbc_cache_*); telemetry() reads through it. With tracing enabled
+/// (fairbc_query_* / fairbc_kernel_* families, plus the caches'
+/// fairbc_cache_* and fairbc_reduction_cache_*); telemetry() reads
+/// through it. With tracing enabled
 /// (slow_query_ms >= 0) each executed query records a span tree —
 /// query → admission / queued / execute (→ reduce → construct/color/peel,
 /// enumerate → root/split) / publish — and outliers land in traces().
@@ -153,6 +158,7 @@ class QueryExecutor {
   /// the `cache` JSON shape stays stable.
   struct Telemetry {
     ResultCache::Telemetry cache;
+    ReductionCache::Telemetry reductions;
     std::uint64_t executions = 0;  ///< enumerations actually run.
     std::uint64_t coalesced = 0;   ///< queries served by joining a leader.
   };
@@ -244,11 +250,12 @@ class QueryExecutor {
   /// latency and the chunk counter.
   void Deliver(Subscriber& sub, const StreamChunk& chunk);
 
-  /// One real execution: the execute hook, then RunQuery (the query's
-  /// whole result path; `emit` empty = not streaming) under an "execute"
-  /// span on `trace` (null = untraced), then folds the run's stats into
-  /// the registry histograms and kernel counters.
-  QueryRun Run(const QueryRequest& request, const BipartiteGraph& graph,
+  /// One real execution: the execute hook, then RunQuery on the entry's
+  /// graph (the query's whole result path; `emit` empty = not streaming)
+  /// with the reduction cache under the entry's version, inside an
+  /// "execute" span on `trace` (null = untraced), then folds the run's
+  /// stats into the registry histograms and kernel counters.
+  QueryRun Run(const QueryRequest& request, const CatalogEntry& entry,
                TraceRecorder* trace, const ChunkCallback& emit);
 
   /// Stamps metadata on the recorder, attaches it to `out`, and retains
@@ -280,6 +287,9 @@ class QueryExecutor {
   Counter* stream_chunks_;  ///< chunks delivered (all streams, all subs).
   Histogram* stream_first_result_;  ///< admission → first chunk latency.
   ResultCache cache_;
+  /// Completed reductions by (graph version, side model, alpha, beta,
+  /// pruning), shared by every execution whatever its use_cache.
+  ReductionCache reductions_;
   const std::size_t stream_chunk_results_;
   const double slow_query_ms_;
   TraceRing trace_ring_;

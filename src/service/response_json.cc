@@ -71,7 +71,9 @@ std::string StatsJson(const EnumStats& stats) {
      << ",\"kernel_gallop\":" << stats.kernels.gallop
      << ",\"kernel_bitset\":" << stats.kernels.bitset
      << ",\"budget_exhausted\":"
-     << (stats.budget_exhausted ? "true" : "false") << "}";
+     << (stats.budget_exhausted ? "true" : "false")
+     << ",\"reduce_cached\":" << (stats.reduction_cached ? "true" : "false")
+     << "}";
   return os.str();
 }
 
@@ -167,7 +169,12 @@ std::string ExecutorTelemetryJson(const QueryExecutor::Telemetry& t) {
      << ",\"payload_bytes\":" << t.cache.payload_bytes
      << ",\"payload_byte_budget\":" << t.cache.payload_byte_budget
      << ",\"executions\":" << t.executions
-     << ",\"coalesced\":" << t.coalesced << "}";
+     << ",\"coalesced\":" << t.coalesced
+     << ",\"reduction_hits\":" << t.reductions.hits
+     << ",\"reduction_misses\":" << t.reductions.misses
+     << ",\"reduction_evictions\":" << t.reductions.evictions
+     << ",\"reduction_bytes\":" << t.reductions.bytes
+     << ",\"reduction_entries\":" << t.reductions.entries << "}";
   return os.str();
 }
 

@@ -60,8 +60,10 @@ std::string StreamChunkJson(const QueryRequest& request,
                             const StreamChunk& chunk);
 
 /// Telemetry reply for the server's `cache` command: the ResultCache
-/// counters plus the executor's single-flight counters ("executions",
-/// "coalesced").
+/// counters, the executor's single-flight counters ("executions",
+/// "coalesced") and the ReductionCache's ("reduction_hits",
+/// "reduction_misses", "reduction_evictions", "reduction_bytes",
+/// "reduction_entries").
 std::string ExecutorTelemetryJson(const QueryExecutor::Telemetry& t);
 
 /// One catalog entry (the server's `catalog` reply lists these).

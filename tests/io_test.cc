@@ -153,6 +153,27 @@ TEST_F(IoTest, AttributedHeaderRangeChecks) {
   EXPECT_EQ(result.value().Attr(Side::kUpper, 1), 65534);
 }
 
+TEST_F(IoTest, ReadersRejectSidesPastTheLimitBeforeAllocating) {
+  // The builder sizes a side as max id + 1 (or the declared count) up
+  // front: one line naming id 4294967293 used to ask for ~34 GB of
+  // offsets. Ids must lie below kMaxSideVertices, counts at most at it.
+  for (const char* edge : {"4294967293 0\n", "20000000 0\n", "0 20000000\n"}) {
+    std::string path = TempPath("huge_edges.txt");
+    WriteFile(path, edge);
+    auto result = ReadEdgeList(path);
+    ASSERT_FALSE(result.ok()) << edge;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruptInput) << edge;
+  }
+  for (const char* header :
+       {"%fairbc 1 4000000000 2 2 2\n", "%fairbc 1 2 20000001 2 2\n"}) {
+    std::string path = TempPath("huge_header.fbg");
+    WriteFile(path, std::string(header) + "E 0 0\n");
+    auto result = ReadAttributedGraph(path);
+    ASSERT_FALSE(result.ok()) << header;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruptInput) << header;
+  }
+}
+
 // Fuzz: seeded xorshift mutations, as in snapshot_codec_test. Every input
 // loads as a valid graph or fails with a typed error; ASan/UBSan turn the
 // loop into a no-UB check. Mutations replace bytes (never insert), so a

@@ -109,6 +109,29 @@ TEST(GraphCatalogTest, AddFromFileAllFormatsAndErrors) {
   EXPECT_FALSE(wrong.ok());
 }
 
+TEST(GraphCatalogTest, EntriesReportTheirSnapshotVersion) {
+  GraphCatalog catalog;
+  const BipartiteGraph g = ServiceTestGraph();
+  const std::string v2 = ::testing::TempDir() + "/catalog_v2.snap";
+  const std::string v3 = ::testing::TempDir() + "/catalog_v3.snap";
+  const std::string text = ::testing::TempDir() + "/catalog_v.fbg";
+  ASSERT_TRUE(WriteSnapshot(g, v2).ok());
+  ASSERT_TRUE(WriteSnapshot(g, v3, {.version = kSnapshotVersionCompressed})
+                  .ok());
+  ASSERT_TRUE(WriteAttributedGraph(g, text).ok());
+  for (auto format :
+       {GraphCatalog::Format::kSnapshot, GraphCatalog::Format::kSnapshotMmap}) {
+    ASSERT_TRUE(catalog.AddFromFile("v2", v2, format).ok());
+    ASSERT_TRUE(catalog.AddFromFile("v3", v3, format).ok());
+    EXPECT_EQ(catalog.Get("v2")->snapshot_version, 2u) << ToString(format);
+    EXPECT_EQ(catalog.Get("v3")->snapshot_version, 3u) << ToString(format);
+    EXPECT_EQ(catalog.Get("v2")->version, catalog.Get("v3")->version);
+  }
+  ASSERT_TRUE(
+      catalog.AddFromFile("t", text, GraphCatalog::Format::kAttr).ok());
+  EXPECT_EQ(catalog.Get("t")->snapshot_version, 0u);
+}
+
 TEST(ResultCacheTest, LruEvictionAndTelemetry) {
   ResultCache cache(2);
   EXPECT_FALSE(cache.Lookup("a").has_value());

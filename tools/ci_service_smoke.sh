@@ -198,6 +198,61 @@ for i in "${TOPK_POINTS[@]}"; do
 done
 echo "top-k OK: $((n - 1)) line-protocol top-k queries match fairbc_cli"
 
+echo "== reduction cache: one (alpha, beta) at delta 1 and 2, then cache=0"
+# A reduction depends on (graph, side model, alpha, beta, pruning) alone,
+# so the delta=2 query and the cache=0 repeats, which bypass the result
+# cache but not the reduction cache, reuse the delta=1 query's survivor
+# graph. Every answer must still match the oracle, the repeats must say
+# reduce_cached, and the scraped reduction-cache hit counter must rise.
+{
+  echo "load name=g path=$WORK/g.snap format=snapshot"
+  echo "metrics"
+  for cache in 1 0; do
+    for i in 0 1; do
+      read -r model alpha beta delta <<<"${PARAMS[$i]}"
+      echo "query graph=g model=$model alpha=$alpha beta=$beta delta=$delta cache=$cache"
+    done
+  done
+  echo "metrics"
+  echo "quit"
+} > "$WORK/trace_reduce.txt"
+"$SERVER" < "$WORK/trace_reduce.txt" > "$WORK/responses_reduce.txt"
+mapfile -t REDUCE_RESP < "$WORK/responses_reduce.txt"
+reduction_hits() {  # reduction_hits METRICS_REPLY -> the hit counter
+  printf '%s' "$1" | python3 -c '
+import json, sys
+resp = json.loads(sys.stdin.read())
+assert resp.get("ok"), resp
+series = [l.split() for l in resp["text"].splitlines()]
+print(next((s[1] for s in series
+            if s and s[0] == "fairbc_reduction_cache_hits_total"), 0))
+'
+}
+for n in 0 1 2 3; do
+  i=$((n % 2))
+  r="${REDUCE_RESP[$((n + 2))]}"
+  if ! grep -q '"ok":true' <<<"$r" \
+     || [ "$(jsonfield "$r" count)" != "${CLI_COUNT[$i]}" ] \
+     || [ "$(jsonfield "$r" digest)" != "${CLI_DIGEST[$i]}" ]; then
+    echo "reduction-cache MISMATCH (${PARAMS[$i]}, query $n):" >&2
+    echo "  server $r" >&2
+    echo "  cli    count=${CLI_COUNT[$i]} digest=${CLI_DIGEST[$i]}" >&2
+    exit 1
+  fi
+  if [ "$n" -ge 2 ] && [ "$(jsonfield "$r" reduce_cached)" != "true" ]; then
+    echo "cache=0 repeat did not reuse its reduction: $r" >&2
+    exit 1
+  fi
+done
+RHITS0=$(reduction_hits "${REDUCE_RESP[1]}")
+RHITS1=$(reduction_hits "${REDUCE_RESP[6]}")
+if [ "$RHITS1" -le "$RHITS0" ]; then
+  echo "fairbc_reduction_cache_hits_total did not rise: $RHITS0 -> $RHITS1"
+  exit 1
+fi
+echo "reduction cache OK: 4 answers match fairbc_cli;" \
+     "reduction hits $RHITS0 -> $RHITS1"
+
 echo "== streamed line-protocol replay: JSON chunk lines vs the oracle"
 # The same trace with stream=1 on stdin: every query answers with
 # {"cmd":"chunk",...} lines (decoded from the compact chunk bodies) and
