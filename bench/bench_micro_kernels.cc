@@ -137,38 +137,44 @@ void BM_CountMaximalFairSubsets(benchmark::State& state) {
 }
 BENCHMARK(BM_CountMaximalFairSubsets)->Arg(16)->Arg(256);
 
-void BM_EnumerateSSFBCPlusPlus(benchmark::State& state) {
+void BM_SSFBCPlusPlus(benchmark::State& state) {
   const auto& g = TestGraph();
   fairbc::FairBicliqueParams params{3, 2, 2, 0.0};
   for (auto _ : state) {
     fairbc::CountSink sink;
-    fairbc::EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+    fairbc::RunEnumeration(g, fairbc::FairModel::kSsfbc,
+                           fairbc::FairAlgo::kPlusPlus, params, {},
+                           sink.AsSink());
     benchmark::DoNotOptimize(sink.count());
   }
 }
-BENCHMARK(BM_EnumerateSSFBCPlusPlus);
+BENCHMARK(BM_SSFBCPlusPlus);
 
-void BM_EnumerateSSFBC(benchmark::State& state) {
+void BM_SSFBC(benchmark::State& state) {
   const auto& g = TestGraph();
   fairbc::FairBicliqueParams params{3, 2, 2, 0.0};
   for (auto _ : state) {
     fairbc::CountSink sink;
-    fairbc::EnumerateSSFBC(g, params, {}, sink.AsSink());
+    fairbc::RunEnumeration(g, fairbc::FairModel::kSsfbc,
+                           fairbc::FairAlgo::kBcem, params, {},
+                           sink.AsSink());
     benchmark::DoNotOptimize(sink.count());
   }
 }
-BENCHMARK(BM_EnumerateSSFBC);
+BENCHMARK(BM_SSFBC);
 
-void BM_EnumerateBSFBCPlusPlus(benchmark::State& state) {
+void BM_BSFBCPlusPlus(benchmark::State& state) {
   const auto& g = TestGraph();
   fairbc::FairBicliqueParams params{2, 2, 2, 0.0};
   for (auto _ : state) {
     fairbc::CountSink sink;
-    fairbc::EnumerateBSFBCPlusPlus(g, params, {}, sink.AsSink());
+    fairbc::RunEnumeration(g, fairbc::FairModel::kBsfbc,
+                           fairbc::FairAlgo::kPlusPlus, params, {},
+                           sink.AsSink());
     benchmark::DoNotOptimize(sink.count());
   }
 }
-BENCHMARK(BM_EnumerateBSFBCPlusPlus);
+BENCHMARK(BM_BSFBCPlusPlus);
 
 // --- Intersection-kernel microbenchmarks ------------------------------------
 

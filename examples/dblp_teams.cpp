@@ -41,8 +41,9 @@ int main() {
   ss.beta = 3;
   ss.delta = 2;
   fairbc::CollectSink teams;
-  fairbc::EnumStats stats =
-      fairbc::EnumerateSSFBCPlusPlus(dblp, ss, {}, teams.AsSink());
+  fairbc::EnumStats stats = fairbc::RunEnumeration(
+      dblp, fairbc::FairModel::kSsfbc, fairbc::FairAlgo::kPlusPlus, ss, {},
+      teams.AsSink());
   std::cout << "SSFBC teams (alpha=3, beta=3, delta=2): " << stats.num_results
             << " found in " << stats.enum_seconds + stats.prune_seconds
             << " s\n";
@@ -64,8 +65,9 @@ int main() {
   bs.beta = 2;
   bs.delta = 2;
   fairbc::CollectSink biteams;
-  fairbc::EnumStats bstats =
-      fairbc::EnumerateBSFBCPlusPlus(dblp, bs, {}, biteams.AsSink());
+  fairbc::EnumStats bstats = fairbc::RunEnumeration(
+      dblp, fairbc::FairModel::kBsfbc, fairbc::FairAlgo::kPlusPlus, bs, {},
+      biteams.AsSink());
   std::cout << "\nBSFBC teams (alpha=1, beta=2, delta=2): "
             << bstats.num_results << " found in "
             << bstats.enum_seconds + bstats.prune_seconds << " s\n";

@@ -44,8 +44,9 @@ int main() {
   params.beta = 2;
   params.delta = 1;
   fairbc::CollectSink sink;
-  fairbc::EnumStats stats =
-      fairbc::EnumerateSSFBCPlusPlus(top10, params, {}, sink.AsSink());
+  fairbc::EnumStats stats = fairbc::RunEnumeration(
+      top10, fairbc::FairModel::kSsfbc, fairbc::FairAlgo::kPlusPlus, params,
+      {}, sink.AsSink());
   std::cout << "\nSSFBC on the top-10 graph (alpha=2, beta=2, delta=1): "
             << stats.num_results << " fair recommendation groups\n";
 

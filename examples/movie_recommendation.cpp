@@ -41,7 +41,9 @@ int main() {
   params.beta = 2;
   params.delta = 1;
   fairbc::CollectSink sink;
-  fairbc::EnumerateSSFBCPlusPlus(top10, params, {}, sink.AsSink());
+  fairbc::RunEnumeration(top10, fairbc::FairModel::kSsfbc,
+                         fairbc::FairAlgo::kPlusPlus, params, {},
+                         sink.AsSink());
   std::cout << "SSFBC groups on top-10 graph: " << sink.results().size()
             << "\n";
 

@@ -57,8 +57,9 @@ int main() {
 
   std::cout << "Single-side fair bicliques (alpha=2, beta=2, delta=1):\n";
   fairbc::CollectSink ss;
-  fairbc::EnumStats stats =
-      fairbc::EnumerateSSFBCPlusPlus(graph, params, {}, ss.AsSink());
+  fairbc::EnumStats stats = fairbc::RunEnumeration(
+      graph, fairbc::FairModel::kSsfbc, fairbc::FairAlgo::kPlusPlus, params,
+      {}, ss.AsSink());
   for (const fairbc::Biclique& b : ss.results()) {
     std::cout << "  papers {";
     for (auto p : b.upper) std::cout << " p" << p;
@@ -77,7 +78,8 @@ int main() {
   bi.delta = 1;
   std::cout << "Bi-side fair bicliques (alpha=1, beta=2, delta=1):\n";
   fairbc::CollectSink bs;
-  fairbc::EnumerateBSFBCPlusPlus(graph, bi, {}, bs.AsSink());
+  fairbc::RunEnumeration(graph, fairbc::FairModel::kBsfbc,
+                         fairbc::FairAlgo::kPlusPlus, bi, {}, bs.AsSink());
   for (const fairbc::Biclique& b : bs.results()) {
     std::cout << "  papers {";
     for (auto p : b.upper) std::cout << " p" << p;

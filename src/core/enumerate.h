@@ -70,12 +70,13 @@ struct Biclique {
 
 /// Receives results; return false to abort the enumeration.
 ///
-/// Threading contract: the pipeline.h entry points always invoke the
-/// caller's sink one call at a time — their emission stage hands it whole
-/// blocks of results under one lock — so sinks passed to the public API
-/// need no synchronization of their own. When EnumOptions::num_threads != 1
-/// the calls arrive from worker threads in nondeterministic order. The
-/// Biclique passed in is only valid for the duration of the call.
+/// Threading contract: RunEnumeration and the other core/pipeline.h
+/// entry points always invoke the caller's sink one call at a time —
+/// their emission stage hands it whole blocks of results under one lock —
+/// so sinks passed to the public API need no synchronization of their
+/// own. When EnumOptions::num_threads != 1 the calls arrive from worker
+/// threads in nondeterministic order. The Biclique passed in is only
+/// valid for the duration of the call.
 using BicliqueSink = std::function<bool(const Biclique&)>;
 
 /// The worker an engine emits from, as its EngineSink sees it.
@@ -103,7 +104,8 @@ using EngineSink =
 /// collecting, counting, chunked streaming, top-k selection — is one
 /// ResultSink, and sinks stack by forwarding Accept to an inner sink.
 /// Accept returns false to abort the run (same contract as BicliqueSink,
-/// which remains the pipeline entry points' currency; AsSink() bridges).
+/// which remains the currency of RunEnumeration and the other
+/// core/pipeline.h entry points; AsSink() bridges).
 /// Finish() is called exactly once after the enumeration returns so
 /// buffering sinks (core/result_sink.h ChunkSink, TopKSink) can flush; for
 /// pass-through sinks it is a no-op. Unless a sink documents otherwise,
@@ -288,8 +290,7 @@ struct EnumStats {
 
 /// Convenience sink collecting every result. Internally synchronized so
 /// one instance may even be shared by concurrent runs;
-/// results()/mutable_results() must only be read after the enumeration
-/// returned.
+/// results() must only be read after the enumeration returned.
 class CollectSink final : public ResultSink {
  public:
   bool Accept(const Biclique& b) override {
@@ -298,7 +299,6 @@ class CollectSink final : public ResultSink {
     return true;
   }
   const std::vector<Biclique>& results() const { return results_; }
-  std::vector<Biclique>& mutable_results() { return results_; }
 
  private:
   std::mutex mu_;

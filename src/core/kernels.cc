@@ -285,16 +285,6 @@ std::uint32_t IntersectSize(std::span<const VertexId> a,
   return static_cast<std::uint32_t>(MergeSize(a, b, steps));
 }
 
-std::size_t IntersectWithAttrCounts(VertexId* dst, std::span<const VertexId> a,
-                                    std::span<const VertexId> b,
-                                    std::span<const AttrId> attrs,
-                                    std::uint32_t* counts, ScratchArena* arena,
-                                    KernelStats* stats) {
-  const std::size_t n = IntersectInto(dst, a, b, arena, stats);
-  for (std::size_t i = 0; i < n; ++i) ++counts[attrs[dst[i]]];
-  return n;
-}
-
 std::size_t MergeIntersectInto(VertexId* dst, std::span<const VertexId> a,
                                std::span<const VertexId> b,
                                KernelStats* stats) {

@@ -35,7 +35,7 @@ using SizeSpan = std::span<const std::uint32_t>;
 /// (SearchContext::CountRootWedges) — comparable across runs of the same
 /// workload, not across kernels.
 struct KernelStats {
-  std::uint64_t calls = 0;   ///< IntersectInto/Size/WithAttrCounts calls.
+  std::uint64_t calls = 0;   ///< IntersectInto/IntersectSize calls.
   std::uint64_t steps = 0;   ///< element comparisons / work units.
   std::uint64_t merge = 0;   ///< calls dispatched to the branchless merge.
   std::uint64_t gallop = 0;  ///< calls dispatched to the galloping kernel.
@@ -253,18 +253,6 @@ std::uint32_t IntersectSize(std::span<const VertexId> a,
                             std::span<const VertexId> b,
                             ScratchArena* arena = nullptr,
                             KernelStats* stats = nullptr);
-
-/// Fused variant: intersects like IntersectInto and additionally counts
-/// the attribute classes of the emitted vertices into `counts` (one slot
-/// per AttrId of `attrs`' domain; the caller zeroes or pre-seeds it).
-/// Replaces the separate class-size pass the engines used to run over
-/// the intersection result.
-std::size_t IntersectWithAttrCounts(VertexId* dst, std::span<const VertexId> a,
-                                    std::span<const VertexId> b,
-                                    std::span<const AttrId> attrs,
-                                    std::uint32_t* counts,
-                                    ScratchArena* arena = nullptr,
-                                    KernelStats* stats = nullptr);
 
 // Forced-kernel entry points, exposed for the property tests and the
 // bench_micro_kernels kernel matrix; production code goes through the

@@ -249,38 +249,6 @@ SideMasks DegreeCore(const BipartiteGraph& g, std::uint32_t min_upper_degree,
 
 }  // namespace
 
-EnumStats EnumerateSSFBC(const BipartiteGraph& g,
-                         const FairBicliqueParams& params,
-                         const EnumOptions& options, const BicliqueSink& sink) {
-  return RunPipeline(g, params, options, /*bi_side=*/false, sink,
-                     [&](const BipartiteGraph& sub, const EngineSink& s) {
-                       return FairBcemRun(sub, params, params.alpha, options,
-                                          FairBcemSearchOptions{}, s);
-                     });
-}
-
-EnumStats EnumerateSSFBCPlusPlus(const BipartiteGraph& g,
-                                 const FairBicliqueParams& params,
-                                 const EnumOptions& options,
-                                 const BicliqueSink& sink) {
-  return RunPipeline(g, params, options, /*bi_side=*/false, sink,
-                     [&](const BipartiteGraph& sub, const EngineSink& s) {
-                       return FairBcemPpRun(sub, params, params.alpha, options,
-                                            s);
-                     });
-}
-
-EnumStats EnumerateSSFBCNaive(const BipartiteGraph& g,
-                              const FairBicliqueParams& params,
-                              const EnumOptions& options,
-                              const BicliqueSink& sink) {
-  return RunPipeline(g, params, options, /*bi_side=*/false, sink,
-                     [&](const BipartiteGraph& sub, const EngineSink& s) {
-                       return FairBcemRun(sub, params, params.alpha, options,
-                                          NaiveSearchOptions(), s);
-                     });
-}
-
 EnumStats EnumerateSSFBCWithSearchOptions(const BipartiteGraph& g,
                                           const FairBicliqueParams& params,
                                           const EnumOptions& options,
@@ -290,38 +258,6 @@ EnumStats EnumerateSSFBCWithSearchOptions(const BipartiteGraph& g,
                      [&](const BipartiteGraph& sub, const EngineSink& s) {
                        return FairBcemRun(sub, params, params.alpha, options,
                                           search, s);
-                     });
-}
-
-EnumStats EnumerateBSFBC(const BipartiteGraph& g,
-                         const FairBicliqueParams& params,
-                         const EnumOptions& options, const BicliqueSink& sink) {
-  return RunPipeline(g, params, options, /*bi_side=*/true, sink,
-                     [&](const BipartiteGraph& sub, const EngineSink& s) {
-                       return BFairBcemRun(sub, params, options,
-                                           SsEngine::kFairBcem, s);
-                     });
-}
-
-EnumStats EnumerateBSFBCPlusPlus(const BipartiteGraph& g,
-                                 const FairBicliqueParams& params,
-                                 const EnumOptions& options,
-                                 const BicliqueSink& sink) {
-  return RunPipeline(g, params, options, /*bi_side=*/true, sink,
-                     [&](const BipartiteGraph& sub, const EngineSink& s) {
-                       return BFairBcemRun(sub, params, options,
-                                           SsEngine::kFairBcemPlusPlus, s);
-                     });
-}
-
-EnumStats EnumerateBSFBCNaive(const BipartiteGraph& g,
-                              const FairBicliqueParams& params,
-                              const EnumOptions& options,
-                              const BicliqueSink& sink) {
-  return RunPipeline(g, params, options, /*bi_side=*/true, sink,
-                     [&](const BipartiteGraph& sub, const EngineSink& s) {
-                       return BFairBcemRun(sub, params, options,
-                                           SsEngine::kNaive, s);
                      });
 }
 
@@ -361,25 +297,29 @@ EnumStats RunEnumeration(const BipartiteGraph& g, FairModel model,
                          FairAlgo algo, const FairBicliqueParams& params,
                          const EnumOptions& options, const BicliqueSink& sink) {
   if (model == FairModel::kBsfbc) {
-    switch (algo) {
-      case FairAlgo::kBcem:
-        return EnumerateBSFBC(g, params, options, sink);
-      case FairAlgo::kNaive:
-        return EnumerateBSFBCNaive(g, params, options, sink);
-      case FairAlgo::kPlusPlus:
-        break;
-    }
-    return EnumerateBSFBCPlusPlus(g, params, options, sink);
+    SsEngine engine = SsEngine::kFairBcemPlusPlus;
+    if (algo == FairAlgo::kBcem) engine = SsEngine::kFairBcem;
+    if (algo == FairAlgo::kNaive) engine = SsEngine::kNaive;
+    return RunPipeline(g, params, options, /*bi_side=*/true, sink,
+                       [&](const BipartiteGraph& sub, const EngineSink& s) {
+                         return BFairBcemRun(sub, params, options, engine, s);
+                       });
   }
   switch (algo) {
     case FairAlgo::kBcem:
-      return EnumerateSSFBC(g, params, options, sink);
+      return EnumerateSSFBCWithSearchOptions(g, params, options,
+                                             FairBcemSearchOptions{}, sink);
     case FairAlgo::kNaive:
-      return EnumerateSSFBCNaive(g, params, options, sink);
+      return EnumerateSSFBCWithSearchOptions(g, params, options,
+                                             NaiveSearchOptions(), sink);
     case FairAlgo::kPlusPlus:
       break;
   }
-  return EnumerateSSFBCPlusPlus(g, params, options, sink);
+  return RunPipeline(g, params, options, /*bi_side=*/false, sink,
+                     [&](const BipartiteGraph& sub, const EngineSink& s) {
+                       return FairBcemPpRun(sub, params, params.alpha, options,
+                                            s);
+                     });
 }
 
 }  // namespace fairbc

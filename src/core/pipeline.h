@@ -8,16 +8,21 @@
 
 namespace fairbc {
 
-/// Public enumeration entry points. Each runs the configured graph
-/// reduction (CFCore / BCFCore by default, see EnumOptions::pruning),
-/// compacts the survivors, runs the engine, and reports results in the
-/// *input* graph's vertex ids. Statistics cover both phases.
+/// Public enumeration entry points: RunEnumeration for the fair models,
+/// EnumerateMaximalBicliquesPruned for plain maximal bicliques and
+/// EnumerateSSFBCWithSearchOptions for the search-pruning ablation. Each
+/// runs the configured graph reduction (CFCore / BCFCore by default, see
+/// EnumOptions::pruning), compacts the survivors, runs the engine, and
+/// reports results in the *input* graph's vertex ids. Statistics cover
+/// both phases.
 ///
 /// Quickstart:
 ///
 ///   fairbc::FairBicliqueParams params{.alpha = 2, .beta = 2, .delta = 1};
 ///   fairbc::CollectSink sink;
-///   fairbc::EnumerateSSFBCPlusPlus(graph, params, {}, sink.AsSink());
+///   fairbc::RunEnumeration(graph, fairbc::FairModel::kSsfbc,
+///                          fairbc::FairAlgo::kPlusPlus, params, {},
+///                          sink.AsSink());
 ///   for (const auto& b : sink.results()) { ... }
 ///
 /// Set EnumOptions::num_threads to parallelize the search (0 = one worker
@@ -28,42 +33,21 @@ namespace fairbc {
 /// is identical for every thread count. EnumStats::num_results is exactly
 /// the number of results the sink received, unless it returned false.
 
-/// FairBCEM (paper Alg. 5): branch-and-bound single-side fair biclique
-/// enumeration. With params.theta > 0 it enumerates PSSFBCs.
-EnumStats EnumerateSSFBC(const BipartiteGraph& g,
-                         const FairBicliqueParams& params,
+/// The engine of a fair enumeration, for either FairModel.
+enum class FairAlgo {
+  kPlusPlus,  ///< FairBCEM++ (Alg. 6) / BFairBCEM++ (§IV-C); the default.
+  kBcem,      ///< FairBCEM (Alg. 5) / BFairBCEM (Alg. 9).
+  kNaive,     ///< NSF / BNSF baselines (§V-A): reduction kept, search
+              ///< pruning dropped.
+};
+
+/// Fair biclique enumeration: SSFBCs (model kSsfbc, CFCore reduction) or
+/// BSFBCs (kBsfbc, BCFCore reduction) with the `algo` engine. With
+/// params.theta > 0 every engine runs its proportional variant (PSSFBC /
+/// PBSFBC; FairBCEMPro++ and BFairBCEMPro++ under kPlusPlus).
+EnumStats RunEnumeration(const BipartiteGraph& g, FairModel model,
+                         FairAlgo algo, const FairBicliqueParams& params,
                          const EnumOptions& options, const BicliqueSink& sink);
-
-/// FairBCEM++ (paper Alg. 6): maximal bicliques + combinatorial
-/// enumeration. With params.theta > 0 this is FairBCEMPro++.
-EnumStats EnumerateSSFBCPlusPlus(const BipartiteGraph& g,
-                                 const FairBicliqueParams& params,
-                                 const EnumOptions& options,
-                                 const BicliqueSink& sink);
-
-/// NSF baseline (§V-A): graph reduction kept, search pruning dropped.
-EnumStats EnumerateSSFBCNaive(const BipartiteGraph& g,
-                              const FairBicliqueParams& params,
-                              const EnumOptions& options,
-                              const BicliqueSink& sink);
-
-/// BFairBCEM (paper Alg. 9). With params.theta > 0: proportion model.
-EnumStats EnumerateBSFBC(const BipartiteGraph& g,
-                         const FairBicliqueParams& params,
-                         const EnumOptions& options, const BicliqueSink& sink);
-
-/// BFairBCEM++ (paper §IV-C). With params.theta > 0 this is
-/// BFairBCEMPro++.
-EnumStats EnumerateBSFBCPlusPlus(const BipartiteGraph& g,
-                                 const FairBicliqueParams& params,
-                                 const EnumOptions& options,
-                                 const BicliqueSink& sink);
-
-/// BNSF baseline (§V-A).
-EnumStats EnumerateBSFBCNaive(const BipartiteGraph& g,
-                              const FairBicliqueParams& params,
-                              const EnumOptions& options,
-                              const BicliqueSink& sink);
 
 /// Maximal biclique enumeration with the same reduction/compaction
 /// pipeline, used by the Fig. 6 count comparisons: emits maximal
@@ -76,22 +60,9 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
                                           const EnumOptions& options,
                                           const BicliqueSink& sink);
 
-/// Engine selector over the six entry points above, shared by the CLI,
-/// the query service and ad-hoc drivers.
-enum class FairAlgo {
-  kPlusPlus,  ///< FairBCEM++ / BFairBCEM++ (paper default).
-  kBcem,      ///< FairBCEM / BFairBCEM.
-  kNaive,     ///< NSF / BNSF baselines.
-};
-
-/// Single (model, algo) dispatch: exactly equivalent to calling the
-/// matching Enumerate* entry point. The proportional variants remain
-/// selected by params.theta > 0, as everywhere else.
-EnumStats RunEnumeration(const BipartiteGraph& g, FairModel model,
-                         FairAlgo algo, const FairBicliqueParams& params,
-                         const EnumOptions& options, const BicliqueSink& sink);
-
-/// Ablation hook: FairBCEM with explicit search-pruning switches.
+/// Ablation hook: FairBCEM (model kSsfbc) with explicit search-pruning
+/// switches. FairBcemSearchOptions{} is RunEnumeration's kBcem engine and
+/// NaiveSearchOptions() its kNaive one.
 EnumStats EnumerateSSFBCWithSearchOptions(const BipartiteGraph& g,
                                           const FairBicliqueParams& params,
                                           const EnumOptions& options,

@@ -1,18 +1,18 @@
 // Result sinks beyond CollectSink/CountSink (core/enumerate.h): top-k
 // selection (TopKKeeper, TopKSink) and chunked streaming (ChunkSink,
 // StreamCheckpoint), whose chunks are compact encoded bodies
-// (core/chunk_body.h). Each is a ResultSink that a caller hands to a
-// pipeline.h entry point through AsSink(); the entry point's emission
-// stage (BlockEmitter, core/pipeline.cc) then calls it with one remapped
+// (core/chunk_body.h). Each is a ResultSink that a caller hands to
+// RunEnumeration (core/pipeline.h) through AsSink(); its emission stage
+// (BlockEmitter, core/pipeline.cc) then calls it with one remapped
 // Biclique at a time. The query runner (RunQuery, service/query.h)
 // builds every query's output path — for the executor and the CLI —
 // from these.
 //
 // Unless a class documents otherwise, sinks here follow the BicliqueSink
-// threading contract: the pipeline.h entry points hand them whole blocks
-// of results under one lock and call them one result at a time, so they
-// need no locking of their own, but calls may arrive from different
-// worker threads over time.
+// threading contract: RunEnumeration's emission stage hands them whole
+// blocks of results under one lock and calls them one result at a time,
+// so they need no locking of their own, but calls may arrive from
+// different worker threads over time.
 
 #ifndef FAIRBC_CORE_RESULT_SINK_H_
 #define FAIRBC_CORE_RESULT_SINK_H_

@@ -166,7 +166,7 @@ Result<BipartiteGraph> GenerateGraph(const GraphSpec& spec) {
   if (spec.num_edges < 0 || spec.num_edges > 200'000'000) {
     return Status::InvalidArgument("edges must be in [0, 2e8]");
   }
-  if (spec.num_attrs < 1 || spec.num_attrs > 1024) {
+  if (spec.num_attrs < 1 || spec.num_attrs > kMaxAttrClasses) {
     return Status::InvalidArgument("attrs must be in [1, 1024]");
   }
   if (spec.num_communities < 1 || spec.num_communities > 1'000'000) {

@@ -73,6 +73,11 @@ BipartiteGraph SampleEdges(const BipartiteGraph& g, double fraction,
 /// file itself bounds.
 inline constexpr std::int64_t kMaxSideVertices = 20'000'000;
 
+/// Largest number of attribute classes per side a caller may ask a
+/// generator or a random re-attribution for: `gen`'s num_attrs window
+/// and fairbc_cli's --rand-attrs. AttrId is 16 bits wide.
+inline constexpr std::int64_t kMaxAttrClasses = 1024;
+
 /// A generator run as the `gen` front doors (fairbc_cli, the server's
 /// line protocol) read it from their callers: the kind and its raw,
 /// unchecked values. Values a kind does not use are still checked.

@@ -29,13 +29,6 @@ void DigestAccumulator::Add(const Biclique& b) {
   max_lower_ = std::max(max_lower_, static_cast<std::uint32_t>(b.lower.size()));
 }
 
-BicliqueSink DigestAccumulator::Wrap(BicliqueSink inner) {
-  return [this, inner = std::move(inner)](const Biclique& b) {
-    Add(b);
-    return inner(b);
-  };
-}
-
 void DigestAccumulator::FillSummary(QuerySummary* summary) const {
   summary->count = count_;
   summary->digest = digest_;

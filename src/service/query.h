@@ -66,15 +66,12 @@ struct QuerySummary {
 };
 
 /// Streaming accumulator for QuerySummary's result-derived fields. Add()
-/// folds in one result; Wrap() returns a sink adapter that adds each
-/// result then forwards to `inner`. It is NOT internally synchronized,
-/// which is safe for sinks handed to the pipeline.h entry points (they
-/// serialize sink invocation — see the BicliqueSink contract in
-/// core/enumerate.h).
+/// folds in one result. It is NOT internally synchronized, which is safe
+/// inside sinks handed to RunEnumeration (core/pipeline.h; it serializes
+/// sink invocation — see the BicliqueSink contract in core/enumerate.h).
 class DigestAccumulator {
  public:
   void Add(const Biclique& b);
-  BicliqueSink Wrap(BicliqueSink inner);
 
   std::uint64_t count() const { return count_; }
   std::uint64_t digest() const { return digest_; }

@@ -20,7 +20,7 @@ TEST(BFairBcem, CompleteBalancedBlock) {
   }
   BipartiteGraph g = MakeGraph(4, 4, edges, {0, 0, 1, 1}, {0, 1, 0, 1});
   FairBicliqueParams params{2, 2, 0, 0.0};
-  auto results = Collect(EnumerateBSFBC, g, params);
+  auto results = Collect(g, FairModel::kBsfbc, FairAlgo::kBcem, params);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].upper, (std::vector<VertexId>{0, 1, 2, 3}));
   EXPECT_EQ(results[0].lower, (std::vector<VertexId>{0, 1, 2, 3}));
@@ -36,7 +36,7 @@ TEST(BFairBcem, UpperUnfairnessForcesSubsets) {
   }
   BipartiteGraph g = MakeGraph(3, 4, edges, {0, 0, 1}, {0, 1, 0, 1});
   FairBicliqueParams params{1, 1, 0, 0.0};
-  auto results = Collect(EnumerateBSFBC, g, params);
+  auto results = Collect(g, FairModel::kBsfbc, FairAlgo::kBcem, params);
   EXPECT_EQ(results.size(), 2u);
   EXPECT_EQ(results, Canonicalize(BruteForceBSFBC(g, params)));
   for (const auto& b : results) {
@@ -51,8 +51,8 @@ TEST(BFairBcem, BsfbcContainedInSomeSsfbc) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     BipartiteGraph g = RandomSmallGraph(seed, 7, 0.5);
     FairBicliqueParams params{1, 1, 1, 0.0};
-    auto bs = Collect(EnumerateBSFBCPlusPlus, g, params);
-    auto ss = Collect(EnumerateSSFBCPlusPlus, g, params);
+    auto bs = Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params);
+    auto ss = Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params);
     for (const auto& b : bs) {
       bool contained = false;
       for (const auto& s : ss) {
@@ -75,7 +75,8 @@ TEST(BFairBcem, EmittedBsfbcSatisfyDefinition) {
     BipartiteGraph g = RandomSmallGraph(seed, 8, 0.5);
     FairBicliqueParams params{1, 1, 1, 0.0};
     CollectSink sink;
-    EnumerateBSFBCPlusPlus(g, params, {}, sink.AsSink());
+    RunEnumeration(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params, {},
+                   sink.AsSink());
     for (const Biclique& b : sink.results()) {
       ASSERT_FALSE(b.upper.empty());
       ASSERT_FALSE(b.lower.empty());
@@ -98,14 +99,15 @@ TEST(BFairBcem, NoBsfbcWhenUpperClassMissing) {
   BipartiteGraph g = MakeGraph(2, 2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}},
                                {0, 0}, {0, 1});
   FairBicliqueParams params{1, 1, 1, 0.0};
-  EXPECT_TRUE(Collect(EnumerateBSFBC, g, params).empty());
+  EXPECT_TRUE(Collect(g, FairModel::kBsfbc, FairAlgo::kBcem, params).empty());
 }
 
 TEST(BFairBcem, EmptyGraph) {
   BipartiteGraph g;
   FairBicliqueParams params{1, 1, 1, 0.0};
   CountSink sink;
-  EnumStats stats = EnumerateBSFBC(g, params, {}, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kBsfbc, FairAlgo::kBcem,
+                                   params, {}, sink.AsSink());
   EXPECT_EQ(stats.num_results, 0u);
 }
 

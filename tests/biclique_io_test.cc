@@ -41,7 +41,8 @@ TEST(BicliqueIo, RoundTripRealEnumeration) {
   BipartiteGraph g = testing::RandomSmallGraph(31, 10, 0.5);
   FairBicliqueParams params{1, 1, 1, 0.0};
   CollectSink sink;
-  EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+  RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, {},
+                 sink.AsSink());
   std::string path = TempPath("real.txt");
   ASSERT_TRUE(WriteBicliques(sink.results(), path).ok());
   auto out = ReadBicliques(path);

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/cfcore.h"
@@ -261,24 +262,23 @@ TEST(PeelGoldenMasks, MatchFullGraphReduction) {
 TEST(PeelParallelEquivalence, EnumerationOnGiantCommunity) {
   const BipartiteGraph g = SingleGiantCommunityGraph();
   const FairBicliqueParams params{2, 2, 1, 0.0};
-  using PipelineFn = EnumStats (*)(const BipartiteGraph&,
-                                   const FairBicliqueParams&,
-                                   const EnumOptions&, const BicliqueSink&);
-  const std::pair<const char*, PipelineFn> engines[] = {
-      {"SSFBC", EnumerateSSFBC},
-      {"SSFBC++", EnumerateSSFBCPlusPlus},
-      {"BSFBC", EnumerateBSFBC},
-      {"BSFBC++", EnumerateBSFBCPlusPlus},
+  const std::tuple<const char*, FairModel, FairAlgo> engines[] = {
+      {"SSFBC", FairModel::kSsfbc, FairAlgo::kBcem},
+      {"SSFBC++", FairModel::kSsfbc, FairAlgo::kPlusPlus},
+      {"BSFBC", FairModel::kBsfbc, FairAlgo::kBcem},
+      {"BSFBC++", FairModel::kBsfbc, FairAlgo::kPlusPlus},
   };
-  for (const auto& [name, fn] : engines) {
+  for (const auto& [name, model, algo] : engines) {
     CollectSink serial_sink;
-    EnumStats serial_stats = fn(g, params, {}, serial_sink.AsSink());
+    EnumStats serial_stats =
+        RunEnumeration(g, model, algo, params, {}, serial_sink.AsSink());
     const std::vector<Biclique> serial = Canonicalize(serial_sink.results());
     for (unsigned threads : kThreadCounts) {
       EnumOptions options;
       options.num_threads = threads;
       CollectSink sink;
-      EnumStats stats = fn(g, params, options, sink.AsSink());
+      EnumStats stats =
+          RunEnumeration(g, model, algo, params, options, sink.AsSink());
       EXPECT_EQ(Canonicalize(sink.results()), serial)
           << name << " threads=" << threads;
       EXPECT_EQ(stats.num_results, serial_stats.num_results)

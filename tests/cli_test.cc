@@ -289,7 +289,9 @@ TEST(CliEndToEnd, UnparsableFlagValuesAreUsageErrors) {
 
 // A budget outside the window both server front doors accept (finite and
 // >= 0) is a usage error; it used to run with no budget at all. So are
-// an out-of-range --top-k or --chunk, which used to exit 1.
+// an out-of-range --top-k or --chunk, which used to exit 1, and a
+// --rand-attrs outside `gen`'s attrs window: cast to the 16-bit AttrId,
+// 65536 aborted, 65537 ran with one class and -5 was ignored.
 TEST(CliEndToEnd, EnumRejectsBudgetTopKAndChunkOutOfRange) {
   std::string graph = GraphPath();
   ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
@@ -304,6 +306,10 @@ TEST(CliEndToEnd, EnumRejectsBudgetTopKAndChunkOutOfRange) {
       {"--top-k=1000000001", "--top-k must be in [0, 1e9]"},
       {"--stream --chunk=0", "--chunk must be in [1, 1e6]"},
       {"--stream --chunk=1000001", "--chunk must be in [1, 1e6]"},
+      {"--rand-attrs=65536", "--rand-attrs must be 0 (keep) or in [1, 1024]"},
+      {"--rand-attrs=65537", "--rand-attrs must be 0 (keep) or in [1, 1024]"},
+      {"--rand-attrs=1025", "--rand-attrs must be 0 (keep) or in [1, 1024]"},
+      {"--rand-attrs=-5", "--rand-attrs must be 0 (keep) or in [1, 1024]"},
   };
   for (const auto& [flag, message] : cases) {
     CommandResult r = RunCli("enum --graph=" + graph + " --model=ssfbc " +
@@ -312,7 +318,9 @@ TEST(CliEndToEnd, EnumRejectsBudgetTopKAndChunkOutOfRange) {
     EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
   }
   // The window's edges run.
-  for (const std::string flag : {"--budget=0", "--budget=30", "--top-k=0"}) {
+  for (const std::string flag :
+       {"--budget=0", "--budget=30", "--top-k=0", "--rand-attrs=0",
+        "--rand-attrs=1", "--rand-attrs=3", "--rand-attrs=1024"}) {
     CommandResult r =
         RunCli("enum --graph=" + graph + " --model=ssfbc --count-only " + flag);
     EXPECT_EQ(r.exit_code, 0) << flag << ": " << r.output;

@@ -16,7 +16,7 @@ using ::fairbc::testing::RandomSmallGraph;
 TEST(FairBcem, PlantedFairBicliqueFound) {
   BipartiteGraph g = PaperExampleGraph();
   FairBicliqueParams params{1, 2, 1, 0.0};
-  auto results = Collect(EnumerateSSFBC, g, params);
+  auto results = Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params);
   ASSERT_FALSE(results.empty());
   // The planted biclique {u2,u3} x {v1,v3,v5,v8} must appear.
   Biclique planted;
@@ -33,8 +33,9 @@ TEST(FairBcem, NoFairBicliqueWhenClassMissing) {
   BipartiteGraph g = MakeGraph(2, 3, {{0, 0}, {0, 1}, {1, 1}, {1, 2}},
                                {0, 1}, {0, 0, 0});
   FairBicliqueParams params{1, 1, 2, 0.0};
-  EXPECT_TRUE(Collect(EnumerateSSFBC, g, params).empty());
-  EXPECT_TRUE(Collect(EnumerateSSFBCPlusPlus, g, params).empty());
+  EXPECT_TRUE(Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params).empty());
+  EXPECT_TRUE(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus,
+                      params).empty());
 }
 
 TEST(FairBcem, DeltaZeroForcesExactBalance) {
@@ -45,7 +46,7 @@ TEST(FairBcem, DeltaZeroForcesExactBalance) {
   // Lower classes: 3 of class 0, 2 of class 1.
   BipartiteGraph g = MakeGraph(2, 5, edges, {0, 1}, {0, 0, 0, 1, 1});
   FairBicliqueParams params{1, 1, 0, 0.0};
-  auto results = Collect(EnumerateSSFBC, g, params);
+  auto results = Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params);
   // Maximal fair subsets pick 2 of the 3 class-0 vertices: C(3,2)=3.
   EXPECT_EQ(results.size(), 3u);
   for (const auto& b : results) {
@@ -58,7 +59,7 @@ TEST(FairBcem, AlphaFiltersSmallUpperSides) {
   BipartiteGraph g = MakeGraph(2, 2, {{0, 0}, {0, 1}, {1, 0}}, {0, 1}, {0, 1});
   // alpha=2: only bicliques whose common neighborhood has both uppers.
   FairBicliqueParams params{2, 1, 1, 0.0};
-  auto results = Collect(EnumerateSSFBC, g, params);
+  auto results = Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params);
   EXPECT_EQ(results, Canonicalize(BruteForceSSFBC(g, params)));
   for (const auto& b : results) EXPECT_GE(b.upper.size(), 2u);
 }
@@ -113,7 +114,8 @@ TEST(FairBcem, NodeBudgetReportsExhaustion) {
   EnumOptions options;
   options.node_budget = 2;
   CountSink sink;
-  EnumStats stats = EnumerateSSFBC(g, params, options, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kBcem,
+                                   params, options, sink.AsSink());
   EXPECT_TRUE(stats.budget_exhausted);
 }
 
@@ -121,7 +123,8 @@ TEST(FairBcem, StatsReportRemainingVertices) {
   BipartiteGraph g = RandomSmallGraph(4, 10, 0.4);
   FairBicliqueParams params{2, 2, 1, 0.0};
   CountSink sink;
-  EnumStats stats = EnumerateSSFBC(g, params, {}, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kBcem,
+                                   params, {}, sink.AsSink());
   EXPECT_LE(stats.remaining_upper, g.NumUpper());
   EXPECT_LE(stats.remaining_lower, g.NumLower());
   EXPECT_EQ(stats.num_results, sink.count());
@@ -132,7 +135,8 @@ TEST(FairBcemPp, CountsMaximalBicliquesVisited) {
   BipartiteGraph g = RandomSmallGraph(8, 10, 0.4);
   FairBicliqueParams params{1, 1, 1, 0.0};
   CountSink sink;
-  EnumStats stats = EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus,
+                                   params, {}, sink.AsSink());
   EXPECT_GE(stats.maximal_bicliques_visited, 0u);
 }
 
@@ -140,7 +144,8 @@ TEST(FairBcem, EmptyGraph) {
   BipartiteGraph g;
   FairBicliqueParams params{1, 1, 1, 0.0};
   CountSink sink;
-  EnumStats stats = EnumerateSSFBC(g, params, {}, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kBcem,
+                                   params, {}, sink.AsSink());
   EXPECT_EQ(stats.num_results, 0u);
 }
 

@@ -1,10 +1,10 @@
 // Property tests for the adaptive set-intersection kernels
-// (core/kernels.h): every kernel — forced merge/gallop/bitset, the
-// adaptive dispatchers, and the fused attribute-counting variant — must
-// match the std::set_intersection oracle on randomized and adversarial
-// inputs. Also covers the ScratchArena stack discipline, the arena-backed
-// containers, BitsetView, the allocation-free recursion contract, and an
-// 8-worker engine run for the sanitizer suites.
+// (core/kernels.h): every kernel — forced merge/gallop/bitset and the
+// adaptive dispatchers — must match the std::set_intersection oracle on
+// randomized and adversarial inputs. Also covers the ScratchArena stack
+// discipline, the arena-backed containers, BitsetView, the
+// allocation-free recursion contract, and an 8-worker engine run for the
+// sanitizer suites.
 
 #include <gtest/gtest.h>
 
@@ -240,31 +240,6 @@ TEST(KernelsPropertyTest, MaxIdBoundaries) {
   ExpectAllKernelsMatch(spread, mid, /*check_bitset=*/false);
 }
 
-TEST(KernelsPropertyTest, FusedAttrCountsMatchesManualCount) {
-  std::mt19937 rng(99);
-  const AttrId num_attrs = 3;
-  std::vector<VertexId> a = RandomSet(rng, 400, 4);
-  std::vector<VertexId> b = RandomSet(rng, 900, 4);
-  // Attribute array covering the whole id domain of the inputs.
-  std::vector<AttrId> attrs(b.back() + std::uint64_t{2});
-  std::uniform_int_distribution<AttrId> attr(0, num_attrs - 1);
-  for (AttrId& x : attrs) x = attr(rng);
-
-  const std::vector<VertexId> want = Oracle(a, b);
-  std::vector<std::uint32_t> want_counts(num_attrs, 0);
-  for (VertexId v : want) ++want_counts[attrs[v]];
-
-  ScratchArena arena;
-  KernelStats stats;
-  std::vector<VertexId> dst(std::min(a.size(), b.size()));
-  std::vector<std::uint32_t> counts(num_attrs, 0);
-  const std::size_t n = IntersectWithAttrCounts(
-      dst.data(), a, b, attrs, counts.data(), &arena, &stats);
-  EXPECT_EQ(std::vector<VertexId>(dst.begin(), dst.begin() + n), want);
-  EXPECT_EQ(counts, want_counts);
-  EXPECT_GT(stats.calls, 0u);
-}
-
 TEST(KernelsPropertyTest, StatsCountDispatchedKernels) {
   std::mt19937 rng(5);
   ScratchArena arena;
@@ -397,12 +372,14 @@ TEST(KernelsEngineTest, RecursionIsAllocationFree) {
   options.num_threads = 1;
 
   CountSink warm;
-  EnumStats warm_stats = EnumerateSSFBC(g, params, options, warm.AsSink());
+  EnumStats warm_stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kBcem,
+                                        params, options, warm.AsSink());
   ASSERT_GT(warm_stats.search_nodes, 100u);
 
   CountSink sink;
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  EnumStats stats = EnumerateSSFBC(g, params, options, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kBcem,
+                                   params, options, sink.AsSink());
   const std::uint64_t allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(sink.count(), warm.count());
@@ -442,11 +419,13 @@ TEST(KernelsEngineTest, FairSubsetExpansionIsAllocationFree) {
   options.num_threads = 1;
 
   CountSink warm;
-  EnumerateSSFBCPlusPlus(g, params, options, warm.AsSink());
+  RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, options,
+                 warm.AsSink());
 
   CountSink sink;
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  EnumStats stats = EnumerateSSFBCPlusPlus(g, params, options, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus,
+                                   params, options, sink.AsSink());
   const std::uint64_t allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(sink.count(), warm.count());
@@ -468,12 +447,14 @@ TEST(KernelsEngineTest, EightWorkerRunMatchesSerial) {
   EnumOptions serial;
   serial.num_threads = 1;
   CollectSink serial_sink;
-  EnumerateSSFBC(g, params, serial, serial_sink.AsSink());
+  RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kBcem, params, serial,
+                 serial_sink.AsSink());
 
   EnumOptions parallel;
   parallel.num_threads = 8;
   CollectSink parallel_sink;
-  EnumStats stats = EnumerateSSFBC(g, params, parallel, parallel_sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kBcem,
+                                   params, parallel, parallel_sink.AsSink());
 
   EXPECT_EQ(testing::Canonicalize(parallel_sink.results()),
             testing::Canonicalize(serial_sink.results()));

@@ -24,9 +24,10 @@ TEST(SingleAttrClass, SsfbcMatchesOracle) {
     for (std::uint32_t beta : {1u, 2u, 3u}) {
       FairBicliqueParams params{2, beta, 0, 0.0};
       auto oracle = Canonicalize(BruteForceSSFBC(g, params));
-      EXPECT_EQ(Collect(EnumerateSSFBC, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params), oracle)
           << "seed=" << seed << " beta=" << beta;
-      EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params),
+                oracle)
           << "seed=" << seed << " beta=" << beta;
     }
   }
@@ -39,7 +40,7 @@ TEST(SingleAttrClass, DegeneratesToThresholdedMaximalBicliques) {
   for (std::uint64_t seed = 20; seed < 30; ++seed) {
     BipartiteGraph g = RandomSmallGraph(seed, 8, 0.5, /*num_attrs=*/1);
     FairBicliqueParams params{2, 2, 0, 0.0};
-    auto fair = Collect(EnumerateSSFBCPlusPlus, g, params);
+    auto fair = Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params);
     auto mbc = Canonicalize(
         BruteForceMaximalBicliques(g, params.alpha, params.beta, 0));
     EXPECT_EQ(fair, mbc) << "seed=" << seed;
@@ -52,11 +53,12 @@ TEST(ThreeAttrClasses, SsfbcMatchesOracle) {
     for (std::uint32_t delta : {0u, 1u, 2u}) {
       FairBicliqueParams params{1, 1, delta, 0.0};
       auto oracle = Canonicalize(BruteForceSSFBC(g, params));
-      EXPECT_EQ(Collect(EnumerateSSFBC, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params), oracle)
           << "seed=" << seed << " delta=" << delta;
-      EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params),
+                oracle)
           << "seed=" << seed << " delta=" << delta;
-      EXPECT_EQ(Collect(EnumerateSSFBCNaive, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kNaive, params), oracle)
           << "seed=" << seed << " delta=" << delta;
     }
   }
@@ -67,8 +69,10 @@ TEST(ThreeAttrClasses, BsfbcMatchesOracle) {
     BipartiteGraph g = RandomSmallGraph(seed, 6, 0.65, /*num_attrs=*/3);
     FairBicliqueParams params{1, 1, 1, 0.0};
     auto oracle = Canonicalize(BruteForceBSFBC(g, params));
-    EXPECT_EQ(Collect(EnumerateBSFBC, g, params), oracle) << "seed=" << seed;
-    EXPECT_EQ(Collect(EnumerateBSFBCPlusPlus, g, params), oracle)
+    EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kBcem, params),
+              oracle) << "seed=" << seed;
+    EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params),
+              oracle)
         << "seed=" << seed;
   }
 }
@@ -80,9 +84,10 @@ TEST(ThreeAttrClasses, ProportionalMatchesOracle) {
     for (double theta : {0.2, 0.3}) {
       FairBicliqueParams params{1, 1, 2, theta};
       auto oracle = Canonicalize(BruteForceSSFBC(g, params));
-      EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params),
+                oracle)
           << "seed=" << seed << " theta=" << theta;
-      EXPECT_EQ(Collect(EnumerateSSFBC, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params), oracle)
           << "seed=" << seed << " theta=" << theta;
     }
   }
@@ -106,7 +111,8 @@ TEST(MixedAttrCounts, TwoUpperThreeLowerClasses) {
     BipartiteGraph g = std::move(built).value();
     FairBicliqueParams params{1, 1, 1, 0.0};
     auto oracle = Canonicalize(BruteForceBSFBC(g, params));
-    EXPECT_EQ(Collect(EnumerateBSFBCPlusPlus, g, params), oracle)
+    EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params),
+              oracle)
         << "seed=" << seed;
   }
 }

@@ -20,41 +20,42 @@ namespace {
 using ::fairbc::testing::Canonicalize;
 using ::fairbc::testing::RandomSmallGraph;
 
-using PipelineFn = EnumStats (*)(const BipartiteGraph&,
-                                 const FairBicliqueParams&, const EnumOptions&,
-                                 const BicliqueSink&);
-
+// One engine under test: a RunEnumeration (model, algo) row, or, with
+// `mbc`, maximal bicliques with |L| >= alpha and |R| >= beta — the MBEA
+// engine without a fair-subset pass on top.
 struct NamedEngine {
   const char* name;
-  PipelineFn fn;
+  FairModel model;
+  FairAlgo algo;
+  bool mbc = false;
 };
 
-// MBC: maximal bicliques with |L| >= alpha and |R| >= beta, the MBEA
-// engine without a fair-subset pass on top.
-EnumStats MaximalBicliques(const BipartiteGraph& g,
-                           const FairBicliqueParams& params,
-                           const EnumOptions& options,
-                           const BicliqueSink& sink) {
-  return EnumerateMaximalBicliquesPruned(g, params.alpha, params.beta, options,
-                                         sink);
+EnumStats RunEngine(const NamedEngine& engine, const BipartiteGraph& g,
+                    const FairBicliqueParams& params,
+                    const EnumOptions& options, const BicliqueSink& sink) {
+  if (engine.mbc) {
+    return EnumerateMaximalBicliquesPruned(g, params.alpha, params.beta,
+                                           options, sink);
+  }
+  return RunEnumeration(g, engine.model, engine.algo, params, options, sink);
 }
 
 // FairBCEM, BFairBCEM, and MBEA under FairBCEM++, BFairBCEM++ and plain
 // MBC.
 const NamedEngine kEngines[] = {
-    {"SSFBC", EnumerateSSFBC},
-    {"SSFBC++", EnumerateSSFBCPlusPlus},
-    {"BSFBC", EnumerateBSFBC},
-    {"BSFBC++", EnumerateBSFBCPlusPlus},
-    {"MBC", MaximalBicliques},
+    {"SSFBC", FairModel::kSsfbc, FairAlgo::kBcem},
+    {"SSFBC++", FairModel::kSsfbc, FairAlgo::kPlusPlus},
+    {"BSFBC", FairModel::kBsfbc, FairAlgo::kBcem},
+    {"BSFBC++", FairModel::kBsfbc, FairAlgo::kPlusPlus},
+    {"MBC", FairModel::kSsfbc, FairAlgo::kPlusPlus, /*mbc=*/true},
 };
 
 // The NSF/BNSF baselines: FairBCEM at candidate threshold 1 with
 // prune_small_l off. Without search pruning they do not finish within
 // 5 s on the 120x120 affiliation graphs, so they run on random graphs.
 const NamedEngine kBaselineEngines[] = {
-    {"NSF", EnumerateSSFBCNaive},
-    {"BNSF", EnumerateBSFBCNaive},
+    {"NSF", FairModel::kSsfbc, FairAlgo::kNaive},
+    {"BNSF", FairModel::kBsfbc, FairAlgo::kNaive},
 };
 
 BipartiteGraph AffiliationGraph(std::uint64_t seed) {
@@ -77,7 +78,7 @@ void ExpectEquivalentAcrossThreads(
       EnumOptions options;
       options.num_threads = threads;
       CollectSink sink;
-      EnumStats stats = engine.fn(g, params, options, sink.AsSink());
+      EnumStats stats = RunEngine(engine, g, params, options, sink.AsSink());
       std::vector<Biclique> results = Canonicalize(sink.results());
       EXPECT_EQ(stats.num_results, results.size())
           << label << " " << engine.name << " threads=" << threads;
@@ -134,13 +135,15 @@ TEST(ParallelEquivalence, ProportionalModel) {
 TEST(ParallelEquivalence, NaiveEnginesToo) {
   BipartiteGraph g = RandomSmallGraph(7, 8, 0.5);
   FairBicliqueParams params{1, 1, 1, 0.0};
-  for (PipelineFn fn : {EnumerateSSFBCNaive, EnumerateBSFBCNaive}) {
+  for (FairModel model : {FairModel::kSsfbc, FairModel::kBsfbc}) {
     CollectSink serial_sink;
-    fn(g, params, {}, serial_sink.AsSink());
+    RunEnumeration(g, model, FairAlgo::kNaive, params, {},
+                   serial_sink.AsSink());
     EnumOptions parallel;
     parallel.num_threads = 4;
     CollectSink parallel_sink;
-    fn(g, params, parallel, parallel_sink.AsSink());
+    RunEnumeration(g, model, FairAlgo::kNaive, params, parallel,
+                   parallel_sink.AsSink());
     EXPECT_EQ(Canonicalize(parallel_sink.results()),
               Canonicalize(serial_sink.results()));
   }
@@ -149,11 +152,13 @@ TEST(ParallelEquivalence, NaiveEnginesToo) {
 TEST(ParallelEquivalence, ZeroMeansHardwareConcurrency) {
   BipartiteGraph g = RandomSmallGraph(11, 9, 0.4);
   FairBicliqueParams params{1, 1, 1, 0.0};
-  auto serial = testing::Collect(EnumerateSSFBCPlusPlus, g, params);
+  auto serial = testing::Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus,
+                                 params);
   EnumOptions options;
   options.num_threads = 0;  // auto-detect.
   CollectSink sink;
-  EnumerateSSFBCPlusPlus(g, params, options, sink.AsSink());
+  RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, options,
+                 sink.AsSink());
   EXPECT_EQ(Canonicalize(sink.results()), serial);
 }
 
@@ -164,7 +169,8 @@ TEST(ParallelEquivalence, NodeBudgetStopsParallelRun) {
   options.num_threads = 4;
   options.node_budget = 5;
   CountSink sink;
-  EnumStats stats = EnumerateSSFBC(g, params, options, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kBcem,
+                                   params, options, sink.AsSink());
   EXPECT_TRUE(stats.budget_exhausted);
   // The budget is shared: workers may each account the node that trips
   // the limit, but the overshoot is bounded by the worker count.
@@ -184,9 +190,9 @@ TEST(ParallelEquivalence, SinkFalseOnNthCallGetsExactlyNCalls) {
         EnumOptions options;
         options.num_threads = threads;
         std::uint64_t calls = 0;  // plain: calls never overlap.
-        EnumStats stats = engine.fn(g, params, options, [&](const Biclique&) {
-          return ++calls < n;
-        });
+        EnumStats stats =
+            RunEngine(engine, g, params, options,
+                      [&](const Biclique&) { return ++calls < n; });
         EXPECT_EQ(calls, n) << engine.name << " threads=" << threads;
         EXPECT_GE(stats.num_results, n) << engine.name;
         EXPECT_FALSE(stats.budget_exhausted) << engine.name;
@@ -203,16 +209,18 @@ TEST(ParallelEquivalence, BudgetExhaustedRunDeliversEveryCountedResult) {
   FairBicliqueParams params{2, 2, 1, 0.0};
   for (const NamedEngine& engine : kEngines) {
     CountSink full;
-    const EnumStats full_stats = engine.fn(g, params, {}, full.AsSink());
+    const EnumStats full_stats =
+        RunEngine(engine, g, params, {}, full.AsSink());
     for (unsigned threads : {1u, 2u, 8u}) {
       EnumOptions options;
       options.num_threads = threads;
       options.node_budget = full_stats.search_nodes / 2;
       std::uint64_t calls = 0;
-      EnumStats stats = engine.fn(g, params, options, [&](const Biclique&) {
-        ++calls;
-        return true;
-      });
+      EnumStats stats =
+          RunEngine(engine, g, params, options, [&](const Biclique&) {
+            ++calls;
+            return true;
+          });
       EXPECT_TRUE(stats.budget_exhausted) << engine.name;
       EXPECT_GT(calls, 0u) << engine.name << " threads=" << threads;
       EXPECT_LT(calls, full.count()) << engine.name << " threads=" << threads;
@@ -228,9 +236,11 @@ TEST(ParallelEquivalence, SinkAbortStopsAllWorkers) {
   EnumOptions options;
   options.num_threads = 4;
   std::atomic<std::uint64_t> seen{0};
-  EnumStats stats = EnumerateSSFBC(g, params, options, [&](const Biclique&) {
-    return seen.fetch_add(1, std::memory_order_relaxed) + 1 < 10;
-  });
+  EnumStats stats = RunEnumeration(
+      g, FairModel::kSsfbc, FairAlgo::kBcem, params, options,
+      [&](const Biclique&) {
+        return seen.fetch_add(1, std::memory_order_relaxed) + 1 < 10;
+      });
   EXPECT_FALSE(stats.budget_exhausted);  // abort is not budget exhaustion.
   // Every worker stops promptly after the abort latch; a few in-flight
   // emissions may still land.

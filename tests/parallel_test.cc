@@ -186,10 +186,11 @@ TEST(BoundedThreadsTest, WideLibraryQueryAddsNoThreads) {
   EnumOptions options;
   options.num_threads = kWideQuery;
   auto run = [&](PeakThreads* peak) {
-    return EnumerateSSFBCPlusPlus(g, params, options, [peak](const Biclique&) {
-      if (peak != nullptr) peak->Sample();
-      return true;
-    });
+    return RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params,
+                          options, [peak](const Biclique&) {
+                            if (peak != nullptr) peak->Sample();
+                            return true;
+                          });
   };
   const EnumStats warm = run(nullptr);  // builds the process pool.
   ASSERT_GT(warm.num_results, 0u);

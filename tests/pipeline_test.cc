@@ -17,7 +17,8 @@ TEST(Pipeline, StatsSplitPruneAndEnumTime) {
   BipartiteGraph g = MakeUniformRandom(300, 300, 2500, 2, 5);
   FairBicliqueParams params{2, 2, 1, 0.0};
   CountSink sink;
-  EnumStats stats = EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus,
+                                   params, {}, sink.AsSink());
   EXPECT_GE(stats.prune_seconds, 0.0);
   EXPECT_GE(stats.enum_seconds, 0.0);
   EXPECT_LE(stats.remaining_upper, g.NumUpper());
@@ -32,7 +33,8 @@ TEST(Pipeline, MemoryMeterPopulatedWithColorfulPruning) {
   BipartiteGraph g = MakeAffiliation(config);
   FairBicliqueParams params{2, 2, 1, 0.0};
   CountSink sink;
-  EnumStats stats = EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus,
+                                   params, {}, sink.AsSink());
   // The CFCore 2-hop graph + color matrices must be accounted.
   EXPECT_GT(stats.peak_struct_bytes, 0u);
 }
@@ -58,7 +60,8 @@ TEST(Pipeline, TimeBudgetPropagates) {
   EnumOptions options;
   options.time_budget_seconds = 1e-6;
   CountSink sink;
-  EnumStats stats = EnumerateSSFBCNaive(g, params, options, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kNaive,
+                                   params, options, sink.AsSink());
   EXPECT_TRUE(stats.budget_exhausted);
 }
 
@@ -66,10 +69,11 @@ TEST(Pipeline, SinkAbortIsHonored) {
   BipartiteGraph g = RandomSmallGraph(23, 12, 0.5);
   FairBicliqueParams params{1, 1, 2, 0.0};
   std::uint64_t seen = 0;
-  EnumerateSSFBCPlusPlus(g, params, {}, [&](const Biclique&) {
-    ++seen;
-    return false;
-  });
+  RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, {},
+                 [&](const Biclique&) {
+                   ++seen;
+                   return false;
+                 });
   EXPECT_LE(seen, 1u);
 }
 
@@ -80,17 +84,21 @@ TEST(Pipeline, OrderingsAgreeOnResultSet) {
   id_ord.ordering = VertexOrdering::kId;
   deg_ord.ordering = VertexOrdering::kDegreeDesc;
   CollectSink a, b;
-  EnumerateSSFBCPlusPlus(g, params, id_ord, a.AsSink());
-  EnumerateSSFBCPlusPlus(g, params, deg_ord, b.AsSink());
+  RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, id_ord,
+                 a.AsSink());
+  RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, deg_ord,
+                 b.AsSink());
   EXPECT_EQ(Canonicalize(a.results()), Canonicalize(b.results()));
 }
 
-// Golden serial counters: every pipeline.h entry point at num_threads = 1
-// on seeded generator graphs, pinned to the values the engines produced
-// before their run drivers were merged into one. Refactors of the search
-// layer must leave the serial traversal alone: the same nodes, the same
-// results, the same maximal bicliques, in the same emission order
-// (`order_digest`, an FNV-1a hash of the emitted id sequence).
+// Golden serial counters: every (model, algo) case of RunEnumeration and
+// plain MBC at num_threads = 1 on seeded generator graphs, pinned to the
+// values the engines produced before their run drivers were merged into
+// one. Refactors of the search layer must leave the serial traversal
+// alone: the same nodes, the same results, the same maximal bicliques, in
+// the same emission order (`order_digest`, an FNV-1a hash of the emitted
+// id sequence). The engines agree on result sets, so only search_nodes
+// and maximal_bicliques_visited catch a case wired to the wrong engine.
 struct GoldenCounters {
   std::string_view graph;
   std::string_view entry;
@@ -113,6 +121,22 @@ BipartiteGraph GoldenGraph(std::string_view name) {
   return MakeAffiliation(config);
 }
 
+// The fair entries by name, as (model, algo) rows of RunEnumeration.
+struct GoldenFairEntry {
+  std::string_view name;
+  FairModel model;
+  FairAlgo algo;
+};
+
+constexpr GoldenFairEntry kGoldenFairEntries[] = {
+    {"SSFBC", FairModel::kSsfbc, FairAlgo::kBcem},
+    {"SSFBC++", FairModel::kSsfbc, FairAlgo::kPlusPlus},
+    {"NSF", FairModel::kSsfbc, FairAlgo::kNaive},
+    {"BSFBC", FairModel::kBsfbc, FairAlgo::kBcem},
+    {"BSFBC++", FairModel::kBsfbc, FairAlgo::kPlusPlus},
+    {"BNSF", FairModel::kBsfbc, FairAlgo::kNaive},
+};
+
 EnumStats RunGoldenEntry(std::string_view entry, const BipartiteGraph& g,
                          const BicliqueSink& sink) {
   // Bi-side models ask for alpha per upper class, hence the smaller alpha.
@@ -120,16 +144,12 @@ EnumStats RunGoldenEntry(std::string_view entry, const BipartiteGraph& g,
   const FairBicliqueParams bi_params{1, 2, 1, 0.0};
   EnumOptions options;
   options.num_threads = 1;
-  if (entry == "SSFBC") return EnumerateSSFBC(g, params, options, sink);
-  if (entry == "SSFBC++") {
-    return EnumerateSSFBCPlusPlus(g, params, options, sink);
+  for (const GoldenFairEntry& fair : kGoldenFairEntries) {
+    if (fair.name != entry) continue;
+    return RunEnumeration(g, fair.model, fair.algo,
+                          fair.model == FairModel::kBsfbc ? bi_params : params,
+                          options, sink);
   }
-  if (entry == "NSF") return EnumerateSSFBCNaive(g, params, options, sink);
-  if (entry == "BSFBC") return EnumerateBSFBC(g, bi_params, options, sink);
-  if (entry == "BSFBC++") {
-    return EnumerateBSFBCPlusPlus(g, bi_params, options, sink);
-  }
-  if (entry == "BNSF") return EnumerateBSFBCNaive(g, bi_params, options, sink);
   return EnumerateMaximalBicliquesPruned(g, 2, 2, options, sink);
 }
 

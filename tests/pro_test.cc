@@ -27,11 +27,12 @@ TEST(ProSsfbc, RatioConstraintTightensResults) {
   FairBicliqueParams plain{1, 2, 2, 0.0};
   FairBicliqueParams pro{1, 2, 2, 0.4};
 
-  auto plain_results = Collect(EnumerateSSFBCPlusPlus, g, plain);
+  auto plain_results = Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus,
+                               plain);
   ASSERT_EQ(plain_results.size(), 1u);  // the whole graph: (4,2) diff 2.
   EXPECT_EQ(plain_results[0].lower.size(), 6u);
 
-  auto pro_results = Collect(EnumerateSSFBCPlusPlus, g, pro);
+  auto pro_results = Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, pro);
   // t* = (min(4, 2+2, floor(2*1.5)=3), 2) = (3,2): C(4,3) = 4 subsets.
   EXPECT_EQ(pro_results.size(), 4u);
   for (const auto& b : pro_results) {
@@ -46,8 +47,8 @@ TEST(ProSsfbc, ThetaHalfForcesExactBalance) {
     BipartiteGraph g = RandomSmallGraph(seed, 7, 0.5);
     FairBicliqueParams pro{1, 1, 3, 0.5};
     FairBicliqueParams balanced{1, 1, 0, 0.0};
-    EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, pro),
-              Collect(EnumerateSSFBCPlusPlus, g, balanced))
+    EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, pro),
+              Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, balanced))
         << "seed=" << seed;
   }
 }
@@ -58,9 +59,10 @@ TEST(ProSsfbc, MatchesOracleAcrossThetas) {
     for (double theta : {0.3, 0.4, 0.45}) {
       FairBicliqueParams params{1, 1, 2, theta};
       auto oracle = Canonicalize(BruteForceSSFBC(g, params));
-      EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params),
+                oracle)
           << "seed=" << seed << " theta=" << theta;
-      EXPECT_EQ(Collect(EnumerateSSFBC, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params), oracle)
           << "seed=" << seed << " theta=" << theta;
     }
   }
@@ -72,9 +74,10 @@ TEST(ProBsfbc, MatchesOracleAcrossThetas) {
     for (double theta : {0.3, 0.4}) {
       FairBicliqueParams params{1, 1, 2, theta};
       auto oracle = Canonicalize(BruteForceBSFBC(g, params));
-      EXPECT_EQ(Collect(EnumerateBSFBCPlusPlus, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params),
+                oracle)
           << "seed=" << seed << " theta=" << theta;
-      EXPECT_EQ(Collect(EnumerateBSFBC, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kBcem, params), oracle)
           << "seed=" << seed << " theta=" << theta;
     }
   }
@@ -85,7 +88,8 @@ TEST(ProSsfbc, EmittedResultsRespectRatio) {
     BipartiteGraph g = RandomSmallGraph(seed, 9, 0.45);
     FairBicliqueParams params{1, 1, 2, 0.4};
     CollectSink sink;
-    EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+    RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, {},
+                   sink.AsSink());
     for (const Biclique& b : sink.results()) {
       SizeVector sizes(g.NumAttrs(Side::kLower), 0);
       for (VertexId v : b.lower) ++sizes[g.Attr(Side::kLower, v)];

@@ -55,13 +55,16 @@ TEST_P(OracleGridTest, SsfbcEnginesMatchBruteForce) {
       EnumOptions options;
       options.ordering = ord;
       options.pruning = prune;
-      EXPECT_EQ(Collect(EnumerateSSFBC, g, params, options), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params, options),
+                oracle)
           << "FairBCEM ord=" << static_cast<int>(ord)
           << " prune=" << static_cast<int>(prune) << " " << g.DebugString();
-      EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, params, options), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params,
+                        options), oracle)
           << "FairBCEM++ ord=" << static_cast<int>(ord)
           << " prune=" << static_cast<int>(prune) << " " << g.DebugString();
-      EXPECT_EQ(Collect(EnumerateSSFBCNaive, g, params, options), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kNaive, params,
+                        options), oracle)
           << "NSF ord=" << static_cast<int>(ord)
           << " prune=" << static_cast<int>(prune) << " " << g.DebugString();
     }
@@ -80,13 +83,16 @@ TEST_P(OracleGridTest, BsfbcEnginesMatchBruteForce) {
       EnumOptions options;
       options.ordering = ord;
       options.pruning = prune;
-      EXPECT_EQ(Collect(EnumerateBSFBC, g, params, options), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kBcem, params, options),
+                oracle)
           << "BFairBCEM ord=" << static_cast<int>(ord)
           << " prune=" << static_cast<int>(prune) << " " << g.DebugString();
-      EXPECT_EQ(Collect(EnumerateBSFBCPlusPlus, g, params, options), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params,
+                        options), oracle)
           << "BFairBCEM++ ord=" << static_cast<int>(ord)
           << " prune=" << static_cast<int>(prune) << " " << g.DebugString();
-      EXPECT_EQ(Collect(EnumerateBSFBCNaive, g, params, options), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kNaive, params,
+                        options), oracle)
           << "BNSF ord=" << static_cast<int>(ord)
           << " prune=" << static_cast<int>(prune) << " " << g.DebugString();
     }
@@ -103,14 +109,14 @@ TEST(OracleCrossCheck, EnginesAgreeOnMediumGraphs) {
   for (std::uint64_t seed : {11u, 22u, 33u, 44u}) {
     BipartiteGraph g = RandomSmallGraph(seed, /*max_side=*/14, 0.35);
     FairBicliqueParams params{2, 2, 1, 0.0};
-    auto a = Collect(EnumerateSSFBC, g, params);
-    auto b = Collect(EnumerateSSFBCPlusPlus, g, params);
-    auto c = Collect(EnumerateSSFBCNaive, g, params);
+    auto a = Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params);
+    auto b = Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params);
+    auto c = Collect(g, FairModel::kSsfbc, FairAlgo::kNaive, params);
     EXPECT_EQ(a, b) << g.DebugString();
     EXPECT_EQ(a, c) << g.DebugString();
 
-    auto ba = Collect(EnumerateBSFBC, g, params);
-    auto bb = Collect(EnumerateBSFBCPlusPlus, g, params);
+    auto ba = Collect(g, FairModel::kBsfbc, FairAlgo::kBcem, params);
+    auto bb = Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params);
     EXPECT_EQ(ba, bb) << g.DebugString();
   }
 }
@@ -121,7 +127,8 @@ TEST(OracleInvariants, EmittedSsfbcSatisfyDefinition) {
   BipartiteGraph g = RandomSmallGraph(99, /*max_side=*/10, 0.4);
   FairBicliqueParams params{2, 1, 1, 0.0};
   CollectSink sink;
-  EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+  RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, {},
+                 sink.AsSink());
   for (const Biclique& b : sink.results()) {
     ASSERT_FALSE(b.upper.empty());
     ASSERT_FALSE(b.lower.empty());

@@ -30,14 +30,15 @@ TEST(PruningSafety, SsfbcIdenticalAcrossPruningLevels) {
   core.pruning = PruningLevel::kCore;
   colorful.pruning = PruningLevel::kColorful;
 
-  auto a = Collect(EnumerateSSFBCPlusPlus, g, params, none);
-  auto b = Collect(EnumerateSSFBCPlusPlus, g, params, core);
-  auto c = Collect(EnumerateSSFBCPlusPlus, g, params, colorful);
+  auto a = Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, none);
+  auto b = Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, core);
+  auto c = Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, colorful);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
   // The reductions must actually remove vertices on this workload.
   CountSink sink;
-  EnumStats stats = EnumerateSSFBCPlusPlus(g, params, colorful, sink.AsSink());
+  EnumStats stats = RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus,
+                                   params, colorful, sink.AsSink());
   EXPECT_LT(stats.remaining_lower, g.NumLower());
 }
 
@@ -58,9 +59,9 @@ TEST(PruningSafety, BsfbcIdenticalAcrossPruningLevels) {
   core.pruning = PruningLevel::kCore;
   colorful.pruning = PruningLevel::kColorful;
 
-  auto a = Collect(EnumerateBSFBCPlusPlus, g, params, none);
-  auto b = Collect(EnumerateBSFBCPlusPlus, g, params, core);
-  auto c = Collect(EnumerateBSFBCPlusPlus, g, params, colorful);
+  auto a = Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params, none);
+  auto b = Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params, core);
+  auto c = Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params, colorful);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
 }
@@ -76,7 +77,8 @@ TEST(PruningSafety, ResultsAreInOriginalIds) {
   BipartiteGraph g = MakeAffiliation(config);
   FairBicliqueParams params{2, 2, 1, 0.0};
   CollectSink sink;
-  EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+  RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, {},
+                 sink.AsSink());
   for (const Biclique& b : sink.results()) {
     for (VertexId u : b.upper) {
       ASSERT_LT(u, g.NumUpper());
@@ -99,10 +101,12 @@ TEST(PruningSafety, ProModelsUnaffectedByPruning) {
   EnumOptions none, colorful;
   none.pruning = PruningLevel::kNone;
   colorful.pruning = PruningLevel::kColorful;
-  EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, params, none),
-            Collect(EnumerateSSFBCPlusPlus, g, params, colorful));
-  EXPECT_EQ(Collect(EnumerateBSFBCPlusPlus, g, params, none),
-            Collect(EnumerateBSFBCPlusPlus, g, params, colorful));
+  EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, none),
+            Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params,
+                    colorful));
+  EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params, none),
+            Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params,
+                    colorful));
 }
 
 }  // namespace

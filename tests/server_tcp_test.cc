@@ -774,7 +774,6 @@ TEST(WireServerTest, LiveAndReplayedStreamsCarryIdenticalChunkBodies) {
   ASSERT_GE(live.size(), 2u) << "the query must span several chunks";
   ASSERT_EQ(replay.size(), live.size());
   DigestAccumulator digest;
-  BicliqueSink sink = digest.Wrap([](const Biclique&) { return true; });
   std::vector<std::vector<Biclique>> chunk_sets;
   for (std::size_t i = 0; i < live.size(); ++i) {
     auto a = wire::DecodeChunkPayload(live[i]);
@@ -787,7 +786,7 @@ TEST(WireServerTest, LiveAndReplayedStreamsCarryIdenticalChunkBodies) {
     EXPECT_EQ(live[i].substr(wire::kChunkHeaderBytes),
               replay[i].substr(wire::kChunkHeaderBytes))
         << "chunk " << i << " body differs between live and replay";
-    for (const Biclique& bc : a.value().bicliques) sink(bc);
+    for (const Biclique& bc : a.value().bicliques) digest.Add(bc);
     chunk_sets.push_back(std::move(a.value().bicliques));
   }
   QuerySummary reassembled;

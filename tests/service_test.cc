@@ -228,7 +228,7 @@ TEST(QueryExecutorTest, ConcurrentBatchesMatchSerialRuns) {
   ASSERT_TRUE(catalog.AddGraph("g", ServiceTestGraph()).ok());
   const std::vector<QueryRequest> requests = MixedRequests("g");
 
-  // Serial reference: the plain pipeline entry points, num_threads = 1.
+  // Serial reference: plain RunEnumeration, num_threads = 1.
   std::vector<std::vector<Biclique>> expected;
   std::vector<EnumStats> expected_stats;
   for (const QueryRequest& req : requests) {

@@ -94,9 +94,8 @@ std::vector<Biclique> DecodeBody(const ChunkBody& body) {
 QuerySummary SummarizeChunks(
     const std::vector<StreamChunk>& chunks) {
   DigestAccumulator acc;
-  BicliqueSink sink = acc.Wrap([](const Biclique&) { return true; });
   for (const auto& chunk : chunks)
-    for (const Biclique& b : DecodeBody(chunk.body)) sink(b);
+    for (const Biclique& b : DecodeBody(chunk.body)) acc.Add(b);
   QuerySummary summary;
   acc.FillSummary(&summary);
   return summary;
@@ -498,7 +497,8 @@ TEST(TopKQueryTest, ZeroKSinkIsTreatedAsOne) {
     EnumOptions options;
     options.num_threads = threads;
     options.topk = sink.prune_bound();
-    EnumerateSSFBCPlusPlus(g, params, options, sink.AsSink());
+    RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, options,
+                   sink.AsSink());
     sink.Finish();
     const std::vector<Biclique> kept = sink.Take();
     EXPECT_LE(kept.size(), 1u) << "t" << threads;

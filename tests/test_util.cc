@@ -69,4 +69,12 @@ std::vector<Biclique> Canonicalize(std::vector<Biclique> bicliques) {
   return bicliques;
 }
 
+std::vector<Biclique> Collect(const BipartiteGraph& g, FairModel model,
+                              FairAlgo algo, const FairBicliqueParams& params,
+                              const EnumOptions& options) {
+  CollectSink sink;
+  RunEnumeration(g, model, algo, params, options, sink.AsSink());
+  return Canonicalize(sink.results());
+}
+
 }  // namespace fairbc::testing

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/enumerate.h"
+#include "core/pipeline.h"
 #include "graph/bipartite_graph.h"
 
 namespace fairbc::testing {
@@ -28,15 +29,10 @@ BipartiteGraph PaperExampleGraph();
 /// Canonical sorted copy for set comparison.
 std::vector<Biclique> Canonicalize(std::vector<Biclique> bicliques);
 
-/// Runs a pipeline entry point and returns canonicalized results.
-template <typename Fn>
-std::vector<Biclique> Collect(Fn&& fn, const BipartiteGraph& g,
-                              const FairBicliqueParams& params,
-                              const EnumOptions& options = {}) {
-  CollectSink sink;
-  fn(g, params, options, sink.AsSink());
-  return Canonicalize(sink.results());
-}
+/// Runs RunEnumeration and returns canonicalized results.
+std::vector<Biclique> Collect(const BipartiteGraph& g, FairModel model,
+                              FairAlgo algo, const FairBicliqueParams& params,
+                              const EnumOptions& options = {});
 
 }  // namespace fairbc::testing
 

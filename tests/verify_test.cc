@@ -15,7 +15,8 @@ TEST(Verify, AcceptsAllEnumeratedSsfbc) {
     BipartiteGraph g = RandomSmallGraph(seed, 9, 0.5);
     FairBicliqueParams params{2, 1, 1, 0.0};
     CollectSink sink;
-    EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+    RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, {},
+                   sink.AsSink());
     EXPECT_TRUE(
         VerifyResultSet(g, sink.results(), params, FairModel::kSsfbc).ok())
         << "seed=" << seed;
@@ -27,7 +28,8 @@ TEST(Verify, AcceptsAllEnumeratedBsfbc) {
     BipartiteGraph g = RandomSmallGraph(seed, 7, 0.55);
     FairBicliqueParams params{1, 1, 1, 0.0};
     CollectSink sink;
-    EnumerateBSFBCPlusPlus(g, params, {}, sink.AsSink());
+    RunEnumeration(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params, {},
+                   sink.AsSink());
     EXPECT_TRUE(
         VerifyResultSet(g, sink.results(), params, FairModel::kBsfbc).ok())
         << "seed=" << seed;
@@ -39,7 +41,8 @@ TEST(Verify, AcceptsProportionalResults) {
     BipartiteGraph g = RandomSmallGraph(seed, 8, 0.5);
     FairBicliqueParams params{1, 1, 2, 0.4};
     CollectSink sink;
-    EnumerateSSFBCPlusPlus(g, params, {}, sink.AsSink());
+    RunEnumeration(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params, {},
+                   sink.AsSink());
     EXPECT_TRUE(
         VerifyResultSet(g, sink.results(), params, FairModel::kSsfbc).ok())
         << "seed=" << seed;

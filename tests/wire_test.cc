@@ -496,7 +496,9 @@ TEST(ChunkBodyTest, FuzzedBodiesAlwaysComeBackAsStatus) {
       for (const auto* side : {&b.upper, &b.lower}) {
         for (std::size_t i = 0; i < side->size(); ++i) {
           ASSERT_LT((*side)[i], kInvalidVertex);
-          if (i > 0) ASSERT_LT((*side)[i - 1], (*side)[i]);
+          if (i > 0) {
+            ASSERT_LT((*side)[i - 1], (*side)[i]);
+          }
         }
       }
     }

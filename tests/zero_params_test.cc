@@ -22,8 +22,10 @@ TEST(ZeroParams, AlphaZeroMatchesOracle) {
     BipartiteGraph g = RandomSmallGraph(seed, 7, 0.5);
     FairBicliqueParams params{0, 1, 1, 0.0};
     auto oracle = Canonicalize(BruteForceSSFBC(g, params));
-    EXPECT_EQ(Collect(EnumerateSSFBC, g, params), oracle) << "seed=" << seed;
-    EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, params), oracle)
+    EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params),
+              oracle) << "seed=" << seed;
+    EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params),
+              oracle)
         << "seed=" << seed;
   }
 }
@@ -34,9 +36,10 @@ TEST(ZeroParams, BetaZeroMatchesOracle) {
     for (std::uint32_t delta : {0u, 2u}) {
       FairBicliqueParams params{1, 0, delta, 0.0};
       auto oracle = Canonicalize(BruteForceSSFBC(g, params));
-      EXPECT_EQ(Collect(EnumerateSSFBC, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params), oracle)
           << "seed=" << seed << " delta=" << delta;
-      EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, params), oracle)
+      EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params),
+                oracle)
           << "seed=" << seed << " delta=" << delta;
     }
   }
@@ -49,10 +52,11 @@ TEST(ZeroParams, HardnessReductionToMaximalBicliques) {
     BipartiteGraph g = RandomSmallGraph(seed, 7, 0.5);
     FairBicliqueParams params{0, 0,
                               g.NumLower() + g.NumUpper(), 0.0};
-    auto fair = Collect(EnumerateSSFBCPlusPlus, g, params);
+    auto fair = Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params);
     auto mbc = Canonicalize(BruteForceMaximalBicliques(g, 1, 1, 0));
     EXPECT_EQ(fair, mbc) << "seed=" << seed << " " << g.DebugString();
-    EXPECT_EQ(Collect(EnumerateSSFBC, g, params), mbc) << "seed=" << seed;
+    EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kBcem, params),
+              mbc) << "seed=" << seed;
   }
 }
 
@@ -61,8 +65,10 @@ TEST(ZeroParams, BiSideZeroAlphaMatchesOracle) {
     BipartiteGraph g = RandomSmallGraph(seed, 6, 0.55);
     FairBicliqueParams params{0, 1, 1, 0.0};
     auto oracle = Canonicalize(BruteForceBSFBC(g, params));
-    EXPECT_EQ(Collect(EnumerateBSFBC, g, params), oracle) << "seed=" << seed;
-    EXPECT_EQ(Collect(EnumerateBSFBCPlusPlus, g, params), oracle)
+    EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kBcem, params),
+              oracle) << "seed=" << seed;
+    EXPECT_EQ(Collect(g, FairModel::kBsfbc, FairAlgo::kPlusPlus, params),
+              oracle)
         << "seed=" << seed;
   }
 }
@@ -74,7 +80,8 @@ TEST(ZeroParams, HugeDeltaEqualsBetaOnlyConstraint) {
     BipartiteGraph g = RandomSmallGraph(seed, 8, 0.5);
     FairBicliqueParams params{1, 1, 100, 0.0};
     auto oracle = Canonicalize(BruteForceSSFBC(g, params));
-    EXPECT_EQ(Collect(EnumerateSSFBCPlusPlus, g, params), oracle)
+    EXPECT_EQ(Collect(g, FairModel::kSsfbc, FairAlgo::kPlusPlus, params),
+              oracle)
         << "seed=" << seed;
   }
 }

@@ -21,8 +21,9 @@
 //                      [--alpha=A --beta=B --delta=D --theta=T]
 //
 // `--format=edges` reads a plain `u v` edge list (attributes default to
-// class 0; combine with --rand-attrs to mirror the paper's random
-// attribute assignment). `--format=attr` reads the %fairbc format;
+// class 0; combine with --rand-attrs=N, N in `gen`'s attrs window
+// [1, 1024], to mirror the paper's random attribute assignment).
+// `--format=attr` reads the %fairbc format;
 // `--format=snapshot` reads the binary snapshot format (graph/snapshot.h,
 // written by `snapshot save` — bulk load, no text parsing);
 // `--format=mmap` maps the same snapshot in place (read-only view, no
@@ -111,7 +112,9 @@ int Usage() {
 
 /// Loads --graph in --format (a GraphCatalog format name, "attr" by
 /// default) and applies --rand-attrs. Returns the exit code: 0 with the
-/// graph in `*out`, 2 on an unknown --format, 1 when the load fails.
+/// graph in `*out`, 2 on an unknown --format or a --rand-attrs outside
+/// `gen`'s attrs window (0 keeps the file's attributes), 1 when the load
+/// fails.
 int LoadGraph(const FlagParser& flags, BipartiteGraph* out) {
   std::string path = flags.GetString("graph", "");
   if (path.empty()) {
@@ -119,11 +122,14 @@ int LoadGraph(const FlagParser& flags, BipartiteGraph* out) {
   }
   auto format = fairbc::ParseCatalogFormat(flags.GetString("format", "attr"));
   if (!format) return UsageError("bad --format (edges|attr|snapshot|mmap)");
+  const std::int64_t rand_attrs = flags.GetInt("rand-attrs", 0);
+  if (rand_attrs < 0 || rand_attrs > fairbc::kMaxAttrClasses) {
+    return UsageError("--rand-attrs must be 0 (keep) or in [1, 1024]");
+  }
   fairbc::Result<BipartiteGraph> loaded = fairbc::ReadGraphFile(path, *format);
   if (!loaded.ok()) return Fail(loaded.status());
   BipartiteGraph g = std::move(loaded).value();
 
-  auto rand_attrs = flags.GetInt("rand-attrs", 0);
   if (rand_attrs > 1) {
     // Re-attribute both sides uniformly, the paper's preprocessing for
     // non-attributed inputs.

@@ -193,8 +193,6 @@ bool ReadResponse(int fd, std::string* rbuf, std::uint64_t id, bool streamed,
     return PrintResponse(frame);
   }
   fairbc::DigestAccumulator acc;
-  fairbc::BicliqueSink accumulate =
-      acc.Wrap([](const fairbc::Biclique&) { return true; });
   std::uint64_t chunks = 0;
   double first_ms = -1.0;
   for (;;) {
@@ -220,7 +218,7 @@ bool ReadResponse(int fd, std::string* rbuf, std::uint64_t id, bool streamed,
                   << chunks << " (gap or reorder)\n";
         return false;
       }
-      for (const fairbc::Biclique& b : chunk.value().bicliques) accumulate(b);
+      for (const fairbc::Biclique& b : chunk.value().bicliques) acc.Add(b);
       continue;
     }
     if (frame.opcode == Opcode::kReplyEnd) {
