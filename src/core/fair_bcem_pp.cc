@@ -58,8 +58,8 @@ EnumStats FairBcemPpRun(const BipartiteGraph& g,
     // N∩(S) ⊇ L, so equal size means equality — and the fold stops
     // intersecting at the first prefix whose neighborhood is L.
     WalkFairSubsetsFolded(
-        g, Side::kLower, lower, spec, upper.size(), *worker.arena,
-        [&](const PrefixFold& fold) {
+        g, Side::kLower, PlanMaximalFairSubsets(g, Side::kLower, lower, spec),
+        upper.size(), *worker.arena, [&](const PrefixFold& fold) {
           if (deadline.Expired()) {
             subset_budget_exhausted.store(true, std::memory_order_relaxed);
             return false;

@@ -1,7 +1,6 @@
 #include "core/search_context.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 
 #include "core/ordering.h"
@@ -216,8 +215,8 @@ PrefixFold::PrefixFold(const BipartiteGraph& g, Side side,
       side_(side),
       max_depth_(max_depth),
       fixed_size_(fixed_size),
-      arena_(arena) {
-  sorted_ = arena.AllocU32(max_depth);
+      arena_(arena),
+      prefix_(arena.AllocU32(max_depth)) {
   levels_ = arena.AllocArray<std::span<const VertexId>>(max_depth + 1);
   buffers_ = arena.AllocArray<VertexId*>(max_depth + 1);
   levels_[0] = {};
@@ -225,33 +224,23 @@ PrefixFold::PrefixFold(const BipartiteGraph& g, Side side,
 }
 
 void PrefixFold::Push(VertexId v) {
-  // Keep the prefix ascending: shift the larger tail up by one.
-  VertexId* pos = std::upper_bound(sorted_, sorted_ + depth_, v);
-  std::memmove(pos + 1, pos, (sorted_ + depth_ - pos) * sizeof(VertexId));
-  *pos = v;
-  ++depth_;
-
+  prefix_.Push(v);
+  const std::size_t depth = prefix_.size();
   const std::span<const VertexId> nbrs = g_.Neighbors(side_, v);
-  if (depth_ == 1) {
+  if (depth == 1) {
     arena_.Rewind(mark_);
     std::fill(buffers_, buffers_ + max_depth_ + 1, nullptr);
     levels_[1] = nbrs;
     return;
   }
-  const std::span<const VertexId> parent = levels_[depth_ - 1];
+  const std::span<const VertexId> parent = levels_[depth - 1];
   if (parent.size() == fixed_size_) {
-    levels_[depth_] = parent;
+    levels_[depth] = parent;
     return;
   }
-  VertexId*& buffer = buffers_[depth_];
+  VertexId*& buffer = buffers_[depth];
   if (buffer == nullptr) buffer = arena_.AllocU32(levels_[1].size());
-  levels_[depth_] = {buffer, IntersectInto(buffer, parent, nbrs, &arena_)};
-}
-
-void PrefixFold::Pop(VertexId v) {
-  VertexId* pos = std::lower_bound(sorted_, sorted_ + depth_, v);
-  std::memmove(pos, pos + 1, (sorted_ + depth_ - pos - 1) * sizeof(VertexId));
-  --depth_;
+  levels_[depth] = {buffer, IntersectInto(buffer, parent, nbrs, &arena_)};
 }
 
 }  // namespace fairbc

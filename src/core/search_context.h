@@ -1,9 +1,11 @@
 #ifndef FAIRBC_CORE_SEARCH_CONTEXT_H_
 #define FAIRBC_CORE_SEARCH_CONTEXT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <span>
@@ -331,6 +333,36 @@ class WorkerCounters {
   std::vector<Slot> slots_;
 };
 
+/// A vertex set kept ascending in a caller's buffer while single ids are
+/// pushed and popped: the prefix of a maximal-fair-subset walk
+/// (fairness/combination.h WalkMaximalFairSubsets), whose pushes arrive
+/// class by class rather than in id order. The buffer must hold every id
+/// pushed at once.
+class SortedPrefix {
+ public:
+  explicit SortedPrefix(VertexId* ids) : ids_(ids) {}
+
+  void Push(VertexId v) {
+    // Shift the larger tail up by one.
+    VertexId* pos = std::upper_bound(ids_, ids_ + size_, v);
+    std::memmove(pos + 1, pos, (ids_ + size_ - pos) * sizeof(VertexId));
+    *pos = v;
+    ++size_;
+  }
+  void Pop(VertexId v) {
+    VertexId* pos = std::lower_bound(ids_, ids_ + size_, v);
+    std::memmove(pos, pos + 1, (ids_ + size_ - pos - 1) * sizeof(VertexId));
+    --size_;
+  }
+
+  std::span<const VertexId> ids() const { return {ids_, size_}; }
+  std::size_t size() const { return size_; }
+
+ private:
+  VertexId* ids_;
+  std::size_t size_ = 0;
+};
+
 /// Prefix state of a maximal-fair-subset walk (fairness/combination.h
 /// WalkMaximalFairSubsets) over vertices of `side`, kept in a worker's
 /// ScratchArena: the prefix in ascending order and its common
@@ -355,14 +387,16 @@ class PrefixFold {
   PrefixFold& operator=(const PrefixFold&) = delete;
 
   void Push(VertexId v);
-  void Pop(VertexId v);
+  void Pop(VertexId v) { prefix_.Pop(v); }
 
   /// The prefix, ascending.
-  std::span<const VertexId> prefix() const { return {sorted_, depth_}; }
+  std::span<const VertexId> prefix() const { return prefix_.ids(); }
   /// Common neighborhood of the (nonempty) prefix, ascending.
-  std::span<const VertexId> neighborhood() const { return levels_[depth_]; }
+  std::span<const VertexId> neighborhood() const {
+    return levels_[prefix_.size()];
+  }
   /// True when neighborhood() is exactly the caller's fixed set.
-  bool AtFixedSize() const { return levels_[depth_].size() == fixed_size_; }
+  bool AtFixedSize() const { return neighborhood().size() == fixed_size_; }
 
  private:
   const BipartiteGraph& g_;
@@ -370,8 +404,7 @@ class PrefixFold {
   const std::size_t max_depth_;
   const std::size_t fixed_size_;
   ScratchArena& arena_;
-  std::size_t depth_ = 0;
-  VertexId* sorted_;
+  SortedPrefix prefix_;
   /// levels_[d]: neighborhood of the length-d prefix (d >= 1). Level 1 is
   /// a graph neighbor list; deeper levels are buffers_[d] or alias their
   /// parent once it reached the fixed size.
@@ -382,18 +415,18 @@ class PrefixFold {
   ScratchArena::Mark mark_;
 };
 
-/// Walks the maximal fair subsets of `ground` (vertices on `side`) with a
-/// PrefixFold tracking each prefix, and calls `leaf(fold)` at every
-/// complete subset; `leaf` returns false to stop the walk. `fixed_size` is
-/// PrefixFold's. Scratch comes from `arena` and is released on return.
+/// Walks the maximal fair subsets of `plan`'s ground set (vertices on
+/// `side`) with a PrefixFold tracking each prefix, and calls `leaf(fold)`
+/// at every complete subset; `leaf` returns false to stop the walk.
+/// `fixed_size` is PrefixFold's. Scratch comes from `arena` and is
+/// released on return.
 template <typename LeafFn>
 std::uint64_t WalkFairSubsetsFolded(const BipartiteGraph& g, Side side,
-                                    std::span<const VertexId> ground,
-                                    const FairnessSpec& spec,
+                                    const FairSubsetPlan& plan,
                                     std::size_t fixed_size,
                                     ScratchArena& arena, LeafFn&& leaf) {
   ArenaScope scope(arena);
-  PrefixFold fold(g, side, ground.size(), fixed_size, arena);
+  PrefixFold fold(g, side, plan.members.size(), fixed_size, arena);
   struct Visitor {
     PrefixFold& fold;
     LeafFn& leaf;
@@ -401,8 +434,7 @@ std::uint64_t WalkFairSubsetsFolded(const BipartiteGraph& g, Side side,
     void Pop(VertexId v) { fold.Pop(v); }
     bool Leaf() { return leaf(static_cast<const PrefixFold&>(fold)); }
   } visitor{fold, leaf};
-  return WalkMaximalFairSubsets(PlanMaximalFairSubsets(g, side, ground, spec),
-                                visitor);
+  return WalkMaximalFairSubsets(plan, visitor);
 }
 
 /// How FilterCandidates treats a candidate fully connected to L'.

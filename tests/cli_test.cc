@@ -612,5 +612,75 @@ TEST(CliEndToEnd, UnknownFlagWarns) {
   EXPECT_NE(r.output.find("unknown flag --bogus-flag"), std::string::npos);
 }
 
+// Flags a command never read because it stopped on a usage error are not
+// unknown: only a successful run warns, and then about real typos only.
+TEST(CliEndToEnd, UnknownFlagWarningsOnlyAfterSuccess) {
+  std::string graph = GraphPath();
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                " --edges=50")
+                .exit_code,
+            0);
+  CommandResult failed = RunCli("enum --graph=" + graph +
+                                " --model=ssfbc --count-only --format=bogus");
+  EXPECT_EQ(failed.exit_code, 2) << failed.output;
+  EXPECT_EQ(failed.output.find("unknown flag"), std::string::npos)
+      << failed.output;
+
+  CommandResult typo = RunCli("enum --graph=" + graph +
+                              " --model=ssfbc --count-only --alpah=2");
+  EXPECT_EQ(typo.exit_code, 0) << typo.output;
+  EXPECT_NE(typo.output.find("unknown flag --alpah ignored"),
+            std::string::npos)
+      << typo.output;
+  EXPECT_EQ(typo.output.find("unknown flag --model"), std::string::npos)
+      << typo.output;
+}
+
+// --rand-attrs=1 re-attributes every vertex into class 0, so it must give
+// the results of the same edges read as a plain edge list (whose vertices
+// all default to class 0), not those of the file's own classes.
+TEST(CliEndToEnd, RandAttrsOnePutsEveryVertexInOneClass) {
+  const std::string graph = ::testing::TempDir() + "/fairbc_cli_one.fbg";
+  const std::string edges = ::testing::TempDir() + "/fairbc_cli_one.txt";
+  ASSERT_EQ(RunCli("gen --out=" + graph +
+                   " --kind=affiliation --nu=300 --nv=300 --communities=15"
+                   " --seed=5")
+                .exit_code,
+            0);
+  {
+    std::ifstream in(graph);
+    std::ofstream out(edges);
+    std::string tag;
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream fields(line);
+      VertexId u = 0;
+      VertexId v = 0;
+      if (fields >> tag >> u >> v && tag == "E") out << u << ' ' << v << '\n';
+    }
+  }
+  const std::string params =
+      " --model=ssfbc --alpha=2 --beta=2 --delta=1 --threads=1";
+  const std::string one = ::testing::TempDir() + "/fairbc_cli_one_a.txt";
+  const std::string plain = ::testing::TempDir() + "/fairbc_cli_one_b.txt";
+  const std::string kept = ::testing::TempDir() + "/fairbc_cli_one_c.txt";
+  ASSERT_EQ(RunCli("enum --graph=" + graph + params +
+                   " --rand-attrs=1 --out=" + one)
+                .exit_code,
+            0);
+  ASSERT_EQ(RunCli("enum --graph=" + edges + " --format=edges" + params +
+                   " --out=" + plain)
+                .exit_code,
+            0);
+  ASSERT_EQ(
+      RunCli("enum --graph=" + graph + params + " --rand-attrs=0 --out=" + kept)
+          .exit_code,
+      0);
+  const std::vector<Biclique> one_class = ReadResultFile(one);
+  EXPECT_FALSE(one_class.empty());
+  EXPECT_EQ(one_class, ReadResultFile(plain));
+  EXPECT_NE(one_class.size(), ReadResultFile(kept).size());
+}
+
 }  // namespace
 }  // namespace fairbc

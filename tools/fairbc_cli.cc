@@ -130,9 +130,9 @@ int LoadGraph(const FlagParser& flags, BipartiteGraph* out) {
   if (!loaded.ok()) return Fail(loaded.status());
   BipartiteGraph g = std::move(loaded).value();
 
-  if (rand_attrs > 1) {
+  if (rand_attrs != 0) {
     // Re-attribute both sides uniformly, the paper's preprocessing for
-    // non-attributed inputs.
+    // non-attributed inputs (1 puts every vertex in class 0).
     fairbc::Rng rng(static_cast<std::uint64_t>(flags.GetInt("seed", 42)));
     fairbc::BipartiteGraphBuilder builder(g.NumUpper(), g.NumLower());
     for (fairbc::VertexId u = 0; u < g.NumUpper(); ++u) {
@@ -481,8 +481,12 @@ int main(int argc, char** argv) {
   } else {
     return Usage();
   }
-  for (const std::string& name : flags.UnusedFlags()) {
-    std::cerr << "warning: unknown flag --" << name << " ignored\n";
+  // A command that stopped early never read its later flags, so only a
+  // successful run can tell an unknown flag from an unread one.
+  if (rc == 0) {
+    for (const std::string& name : flags.UnusedFlags()) {
+      std::cerr << "warning: unknown flag --" << name << " ignored\n";
+    }
   }
   return rc;
 }
