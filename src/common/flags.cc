@@ -1,8 +1,14 @@
 #include "common/flags.h"
 
-#include <cstdlib>
+#include <ostream>
 
 namespace fairbc {
+
+Status UnparsableValue(std::string_view label, std::string_view text) {
+  return Status::InvalidArgument(std::string(label) +
+                                 " has an unparsable value \"" +
+                                 std::string(text) + "\"");
+}
 
 Status FlagParser::Parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -43,32 +49,27 @@ std::string FlagParser::GetString(const std::string& name,
   return it == values_.end() ? default_value : it->second;
 }
 
-std::int64_t FlagParser::GetInt(const std::string& name,
-                                std::int64_t default_value) const {
+template <typename T>
+T FlagParser::Get(const std::string& name, T default_value) const {
   queried_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  char* end = nullptr;
-  std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
+  const std::optional<T> value = ParseNumber<T>(it->second);
+  if (!value) {
     bad_.insert(name);
     return default_value;
   }
-  return v;
+  return *value;
+}
+
+std::int64_t FlagParser::GetInt(const std::string& name,
+                                std::int64_t default_value) const {
+  return Get(name, default_value);
 }
 
 double FlagParser::GetDouble(const std::string& name,
                              double default_value) const {
-  queried_[name] = true;
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    bad_.insert(name);
-    return default_value;
-  }
-  return v;
+  return Get(name, default_value);
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
@@ -88,6 +89,14 @@ std::vector<std::string> FlagParser::UnusedFlags() const {
 
 std::vector<std::string> FlagParser::BadFlags() const {
   return {bad_.begin(), bad_.end()};
+}
+
+bool FlagParser::ReportBadFlags(std::ostream& err) const {
+  for (const std::string& name : bad_) {
+    err << "error: "
+        << UnparsableValue("--" + name, values_.at(name)).message() << "\n";
+  }
+  return !bad_.empty();
 }
 
 }  // namespace fairbc

@@ -2,7 +2,6 @@
 #define FAIRBC_CORE_ENUMERATE_H_
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -32,27 +31,6 @@ struct FairBicliqueParams {
   /// Fairness constraints on the upper side (bi-side models).
   FairnessSpec UpperSpec() const { return FairnessSpec{alpha, delta, theta}; }
 };
-
-/// The window every front door (CLI, line and binary protocols) accepts
-/// for alpha/beta/delta and top-k: far above any meaningful fairness
-/// threshold, far below the uint32 wrap a negative or huge value hits.
-inline constexpr std::int64_t kMaxParamValue = 1'000'000'000;
-
-/// True when `value` lies in [0, kMaxParamValue].
-constexpr bool ParamInRange(std::int64_t value) {
-  return value >= 0 && value <= kMaxParamValue;
-}
-
-/// True when `theta` is a proportion in [0, 1]; false for NaN.
-constexpr bool ThetaInRange(double theta) {
-  return theta >= 0.0 && theta <= 1.0;
-}
-
-/// True when `seconds` is a time budget every front door accepts: finite
-/// and >= 0 (0 = unlimited); false for NaN and infinities.
-inline bool BudgetInRange(double seconds) {
-  return std::isfinite(seconds) && seconds >= 0.0;
-}
 
 /// One enumerated biclique; both sides sorted ascending, ids refer to the
 /// graph the enumeration entry point was given (pruning remaps back).

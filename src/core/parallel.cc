@@ -9,10 +9,6 @@
 namespace fairbc {
 
 unsigned ResolveNumThreads(unsigned requested) {
-  // Cap far above any sane oversubscription: protects against sign-cast
-  // accidents (e.g. -1 becoming 4 billion workers) without judging
-  // deliberate oversubscription.
-  constexpr unsigned kMaxThreads = 1024;
   if (requested != 0) return std::min(requested, kMaxThreads);
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : std::min(hw, kMaxThreads);

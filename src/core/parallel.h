@@ -11,8 +11,15 @@
 
 namespace fairbc {
 
+/// The most threads or lanes anything may ask for: far above any sane
+/// oversubscription, far below what a sign-cast accident (-1 becoming 4
+/// billion) would request. ResolveNumThreads clamps to it, and every
+/// front door rejects a larger `threads` (service/query.h).
+inline constexpr unsigned kMaxThreads = 1024;
+
 /// Resolves EnumOptions::num_threads: 0 means "use every hardware thread",
-/// anything else is taken literally (minimum 1).
+/// anything else is taken literally (minimum 1), both capped at
+/// kMaxThreads.
 unsigned ResolveNumThreads(unsigned requested);
 
 /// The process's only thread-owning mechanism: N workers draining one

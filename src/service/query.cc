@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <utility>
 
+#include "common/flags.h"
+#include "core/parallel.h"
 #include "core/result_sink.h"
 #include "core/search_context.h"
 #include "graph/snapshot.h"
@@ -150,71 +153,6 @@ std::string CanonicalCacheKey(const QueryRequest& req,
   return key;
 }
 
-std::optional<FairModel> ParseFairModel(const std::string& name) {
-  if (name == "ssfbc") return FairModel::kSsfbc;
-  if (name == "bsfbc") return FairModel::kBsfbc;
-  return std::nullopt;
-}
-
-std::optional<FairAlgo> ParseFairAlgo(const std::string& name) {
-  if (name == "pp") return FairAlgo::kPlusPlus;
-  if (name == "bcem") return FairAlgo::kBcem;
-  if (name == "naive") return FairAlgo::kNaive;
-  return std::nullopt;
-}
-
-const char* ToString(FairModel model) {
-  return model == FairModel::kBsfbc ? "bsfbc" : "ssfbc";
-}
-
-const char* ToString(FairAlgo algo) {
-  switch (algo) {
-    case FairAlgo::kBcem:
-      return "bcem";
-    case FairAlgo::kNaive:
-      return "naive";
-    case FairAlgo::kPlusPlus:
-      break;
-  }
-  return "pp";
-}
-
-std::optional<TopKRank> ParseTopKRank(const std::string& name) {
-  if (name == "weight") return TopKRank::kWeight;
-  if (name == "size") return TopKRank::kSize;
-  if (name == "balance") return TopKRank::kBalance;
-  return std::nullopt;
-}
-
-std::optional<VertexOrdering> ParseVertexOrdering(const std::string& name) {
-  if (name == "deg") return VertexOrdering::kDegreeDesc;
-  if (name == "id") return VertexOrdering::kId;
-  return std::nullopt;
-}
-
-std::optional<PruningLevel> ParsePruningLevel(const std::string& name) {
-  if (name == "colorful") return PruningLevel::kColorful;
-  if (name == "core") return PruningLevel::kCore;
-  if (name == "none") return PruningLevel::kNone;
-  return std::nullopt;
-}
-
-const char* ToString(VertexOrdering ordering) {
-  return ordering == VertexOrdering::kId ? "id" : "deg";
-}
-
-const char* ToString(TopKRank rank) {
-  switch (rank) {
-    case TopKRank::kSize:
-      return "size";
-    case TopKRank::kBalance:
-      return "balance";
-    case TopKRank::kWeight:
-      break;
-  }
-  return "weight";
-}
-
 bool ValidRequestId(const std::string& token) {
   if (token.size() > 128) return false;
   for (char c : token) {
@@ -223,16 +161,137 @@ bool ValidRequestId(const std::string& token) {
   return true;
 }
 
-const char* ToString(PruningLevel level) {
-  switch (level) {
-    case PruningLevel::kNone:
-      return "none";
-    case PruningLevel::kCore:
-      return "core";
-    case PruningLevel::kColorful:
-      break;
+namespace {
+
+constexpr EnumName<FairModel> kModelNames[] = {
+    {"ssfbc", FairModel::kSsfbc}, {"bsfbc", FairModel::kBsfbc}};
+constexpr EnumName<FairAlgo> kAlgoNames[] = {{"pp", FairAlgo::kPlusPlus},
+                                             {"bcem", FairAlgo::kBcem},
+                                             {"naive", FairAlgo::kNaive}};
+constexpr EnumName<VertexOrdering> kOrderingNames[] = {
+    {"deg", VertexOrdering::kDegreeDesc}, {"id", VertexOrdering::kId}};
+constexpr EnumName<PruningLevel> kPruningNames[] = {
+    {"colorful", PruningLevel::kColorful},
+    {"core", PruningLevel::kCore},
+    {"none", PruningLevel::kNone}};
+constexpr EnumName<TopKRank> kRankNames[] = {{"weight", TopKRank::kWeight},
+                                             {"size", TopKRank::kSize},
+                                             {"balance", TopKRank::kBalance}};
+
+/// One numeric request field and the window every door accepts for it.
+struct NumericField {
+  const char* name;
+  bool integer;  ///< text doors parse an int64, else a double.
+  double min;
+  double max;  ///< inclusive; NaN lies outside every window.
+  const char* must;  ///< the message body after the door's spelling.
+  double (*get)(const QueryRequest&);
+  void (*set)(QueryRequest&, double);
+};
+
+/// An integer field's value, once its window has been checked.
+std::uint32_t U32(double v) { return static_cast<std::uint32_t>(v); }
+
+static_assert(kMaxThreads == 1024, "the threads message names 1024");
+
+// alpha/beta/delta and top_k stop far above any meaningful threshold and
+// far below the uint32 wrap a negative or huge value would hit.
+constexpr NumericField kNumericFields[] = {
+    {"alpha", true, 0, 1e9, "must be in [0, 1000000000]",
+     [](const QueryRequest& r) -> double { return r.params.alpha; },
+     [](QueryRequest& r, double v) { r.params.alpha = U32(v); }},
+    {"beta", true, 0, 1e9, "must be in [0, 1000000000]",
+     [](const QueryRequest& r) -> double { return r.params.beta; },
+     [](QueryRequest& r, double v) { r.params.beta = U32(v); }},
+    {"delta", true, 0, 1e9, "must be in [0, 1000000000]",
+     [](const QueryRequest& r) -> double { return r.params.delta; },
+     [](QueryRequest& r, double v) { r.params.delta = U32(v); }},
+    {"theta", false, 0, 1, "must be in [0, 1]",
+     [](const QueryRequest& r) { return r.params.theta; },
+     [](QueryRequest& r, double v) { r.params.theta = v; }},
+    {"budget", false, 0, std::numeric_limits<double>::max(),
+     "must be a finite number of seconds >= 0",
+     [](const QueryRequest& r) { return r.options.time_budget_seconds; },
+     [](QueryRequest& r, double v) { r.options.time_budget_seconds = v; }},
+    {"threads", true, 0, kMaxThreads, "must be in [0, 1024]",
+     [](const QueryRequest& r) -> double { return r.options.num_threads; },
+     [](QueryRequest& r, double v) { r.options.num_threads = U32(v); }},
+    {"top_k", true, 0, 1e9, "must be in [0, 1e9]",
+     [](const QueryRequest& r) -> double { return r.top_k; },
+     [](QueryRequest& r, double v) { r.top_k = U32(v); }},
+};
+
+Status CheckWindow(const NumericField& field, double value,
+                   std::string_view label) {
+  if (value >= field.min && value <= field.max) return Status::OK();
+  return Status::InvalidArgument(std::string(label) + " " + field.must);
+}
+
+/// Reads enum field `field` by its name table; "bad LABEL (a|b|c)".
+template <RequestEnum E>
+Status ReadName(const QueryText& text, std::string_view field, E* out) {
+  const std::optional<std::string> value = text.value(field);
+  if (!value) return Status::OK();
+  const std::optional<E> parsed = ParseName<E>(*value);
+  if (parsed) {
+    *out = *parsed;
+    return Status::OK();
   }
-  return "colorful";
+  std::string choices;
+  for (const EnumName<E>& entry : NamesOf(E{})) {
+    if (!choices.empty()) choices += '|';
+    choices += entry.name;
+  }
+  return Status::InvalidArgument("bad " + text.label(field) + " (" + choices +
+                                 ")");
+}
+
+}  // namespace
+
+std::span<const EnumName<FairModel>> NamesOf(FairModel) { return kModelNames; }
+std::span<const EnumName<FairAlgo>> NamesOf(FairAlgo) { return kAlgoNames; }
+std::span<const EnumName<VertexOrdering>> NamesOf(VertexOrdering) {
+  return kOrderingNames;
+}
+std::span<const EnumName<PruningLevel>> NamesOf(PruningLevel) {
+  return kPruningNames;
+}
+std::span<const EnumName<TopKRank>> NamesOf(TopKRank) { return kRankNames; }
+
+Result<QueryRequest> ReadQueryText(const QueryText& text) {
+  QueryRequest request;
+  for (const Status& st :
+       {ReadName(text, "model", &request.model),
+        ReadName(text, "algo", &request.algo),
+        ReadName(text, "ordering", &request.options.ordering),
+        ReadName(text, "pruning", &request.options.pruning),
+        ReadName(text, "rank", &request.rank)}) {
+    if (!st.ok()) return st;
+  }
+  for (const NumericField& field : kNumericFields) {
+    const std::optional<std::string> value = text.value(field.name);
+    if (!value) continue;
+    const std::string label = text.label(field.name);
+    std::optional<double> number;
+    if (!field.integer) {
+      number = ParseNumber<double>(*value);
+    } else if (auto integer = ParseNumber<std::int64_t>(*value)) {
+      number = static_cast<double>(*integer);
+    }
+    if (!number) return UnparsableValue(label, *value);
+    Status st = CheckWindow(field, *number, label);
+    if (!st.ok()) return st;
+    field.set(request, *number);
+  }
+  return request;
+}
+
+Status CheckQueryRequest(const QueryRequest& request) {
+  for (const NumericField& field : kNumericFields) {
+    Status st = CheckWindow(field, field.get(request), field.name);
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
 }
 
 }  // namespace fairbc

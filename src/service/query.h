@@ -6,7 +6,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -187,18 +189,82 @@ struct QueryResult {
 std::string CanonicalCacheKey(const QueryRequest& req,
                               std::uint64_t graph_version);
 
-/// Wire-name parsers/printers shared by the CLI flags and the server's
-/// line protocol.
-std::optional<FairModel> ParseFairModel(const std::string& name);
-std::optional<FairAlgo> ParseFairAlgo(const std::string& name);
-std::optional<TopKRank> ParseTopKRank(const std::string& name);
-std::optional<VertexOrdering> ParseVertexOrdering(const std::string& name);
-std::optional<PruningLevel> ParsePruningLevel(const std::string& name);
-const char* ToString(FairModel model);
-const char* ToString(FairAlgo algo);
-const char* ToString(VertexOrdering ordering);
-const char* ToString(PruningLevel level);
-const char* ToString(TopKRank rank);
+// --- What a query request may hold ----------------------------------------
+// `fairbc_cli enum`/`verify`, the line protocol (BuildQueryRequest) and the
+// binary protocol (wire::DecodeQueryPayload) map their own syntax onto the
+// name tables and numeric windows below, and keep none of their own.
+
+/// One entry of an enum's name table.
+template <typename E>
+struct EnumName {
+  const char* name;
+  E value;
+};
+
+/// The name tables, in wire-byte order (the binary protocol carries an
+/// entry's index); the first entry is the request's default.
+std::span<const EnumName<FairModel>> NamesOf(FairModel);
+std::span<const EnumName<FairAlgo>> NamesOf(FairAlgo);
+std::span<const EnumName<VertexOrdering>> NamesOf(VertexOrdering);
+std::span<const EnumName<PruningLevel>> NamesOf(PruningLevel);
+std::span<const EnumName<TopKRank>> NamesOf(TopKRank);
+
+/// An enum with a name table.
+template <typename E>
+concept RequestEnum = requires(E value) { NamesOf(value); };
+
+/// `value`'s index in its table: its byte on the wire.
+template <RequestEnum E>
+std::uint8_t EnumIndex(E value) {
+  const auto names = NamesOf(value);
+  std::size_t i = 0;
+  while (i + 1 < names.size() && names[i].value != value) ++i;
+  return static_cast<std::uint8_t>(i);
+}
+
+/// The entry at wire byte `index`, or nullopt past the table's end.
+template <RequestEnum E>
+std::optional<E> EnumAt(std::size_t index) {
+  const auto names = NamesOf(E{});
+  if (index >= names.size()) return std::nullopt;
+  return names[index].value;
+}
+
+/// The entry called `name`, or nullopt.
+template <RequestEnum E>
+std::optional<E> ParseName(std::string_view name) {
+  for (const EnumName<E>& entry : NamesOf(E{})) {
+    if (name == entry.name) return entry.value;
+  }
+  return std::nullopt;
+}
+
+/// `value`'s name ("ssfbc", "pp", ...).
+template <RequestEnum E>
+const char* ToString(E value) {
+  return NamesOf(value)[EnumIndex(value)].name;
+}
+
+/// A text door's view of one request: `value(field)` is its text for a
+/// field named as the line protocol names it ("top_k"), nullopt when
+/// absent; `label(field)` is the door's spelling in messages ("--top-k").
+/// Field names are views of static strings.
+struct QueryText {
+  std::function<std::optional<std::string>(std::string_view field)> value;
+  std::function<std::string(std::string_view field)> label;
+};
+
+/// Asks `text` for model, algo, ordering, pruning, rank, alpha, beta,
+/// delta, theta, budget, threads and top_k, in that order; an absent field
+/// keeps QueryRequest's default. A name outside its table ("bad LABEL
+/// (a|b|c)"), a number ParseNumber refuses, or one outside its window
+/// ("LABEL must be in [0, 1000000000]") is InvalidArgument. Integers are
+/// checked as int64, before any unsigned cast.
+Result<QueryRequest> ReadQueryText(const QueryText& text);
+
+/// Checks every numeric field of `request` against its window (the
+/// binary door, whose fields arrive typed).
+Status CheckQueryRequest(const QueryRequest& request);
 
 /// Validates a client-supplied request_id token: at most 128 bytes of
 /// printable ASCII with no space, double quote or backslash (so it embeds

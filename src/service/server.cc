@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -25,6 +24,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/flags.h"
 #include "graph/generators.h"
 #include "graph/snapshot.h"
 #include "service/response_json.h"
@@ -40,62 +40,27 @@ std::string Arg(const RequestLine& req, const std::string& key,
   return it == req.args.end() ? default_value : it->second;
 }
 
-/// Strict integer argument: absent → default, present-but-unparsable or
-/// partially numeric ("3x") → error. Negative values parse fine here and
-/// are range-checked by the caller, so "alpha=-1" reports its real value
-/// instead of wrapping through an unsigned cast.
-Result<std::int64_t> IntArg(const RequestLine& req, const std::string& key,
-                            std::int64_t default_value) {
+/// The number `key` holds (absent → `default_value`), read with the one
+/// text-door grammar (ParseNumber). Negative values parse, so callers
+/// range-check the real value before any unsigned cast.
+template <typename T>
+Result<T> NumberArg(const RequestLine& req, const std::string& key,
+                    T default_value) {
   auto it = req.args.find(key);
   if (it == req.args.end()) return default_value;
-  const std::string& text = it->second;
-  std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return Status::InvalidArgument(key + " must be an integer, got \"" + text +
-                                   "\"");
-  }
-  return value;
+  const std::optional<T> value = ParseNumber<T>(it->second);
+  if (!value) return UnparsableValue(key, it->second);
+  return *value;
 }
 
-/// Strict floating-point argument, same contract as IntArg.
-Result<double> DoubleArg(const RequestLine& req, const std::string& key,
-                         double default_value) {
-  auto it = req.args.find(key);
-  if (it == req.args.end()) return default_value;
-  const std::string& text = it->second;
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(key);
-    return value;
-  } catch (...) {
-    return Status::InvalidArgument(key + " must be a number, got \"" + text +
-                                   "\"");
-  }
-}
-
-Status RangeError(const std::string& key, const std::string& range) {
-  return Status::InvalidArgument(key + " must be in " + range);
-}
-
-/// Strict-args check for introspection commands: any key outside `known`
-/// is an error. Matches the query-arg hardening — a typo like
-/// `trace m=8` must not silently act like a bare `trace`.
+/// Strict-args check: any key outside `known` is an error, so a typo
+/// like `trace m=8` or `query alpah=5` cannot act as if it were absent.
 Status CheckKnownArgs(const RequestLine& req,
-                      std::initializer_list<const char*> known) {
+                      const std::vector<std::string_view>& known) {
   for (const auto& [key, value] : req.args) {
-    bool recognized = false;
-    for (const char* k : known) {
-      if (key == k) {
-        recognized = true;
-        break;
-      }
-    }
-    if (!recognized) {
-      return Status::InvalidArgument(req.command + " does not take \"" + key +
-                                     "\"");
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return Status::InvalidArgument(req.command + " does not take \"" +
+                                     key + "\"");
     }
   }
   return Status::OK();
@@ -119,74 +84,30 @@ RequestLine ParseRequestLine(const std::string& line) {
   return req;
 }
 
-Result<QueryRequest> BuildQueryRequest(const RequestLine& req) {
-  QueryRequest query;
-  query.graph = Arg(req, "graph", "");
-  if (query.graph.empty()) {
-    return Status::InvalidArgument("query needs graph=NAME");
-  }
-  auto model = ParseFairModel(Arg(req, "model", "ssfbc"));
-  if (!model) return Status::InvalidArgument("bad model (ssfbc|bsfbc)");
-  query.model = *model;
-  auto algo = ParseFairAlgo(Arg(req, "algo", "pp"));
-  if (!algo) return Status::InvalidArgument("bad algo (pp|bcem|naive)");
-  query.algo = *algo;
-
-  for (auto [key, field, default_value] :
-       {std::tuple<const char*, std::uint32_t*, std::int64_t>
-            {"alpha", &query.params.alpha, 1},
-        {"beta", &query.params.beta, 1},
-        {"delta", &query.params.delta, 0}}) {
-    auto parsed = IntArg(req, key, default_value);
-    if (!parsed.ok()) return parsed.status();
-    if (!ParamInRange(parsed.value())) {
-      return RangeError(key, "[0, 1000000000]");
-    }
-    *field = static_cast<std::uint32_t>(parsed.value());
-  }
-
-  auto theta = DoubleArg(req, "theta", 0.0);
-  if (!theta.ok()) return theta.status();
-  if (!ThetaInRange(theta.value())) {
-    return RangeError("theta", "[0, 1]");
-  }
-  query.params.theta = theta.value();
-
-  auto ordering = ParseVertexOrdering(Arg(req, "ordering", "deg"));
-  if (!ordering) return Status::InvalidArgument("bad ordering (deg|id)");
-  query.options.ordering = *ordering;
-  auto pruning = ParsePruningLevel(Arg(req, "pruning", "colorful"));
-  if (!pruning) {
-    return Status::InvalidArgument("bad pruning (colorful|core|none)");
-  }
-  query.options.pruning = *pruning;
-
-  auto budget = DoubleArg(req, "budget", 0.0);
-  if (!budget.ok()) return budget.status();
-  if (!BudgetInRange(budget.value())) return RangeError("budget", "[0, inf)");
-  query.options.time_budget_seconds = budget.value();
-
-  auto threads = IntArg(req, "threads", 1);
-  if (!threads.ok()) return threads.status();
-  if (threads.value() < 0 || threads.value() > 1024) {
-    return RangeError("threads", "[0, 1024]");
-  }
-  query.options.num_threads = static_cast<unsigned>(threads.value());
-
-  auto use_cache = IntArg(req, "cache", 1);
+Result<QueryRequest> BuildQueryRequest(const RequestLine& req, bool* stream) {
+  const std::string graph = Arg(req, "graph", "");
+  if (graph.empty()) return Status::InvalidArgument("query needs graph=NAME");
+  // The line's own keys, then every field the request reader asks for.
+  std::vector<std::string_view> known = {"graph", "cache", "rid", "stream"};
+  auto read = ReadQueryText(
+      {[&](std::string_view field) -> std::optional<std::string> {
+         known.push_back(field);
+         auto it = req.args.find(std::string(field));
+         if (it == req.args.end()) return std::nullopt;
+         return it->second;
+       },
+       [](std::string_view field) { return std::string(field); }});
+  if (!read.ok()) return read.status();
+  Status st = CheckKnownArgs(req, known);
+  if (!st.ok()) return st;
+  QueryRequest query = std::move(read).value();
+  query.graph = graph;
+  auto use_cache = NumberArg<std::int64_t>(req, "cache", 1);
   if (!use_cache.ok()) return use_cache.status();
   query.use_cache = use_cache.value() != 0;
-
-  auto top_k = IntArg(req, "top_k", 0);
-  if (!top_k.ok()) return top_k.status();
-  if (!ParamInRange(top_k.value())) {
-    return RangeError("top_k", "[0, 1000000000]");
-  }
-  query.top_k = static_cast<std::uint32_t>(top_k.value());
-  auto rank = ParseTopKRank(Arg(req, "rank", "weight"));
-  if (!rank) return Status::InvalidArgument("bad rank (weight|size|balance)");
-  query.rank = *rank;
-
+  auto streamed = NumberArg<std::int64_t>(req, "stream", 0);
+  if (!streamed.ok()) return streamed.status();
+  if (stream != nullptr) *stream = streamed.value() != 0;
   query.request_id = Arg(req, "rid", "");
   if (!ValidRequestId(query.request_id)) {
     return Status::InvalidArgument(
@@ -267,11 +188,10 @@ std::string ServerSession::Trace(const RequestLine& req) {
   // parameter hardening.
   Status known = CheckKnownArgs(req, {"n"});
   if (!known.ok()) return TypedErrorJson("bad_argument", known.message());
-  auto n = IntArg(req, "n", 4);
+  auto n = NumberArg<std::int64_t>(req, "n", 4);
   if (!n.ok()) return TypedErrorJson("bad_argument", n.status().message());
   if (n.value() < 1 || n.value() > 1024) {
-    return TypedErrorJson("bad_argument",
-                          RangeError("n", "[1, 1024]").message());
+    return TypedErrorJson("bad_argument", "n must be in [1, 1024]");
   }
   const auto traces =
       executor_.traces().Snapshot(static_cast<std::size_t>(n.value()));
@@ -311,14 +231,14 @@ std::string ServerSession::Gen(const RequestLine& req) {
         {"edges", &spec.num_edges},
         {"attrs", &spec.num_attrs},
         {"communities", &spec.num_communities}}) {
-    auto parsed = IntArg(req, key, *field);
+    auto parsed = NumberArg(req, key, *field);
     if (!parsed.ok()) return ErrorJson(parsed.status());
     *field = parsed.value();
   }
-  auto gamma = DoubleArg(req, "gamma", spec.gamma);
+  auto gamma = NumberArg(req, "gamma", spec.gamma);
   if (!gamma.ok()) return ErrorJson(gamma.status());
   spec.gamma = gamma.value();
-  auto seed = IntArg(req, "seed", 42);
+  auto seed = NumberArg<std::int64_t>(req, "seed", 42);
   if (!seed.ok()) return ErrorJson(seed.status());
   spec.seed = static_cast<std::uint64_t>(seed.value());
   Result<BipartiteGraph> generated = GenerateGraph(spec);
@@ -337,9 +257,10 @@ std::string ServerSession::Save(const RequestLine& req) {
   }
   auto entry = catalog_.Get(name);
   if (entry == nullptr) return ErrorJson("unknown graph: " + name);
-  auto compress = IntArg(req, "compress", 0);
+  auto compress = NumberArg<std::int64_t>(req, "compress", 0);
   if (!compress.ok()) return ErrorJson(compress.status());
-  auto block = IntArg(req, "block", kDefaultSnapshotBlockEdges);
+  auto block =
+      NumberArg<std::int64_t>(req, "block", kDefaultSnapshotBlockEdges);
   if (!block.ok()) return ErrorJson(block.status());
   if (block.value() < 1 || block.value() > 1'000'000'000) {
     return ErrorJson("block must be in [1, 1000000000]");
@@ -386,12 +307,11 @@ std::string ServerSession::Catalog() {
 }
 
 std::string ServerSession::Query(const RequestLine& req) {
-  auto built = BuildQueryRequest(req);
+  bool stream = false;
+  auto built = BuildQueryRequest(req, &stream);
   if (!built.ok()) return ErrorJson(built.status());
   const QueryRequest query = std::move(built).value();
-  auto stream = IntArg(req, "stream", 0);
-  if (!stream.ok()) return ErrorJson(stream.status());
-  if (stream.value() == 0) {
+  if (!stream) {
     QueryResult result = executor_.Execute(query);
     // The serialize span lands in the already-retained recorder after the
     // root "query" span closed — a sibling tail, not a child.
@@ -440,62 +360,44 @@ std::string ServerSession::Query(const RequestLine& req) {
 // JSON object with the per-query results, positionally aligned with the
 // grid in alphas-outer / betas / deltas-inner order.
 std::string ServerSession::Sweep(const RequestLine& req) {
+  // Every grid point is read as a query line whose alpha/beta/delta come
+  // from the lists, so `sweep alphas=-1` is refused like `alpha=-1`. A
+  // scalar alpha/beta/delta is refused too: every point would override it.
+  const std::string fields[] = {"alpha", "beta", "delta"};
+  std::vector<std::string> lists[3];
   RequestLine base = req;
-  base.args["alpha"] = "0";
-  base.args["beta"] = "0";
-  base.args["delta"] = "0";
-  auto built = BuildQueryRequest(base);
-  if (!built.ok()) return ErrorJson(built.status());
-  const QueryRequest prototype = std::move(built).value();
-
-  // Each list value gets the same strict parse + range check as the
-  // scalar query parameters: `sweep alphas=-1` must be an error, not a
-  // wrapped-to-4294967295 grid point.
-  auto list = [&](const std::string& key, const std::string& fallback)
-      -> Result<std::vector<std::uint32_t>> {
-    std::vector<std::uint32_t> values;
-    std::istringstream ss(Arg(req, key, fallback));
-    std::string token;
-    while (std::getline(ss, token, ',')) {
-      std::int64_t value = 0;
-      const auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), value);
-      if (ec != std::errc() || ptr != token.data() + token.size()) {
-        return Status::InvalidArgument(key + " wants a comma list of " +
-                                       "integers, got \"" + token + "\"");
-      }
-      if (!ParamInRange(value)) {
-        return RangeError(key + " values", "[0, 1000000000]");
-      }
-      values.push_back(static_cast<std::uint32_t>(value));
+  for (int i = 0; i < 3; ++i) {
+    const std::string key = fields[i] + "s";
+    if (req.args.count(fields[i]) > 0) {
+      return ErrorJson(Status::InvalidArgument("sweep does not take \"" +
+                                               fields[i] + "\""));
     }
-    if (values.empty()) {
-      return Status::InvalidArgument(key + " wants a nonempty comma list");
+    std::istringstream ss(Arg(req, key, i == 2 ? "0" : "1"));
+    for (std::string token; std::getline(ss, token, ',');) {
+      lists[i].push_back(token);
     }
-    return values;
-  };
-  auto alphas = list("alphas", "1");
-  if (!alphas.ok()) return ErrorJson(alphas.status());
-  auto betas = list("betas", "1");
-  if (!betas.ok()) return ErrorJson(betas.status());
-  auto deltas = list("deltas", "0");
-  if (!deltas.ok()) return ErrorJson(deltas.status());
-
+    if (lists[i].empty()) {
+      return ErrorJson(
+          Status::InvalidArgument(key + " wants a nonempty comma list"));
+    }
+    base.args.erase(key);
+  }
   constexpr std::size_t kMaxSweep = 4096;
-  if (alphas.value().size() * betas.value().size() * deltas.value().size() >
-      kMaxSweep) {
+  if (lists[0].size() * lists[1].size() * lists[2].size() > kMaxSweep) {
     return ErrorJson("sweep grid too large (max 4096 points)");
   }
 
   std::vector<QueryRequest> grid;
-  for (std::uint32_t alpha : alphas.value()) {
-    for (std::uint32_t beta : betas.value()) {
-      for (std::uint32_t delta : deltas.value()) {
-        QueryRequest point = prototype;
-        point.params.alpha = alpha;
-        point.params.beta = beta;
-        point.params.delta = delta;
-        grid.push_back(point);
+  for (const std::string& alpha : lists[0]) {
+    for (const std::string& beta : lists[1]) {
+      for (const std::string& delta : lists[2]) {
+        RequestLine point = base;
+        point.args["alpha"] = alpha;
+        point.args["beta"] = beta;
+        point.args["delta"] = delta;
+        auto built = BuildQueryRequest(point);
+        if (!built.ok()) return ErrorJson(built.status());
+        grid.push_back(std::move(built).value());
       }
     }
   }
@@ -971,21 +873,21 @@ class Reactor {
     if (req.command == "query") {
       Connection::Slot& slot =
           NewSlot(c, binary, wire::Opcode::kReply, request_id);
-      auto built = BuildQueryRequest(req);
-      auto stream = IntArg(req, "stream", 0);
-      if (!built.ok() || !stream.ok()) {
-        const Status& bad = !built.ok() ? built.status() : stream.status();
+      bool stream = false;
+      auto built = BuildQueryRequest(req, &stream);
+      if (!built.ok()) {
         if (binary) {
-          FillError(c, &slot, wire::ErrorCode::kBadRequest, bad.message());
+          FillError(c, &slot, wire::ErrorCode::kBadRequest,
+                    built.status().message());
         } else {
           // The line protocol's historical bad-query shape (no "code"
           // field) — old clients parse it, the smoke oracle diffs it.
-          slot.body = TagSessionJson(c->id, ErrorJson(bad));
+          slot.body = TagSessionJson(c->id, ErrorJson(built.status()));
           slot.ready = true;
         }
         return;
       }
-      AdmitQuery(c, &slot, std::move(built).value(), stream.value() != 0);
+      AdmitQuery(c, &slot, std::move(built).value(), stream);
       return;
     }
     std::string response;

@@ -76,15 +76,14 @@ struct RequestLine {
 
 RequestLine ParseRequestLine(const std::string& line);
 
-/// Builds a QueryRequest from a `query` line; unset keys keep the same
-/// defaults as `fairbc_cli enum`. Numeric arguments are strictly
-/// validated: alpha/beta/delta/top_k must be integers in [0, 1e9] (a
-/// negative value must NOT wrap to a huge unsigned), theta must be in
-/// [0, 1], budget must be finite and >= 0 (BudgetInRange, also the
-/// binary protocol's and the CLI's window) and threads in [0, 1024]; rid
-/// must pass ValidRequestId. The `stream` key is transport-level and read
-/// by the caller, not stored in the QueryRequest.
-Result<QueryRequest> BuildQueryRequest(const RequestLine& req);
+/// Builds a QueryRequest from a `query` line. The request fields go
+/// through ReadQueryText (service/query.h), the names, number grammar and
+/// windows `fairbc_cli enum` and the binary protocol share; the line adds
+/// graph (required), cache, rid (ValidRequestId) and stream, which
+/// `stream` (nullable) receives since it is not part of the request. Any
+/// other key, like the CLI's `top-k`, is an error naming it.
+Result<QueryRequest> BuildQueryRequest(const RequestLine& req,
+                                       bool* stream = nullptr);
 
 /// Prefixes `"session":id` into a `{...}` response object (identity on
 /// anything that is not an object). Every per-session response emitter —

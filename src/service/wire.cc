@@ -196,19 +196,14 @@ DecodeResult DecodeFrame(std::string_view buf, std::size_t max_payload,
 std::string EncodeQueryPayload(const QueryRequest& request, bool stream) {
   std::string out;
   AppendString16(&out, request.graph);
-  AppendU8(&out, request.model == FairModel::kSsfbc ? 0 : 1);
-  AppendU8(&out, request.algo == FairAlgo::kPlusPlus ? 0
-                 : request.algo == FairAlgo::kBcem  ? 1
-                                                    : 2);
+  AppendU8(&out, EnumIndex(request.model));
+  AppendU8(&out, EnumIndex(request.algo));
   AppendU32(&out, request.params.alpha);
   AppendU32(&out, request.params.beta);
   AppendU32(&out, request.params.delta);
   AppendF64(&out, request.params.theta);
-  AppendU8(&out, request.options.ordering == VertexOrdering::kDegreeDesc ? 0
-                                                                         : 1);
-  AppendU8(&out, request.options.pruning == PruningLevel::kColorful ? 0
-                 : request.options.pruning == PruningLevel::kCore   ? 1
-                                                                    : 2);
+  AppendU8(&out, EnumIndex(request.options.ordering));
+  AppendU8(&out, EnumIndex(request.options.pruning));
   AppendF64(&out, request.options.time_budget_seconds);
   AppendU64(&out, request.options.node_budget);
   AppendU32(&out, request.options.num_threads);
@@ -217,27 +212,38 @@ std::string EncodeQueryPayload(const QueryRequest& request, bool stream) {
   // Extension tail (always emitted by this encoder; decoders treat its
   // absence — the short form older encoders wrote — as all defaults).
   AppendU32(&out, request.top_k);
-  AppendU8(&out, request.rank == TopKRank::kWeight ? 0
-                 : request.rank == TopKRank::kSize ? 1
-                                                   : 2);
+  AppendU8(&out, EnumIndex(request.rank));
   AppendString16(&out, request.request_id);
   return out;
 }
+
+namespace {
+
+/// Sets `*out` to the entry at wire byte `index` of its name table.
+template <RequestEnum E>
+Status ReadEnumByte(std::uint8_t index, const char* field, E* out) {
+  const std::optional<E> value = EnumAt<E>(index);
+  if (!value) return Status::InvalidArgument(std::string("bad ") + field +
+                                             " byte");
+  *out = *value;
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
                                         bool* stream) {
   Reader r(payload);
   QueryRequest req;
   std::uint8_t model = 0, algo = 0, ordering = 0, pruning = 0, flags = 0;
-  std::uint32_t threads = 0;
   if (stream != nullptr) *stream = false;
   if (!r.ReadString16(&req.graph) || !r.ReadU8(&model) || !r.ReadU8(&algo) ||
       !r.ReadU32(&req.params.alpha) || !r.ReadU32(&req.params.beta) ||
       !r.ReadU32(&req.params.delta) || !r.ReadF64(&req.params.theta) ||
       !r.ReadU8(&ordering) || !r.ReadU8(&pruning) ||
       !r.ReadF64(&req.options.time_budget_seconds) ||
-      !r.ReadU64(&req.options.node_budget) || !r.ReadU32(&threads) ||
-      !r.ReadU8(&flags)) {
+      !r.ReadU64(&req.options.node_budget) ||
+      !r.ReadU32(&req.options.num_threads) || !r.ReadU8(&flags)) {
     return Status::InvalidArgument("truncated query payload");
   }
   // Extension tail: end-of-payload here is a legacy frame (defaults);
@@ -255,44 +261,16 @@ Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
   if (req.graph.empty()) {
     return Status::InvalidArgument("query needs a graph name");
   }
-  if (model > 1) return Status::InvalidArgument("bad model byte");
-  req.model = model == 0 ? FairModel::kSsfbc : FairModel::kBsfbc;
-  if (algo > 2) return Status::InvalidArgument("bad algo byte");
-  req.algo = algo == 0   ? FairAlgo::kPlusPlus
-             : algo == 1 ? FairAlgo::kBcem
-                         : FairAlgo::kNaive;
-  // The exact windows of the line protocol (BuildQueryRequest): the two
-  // front doors must accept and reject the same requests.
-  if (!ParamInRange(req.params.alpha) || !ParamInRange(req.params.beta) ||
-      !ParamInRange(req.params.delta)) {
-    return Status::InvalidArgument("alpha/beta/delta must be in [0, 1e9]");
+  for (Status st : {ReadEnumByte(model, "model", &req.model),
+                    ReadEnumByte(algo, "algo", &req.algo),
+                    ReadEnumByte(ordering, "ordering", &req.options.ordering),
+                    ReadEnumByte(pruning, "pruning", &req.options.pruning),
+                    ReadEnumByte(rank, "rank", &req.rank),
+                    CheckQueryRequest(req)}) {
+    if (!st.ok()) return st;
   }
-  if (!ThetaInRange(req.params.theta)) {
-    return Status::InvalidArgument("theta must be in [0, 1]");
-  }
-  if (ordering > 1) return Status::InvalidArgument("bad ordering byte");
-  req.options.ordering =
-      ordering == 0 ? VertexOrdering::kDegreeDesc : VertexOrdering::kId;
-  if (pruning > 2) return Status::InvalidArgument("bad pruning byte");
-  req.options.pruning = pruning == 0   ? PruningLevel::kColorful
-                        : pruning == 1 ? PruningLevel::kCore
-                                       : PruningLevel::kNone;
-  if (!BudgetInRange(req.options.time_budget_seconds)) {
-    return Status::InvalidArgument("budget must be in [0, inf)");
-  }
-  if (threads > 1024) {
-    return Status::InvalidArgument("threads must be in [0, 1024]");
-  }
-  req.options.num_threads = threads;
   req.use_cache = (flags & 1) != 0;
   if (stream != nullptr) *stream = (flags & 2) != 0;
-  if (!ParamInRange(req.top_k)) {
-    return Status::InvalidArgument("top_k must be in [0, 1e9]");
-  }
-  if (rank > 2) return Status::InvalidArgument("bad rank byte");
-  req.rank = rank == 0   ? TopKRank::kWeight
-             : rank == 1 ? TopKRank::kSize
-                         : TopKRank::kBalance;
   if (!ValidRequestId(req.request_id)) {
     return Status::InvalidArgument(
         "request id must be at most 128 bytes of printable ASCII with no "

@@ -162,12 +162,12 @@ DecodeResult DecodeFrame(std::string_view buf, std::size_t max_payload,
 /// Packed QueryRequest payload for Opcode::kQuery:
 ///
 ///   u16+bytes graph      catalog name
-///   u8        model      0 = ssfbc, 1 = bsfbc
-///   u8        algo       0 = pp, 1 = bcem, 2 = naive
+///   u8        model      index in kModelNames (service/query.h)
+///   u8        algo       index in kAlgoNames
 ///   u32       alpha, beta, delta
 ///   f64       theta
-///   u8        ordering   0 = deg, 1 = id
-///   u8        pruning    0 = colorful, 1 = core, 2 = none
+///   u8        ordering   index in kOrderingNames
+///   u8        pruning    index in kPruningNames
 ///   f64       time budget seconds (0 = unlimited)
 ///   u64       node budget (0 = unlimited)
 ///   u32       threads
@@ -177,15 +177,15 @@ DecodeResult DecodeFrame(std::string_view buf, std::size_t max_payload,
 /// encoders wrote — the decoder treats end-of-payload here as all defaults):
 ///
 ///   u32       top_k      0 = full enumeration
-///   u8        rank       0 = weight, 1 = size, 2 = balance
+///   u8        rank       index in kRankNames
 ///   u16+bytes request id correlation token (may be empty)
 std::string EncodeQueryPayload(const QueryRequest& request,
                                bool stream = false);
 
 /// Strictly validated inverse of EncodeQueryPayload: truncated or
-/// trailing bytes, unknown enum values, and out-of-range numerics (the
-/// same [0, 1e9] / [0, 1] / [0, 1024] windows as the line protocol's
-/// BuildQueryRequest) all come back as InvalidArgument. `stream`
+/// trailing bytes, an enum byte past its name table, and numerics outside
+/// their windows (CheckQueryRequest, service/query.h: the text doors'
+/// windows and messages) all come back as InvalidArgument. `stream`
 /// (nullable) receives the flags' stream bit.
 Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
                                         bool* stream = nullptr);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +18,8 @@
 #include "graph/biclique_io.h"
 #include "service/query.h"
 #include "service/response_json.h"
+#include "service/server.h"
+#include "service/wire.h"
 
 namespace fairbc {
 namespace {
@@ -680,6 +683,161 @@ TEST(CliEndToEnd, RandAttrsOnePutsEveryVertexInOneClass) {
   EXPECT_FALSE(one_class.empty());
   EXPECT_EQ(one_class, ReadResultFile(plain));
   EXPECT_NE(one_class.size(), ReadResultFile(kept).size());
+}
+
+// --- one verdict from every front door ------------------------------------
+
+// One request field value and the verdict all three front doors must give
+// it: `fairbc_cli enum`, the line protocol's BuildQueryRequest and the
+// binary protocol's DecodeQueryPayload. A value a door's syntax cannot
+// carry names the reason instead of a verdict there.
+struct DoorRow {
+  const char* field;  // the line key; the CLI flag spells '_' as '-'.
+  const char* value;
+  bool accepted;
+  const char* no_binary = nullptr;  // why the binary door cannot carry it.
+  const char* no_line = nullptr;    // why the line door cannot carry it.
+};
+
+constexpr const char* kNegative = "negative: the binary field is unsigned";
+constexpr const char* kTooWide = "wider than the binary field's u32";
+constexpr const char* kName = "a name: the binary field is a table index";
+constexpr const char* kSyntax = "text syntax: the binary field is typed";
+
+const DoorRow kDoorRows[] = {
+    // alpha/beta/delta: integers in [0, 1e9].
+    {"alpha", "0", true},
+    {"alpha", "1000000000", true},
+    {"alpha", "1000000001", false},
+    {"alpha", "-1", false, kNegative},
+    {"alpha", "4294967297", false, kTooWide},
+    {"alpha", "+2", false, kSyntax},
+    {"alpha", "0x10", false, kSyntax},
+    {"alpha", "2.5", false, kSyntax},
+    {"alpha", "abc", false, kSyntax},
+    {"alpha", " 2", false, kSyntax, "the line tokenizer splits on spaces"},
+    {"beta", "1000000000", true},
+    {"beta", "1000000001", false},
+    {"delta", "0", true},
+    {"delta", "1000000001", false},
+    {"delta", "-1", false, kNegative},
+    // theta: a number in [0, 1].
+    {"theta", "0", true},
+    {"theta", "1", true},
+    {"theta", "0.25", true},
+    {"theta", "1e-1", true},
+    {"theta", "1.5", false},
+    {"theta", "-0.1", false},
+    {"theta", "nan", false},
+    {"theta", "inf", false},
+    {"theta", "+0.25", false, kSyntax},
+    {"theta", "0x1p-2", false, kSyntax},
+    // budget: finite seconds >= 0.
+    {"budget", "0", true},
+    {"budget", "30", true},
+    {"budget", "-1", false},
+    {"budget", "nan", false},
+    {"budget", "inf", false},
+    {"budget", "soon", false, kSyntax},
+    // threads: [0, kMaxThreads].
+    {"threads", "0", true},
+    {"threads", "1024", true},
+    {"threads", "1025", false},
+    {"threads", "-1", false, kNegative},
+    {"threads", "+1", false, kSyntax},
+    // top_k: [0, 1e9].
+    {"top_k", "0", true},
+    {"top_k", "1000000000", true},
+    {"top_k", "1000000001", false},
+    {"top_k", "-1", false, kNegative},
+    // Every name of every table, and names outside them.
+    {"model", "ssfbc", true},
+    {"model", "bsfbc", true},
+    {"model", "bogus", false, kName},
+    {"model", "", false, kName},
+    {"algo", "pp", true},
+    {"algo", "bcem", true},
+    {"algo", "naive", true},
+    {"algo", "ppp", false, kName},
+    {"ordering", "deg", true},
+    {"ordering", "id", true},
+    {"ordering", "idd", false, kName},
+    {"pruning", "colorful", true},
+    {"pruning", "core", true},
+    {"pruning", "none", true},
+    {"pruning", "colorfull", false, kName},
+    {"rank", "weight", true},
+    {"rank", "size", true},
+    {"rank", "balance", true},
+    {"rank", "heavy", false, kName},
+};
+
+// The request the binary door receives for a row it can carry.
+QueryRequest BinaryRequest(const DoorRow& row) {
+  QueryRequest req;
+  req.graph = "g";
+  const std::string field = row.field;
+  const std::string value = row.value;
+  auto u32 = [&] { return static_cast<std::uint32_t>(std::stoull(value)); };
+  if (field == "alpha") req.params.alpha = u32();
+  if (field == "beta") req.params.beta = u32();
+  if (field == "delta") req.params.delta = u32();
+  if (field == "theta") req.params.theta = std::stod(value);
+  if (field == "budget") req.options.time_budget_seconds = std::stod(value);
+  if (field == "threads") req.options.num_threads = u32();
+  if (field == "top_k") req.top_k = u32();
+  if (field == "model") req.model = ParseName<FairModel>(value).value();
+  if (field == "algo") req.algo = ParseName<FairAlgo>(value).value();
+  if (field == "ordering") {
+    req.options.ordering = ParseName<VertexOrdering>(value).value();
+  }
+  if (field == "pruning") {
+    req.options.pruning = ParseName<PruningLevel>(value).value();
+  }
+  if (field == "rank") req.rank = ParseName<TopKRank>(value).value();
+  return req;
+}
+
+TEST(RequestDoors, EveryDoorGivesTheSameVerdict) {
+  const std::string graph = GraphPath();
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                   " --edges=50")
+                .exit_code,
+            0);
+  for (const DoorRow& row : kDoorRows) {
+    const std::string label = std::string(row.field) + "='" + row.value + "'";
+    std::string flag = row.field;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+
+    CommandResult cli = RunCli("enum --graph=" + graph + " --count-only --" +
+                               flag + "='" + row.value + "'");
+    EXPECT_EQ(cli.exit_code, row.accepted ? 0 : 2) << label << cli.output;
+
+    // The same message from every door, each spelling the field its own
+    // way (--top-k against top_k).
+    std::string line_message;
+    if (row.no_line == nullptr) {
+      auto line = BuildQueryRequest(ParseRequestLine(
+          std::string("query graph=g ") + row.field + "=" + row.value));
+      EXPECT_EQ(line.ok(), row.accepted) << label;
+      if (!line.ok()) {
+        line_message = line.status().message();
+        std::string message = line_message;
+        message.replace(message.find(row.field), flag.size(), "--" + flag);
+        EXPECT_NE(cli.output.find("error: " + message), std::string::npos)
+            << label << cli.output;
+      }
+    }
+
+    if (row.no_binary == nullptr) {
+      const std::string payload = wire::EncodeQueryPayload(BinaryRequest(row));
+      auto binary = wire::DecodeQueryPayload(payload);
+      EXPECT_EQ(binary.ok(), row.accepted) << label;
+      if (!binary.ok()) {
+        EXPECT_EQ(binary.status().message(), line_message) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

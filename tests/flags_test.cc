@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/flags.h"
 
 namespace fairbc {
@@ -74,6 +76,33 @@ TEST(Flags, UnparsableTypedValuesAreRecorded) {
   EXPECT_EQ(q.GetString("name", ""), "12x");
   EXPECT_FALSE(q.GetBool("verbose", false));
   EXPECT_TRUE(q.BadFlags().empty());
+}
+
+// The one number grammar of the text doors: std::from_chars over the whole
+// value. A leading '+' or space, hex and trailing bytes all refuse, like a
+// value out of the type's range.
+TEST(Flags, StrictNumberGrammar) {
+  EXPECT_EQ(ParseNumber<std::int64_t>("-12"), -12);
+  EXPECT_EQ(ParseNumber<std::int64_t>("007"), 7);
+  for (const char* text : {"+2", " 2", "2 ", "0x10", "2.5", "1e3", "",
+                           "9223372036854775808"}) {
+    EXPECT_FALSE(ParseNumber<std::int64_t>(text).has_value()) << text;
+  }
+  EXPECT_EQ(ParseNumber<double>("0.25"), 0.25);
+  EXPECT_EQ(ParseNumber<double>("1e-1"), 0.1);
+  EXPECT_EQ(ParseNumber<double>(".5"), 0.5);
+  EXPECT_TRUE(std::isnan(*ParseNumber<double>("nan")));
+  EXPECT_TRUE(std::isinf(*ParseNumber<double>("inf")));
+  for (const char* text : {"+0.25", " 1", "0x1p-2", "1e999", "0.5x", ""}) {
+    EXPECT_FALSE(ParseNumber<double>(text).has_value()) << text;
+  }
+  FlagParser p = Parse({"--alpha=+2", "--theta=0x1p-2", "--seed=-3"});
+  EXPECT_EQ(p.GetInt("alpha", 1), 1);
+  EXPECT_DOUBLE_EQ(p.GetDouble("theta", 0.0), 0.0);
+  EXPECT_EQ(p.GetInt("seed", 0), -3);
+  EXPECT_EQ(p.BadFlags(), (std::vector<std::string>{"alpha", "theta"}));
+  EXPECT_EQ(UnparsableValue("--alpha", "+2").message(),
+            "--alpha has an unparsable value \"+2\"");
 }
 
 TEST(Flags, NegativeIntegers) {

@@ -132,6 +132,35 @@ TEST(BuildQueryRequestTest, AcceptsDefaultsAndBoundaryValues) {
   EXPECT_EQ(built.value().params.beta, 1'000'000'000u);
 }
 
+// A key outside the request fields is an error naming it, not a silently
+// ignored typo: `top-k` (the CLI's spelling), `alpah` and, in a sweep,
+// `top_kk` or a scalar alpha the grid would override all used to run.
+TEST(BuildQueryRequestTest, RejectsUnknownKeys) {
+  for (const char* key : {"top-k", "alpah", "budget_s"}) {
+    const Status st = BuildStatus(std::string("query graph=g ") + key + "=1");
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(st.message().find(std::string("\"") + key + "\""),
+              std::string::npos)
+        << st.message();
+  }
+  EXPECT_TRUE(
+      BuildStatus("query graph=g cache=0 rid=r-1 stream=1 top_k=2").ok());
+
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.AddGraph("g", ServerTestGraph()).ok());
+  QueryExecutor executor(catalog, {});
+  ServerSession session(catalog, executor, /*id=*/1);
+  bool stop = false;
+  std::string response;
+  for (const char* line : {"sweep graph=g alphas=2 top_kk=3",
+                           "sweep graph=g alphas=2,3 beta=2",
+                           "query graph=g alpah=5"}) {
+    ASSERT_TRUE(session.Handle(line, &response, &stop));
+    EXPECT_EQ(JsonField(response, "ok"), "false") << line << response;
+    EXPECT_NE(response.find("does not take"), std::string::npos) << response;
+  }
+}
+
 TEST(ServerSessionTest, SweepRejectsNegativeAndMalformedLists) {
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.AddGraph("g", ServerTestGraph()).ok());

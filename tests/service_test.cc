@@ -171,6 +171,36 @@ TEST(ResultCacheTest, ZeroCapacityDisablesButCountsMisses) {
   EXPECT_EQ(t.HitRate(), 0.0);
 }
 
+// Every enumerator has exactly one entry in its name table, the name and
+// the wire byte both lead back to it, and the first entry is the
+// request's default.
+template <typename E>
+void ExpectTableCovers(std::initializer_list<E> all, E default_value) {
+  const auto names = NamesOf(default_value);
+  EXPECT_EQ(names.size(), all.size());
+  EXPECT_EQ(names[0].value, default_value);
+  for (E value : all) {
+    EXPECT_EQ(ParseName<E>(ToString(value)), value);
+    EXPECT_EQ(EnumAt<E>(EnumIndex(value)), value);
+  }
+  EXPECT_FALSE(EnumAt<E>(names.size()).has_value());
+  EXPECT_FALSE(ParseName<E>("").has_value());
+}
+
+TEST(RequestTablesTest, NameTablesCoverEveryEnumerator) {
+  const QueryRequest defaults;
+  ExpectTableCovers({FairModel::kSsfbc, FairModel::kBsfbc}, defaults.model);
+  ExpectTableCovers({FairAlgo::kPlusPlus, FairAlgo::kBcem, FairAlgo::kNaive},
+                    defaults.algo);
+  ExpectTableCovers({VertexOrdering::kDegreeDesc, VertexOrdering::kId},
+                    defaults.options.ordering);
+  ExpectTableCovers(
+      {PruningLevel::kColorful, PruningLevel::kCore, PruningLevel::kNone},
+      defaults.options.pruning);
+  ExpectTableCovers({TopKRank::kWeight, TopKRank::kSize, TopKRank::kBalance},
+                    defaults.rank);
+}
+
 TEST(CacheKeyTest, DistinguishesEveryParameter) {
   QueryRequest base;
   base.graph = "g";

@@ -515,6 +515,76 @@ TEST(ChunkBodyTest, FuzzedBodiesAlwaysComeBackAsStatus) {
     (void)DecodeChunkPayload(bytes);
   }
 }
+// Random payload bytes: the query decoder either rejects them with a
+// Status, or what it accepts re-encodes to a payload that decodes to the
+// same request (compared through a second encoding, which covers every
+// field).
+TEST(WireQueryPayloadTest, RandomBytesRejectOrRoundTrip) {
+  XorShift rng{0xF00DF00DF00Dull};
+  const std::string pristine = EncodeQueryPayload(FullQuery());
+  int accepted = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string bytes = pristine;
+    if (round % 4 == 3) {
+      // Pure random bytes around the payload's length.
+      bytes.resize(pristine.size() - 8 + rng() % 16);
+      for (char& c : bytes) c = static_cast<char>(rng() & 0xFF);
+    } else {
+      // A few random bytes over a valid payload hit the typed fields.
+      const int writes = 1 + static_cast<int>(rng() % 3);
+      for (int w = 0; w < writes; ++w) {
+        bytes[rng() % bytes.size()] = static_cast<char>(rng() & 0xFF);
+      }
+    }
+    bool stream = false;
+    auto first = DecodeQueryPayload(bytes, &stream);
+    if (!first.ok()) {
+      EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ++accepted;
+    const std::string again = EncodeQueryPayload(first.value(), stream);
+    bool stream_again = false;
+    auto second = DecodeQueryPayload(again, &stream_again);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(stream_again, stream);
+    EXPECT_EQ(EncodeQueryPayload(second.value(), stream_again), again);
+  }
+  // The loop must reach both verdicts to mean anything.
+  EXPECT_GT(accepted, 100);
+  EXPECT_LT(accepted, 20000);
+}
+
+// Each enum byte indexes its name table (service/query.h); the byte just
+// past the table's end is rejected, and every index decodes to its entry.
+TEST(WireQueryPayloadTest, EnumBytesIndexTheNameTables) {
+  QueryRequest req = FullQuery();
+  req.request_id.clear();
+  const std::string base = EncodeQueryPayload(req);
+  const std::size_t model_off = 2 + req.graph.size();
+  struct {
+    std::size_t offset;
+    std::size_t table_size;
+  } const bytes[] = {
+      {model_off, NamesOf(FairModel{}).size()},
+      {model_off + 1, NamesOf(FairAlgo{}).size()},
+      {model_off + 22, NamesOf(VertexOrdering{}).size()},
+      {model_off + 23, NamesOf(PruningLevel{}).size()},
+      {base.size() - 3, NamesOf(TopKRank{}).size()},
+  };
+  for (const auto& [offset, table_size] : bytes) {
+    for (std::size_t index = 0; index <= table_size; ++index) {
+      std::string patched = base;
+      patched[offset] = static_cast<char>(index);
+      auto decoded = DecodeQueryPayload(patched);
+      EXPECT_EQ(decoded.ok(), index < table_size) << offset << "/" << index;
+      if (decoded.ok()) {
+        EXPECT_EQ(EncodeQueryPayload(decoded.value()), patched);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace wire
 }  // namespace fairbc

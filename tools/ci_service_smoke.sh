@@ -7,7 +7,8 @@
 # replays the trace once more with stream=1, checking every query's JSON
 # chunk lines and end line against the same oracle. Top-k queries (four
 # parameter points x three ranks) are compared the same way against
-# fairbc_cli --top-k.
+# fairbc_cli --top-k. A rejection-parity pass checks that both doors
+# refuse the same bad values with the same message.
 # Then restarts the server in TCP mode (--port=0, mmap preload) and
 # replays the same trace through TWO PARALLEL TCP clients, diffing both
 # response streams against the same CLI oracle — exercising concurrent
@@ -158,6 +159,36 @@ if [ "$hits" -lt 4 ] || [ "$cache_hits" -lt 4 ]; then
   exit 1
 fi
 echo "stdin OK: 20 responses match fairbc_cli; $hits cache hits"
+
+echo "== rejection parity: line protocol and fairbc_cli refuse alike"
+# Each bad value draws ok:false and exit 2 with one message, the CLI's
+# --flag spelling in place of the line key. An unknown key is refused by
+# the line protocol; fairbc_cli keeps its unknown-flag warning for it.
+BAD=("alpha -1" "theta 1.5" "budget nan" "threads 1025"
+     "top_k 1000000001" "model bogus" "alpha +2" "alpah 5")
+for kv in "${BAD[@]}"; do
+  read -r key value <<<"$kv"
+  flag=--${key//_/-}
+  line=$(echo "query graph=g $key=$value" | "$SERVER" | python3 -c '
+import json, sys
+reply = json.loads(sys.stdin.readline())
+print(reply["error"].split(": ", 1)[1] if not reply["ok"] else "ok")')
+  rc=0
+  cli=$("$CLI" enum --graph="$WORK/g.snap" --format=snapshot --count-only \
+        "$flag=$value" 2>&1 >/dev/null) || rc=$?
+  if [ "$key" = alpah ]; then
+    want_line='query does not take "alpah"' want_rc=0
+    want_cli="warning: unknown flag --alpah ignored"
+  else
+    want_line=$line want_rc=2 want_cli="error: ${line/$key/$flag}"
+  fi
+  if [ "$line" = ok ] || [ "$line" != "$want_line" ] \
+     || [ "$rc" -ne "$want_rc" ] || [ "$cli" != "$want_cli" ]; then
+    echo "rejection parity $key=$value: line \"$line\", cli $rc \"$cli\""
+    exit 1
+  fi
+done
+echo "rejection parity OK: ${#BAD[@]} bad requests refused alike"
 
 echo "== top-k: line-protocol top_k=5 vs fairbc_cli --top-k=5, every rank"
 # Top-k is the one query kind both front doors run with their own flags;

@@ -50,12 +50,12 @@
 // Chrome trace-event JSON — load FILE in Perfetto / chrome://tracing.
 // See docs/OBSERVABILITY.md.
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -89,18 +89,6 @@ int Fail(const Status& status) {
 int UsageError(const std::string& message) {
   std::cerr << "error: " << message << "\n";
   return 2;
-}
-
-/// Names every integer or number flag whose value did not parse; true
-/// when there was one. Called once a command has read its flags and
-/// before it acts, so a typo like --alpha=abc never runs as the default.
-bool ReportBadFlags(const FlagParser& flags) {
-  const std::vector<std::string> bad = flags.BadFlags();
-  for (const std::string& name : bad) {
-    std::cerr << "error: --" << name << " has an unparsable value \""
-              << flags.GetString(name, "") << "\"\n";
-  }
-  return !bad.empty();
 }
 
 int Usage() {
@@ -152,29 +140,24 @@ int LoadGraph(const FlagParser& flags, BipartiteGraph* out) {
   return 0;
 }
 
-// Reads --alpha/--beta/--delta/--theta. Prints the error and returns
-// false when a value lies outside the window the server's front doors
-// accept (ParamInRange, ThetaInRange).
-bool ReadFairParams(const FlagParser& flags,
-                    fairbc::FairBicliqueParams* params) {
-  for (auto [name, field, default_value] :
-       {std::tuple<const char*, std::uint32_t*, std::int64_t>{
-            "alpha", &params->alpha, 1},
-        {"beta", &params->beta, 1},
-        {"delta", &params->delta, 0}}) {
-    const std::int64_t value = flags.GetInt(name, default_value);
-    if (!fairbc::ParamInRange(value)) {
-      std::cerr << "error: --" << name << " must be in [0, 1000000000]\n";
-      return false;
-    }
-    *field = static_cast<std::uint32_t>(value);
-  }
-  params->theta = flags.GetDouble("theta", 0.0);
-  if (!fairbc::ThetaInRange(params->theta)) {
-    std::cerr << "error: --theta must be in [0, 1]\n";
-    return false;
-  }
-  return true;
+/// The request fields of service/query.h from their flags (`top_k` is
+/// --top-k); with `fairness_only` (verify), model/alpha/beta/delta/theta.
+fairbc::Result<fairbc::QueryRequest> ReadRequestFlags(const FlagParser& flags,
+                                                      bool fairness_only) {
+  auto flag = [](std::string_view field) {
+    std::string name(field);
+    std::replace(name.begin(), name.end(), '_', '-');
+    return name;
+  };
+  return fairbc::ReadQueryText(
+      {[&](std::string_view field) -> std::optional<std::string> {
+         const bool wanted =
+             !fairness_only || field == "model" || field == "alpha" ||
+             field == "beta" || field == "delta" || field == "theta";
+         if (!wanted || !flags.Has(flag(field))) return std::nullopt;
+         return flags.GetString(flag(field), "");
+       },
+       [&](std::string_view field) { return "--" + flag(field); }});
 }
 
 /// Prints the bicliques of `bodies` one per line (Biclique::DebugString).
@@ -190,7 +173,7 @@ void PrintBicliques(const std::vector<fairbc::ChunkBody>& bodies) {
 int RunStats(const FlagParser& flags) {
   BipartiteGraph g;
   if (int rc = LoadGraph(flags, &g); rc != 0) return rc;
-  if (ReportBadFlags(flags)) return 2;
+  if (flags.ReportBadFlags(std::cerr)) return 2;
   std::cout << fairbc::StatsReport(g);
   return 0;
 }
@@ -199,43 +182,10 @@ int RunEnum(const FlagParser& flags) {
   BipartiteGraph g;
   if (int rc = LoadGraph(flags, &g); rc != 0) return rc;
 
-  fairbc::QueryRequest request;
+  auto read = ReadRequestFlags(flags, /*fairness_only=*/false);
+  if (!read.ok()) return UsageError(read.status().message());
+  fairbc::QueryRequest request = std::move(read).value();
   request.graph = flags.GetString("graph", "");
-  if (!ReadFairParams(flags, &request.params)) return 2;
-  fairbc::EnumOptions& options = request.options;
-  options.time_budget_seconds = flags.GetDouble("budget", 0.0);
-  // The window both server front doors accept (BudgetInRange): a NaN or
-  // negative budget must not run as "no budget".
-  if (!fairbc::BudgetInRange(options.time_budget_seconds)) {
-    return UsageError("--budget must be a finite number of seconds >= 0");
-  }
-  // 1 = serial (default, reproducible output order), 0 = all cores.
-  std::int64_t threads = flags.GetInt("threads", 1);
-  if (threads < 0 || threads > 1024) {
-    return UsageError("--threads must be in [0, 1024]");
-  }
-  options.num_threads = static_cast<unsigned>(threads);
-
-  auto model = fairbc::ParseFairModel(flags.GetString("model", "ssfbc"));
-  if (!model) return UsageError("bad --model (ssfbc|bsfbc)");
-  request.model = *model;
-  auto algo = fairbc::ParseFairAlgo(flags.GetString("algo", "pp"));
-  if (!algo) return UsageError("bad --algo (pp|bcem|naive)");
-  request.algo = *algo;
-  auto ordering = fairbc::ParseVertexOrdering(flags.GetString("ordering", "deg"));
-  if (!ordering) return UsageError("bad --ordering (deg|id)");
-  options.ordering = *ordering;
-  auto pruning = fairbc::ParsePruningLevel(flags.GetString("pruning", "colorful"));
-  if (!pruning) return UsageError("bad --pruning (colorful|core|none)");
-  options.pruning = *pruning;
-  auto rank = fairbc::ParseTopKRank(flags.GetString("rank", "weight"));
-  if (!rank) return UsageError("bad --rank (weight|size|balance)");
-  request.rank = *rank;
-  const std::int64_t top_k = flags.GetInt("top-k", 0);
-  if (!fairbc::ParamInRange(top_k)) {
-    return UsageError("--top-k must be in [0, 1e9]");
-  }
-  request.top_k = static_cast<std::uint32_t>(top_k);
   const bool stream = flags.GetBool("stream", false);
   const std::int64_t chunk_results = flags.GetInt("chunk", 64);
   if (chunk_results < 1 || chunk_results > 1'000'000) {
@@ -245,7 +195,7 @@ int RunEnum(const FlagParser& flags) {
   if (output != "text" && output != "json") {
     return UsageError("bad --output (text|json)");
   }
-  if (ReportBadFlags(flags)) return 2;
+  if (flags.ReportBadFlags(std::cerr)) return 2;
 
   const bool json = output == "json";
   const std::string out = flags.GetString("out", "");
@@ -263,8 +213,9 @@ int RunEnum(const FlagParser& flags) {
   std::unique_ptr<fairbc::TraceRecorder> recorder;
   if (!trace_out.empty()) {
     recorder = std::make_unique<fairbc::TraceRecorder>();
-    recorder->set_label(request.graph + " " + fairbc::ToString(*model) + "/" +
-                        fairbc::ToString(*algo));
+    recorder->set_label(request.graph + " " +
+                        fairbc::ToString(request.model) + "/" +
+                        fairbc::ToString(request.algo));
   }
   fairbc::ChunkCallback print_chunk;
   if (stream) {
@@ -326,8 +277,8 @@ int RunEnum(const FlagParser& flags) {
     // `query` response uses, so CLI runs and server responses stay
     // textually comparable (the CI smoke relies on this).
     std::cout << "{\"ok\":true,\"cmd\":\"enum\","
-              << fairbc::QueryParamsSummaryJson(*model, *algo, request.params,
-                                                run.summary);
+              << fairbc::QueryParamsSummaryJson(request.model, request.algo,
+                                                request.params, run.summary);
     if (!wrote.empty()) {
       std::cout << ",\"wrote\":\"" << fairbc::JsonEscape(wrote) << "\"";
     }
@@ -359,7 +310,7 @@ int RunSnapshot(const FlagParser& flags) {
       return Fail(Status::InvalidArgument("--block-edges must be in [1, 1e9]"));
     }
     options.block_edges = static_cast<std::uint32_t>(block_edges);
-    if (ReportBadFlags(flags)) return 2;
+    if (flags.ReportBadFlags(std::cerr)) return 2;
     Status st = fairbc::WriteSnapshot(g, out, options);
     if (!st.ok()) return Fail(st);
     std::cout << "wrote snapshot " << out << " v" << options.version
@@ -423,7 +374,7 @@ int RunGen(const FlagParser& flags) {
   spec.num_communities = flags.GetInt("communities", spec.num_communities);
   spec.gamma = flags.GetDouble("gamma", spec.gamma);
   spec.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  if (ReportBadFlags(flags)) return 2;
+  if (flags.ReportBadFlags(std::cerr)) return 2;
 
   auto generated = fairbc::GenerateGraph(spec);
   if (!generated.ok()) return UsageError(generated.status().message());
@@ -444,13 +395,12 @@ int RunVerify(const FlagParser& flags) {
   auto results = fairbc::ReadBicliques(results_path);
   if (!results.ok()) return Fail(results.status());
 
-  fairbc::FairBicliqueParams params;
-  if (!ReadFairParams(flags, &params)) return 2;
-  auto model = fairbc::ParseFairModel(flags.GetString("model", "ssfbc"));
-  if (!model) return UsageError("bad --model (ssfbc|bsfbc)");
-  if (ReportBadFlags(flags)) return 2;
-  Status st = fairbc::VerifyResultSet(g, results.value(), params,
-                                      *model);
+  auto request = ReadRequestFlags(flags, /*fairness_only=*/true);
+  if (!request.ok()) return UsageError(request.status().message());
+  if (flags.ReportBadFlags(std::cerr)) return 2;
+  Status st = fairbc::VerifyResultSet(g, results.value(),
+                                      request.value().params,
+                                      request.value().model);
   if (!st.ok()) return Fail(st);
   std::cout << "OK: " << results.value().size()
             << " results verified (biclique, fairness, maximality, no "

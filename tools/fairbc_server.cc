@@ -61,6 +61,7 @@
 #endif
 
 #include "common/flags.h"
+#include "core/parallel.h"
 #include "obs/metrics.h"
 #include "obs/metrics_http.h"
 #include "service/graph_catalog.h"
@@ -109,20 +110,16 @@ int main(int argc, char** argv) {
       flags.GetInt("max-request-bytes",
                    static_cast<std::int64_t>(fairbc::kDefaultMaxRequestBytes));
   const auto client_deadline_ms = flags.GetInt("client-deadline-ms", 0);
-  const std::vector<std::string> bad = flags.BadFlags();
-  for (const std::string& name : bad) {
-    std::cerr << "error: --" << name << " has an unparsable value \""
-              << flags.GetString(name, "") << "\"\n";
-  }
-  if (!bad.empty()) return 2;
+  if (flags.ReportBadFlags(std::cerr)) return 2;
   for (const std::string& name : flags.UnusedFlags()) {
     std::cerr << "warning: unknown flag --" << name << " ignored\n";
   }
 
   GraphCatalog catalog;
   fairbc::QueryExecutorOptions options;
-  if (pool_threads < 0 || pool_threads > 1024) {
-    std::cerr << "error: --threads must be in [0, 1024]\n";
+  if (pool_threads < 0 || pool_threads > fairbc::kMaxThreads) {
+    std::cerr << "error: --threads must be in [0, " << fairbc::kMaxThreads
+              << "]\n";
     return 1;
   }
   options.num_threads = static_cast<unsigned>(pool_threads);

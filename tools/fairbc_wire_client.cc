@@ -250,12 +250,7 @@ int main(int argc, char** argv) {
   const bool pipeline = flags.GetBool("pipeline", false);
   const bool stream = flags.GetBool("stream", false);
   const auto soak = flags.GetInt("soak", 0);
-  const std::vector<std::string> bad = flags.BadFlags();
-  for (const std::string& name : bad) {
-    std::cerr << "error: --" << name << " has an unparsable value \""
-              << flags.GetString(name, "") << "\"\n";
-  }
-  if (!bad.empty()) return 2;
+  if (flags.ReportBadFlags(std::cerr)) return 2;
   for (const std::string& name : flags.UnusedFlags()) {
     std::cerr << "warning: unknown flag --" << name << " ignored\n";
   }
