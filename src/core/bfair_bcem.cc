@@ -72,20 +72,29 @@ void ReplayUpperWalk(const UpperWalkMemo& memo, std::size_t num_attrs,
 
 }  // namespace
 
+EnumStats SingleSideRun(const BipartiteGraph& g,
+                        const FairBicliqueParams& params,
+                        std::uint32_t min_upper, const EnumOptions& options,
+                        FairAlgo algo, const EngineSink& sink) {
+  switch (algo) {
+    case FairAlgo::kBcem:
+      return FairBcemRun(g, params, min_upper, options,
+                         FairBcemSearchOptions{}, sink);
+    case FairAlgo::kNaive:
+      return FairBcemRun(g, params, min_upper, options, NaiveSearchOptions(),
+                         sink);
+    case FairAlgo::kPlusPlus:
+      break;
+  }
+  return FairBcemPpRun(g, params, min_upper, options, sink);
+}
+
 EnumStats BFairBcemRun(const BipartiteGraph& g,
                        const FairBicliqueParams& params,
-                       const EnumOptions& options, SsEngine engine,
+                       const EnumOptions& options, FairAlgo algo,
                        const EngineSink& sink) {
   EnumStats stats;
   if (g.NumUpper() == 0 || g.NumLower() == 0) return stats;
-  if (options.topk != nullptr) {
-    // ss_sink shrinks each SS biclique's upper side to its fair subsets
-    // and regrows the lower side to each subset's common neighborhood —
-    // the upper side of any derived result stays within the subtree's L,
-    // but the lower side is only bounded by the whole (reduced) graph.
-    options.topk->set_lower_cap(
-        static_cast<std::uint32_t>(g.NumVertices(Side::kLower)));
-  }
   const FairnessSpec upper_spec = params.UpperSpec();
   // The bi-side model is the lower-side policy applied once more on the
   // upper side; both policies are shared read-only by every worker.
@@ -116,6 +125,11 @@ EnumStats BFairBcemRun(const BipartiteGraph& g,
   EngineSink ss_sink = [&](const EmitWorker& worker,
                            std::span<const VertexId> ss_upper,
                            std::span<const VertexId> ss_lower) {
+    // Every (l', R') derived here has l' ⊆ L', so (|L'|, |R'|) bounds it.
+    if (options.topk != nullptr &&
+        options.topk->CanPrune(ss_upper.size(), ss_lower.size())) {
+      return true;
+    }
     const SizeVector r_sizes = AttrSizes(g, Side::kLower, ss_lower);
     auto leaf = [&](std::span<const VertexId> upper, SizeSpan hood_sizes) {
       if (!lower_policy.MaximalWithin(r_sizes, hood_sizes)) return true;
@@ -186,19 +200,7 @@ EnumStats BFairBcemRun(const BipartiteGraph& g,
     return !aborted.load(std::memory_order_relaxed);
   };
 
-  switch (engine) {
-    case SsEngine::kFairBcem:
-      stats = FairBcemRun(g, params, min_upper, options,
-                          FairBcemSearchOptions{}, ss_sink);
-      break;
-    case SsEngine::kFairBcemPlusPlus:
-      stats = FairBcemPpRun(g, params, min_upper, options, ss_sink);
-      break;
-    case SsEngine::kNaive:
-      stats = FairBcemRun(g, params, min_upper, options, NaiveSearchOptions(),
-                          ss_sink);
-      break;
-  }
+  stats = SingleSideRun(g, params, min_upper, options, algo, ss_sink);
   stats.num_results = emitted.Sum();
   // Memos live beside each worker's scratch: charge the largest one.
   std::size_t memo_bytes = 0;

@@ -9,14 +9,15 @@
 
 namespace fairbc {
 
-/// Which single-side engine drives the bi-side enumeration (paper Alg. 9:
-/// BFairBCEM uses FairBCEM, BFairBCEM++ uses FairBCEM++, BNSF uses the
-/// unpruned search).
-enum class SsEngine {
-  kFairBcem,
-  kFairBcemPlusPlus,
-  kNaive,
-};
+/// The single-side engine `algo` names, on an already-pruned graph:
+/// FairBcemPpRun for kPlusPlus, FairBcemRun for kBcem and, with
+/// NaiveSearchOptions(), for kNaive. It is RunEnumeration's SSFBC engine
+/// and the inner engine of BFairBcemRun (paper Alg. 9: BFairBCEM uses
+/// FairBCEM, BFairBCEM++ uses FairBCEM++, BNSF the unpruned search).
+EnumStats SingleSideRun(const BipartiteGraph& g,
+                        const FairBicliqueParams& params,
+                        std::uint32_t min_upper, const EnumOptions& options,
+                        FairAlgo algo, const EngineSink& sink);
 
 /// Bytes of leaf entries one worker's upper-walk memo may hold (see
 /// BFairBcemRun). An upper side whose walk needs more is folded afresh on
@@ -24,11 +25,12 @@ enum class SsEngine {
 inline constexpr std::size_t kUpperWalkMemoBytes = std::size_t{256} << 10;
 
 /// Bi-side fair biclique enumeration (paper Alg. 9) on an already-pruned
-/// graph: enumerate single-side fair bicliques (L', R'), then for every
-/// maximal fair subset l' of L' (Combination on the upper side) emit
-/// (l', R') iff R' is a maximal fair subset of the common neighborhood of
-/// l'. With params.theta > 0 this is BFairBCEMPro++. Library users should
-/// go through pipeline.h which wires in the BCFCore reduction.
+/// graph: enumerate single-side fair bicliques (L', R') with the
+/// SingleSideRun engine `algo` names, then for every maximal fair subset
+/// l' of L' (Combination on the upper side) emit (l', R') iff R' is a
+/// maximal fair subset of the common neighborhood of l'. With
+/// params.theta > 0 this is BFairBCEMPro++. Library users should go
+/// through pipeline.h which wires in the BCFCore reduction.
 ///
 /// Each worker memoizes the walk of the last upper side it expanded: the
 /// walk plan and, per leaf l' in walk order, the lower class sizes of
@@ -38,7 +40,7 @@ inline constexpr std::size_t kUpperWalkMemoBytes = std::size_t{256} << 10;
 /// worker; its bytes count toward EnumStats::peak_struct_bytes.
 EnumStats BFairBcemRun(const BipartiteGraph& g,
                        const FairBicliqueParams& params,
-                       const EnumOptions& options, SsEngine engine,
+                       const EnumOptions& options, FairAlgo algo,
                        const EngineSink& sink);
 
 }  // namespace fairbc

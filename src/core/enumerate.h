@@ -32,6 +32,14 @@ struct FairBicliqueParams {
   FairnessSpec UpperSpec() const { return FairnessSpec{alpha, delta, theta}; }
 };
 
+/// The engine of a fair enumeration, for either FairModel.
+enum class FairAlgo {
+  kPlusPlus,  ///< FairBCEM++ (Alg. 6) / BFairBCEM++ (§IV-C); the default.
+  kBcem,      ///< FairBCEM (Alg. 5) / BFairBCEM (Alg. 9).
+  kNaive,     ///< NSF / BNSF baselines (§V-A): reduction kept, search
+              ///< pruning dropped.
+};
+
 /// One enumerated biclique; both sides sorted ascending, ids refer to the
 /// graph the enumeration entry point was given (pruning remaps back).
 struct Biclique {
@@ -121,30 +129,23 @@ std::uint64_t RankValue(std::uint64_t upper_size, std::uint64_t lower_size,
 
 /// Shared branch-and-bound prune state for top-k runs: the top-k sink
 /// publishes the current k-th best rank value once its keeper is full, and
-/// every engine worker consults CanPrune before descending into a subtree.
-/// A subtree is cut only when its best possible rank value is *strictly*
-/// below the published bound — results tying the k-th best can still
-/// displace it under the canonical tie-break, so pruned runs return
-/// exactly the top k of the full enumeration.
+/// every engine worker consults CanPrune before descending into a subtree
+/// and before deriving results from one it emitted. A subtree is cut only
+/// when its best possible rank value is *strictly* below the published
+/// bound — results tying the k-th best can still displace it under the
+/// canonical tie-break, so pruned runs return exactly the top k of the
+/// full enumeration.
 ///
-/// Engines whose emitted results re-expand one side after enumeration
-/// (FairBcemPpRun grows the upper side of each fair subset back to its
-/// common neighborhood; BFairBcemRun likewise the lower side) cannot bound
-/// that side from the subtree sets, so their run drivers install a
-/// graph-level cap that replaces the local bound for that side.
+/// Every engine's results fit the bound of the subtree they come from:
+/// FairBcemPpRun's fair subsets shrink the lower side of a maximal
+/// biclique (paper Alg. 6 l. 25-28), and BFairBcemRun's shrink the upper
+/// side of a single-side result (Alg. 9), so neither grows a side past
+/// the shape it checked.
 class TopKPruneBound {
  public:
   explicit TopKPruneBound(TopKRank rank) : rank_(rank) {}
 
   TopKRank rank() const { return rank_; }
-
-  /// Installed by run drivers before fan-out (see class comment).
-  void set_upper_cap(std::uint32_t cap) {
-    upper_cap_.store(cap, std::memory_order_relaxed);
-  }
-  void set_lower_cap(std::uint32_t cap) {
-    lower_cap_.store(cap, std::memory_order_relaxed);
-  }
 
   /// Publishes the current k-th best value (keeper full). Monotone
   /// non-decreasing by construction; called under the sink serialization.
@@ -157,10 +158,6 @@ class TopKPruneBound {
   /// be cut? Relaxed loads: a stale (smaller) bound only prunes less.
   bool CanPrune(std::uint64_t upper_bound, std::uint64_t lower_bound) const {
     if (!full_.load(std::memory_order_relaxed)) return false;
-    std::uint64_t u_cap = upper_cap_.load(std::memory_order_relaxed);
-    std::uint64_t l_cap = lower_cap_.load(std::memory_order_relaxed);
-    if (u_cap != 0) upper_bound = u_cap;
-    if (l_cap != 0) lower_bound = l_cap;
     return RankValue(upper_bound, lower_bound, rank_) <
            bound_.load(std::memory_order_relaxed);
   }
@@ -169,8 +166,6 @@ class TopKPruneBound {
   const TopKRank rank_;
   std::atomic<std::uint64_t> bound_{0};
   std::atomic<bool> full_{false};
-  std::atomic<std::uint32_t> upper_cap_{0};
-  std::atomic<std::uint32_t> lower_cap_{0};
 };
 
 /// Candidate processing order in the branch-and-bound search (Table II).
@@ -213,9 +208,8 @@ struct EnumOptions {
   /// top-k sink (core/result_sink.h TopKSink::prune_bound()). Engines cut
   /// subtrees that provably cannot reach the published k-th best; null =
   /// full enumeration (the default). Like `trace`, not part of a query's
-  /// identity — but the *k/rank* knobs that create one are. Non-const so
-  /// run drivers can install the engine-appropriate side caps.
-  TopKPruneBound* topk = nullptr;
+  /// identity — but the *k/rank* knobs that create one are.
+  const TopKPruneBound* topk = nullptr;
   /// Optional caller-owned budget the engines use instead of constructing
   /// their own from node_budget/time_budget_seconds. Lets streaming
   /// consumers observe mid-run progress (SearchBudget::nodes — the

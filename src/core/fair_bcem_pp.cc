@@ -17,13 +17,6 @@ EnumStats FairBcemPpRun(const BipartiteGraph& g,
                         std::uint32_t min_upper, const EnumOptions& options,
                         const EngineSink& sink) {
   const FairnessSpec spec = params.LowerSpec();
-  if (options.topk != nullptr) {
-    // The fair-subset pass regrows each subset's upper side to its common
-    // neighborhood, which can exceed the substrate biclique's |L| — only
-    // the whole upper side of the (already reduced) graph bounds it.
-    options.topk->set_upper_cap(
-        static_cast<std::uint32_t>(g.NumVertices(Side::kUpper)));
-  }
 
   // The substrate may deliver maximal bicliques from several workers at
   // once (options.num_threads != 1), so everything the per-biclique
@@ -46,6 +39,11 @@ EnumStats FairBcemPpRun(const BipartiteGraph& g,
   EngineSink mb_sink = [&](const EmitWorker& worker,
                            std::span<const VertexId> upper,
                            std::span<const VertexId> lower) {
+    // Every result cut from (L, R) below is (L, S) with S ⊆ R.
+    if (options.topk != nullptr &&
+        options.topk->CanPrune(upper.size(), lower.size())) {
+      return true;
+    }
     SizeVector sizes = AttrSizes(g, Side::kLower, lower);
     if (IsFeasibleVector(sizes, spec)) {
       // A fair closure is its own unique maximal fair subset and its

@@ -20,11 +20,11 @@ namespace fairbc {
 /// thresholds prune branches via |R| + |P| and per-class |R_a| + |P_a|
 /// (the `R_a >= beta` guard of the FairBCEM++ substrate). `options`
 /// supplies ordering, budgets, threads, trace, shared budget and top-k
-/// bound exactly as for the other engines; `pruning` is not read. Callers
-/// whose sink re-expands the upper side of emitted bicliques (the
-/// FairBCEM++ fair-subset pass) must install an upper cap on the top-k
-/// bound first (TopKPruneBound::set_upper_cap). num_results counts the
-/// emitted bicliques, and so does maximal_bicliques_visited.
+/// bound exactly as for the other engines; `pruning` is not read. A
+/// subtree is cut on its (|L|, |R| + |P|) shape, so a sink that derives
+/// results from an emitted biclique must not grow either side of it.
+/// num_results counts the emitted bicliques, and so does
+/// maximal_bicliques_visited.
 EnumStats EnumerateMaximalBicliques(const BipartiteGraph& g,
                                     std::uint32_t min_upper,
                                     std::uint32_t min_lower_total,

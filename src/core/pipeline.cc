@@ -12,7 +12,6 @@
 #include "core/bfair_bcem.h"
 #include "core/cfcore.h"
 #include "core/fair_bcem.h"
-#include "core/fair_bcem_pp.h"
 #include "core/fcore.h"
 #include "core/mbea.h"
 #include "core/parallel.h"
@@ -281,7 +280,7 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
   const double prune_seconds = prune_timer.ElapsedSeconds();
 
   // Direct maximal-biclique emission: subtree shapes bound their results
-  // exactly, so the top-k prune bound flows through with no side caps.
+  // exactly, so the top-k prune bound flows through unchanged.
   EnumStats stats = EmitThroughBlocks(
       sub, maps, options, sink,
       [&](const BipartiteGraph& s, const EngineSink& engine_sink) {
@@ -296,29 +295,14 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
 EnumStats RunEnumeration(const BipartiteGraph& g, FairModel model,
                          FairAlgo algo, const FairBicliqueParams& params,
                          const EnumOptions& options, const BicliqueSink& sink) {
-  if (model == FairModel::kBsfbc) {
-    SsEngine engine = SsEngine::kFairBcemPlusPlus;
-    if (algo == FairAlgo::kBcem) engine = SsEngine::kFairBcem;
-    if (algo == FairAlgo::kNaive) engine = SsEngine::kNaive;
-    return RunPipeline(g, params, options, /*bi_side=*/true, sink,
-                       [&](const BipartiteGraph& sub, const EngineSink& s) {
-                         return BFairBcemRun(sub, params, options, engine, s);
-                       });
-  }
-  switch (algo) {
-    case FairAlgo::kBcem:
-      return EnumerateSSFBCWithSearchOptions(g, params, options,
-                                             FairBcemSearchOptions{}, sink);
-    case FairAlgo::kNaive:
-      return EnumerateSSFBCWithSearchOptions(g, params, options,
-                                             NaiveSearchOptions(), sink);
-    case FairAlgo::kPlusPlus:
-      break;
-  }
-  return RunPipeline(g, params, options, /*bi_side=*/false, sink,
+  const bool bi_side = model == FairModel::kBsfbc;
+  return RunPipeline(g, params, options, bi_side, sink,
                      [&](const BipartiteGraph& sub, const EngineSink& s) {
-                       return FairBcemPpRun(sub, params, params.alpha, options,
-                                            s);
+                       if (bi_side) {
+                         return BFairBcemRun(sub, params, options, algo, s);
+                       }
+                       return SingleSideRun(sub, params, params.alpha,
+                                            options, algo, s);
                      });
 }
 

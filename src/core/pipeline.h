@@ -33,14 +33,6 @@ namespace fairbc {
 /// is identical for every thread count. EnumStats::num_results is exactly
 /// the number of results the sink received, unless it returned false.
 
-/// The engine of a fair enumeration, for either FairModel.
-enum class FairAlgo {
-  kPlusPlus,  ///< FairBCEM++ (Alg. 6) / BFairBCEM++ (§IV-C); the default.
-  kBcem,      ///< FairBCEM (Alg. 5) / BFairBCEM (Alg. 9).
-  kNaive,     ///< NSF / BNSF baselines (§V-A): reduction kept, search
-              ///< pruning dropped.
-};
-
 /// Fair biclique enumeration: SSFBCs (model kSsfbc, CFCore reduction) or
 /// BSFBCs (kBsfbc, BCFCore reduction) with the `algo` engine. With
 /// params.theta > 0 every engine runs its proportional variant (PSSFBC /

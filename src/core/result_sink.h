@@ -86,7 +86,6 @@ class TopKSink final : public ResultSink {
   }
 
   const TopKPruneBound* prune_bound() const { return &bound_; }
-  TopKPruneBound* prune_bound() { return &bound_; }
   const TopKKeeper& keeper() const { return keeper_; }
   std::vector<Biclique> Take() { return keeper_.Take(); }
 

@@ -74,6 +74,13 @@ inline constexpr std::uint32_t kSnapshotVersionCompressed = 3;
 /// index entry is amortized to well under 1% of a typical block, small
 /// enough that the decoder's per-block scratch stays a few KiB.
 inline constexpr std::uint32_t kDefaultSnapshotBlockEdges = 4096;
+/// The block window every snapshot writer's front door accepts
+/// (`fairbc_cli snapshot save --block-edges`, the line protocol's
+/// `save block=`): [1, kMaxSnapshotBlockEdges].
+inline constexpr std::int64_t kMaxSnapshotBlockEdges = 1'000'000'000;
+constexpr bool ValidSnapshotBlockEdges(std::int64_t block_edges) {
+  return block_edges >= 1 && block_edges <= kMaxSnapshotBlockEdges;
+}
 
 /// Incremental FNV-1a (64-bit) over a byte range.
 std::uint64_t Fnv1a64(const void* data, std::size_t size,

@@ -208,6 +208,8 @@ std::string ServerSession::Trace(const RequestLine& req) {
 }
 
 std::string ServerSession::Load(const RequestLine& req) {
+  Status known = CheckKnownArgs(req, {"name", "path", "format"});
+  if (!known.ok()) return ErrorJson(known);
   const std::string name = Arg(req, "name", "");
   const std::string path = Arg(req, "path", "");
   if (name.empty() || path.empty()) {
@@ -221,6 +223,9 @@ std::string ServerSession::Load(const RequestLine& req) {
 }
 
 std::string ServerSession::Gen(const RequestLine& req) {
+  Status known = CheckKnownArgs(req, {"name", "kind", "nu", "nv", "edges",
+                                      "attrs", "communities", "gamma", "seed"});
+  if (!known.ok()) return ErrorJson(known);
   const std::string name = Arg(req, "name", "");
   if (name.empty()) return ErrorJson("gen needs name=NAME");
   GraphSpec spec;
@@ -250,6 +255,8 @@ std::string ServerSession::Gen(const RequestLine& req) {
 }
 
 std::string ServerSession::Save(const RequestLine& req) {
+  Status known = CheckKnownArgs(req, {"name", "path", "compress", "block"});
+  if (!known.ok()) return ErrorJson(known);
   const std::string name = Arg(req, "name", "");
   const std::string path = Arg(req, "path", "");
   if (name.empty() || path.empty()) {
@@ -262,8 +269,9 @@ std::string ServerSession::Save(const RequestLine& req) {
   auto block =
       NumberArg<std::int64_t>(req, "block", kDefaultSnapshotBlockEdges);
   if (!block.ok()) return ErrorJson(block.status());
-  if (block.value() < 1 || block.value() > 1'000'000'000) {
-    return ErrorJson("block must be in [1, 1000000000]");
+  if (!ValidSnapshotBlockEdges(block.value())) {
+    return ErrorJson("block must be in [1, " +
+                     std::to_string(kMaxSnapshotBlockEdges) + "]");
   }
   SnapshotWriteOptions options;
   options.version = compress.value() != 0 ? kSnapshotVersionCompressed
@@ -286,6 +294,8 @@ std::string ServerSession::Save(const RequestLine& req) {
 }
 
 std::string ServerSession::Drop(const RequestLine& req) {
+  Status known = CheckKnownArgs(req, {"name"});
+  if (!known.ok()) return ErrorJson(known);
   const std::string name = Arg(req, "name", "");
   if (name.empty()) return ErrorJson("drop needs name=NAME");
   if (!catalog_.Remove(name)) return ErrorJson("unknown graph: " + name);
@@ -865,8 +875,9 @@ class Reactor {
   }
 
   /// One request line — from the line protocol or a kCommand frame.
-  /// Queries go async (the reactor thread never runs an enumeration);
-  /// everything else dispatches inline through the shared ServerSession.
+  /// Queries go async; everything else dispatches inline through the
+  /// shared ServerSession, where `sweep` parks this thread until its
+  /// batch has run (see TcpServer).
   void HandleCommandText(Connection* c, const std::string& line, bool binary,
                          std::uint64_t request_id) {
     const RequestLine req = ParseRequestLine(line);

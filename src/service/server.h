@@ -21,13 +21,14 @@ namespace fairbc {
 /// key=value ...`; one JSON object per response line (every response
 /// carries the serving session's id as `"session":N`). Blank lines and
 /// `#` comments are ignored. Malformed requests — including unparsable
-/// or out-of-range numeric arguments — get {"ok":false,"error":...}; the
-/// server never exits on bad input.
+/// or out-of-range numeric arguments and any key the command below does
+/// not list — get {"ok":false,"error":...}; the server never exits on bad
+/// input.
 ///
 ///   ping
 ///   load name=G path=FILE [format=snapshot|mmap|attr|edges]
 ///   gen name=G [kind=uniform|powerlaw|affiliation] [nu=N] [nv=N]
-///       [edges=M] [attrs=K] [seed=S] [communities=C]
+///       [edges=M] [attrs=K] [seed=S] [communities=C] [gamma=G]
 ///   save name=G path=FILE [compress=0|1] [block=EDGES_PER_BLOCK]
 ///        (compress=1 writes the v3 compressed snapshot format)
 ///   catalog
@@ -182,10 +183,12 @@ class Reactor;
 /// flush progressively once their response slot reaches the front of the
 /// per-connection queue) against the global in-flight bound, and
 /// their completions hop back to the owning reactor over a cross-thread
-/// op queue (eventfd wakeup). Catalog mutations and other commands are
-/// cheap and dispatch inline. No reactor thread and no executor runner
-/// ever parks waiting on another query (see QueryExecutor's
-/// completion-list single-flight).
+/// op queue (eventfd wakeup). No executor runner ever parks waiting on
+/// another query (see QueryExecutor's completion-list single-flight).
+/// Every other command dispatches inline through ServerSession, `sweep`
+/// included: it runs its grid through QueryExecutor::ExecuteBatch, so the
+/// reactor thread parks until the whole grid has run, and every other
+/// connection pinned to that reactor waits with it.
 ///
 /// Shutdown: `stop` (from any session) or RequestStop() stops the accept
 /// loop race-free (shutdown(2) on the listener wakes a blocked accept)

@@ -1,6 +1,7 @@
 // End-to-end tests of the fairbc_cli binary (gen -> stats -> enum ->
-// verify round trip through real process invocations). The binary path
-// is injected by CMake as FAIRBC_CLI_PATH.
+// verify round trip through real process invocations), plus the usage
+// errors of fairbc_server. The binary paths are injected by CMake as
+// FAIRBC_CLI_PATH and FAIRBC_SERVER_PATH.
 
 #include <gtest/gtest.h>
 
@@ -27,21 +28,27 @@ namespace {
 #ifndef FAIRBC_CLI_PATH
 #define FAIRBC_CLI_PATH "fairbc_cli"
 #endif
+#ifndef FAIRBC_SERVER_PATH
+#define FAIRBC_SERVER_PATH "fairbc_server"
+#endif
 
 struct CommandResult {
   int exit_code;
   std::string output;
 };
 
-CommandResult RunCli(const std::string& args) {
+CommandResult RunTool(const std::string& tool, const std::string& args) {
   std::string out_path = ::testing::TempDir() + "/fairbc_cli_out.txt";
-  std::string cmd =
-      std::string(FAIRBC_CLI_PATH) + " " + args + " > " + out_path + " 2>&1";
+  std::string cmd = tool + " " + args + " > " + out_path + " 2>&1";
   int rc = std::system(cmd.c_str());
   std::ifstream in(out_path);
   std::stringstream ss;
   ss << in.rdbuf();
   return {WEXITSTATUS(rc), ss.str()};
+}
+
+CommandResult RunCli(const std::string& args) {
+  return RunTool(FAIRBC_CLI_PATH, args);
 }
 
 std::string GraphPath() {
@@ -546,6 +553,61 @@ TEST(CliEndToEnd, GenRejectsNegativeVertexCounts) {
         << r.output;
     EXPECT_FALSE(FileExists(out)) << flag << " must not write a graph";
   }
+}
+
+// A tool flag outside its window is a usage error (exit 2), like one that
+// does not parse. The server stops before it loads, listens or reads a
+// line (`timeout` turns a server that listened anyway into a failure, not
+// a hang), and a refused snapshot save writes nothing.
+TEST(CliEndToEnd, OutOfWindowToolFlagsAreUsageErrors) {
+  const char* const cases[][2] = {
+      {"--threads=2000", "threads"},
+      {"--threads=-1", "threads"},
+      {"--metrics-port=65536", "metrics-port"},
+      {"--port=65536", "port"},
+      {"--port=0 --max-sessions=0", "max-sessions"},
+      {"--port=0 --max-sessions=1025", "max-sessions"},
+      {"--port=0 --reactor-threads=65", "reactor-threads"},
+      {"--port=0 --max-inflight=-1", "max-inflight"},
+      {"--port=0 --max-request-bytes=63", "max-request-bytes"},
+      {"--port=0 --client-deadline-ms=-1", "client-deadline-ms"},
+  };
+  for (const auto& [flags, name] : cases) {
+    CommandResult r = RunTool(std::string("timeout 60 ") + FAIRBC_SERVER_PATH,
+                              std::string(flags) + " < /dev/null");
+    EXPECT_EQ(r.exit_code, 2) << flags << ": " << r.output;
+    EXPECT_NE(r.output.find("--" + std::string(name) + " must be in ["),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("listening"), std::string::npos) << r.output;
+  }
+  // The connection windows bind only with --port.
+  CommandResult stdin_mode =
+      RunTool(FAIRBC_SERVER_PATH, "--max-sessions=0 < /dev/null");
+  EXPECT_EQ(stdin_mode.exit_code, 0) << stdin_mode.output;
+
+  std::string graph = GraphPath();
+  const std::string snap = ::testing::TempDir() + "/fairbc_cli_block.snap";
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                " --edges=50")
+                .exit_code,
+            0);
+  for (const std::string flag : {"--block-edges=0", "--block-edges=1000000001"}) {
+    std::remove(snap.c_str());
+    CommandResult r = RunCli("snapshot save --compress --graph=" + graph +
+                             " --out=" + snap + " " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find("--block-edges must be in [1, 1000000000]"),
+              std::string::npos)
+        << r.output;
+    EXPECT_FALSE(FileExists(snap)) << flag << " must not write a snapshot";
+  }
+  for (const std::string flag : {"--block-edges=1", "--block-edges=1000000000"}) {
+    CommandResult r = RunCli("snapshot save --compress --graph=" + graph +
+                             " --out=" + snap + " " + flag);
+    EXPECT_EQ(r.exit_code, 0) << flag << ": " << r.output;
+  }
+  std::remove(snap.c_str());
 }
 
 // Unknown names are usage errors: --pruning=colorfull and --ordering=idd

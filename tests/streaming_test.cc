@@ -2,14 +2,15 @@
 // determinism, ChunkSink flush boundaries, streamed-vs-batch
 // byte-equivalence (count + order-independent digest) across all four
 // engine paths at thread widths {1, 2, 8}, top-k agreement with the full
-// enumeration under every rank with branch-and-bound pruning live, the
+// enumeration for every engine of both models under every rank with
+// branch-and-bound pruning live (and proof that the pruning cuts), the
 // query runner's top-k (RunQuery) against brute-force maxima at one and
 // eight lanes, the streaming single-flight (late subscriber attaches to
 // the leader's chunk stream, replaying its backlog when it arrives
 // mid-stream),
 // payload-cache chunk replay, the chunk wire codec, and
-// the server line protocol's chunked framing + strict trace/cache
-// argument validation. Runs in the TSan job (.github/workflows/ci.yml)
+// the server line protocol's chunked framing + strict trace/cache/
+// catalog-command argument validation. Runs in the TSan job (.github/workflows/ci.yml)
 // so the chunk fan-out and prune-bound publication are raced for real.
 
 #include "core/result_sink.h"
@@ -19,6 +20,8 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <fstream>
 #include <cstdint>
 #include <mutex>
 #include <random>
@@ -331,38 +334,109 @@ TEST(StreamEquivalenceTest, StreamedDigestMatchesBatchAcrossEnginesAndThreads) {
 
 // --- top-k -----------------------------------------------------------------
 
+// Dense enough that every engine of both models finds hundreds of
+// results (and the unpruned one still runs in milliseconds), with many
+// ties at every rank value, so an over-cut of a tie shows.
+BipartiteGraph TopKTestGraph() { return MakeUniformRandom(50, 50, 500, 2, 11); }
+
 TEST(TopKQueryTest, TopKEqualsTopKOfFullEnumerationUnderEveryRank) {
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.AddGraph("g", StreamTestGraph()).ok());
+  ASSERT_TRUE(catalog.AddGraph("u", TopKTestGraph()).ok());
   QueryExecutorOptions options;
   options.num_threads = 2;
   QueryExecutor exec(catalog, options);
 
-  QueryRequest full = BaseRequest("g", FairModel::kSsfbc, FairAlgo::kPlusPlus, 2);
-  full.params.alpha = 3;
-  full.params.beta = 3;
-  full.include_bicliques = true;
-  QueryResult everything = exec.Execute(full);
-  ASSERT_TRUE(everything.status.ok());
-  ASSERT_GT(everything.bicliques.size(), 16u);
+  struct Row {
+    std::string graph;
+    FairModel model;
+    FairAlgo algo;
+    FairBicliqueParams params;
+    std::uint32_t k;
+  };
+  std::vector<Row> rows = {{"g", FairModel::kSsfbc, FairAlgo::kPlusPlus,
+                            {3, 3, 1, 0.0}, 10}};
+  for (FairModel model : {FairModel::kSsfbc, FairModel::kBsfbc}) {
+    for (FairAlgo algo :
+         {FairAlgo::kPlusPlus, FairAlgo::kBcem, FairAlgo::kNaive}) {
+      rows.push_back({"u", model, algo, {1, 1, 1, 0.0}, 5});
+    }
+    // θ = 0.4 drops results the δ = 2 run keeps (the proportional engines).
+    rows.push_back({"u", model, FairAlgo::kPlusPlus, {1, 1, 2, 0.4}, 5});
+  }
 
-  for (TopKRank rank :
-       {TopKRank::kWeight, TopKRank::kSize, TopKRank::kBalance}) {
-    TopKKeeper reference(10, rank);
-    for (const Biclique& b : everything.bicliques) reference.Offer(b);
-    const std::vector<Biclique> expect = reference.Take();
+  for (const Row& row : rows) {
+    QueryRequest full = BaseRequest(row.graph, row.model, row.algo, 1);
+    full.params = row.params;
+    full.include_bicliques = true;
+    QueryResult everything = exec.Execute(full);
+    const std::string label = row.graph + " " + ToString(row.model) + " " +
+                              ToString(row.algo) + " theta=" +
+                              std::to_string(row.params.theta);
+    ASSERT_TRUE(everything.status.ok()) << label;
+    ASSERT_GT(everything.bicliques.size(), 10u * row.k) << label;
 
-    for (unsigned threads : {1u, 8u}) {
-      QueryRequest req = full;
-      req.options.num_threads = threads;
-      req.top_k = 10;
-      req.rank = rank;
-      QueryResult got = exec.Execute(req);
-      ASSERT_TRUE(got.status.ok()) << ToString(rank);
-      EXPECT_EQ(got.summary.count, expect.size()) << ToString(rank);
-      EXPECT_EQ(got.bicliques, expect)
-          << ToString(rank) << " t" << threads
-          << ": pruned top-k must equal the top k of the full enumeration";
+    for (TopKRank rank :
+         {TopKRank::kWeight, TopKRank::kSize, TopKRank::kBalance}) {
+      TopKKeeper reference(row.k, rank);
+      for (const Biclique& b : everything.bicliques) reference.Offer(b);
+      const std::vector<Biclique> expect = reference.Take();
+
+      for (unsigned threads : {1u, 4u}) {
+        QueryRequest req = full;
+        req.options.num_threads = threads;
+        req.top_k = row.k;
+        req.rank = rank;
+        QueryResult got = exec.Execute(req);
+        const std::string at =
+            label + " " + ToString(rank) + " t" + std::to_string(threads);
+        ASSERT_TRUE(got.status.ok()) << at;
+        EXPECT_EQ(got.summary.count, expect.size()) << at;
+        EXPECT_EQ(got.bicliques, expect)
+            << at << ": pruned top-k must equal the top k of the full "
+                     "enumeration";
+      }
+    }
+  }
+}
+
+// The prune bound must cut work, not only keep the answer right: both
+// ++ engines hand the top-k sink fewer results than the full run yields.
+// The bound is checked on every subtree and on every result an engine
+// derives others from (a maximal biclique under FairBCEM++, a
+// single-side biclique under BFairBCEM++).
+TEST(TopKQueryTest, PruneBoundCutsResultsBeforeTheSink) {
+  // Counts the results offered to the top-k sink behind it.
+  class OfferCounter final : public ResultSink {
+   public:
+    explicit OfferCounter(ResultSink& inner) : inner_(inner) {}
+    bool Accept(const Biclique& b) override {
+      ++offered_;
+      return inner_.Accept(b);
+    }
+    std::uint64_t offered() const { return offered_; }
+
+   private:
+    ResultSink& inner_;
+    std::uint64_t offered_ = 0;
+  };
+
+  const BipartiteGraph g = TopKTestGraph();
+  const FairBicliqueParams params{1, 1, 1, 0.0};
+  for (FairModel model : {FairModel::kSsfbc, FairModel::kBsfbc}) {
+    CountSink full;
+    RunEnumeration(g, model, FairAlgo::kPlusPlus, params, {}, full.AsSink());
+    ASSERT_GT(full.count(), 100u) << ToString(model);
+    for (TopKRank rank :
+         {TopKRank::kWeight, TopKRank::kSize, TopKRank::kBalance}) {
+      TopKSink topk(5, rank);
+      OfferCounter counter(topk);
+      EnumOptions options;
+      options.topk = topk.prune_bound();
+      RunEnumeration(g, model, FairAlgo::kPlusPlus, params, options,
+                     counter.AsSink());
+      EXPECT_LT(counter.offered(), full.count())
+          << ToString(model) << " " << ToString(rank);
     }
   }
 }
@@ -855,6 +929,51 @@ TEST(ServerStreamingTest, TraceAndCacheArgumentsAreStrictlyValidated) {
   ASSERT_TRUE(session.Handle("query graph=g rid=bad\"token", &response, &stop));
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
   EXPECT_NE(response.find("rid"), std::string::npos);
+}
+
+// The catalog commands refuse a key they do not take, with the untyped
+// error shape their other errors use, and act on nothing: a refused `gen`
+// adds no graph, a refused `save` writes no file, a refused `load` adds
+// no entry and a refused `drop` drops nothing.
+TEST(ServerStreamingTest, CatalogCommandsRejectUnknownKeys) {
+  GraphCatalog catalog;
+  QueryExecutor exec(catalog, {});
+  ServerSession session(catalog, exec, 1);
+  std::string response;
+  bool stop = false;
+  const std::string snap = ::testing::TempDir() + "/catalog_strict.snap";
+  std::remove(snap.c_str());
+  auto refused = [&](const std::string& line, const std::string& key) {
+    ASSERT_TRUE(session.Handle(line, &response, &stop)) << line;
+    EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+    EXPECT_EQ(response.find("\"code\""), std::string::npos) << response;
+    EXPECT_NE(response.find("does not take \\\"" + key + "\\\""),
+              std::string::npos)
+        << response;
+  };
+  auto accepted = [&](const std::string& line) {
+    ASSERT_TRUE(session.Handle(line, &response, &stop)) << line;
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos)
+        << line << ": " << response;
+  };
+
+  refused("gen name=h kind=uniform nu=20 nv=20 edgs=5", "edgs");
+  EXPECT_EQ(catalog.Get("h"), nullptr);
+  accepted("gen name=h kind=uniform nu=20 nv=20 edges=50 gamma=2.5");
+
+  refused("save name=h path=" + snap + " blok=7", "blok");
+  EXPECT_FALSE(std::ifstream(snap).good()) << "a refused save wrote " << snap;
+  accepted("save name=h path=" + snap + " compress=1 block=7");
+
+  refused("load name=h2 path=" + snap + " fromat=attr", "fromat");
+  EXPECT_EQ(catalog.Get("h2"), nullptr);
+  accepted("load name=h2 path=" + snap + " format=snapshot");
+
+  refused("drop name=h nmae=zz", "nmae");
+  EXPECT_NE(catalog.Get("h"), nullptr);
+  accepted("drop name=h");
+  EXPECT_EQ(catalog.Get("h"), nullptr);
+  std::remove(snap.c_str());
 }
 
 TEST(RequestIdValidationTest, AcceptsTokensRejectsUnsafeBytes) {

@@ -7,7 +7,9 @@
 # replays the trace once more with stream=1, checking every query's JSON
 # chunk lines and end line against the same oracle. Top-k queries (four
 # parameter points x three ranks) are compared the same way against
-# fairbc_cli --top-k. A rejection-parity pass checks that both doors
+# fairbc_cli --top-k, and fairbc_cli's --top-k --out file against the top
+# five of its full --out file, ranked in Python (an oracle that shares no
+# pruning code with the engines). A rejection-parity pass checks that both doors
 # refuse the same bad values with the same message.
 # Then restarts the server in TCP mode (--port=0, mmap preload) and
 # replays the same trace through TWO PARALLEL TCP clients, diffing both
@@ -228,6 +230,37 @@ for i in "${TOPK_POINTS[@]}"; do
   done
 done
 echo "top-k OK: $((n - 1)) line-protocol top-k queries match fairbc_cli"
+
+echo "== top-k oracle: fairbc_cli --top-k=5 --out vs the top 5 of the full --out"
+# Both doors above run the same pruned code; this pass ranks the full
+# result file itself, best first by (rank desc, upper asc, lower asc) —
+# the keeper's order and tie-break.
+for i in "${TOPK_POINTS[@]}"; do
+  read -r model alpha beta delta <<<"${PARAMS[$i]}"
+  point=(--graph="$WORK/g.snap" --format=snapshot --model="$model"
+         --alpha="$alpha" --beta="$beta" --delta="$delta")
+  "$CLI" enum "${point[@]}" --out="$WORK/full_$i.txt" > /dev/null
+  for rank in "${TOPK_RANKS[@]}"; do
+    "$CLI" enum "${point[@]}" --top-k=5 --rank="$rank" \
+      --out="$WORK/topk_${i}_$rank.txt" > /dev/null
+    python3 - "$WORK/full_$i.txt" "$WORK/topk_${i}_$rank.txt" "$rank" <<'PY' \
+      || { echo "top-k oracle MISMATCH (${PARAMS[$i]} rank=$rank)" >&2; exit 1; }
+import sys
+full_path, topk_path, rank = sys.argv[1:]
+def parse(line):
+    upper, lower = line.split(";")
+    return [int(x) for x in upper.split()[1:]], [int(x) for x in lower.split()[1:]]
+value = {"weight": lambda u, v: u * v, "size": lambda u, v: u + v,
+         "balance": min}[rank]
+full = [parse(line) for line in open(full_path) if line.strip()]
+full.sort(key=lambda b: (-value(len(b[0]), len(b[1])), b[0], b[1]))
+got = [parse(line) for line in open(topk_path) if line.strip()]
+assert len(full) > 5, "full run has %d results" % len(full)
+assert got == full[:5], (got, full[:5])
+PY
+  done
+done
+echo "top-k oracle OK: ${#TOPK_POINTS[@]} points x ${#TOPK_RANKS[@]} ranks equal the ranked full files"
 
 echo "== reduction cache: one (alpha, beta) at delta 1 and 2, then cache=0"
 # A reduction depends on (graph, side model, alpha, beta, pruning) alone,

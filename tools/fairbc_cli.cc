@@ -306,8 +306,9 @@ int RunSnapshot(const FlagParser& flags) {
     }
     const auto block_edges =
         flags.GetInt("block-edges", fairbc::kDefaultSnapshotBlockEdges);
-    if (block_edges < 1 || block_edges > 1'000'000'000) {
-      return Fail(Status::InvalidArgument("--block-edges must be in [1, 1e9]"));
+    if (!fairbc::ValidSnapshotBlockEdges(block_edges)) {
+      return UsageError("--block-edges must be in [1, " +
+                        std::to_string(fairbc::kMaxSnapshotBlockEdges) + "]");
     }
     options.block_edges = static_cast<std::uint32_t>(block_edges);
     if (flags.ReportBadFlags(std::cerr)) return 2;

@@ -111,17 +111,35 @@ int main(int argc, char** argv) {
                    static_cast<std::int64_t>(fairbc::kDefaultMaxRequestBytes));
   const auto client_deadline_ms = flags.GetInt("client-deadline-ms", 0);
   if (flags.ReportBadFlags(std::cerr)) return 2;
+  // A value outside its window is a usage error too. A negative --port or
+  // --metrics-port turns that listener off, and the connection windows
+  // bind only with --port.
+  auto out_of_window = [](const char* flag, std::int64_t value,
+                          std::int64_t lo, std::int64_t hi) {
+    if (value >= lo && value <= hi) return false;
+    std::cerr << "error: --" << flag << " must be in [" << lo << ", " << hi
+              << "]\n";
+    return true;
+  };
+  if (out_of_window("threads", pool_threads, 0, fairbc::kMaxThreads) ||
+      (metrics_port >= 0 &&
+       out_of_window("metrics-port", metrics_port, 0, 65535)) ||
+      (port >= 0 &&
+       (out_of_window("port", port, 0, 65535) ||
+        out_of_window("max-sessions", max_sessions, 1, 1024) ||
+        out_of_window("reactor-threads", reactor_threads, 0, 64) ||
+        out_of_window("max-inflight", max_inflight, 0, 1'000'000) ||
+        out_of_window("max-request-bytes", max_request_bytes, 64, 1 << 30) ||
+        out_of_window("client-deadline-ms", client_deadline_ms, 0,
+                      86'400'000)))) {
+    return 2;
+  }
   for (const std::string& name : flags.UnusedFlags()) {
     std::cerr << "warning: unknown flag --" << name << " ignored\n";
   }
 
   GraphCatalog catalog;
   fairbc::QueryExecutorOptions options;
-  if (pool_threads < 0 || pool_threads > fairbc::kMaxThreads) {
-    std::cerr << "error: --threads must be in [0, " << fairbc::kMaxThreads
-              << "]\n";
-    return 1;
-  }
   options.num_threads = static_cast<unsigned>(pool_threads);
   options.cache_capacity = cache < 0 ? 0 : static_cast<std::size_t>(cache);
   // The server reports into the process registry so one scrape (the
@@ -143,10 +161,6 @@ int main(int argc, char** argv) {
 
   fairbc::MetricsHttpServer metrics_http(&fairbc::MetricsRegistry::Global());
   if (metrics_port >= 0) {
-    if (metrics_port > 65535) {
-      std::cerr << "error: --metrics-port must be in [0, 65535]\n";
-      return 1;
-    }
     std::string error;
     if (!metrics_http.Start(static_cast<std::uint16_t>(metrics_port),
                             &error)) {
@@ -176,30 +190,6 @@ int main(int argc, char** argv) {
   }
 
   if (port >= 0) {
-    if (port > 65535) {
-      std::cerr << "error: --port must be in [0, 65535]\n";
-      return 1;
-    }
-    if (max_sessions < 1 || max_sessions > 1024) {
-      std::cerr << "error: --max-sessions must be in [1, 1024]\n";
-      return 1;
-    }
-    if (reactor_threads < 0 || reactor_threads > 64) {
-      std::cerr << "error: --reactor-threads must be in [0, 64]\n";
-      return 1;
-    }
-    if (max_inflight < 0 || max_inflight > 1'000'000) {
-      std::cerr << "error: --max-inflight must be in [0, 1000000]\n";
-      return 1;
-    }
-    if (max_request_bytes < 64 || max_request_bytes > (1 << 30)) {
-      std::cerr << "error: --max-request-bytes must be in [64, 2^30]\n";
-      return 1;
-    }
-    if (client_deadline_ms < 0 || client_deadline_ms > 86'400'000) {
-      std::cerr << "error: --client-deadline-ms must be in [0, 86400000]\n";
-      return 1;
-    }
     fairbc::TcpServerOptions tcp;
     tcp.port = static_cast<int>(port);
     tcp.max_sessions = static_cast<unsigned>(max_sessions);
