@@ -36,15 +36,6 @@ class Rng {
   /// Bernoulli draw.
   bool NextBool(double p_true) { return NextDouble() < p_true; }
 
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& items) {
-    for (std::size_t i = items.size(); i > 1; --i) {
-      std::size_t j = NextUInt64(i);
-      std::swap(items[i - 1], items[j]);
-    }
-  }
-
   /// Samples `k` distinct values from [0, n) (k <= n), order unspecified.
   std::vector<std::uint32_t> SampleWithoutReplacement(std::uint32_t n,
                                                       std::uint32_t k);

@@ -111,7 +111,6 @@ class SearchBudget {
   }
   bool aborted() const { return aborted_.load(std::memory_order_relaxed); }
   bool exhausted() const { return exhausted_.load(std::memory_order_relaxed); }
-  bool DeadlineExpired() const { return deadline_.Expired(); }
 
  private:
   const std::uint64_t node_budget_;

@@ -37,7 +37,6 @@ class BipartiteGraphBuilder {
   /// vertex" preprocessing for the non-attributed KONECT datasets.
   void AssignRandomAttrs(Side side, AttrId n, Rng& rng);
 
-  std::size_t NumPendingEdges() const { return edges_.size(); }
   VertexId num_upper() const { return num_upper_; }
   VertexId num_lower() const { return num_lower_; }
 

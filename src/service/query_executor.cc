@@ -1,5 +1,6 @@
 #include "service/query_executor.h"
 
+#include <future>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -165,25 +166,42 @@ void QueryExecutor::ExecuteStreaming(const QueryRequest& request,
   Admit(request, std::move(on_chunk), std::move(done));
 }
 
-std::vector<QueryResult> QueryExecutor::ExecuteBatch(
-    const std::vector<QueryRequest>& requests) {
-  std::vector<QueryResult> results(requests.size());
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining = requests.size();
+void QueryExecutor::ExecuteBatchAsync(
+    const std::vector<QueryRequest>& requests,
+    std::function<void(std::vector<QueryResult>)> done) {
+  struct Batch {
+    std::vector<QueryResult> results;
+    std::atomic<std::size_t> remaining;
+    std::function<void(std::vector<QueryResult>)> done;
+  };
+  if (requests.empty()) {
+    done({});
+    return;
+  }
+  auto batch = std::make_shared<Batch>(
+      std::vector<QueryResult>(requests.size()), requests.size(),
+      std::move(done));
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    ExecuteAsync(requests[i], [&, i](QueryResult r) {
-      results[i] = std::move(r);
-      // Notify while holding mu: the waiter cannot return from wait (and
-      // destroy the stack cv) until it reacquires mu, which orders the
-      // destruction after this signal completes.
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) cv.notify_one();
+    ExecuteAsync(requests[i], [batch, i](QueryResult r) {
+      batch->results[i] = std::move(r);
+      // acq_rel: the last completion sees every other slot's write.
+      if (batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        batch->done(std::move(batch->results));
+      }
     });
   }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining == 0; });
-  return results;
+}
+
+std::vector<QueryResult> QueryExecutor::ExecuteBatch(
+    const std::vector<QueryRequest>& requests) {
+  // The completion owns the promise, so set_value never races its
+  // destruction on this thread.
+  auto promise = std::make_shared<std::promise<std::vector<QueryResult>>>();
+  std::future<std::vector<QueryResult>> results = promise->get_future();
+  ExecuteBatchAsync(requests, [promise](std::vector<QueryResult> r) {
+    promise->set_value(std::move(r));
+  });
+  return results.get();
 }
 
 void QueryExecutor::Admit(const QueryRequest& request, ChunkCallback on_chunk,

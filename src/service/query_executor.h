@@ -62,10 +62,10 @@ struct QueryExecutorOptions {
 ///    only queries admitted afterwards;
 ///  - the cache and the in-flight table are internally synchronized; the
 ///    executor holds no lock while an engine runs;
-///  - ExecuteAsync()/ExecuteStreaming() are safe from any thread;
-///    Execute()/ExecuteBatch() wait on the runner pool, so they are safe
-///    from any thread but its own; batches may run concurrently with each
-///    other and with direct calls.
+///  - ExecuteAsync()/ExecuteStreaming()/ExecuteBatchAsync() are safe
+///    from any thread; Execute()/ExecuteBatch() wait on the runner pool,
+///    so they are safe from any thread but its own; batches may run
+///    concurrently with each other and with direct calls.
 ///
 /// Every entry point goes through one admission step that decides, under
 /// one lock, who runs a query and who adopts that run's result: a cache
@@ -143,13 +143,18 @@ class QueryExecutor {
   void ExecuteStreaming(const QueryRequest& request, ChunkCallback on_chunk,
                         Completion done);
 
-  /// Runs `requests` concurrently on the runner pool via ExecuteAsync and
-  /// waits for all of them on the calling thread; results are
-  /// positionally aligned with the requests. Repeated parameters inside one batch are served
-  /// from the cache or coalesced behind the one in-flight execution.
-  /// Each query honours its own num_threads: its helper lanes queue on
-  /// the same pool behind busy runners, so a batch never runs more
-  /// threads than the pool has.
+  /// Admits every request through ExecuteAsync and invokes `done` once,
+  /// with the results positionally aligned with the requests, from the
+  /// thread that completes the last one (inline if all complete at
+  /// admission). Repeated parameters inside one batch are served from
+  /// the cache or coalesced behind the one in-flight execution. Each
+  /// query honours its own num_threads: its helper lanes queue on the
+  /// same pool behind busy runners, so a batch never runs more threads
+  /// than the pool has.
+  void ExecuteBatchAsync(const std::vector<QueryRequest>& requests,
+                         std::function<void(std::vector<QueryResult>)> done);
+
+  /// ExecuteBatchAsync plus a wait on the calling thread.
   std::vector<QueryResult> ExecuteBatch(
       const std::vector<QueryRequest>& requests);
 

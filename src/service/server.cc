@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <future>
 #include <istream>
 #include <mutex>
 #include <ostream>
@@ -130,36 +130,40 @@ std::string ServerSession::Tag(std::string json) const {
   return TagSessionJson(id_, std::move(json));
 }
 
-bool ServerSession::Handle(const std::string& line, std::string* response,
-                           bool* stop_server) {
+bool ServerSession::Handle(const std::string& line,
+                           std::shared_ptr<Reply> reply, bool* stop_server) {
   const RequestLine req = ParseRequestLine(line);
-  if (req.command.empty() || req.command[0] == '#') {
-    response->clear();
-    return true;
+  const std::string& command = req.command;
+  if (command == "query") {
+    bool stream = false;
+    auto built = BuildQueryRequest(req, &stream);
+    if (built.ok()) {
+      Query(std::move(built).value(), stream, std::move(reply));
+    } else {
+      reply->BadRequest(built.status());
+    }
+  } else if (command == "sweep") {
+    Sweep(req, std::move(reply));
+  } else if (command.empty() || command[0] == '#') {
+    reply->Done("");
+  } else {
+    if (command == "stop") *stop_server = true;
+    reply->Done(Tag(Dispatch(req)));
   }
-  if (req.command == "quit") {
-    *response = Tag("{\"ok\":true,\"cmd\":\"quit\"}");
-    return false;
-  }
-  if (req.command == "stop") {
-    *stop_server = true;
-    *response = Tag("{\"ok\":true,\"cmd\":\"stop\"}");
-    return false;
-  }
-  *response = Tag(Dispatch(req));
-  return true;
+  return command != "quit" && command != "stop";
 }
 
 std::string ServerSession::Dispatch(const RequestLine& req) {
-  if (req.command == "ping") return "{\"ok\":true,\"cmd\":\"ping\"}";
+  if (req.command == "ping" || req.command == "quit" ||
+      req.command == "stop") {
+    return "{\"ok\":true,\"cmd\":\"" + req.command + "\"}";
+  }
   if (req.command == "load") return Load(req);
   if (req.command == "gen") return Gen(req);
   if (req.command == "save") return Save(req);
   if (req.command == "drop") return Drop(req);
   if (req.command == "catalog") return Catalog();
   if (req.command == "cache") return Cache(req);
-  if (req.command == "query") return Query(req);
-  if (req.command == "sweep") return Sweep(req);
   if (req.command == "metrics") return Metrics();
   if (req.command == "trace") return Trace(req);
   return ErrorJson("unknown command: " + req.command);
@@ -316,51 +320,32 @@ std::string ServerSession::Catalog() {
   return os.str();
 }
 
-std::string ServerSession::Query(const RequestLine& req) {
-  bool stream = false;
-  auto built = BuildQueryRequest(req, &stream);
-  if (!built.ok()) return ErrorJson(built.status());
-  const QueryRequest query = std::move(built).value();
+void ServerSession::Query(QueryRequest query, bool stream,
+                          std::shared_ptr<Reply> reply) {
+  if (!reply->Admit(stream)) return;
+  // The completion holds the reply and the session id, not the session:
+  // a connection may close while its query runs.
+  auto done = [id = id_, query, reply](QueryResult result) {
+    std::string body;
+    {
+      // Retained traces get the response-serialization cost as a
+      // post-hoc span (a tail sibling of the root "query" span).
+      TraceSpan serialize_span(result.trace.get(), "serialize");
+      body = TagSessionJson(id, QueryResultJson(query, result));
+    }
+    reply->Done(std::move(body));
+  };
   if (!stream) {
-    QueryResult result = executor_.Execute(query);
-    // The serialize span lands in the already-retained recorder after the
-    // root "query" span closed — a sibling tail, not a child.
-    TraceSpan serialize_span(result.trace.get(), "serialize");
-    return QueryResultJson(query, result);
+    executor_.ExecuteAsync(query, std::move(done));
+    return;
   }
-  // `query ... stream=1` over a synchronous line stream: chunk lines are
-  // collected in arrival order and returned ahead of the final reply,
-  // one JSON object per line — the same framing the reactor writes
-  // progressively on TCP connections. Handle() tags the first returned
-  // line, so only the lines after it are tagged here.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool finished = false;
-  std::vector<std::string> lines;
-  QueryResult result;
   executor_.ExecuteStreaming(
       query,
-      [&](const StreamChunk& chunk) {
-        if (chunk.final) return;  // the reply line is the end marker.
-        std::lock_guard<std::mutex> lock(mu);
-        lines.push_back(StreamChunkJson(query, chunk));
+      [query, reply](const StreamChunk& chunk) {
+        // The reply line / kReplyEnd frame is the wire's end marker.
+        if (!chunk.final) reply->Chunk(query, chunk);
       },
-      [&](QueryResult r) {
-        std::lock_guard<std::mutex> lock(mu);
-        result = std::move(r);
-        finished = true;
-        cv.notify_one();
-      });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return finished; });
-  TraceSpan serialize_span(result.trace.get(), "serialize");
-  lines.push_back(QueryResultJson(query, result));
-  std::string out = lines.front();
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    out += '\n';
-    out += Tag(lines[i]);
-  }
-  return out;
+      std::move(done));
 }
 
 // `sweep` expands a parameter grid (comma lists) into one batch and
@@ -369,35 +354,37 @@ std::string ServerSession::Query(const RequestLine& req) {
 // count, and its helper lanes queue on the same workers. Response: one
 // JSON object with the per-query results, positionally aligned with the
 // grid in alphas-outer / betas / deltas-inner order.
-std::string ServerSession::Sweep(const RequestLine& req) {
+void ServerSession::Sweep(const RequestLine& req,
+                          std::shared_ptr<Reply> reply) {
   // Every grid point is read as a query line whose alpha/beta/delta come
   // from the lists, so `sweep alphas=-1` is refused like `alpha=-1`. A
   // scalar alpha/beta/delta is refused too: every point would override it.
+  auto fail = [&](std::string error) { reply->Done(Tag(std::move(error))); };
   const std::string fields[] = {"alpha", "beta", "delta"};
   std::vector<std::string> lists[3];
   RequestLine base = req;
   for (int i = 0; i < 3; ++i) {
     const std::string key = fields[i] + "s";
     if (req.args.count(fields[i]) > 0) {
-      return ErrorJson(Status::InvalidArgument("sweep does not take \"" +
-                                               fields[i] + "\""));
+      return fail(ErrorJson(Status::InvalidArgument("sweep does not take \"" +
+                                                    fields[i] + "\"")));
     }
     std::istringstream ss(Arg(req, key, i == 2 ? "0" : "1"));
     for (std::string token; std::getline(ss, token, ',');) {
       lists[i].push_back(token);
     }
     if (lists[i].empty()) {
-      return ErrorJson(
-          Status::InvalidArgument(key + " wants a nonempty comma list"));
+      return fail(ErrorJson(
+          Status::InvalidArgument(key + " wants a nonempty comma list")));
     }
     base.args.erase(key);
   }
   constexpr std::size_t kMaxSweep = 4096;
   if (lists[0].size() * lists[1].size() * lists[2].size() > kMaxSweep) {
-    return ErrorJson("sweep grid too large (max 4096 points)");
+    return fail(ErrorJson("sweep grid too large (max 4096 points)"));
   }
 
-  std::vector<QueryRequest> grid;
+  auto grid = std::make_shared<std::vector<QueryRequest>>();
   for (const std::string& alpha : lists[0]) {
     for (const std::string& beta : lists[1]) {
       for (const std::string& delta : lists[2]) {
@@ -406,20 +393,23 @@ std::string ServerSession::Sweep(const RequestLine& req) {
         point.args["beta"] = beta;
         point.args["delta"] = delta;
         auto built = BuildQueryRequest(point);
-        if (!built.ok()) return ErrorJson(built.status());
-        grid.push_back(std::move(built).value());
+        if (!built.ok()) return fail(ErrorJson(built.status()));
+        grid->push_back(std::move(built).value());
       }
     }
   }
-  std::vector<QueryResult> results = executor_.ExecuteBatch(grid);
-  std::ostringstream os;
-  os << "{\"ok\":true,\"cmd\":\"sweep\",\"queries\":" << grid.size()
-     << ",\"results\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    os << (i > 0 ? "," : "") << QueryResultJson(grid[i], results[i]);
-  }
-  os << "]}";
-  return os.str();
+  if (!reply->Admit(/*stream=*/false)) return;
+  executor_.ExecuteBatchAsync(
+      *grid, [id = id_, grid, reply](std::vector<QueryResult> results) {
+        std::ostringstream os;
+        os << "{\"ok\":true,\"cmd\":\"sweep\",\"queries\":" << grid->size()
+           << ",\"results\":[";
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          os << (i > 0 ? "," : "") << QueryResultJson((*grid)[i], results[i]);
+        }
+        os << "]}";
+        reply->Done(TagSessionJson(id, os.str()));
+      });
 }
 
 std::string ServerSession::EntryReply(const std::string& cmd,
@@ -430,24 +420,63 @@ std::string ServerSession::EntryReply(const std::string& cmd,
          "\",\"entry\":" + CatalogEntryJson(*entry) + "}";
 }
 
+namespace {
+
+/// ServeStream's reply: writes each line to `out` as it arrives, from
+/// whichever thread delivers it, and fulfils `answered` with the final
+/// one. stdin has no in-flight bound, so nothing is turned away.
+class StreamReply final : public ServerSession::Reply {
+ public:
+  StreamReply(std::ostream& out, std::uint64_t session)
+      : out_(out), session_(session) {}
+
+  bool Admit(bool /*stream*/) override { return true; }
+
+  void Chunk(const QueryRequest& query, const StreamChunk& chunk) override {
+    Write(TagSessionJson(session_, StreamChunkJson(query, chunk)));
+  }
+
+  void BadRequest(const Status& status) override {
+    Done(TagSessionJson(session_, ErrorJson(status)));
+  }
+
+  void Done(std::string reply) override {
+    if (!reply.empty()) Write(reply);
+    answered.set_value();
+  }
+
+  std::promise<void> answered;
+
+ private:
+  void Write(const std::string& line) {
+    std::lock_guard<std::mutex> lock(mu_);
+    out_ << line << "\n" << std::flush;
+  }
+
+  std::ostream& out_;
+  const std::uint64_t session_;
+  std::mutex mu_;
+};
+
+}  // namespace
+
 bool ServeStream(std::istream& in, std::ostream& out, ServerSession& session,
                  std::size_t max_request_bytes) {
   bool stop_server = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string response;
-    bool keep_going = true;
-    if (line.size() > max_request_bytes) {
-      response = TagSessionJson(
-          session.id(),
-          TypedErrorJson("too_large", "request line exceeds " +
-                                          std::to_string(max_request_bytes) +
-                                          " bytes"));
+  bool keep_going = true;
+  for (std::string line; keep_going && std::getline(in, line);) {
+    auto reply = std::make_shared<StreamReply>(out, session.id());
+    std::future<void> answered = reply->answered.get_future();
+    if (line.size() <= max_request_bytes) {
+      keep_going = session.Handle(line, reply, &stop_server);
     } else {
-      keep_going = session.Handle(line, &response, &stop_server);
+      reply->Done(TagSessionJson(
+          session.id(), TypedErrorJson("too_large",
+                                       "request line exceeds " +
+                                           std::to_string(max_request_bytes) +
+                                           " bytes")));
     }
-    if (!response.empty()) out << response << "\n" << std::flush;
-    if (!keep_going) break;
+    answered.wait();
   }
   return stop_server;
 }
@@ -457,9 +486,10 @@ bool ServeStream(std::istream& in, std::ostream& out, ServerSession& session,
 // ---------------------------------------------------------------------------
 
 /// All Connection state is touched ONLY on the owning reactor's thread;
-/// cross-thread inputs (new connections from the accept loop, async query
-/// completions from executor runner threads) arrive through the reactor's
-/// locked op queue + eventfd wakeup and are applied on the loop thread.
+/// cross-thread inputs (new connections from the accept loop, answers
+/// and stream chunks from executor runner threads) arrive through the
+/// reactor's locked op queue + eventfd wakeup and are applied on the
+/// loop thread.
 class Reactor {
  public:
   explicit Reactor(TcpServer& server) : server_(server) {}
@@ -489,35 +519,7 @@ class Reactor {
   /// Hands a freshly accepted (non-blocking, CLOEXEC, NODELAY) socket to
   /// this reactor. Called from the accept thread.
   void Adopt(int fd, std::uint64_t id) {
-    PostOp(Op{Op::kAdopt, fd, id, 0, {}, {}});
-  }
-
-  /// Delivers an async query result for connection `conn_id`'s response
-  /// slot `seq`. Called from executor runner threads (or inline from a
-  /// reactor thread on a cache hit); the slot's framing was fixed at
-  /// admission, only the body travels.
-  void PostCompletion(std::uint64_t conn_id, std::uint64_t seq,
-                      std::string body) {
-    PostOp(Op{Op::kComplete, -1, conn_id, seq, std::move(body), {}});
-  }
-
-  /// One stream chunk on its way to a connection: the shared encoded
-  /// body with its kReplyChunk header fields on binary connections, a
-  /// pre-tagged JSON line on line-protocol ones.
-  struct StreamPart {
-    std::uint64_t seq = 0;
-    std::uint64_t results_so_far = 0;
-    std::uint64_t nodes_so_far = 0;
-    ChunkBody body;
-    std::string line;
-  };
-
-  /// Delivers one stream chunk for connection `conn_id`'s slot `seq`. The
-  /// op queue is FIFO, so chunk order — and the final PostCompletion
-  /// after the last chunk — is inherited from the executor's per-stream
-  /// delivery order.
-  void PostChunk(std::uint64_t conn_id, std::uint64_t seq, StreamPart part) {
-    PostOp(Op{Op::kChunk, -1, conn_id, seq, {}, std::move(part)});
+    PostOp(Op{Op::kAdopt, fd, id, 0, wire::Opcode::kReply, {}, {}});
   }
 
   void RequestStop() {
@@ -548,6 +550,14 @@ class Reactor {
   }
 
  private:
+  /// One stream chunk on its way to a connection: the executor's chunk,
+  /// whose shared encoded body a binary connection frames as it is, or a
+  /// pre-tagged JSON line on line-protocol ones.
+  struct StreamPart {
+    StreamChunk chunk;
+    std::string line;
+  };
+
   struct Connection {
     Connection(GraphCatalog& catalog, QueryExecutor& executor, int fd_in,
                std::uint64_t id_in)
@@ -577,16 +587,13 @@ class Reactor {
     struct Slot {
       std::uint64_t seq = 0;
       bool ready = false;
-      bool binary = false;
-      /// Streaming query: chunk bodies flush as they arrive once the
-      /// slot reaches the front of the deque (progressive delivery,
-      /// still in request order); `ready` + `body` then close the stream
-      /// with a kReplyEnd frame / the regular reply line.
-      bool streaming = false;
       wire::Opcode opcode = wire::Opcode::kReply;
       std::uint64_t request_id = 0;
       std::string body;
-      /// Unflushed stream chunks, in stream order.
+      /// Unflushed stream chunks, in stream order: they flush as they
+      /// arrive once the slot reaches the front of the deque (progressive
+      /// delivery, still in request order); `ready` + `body` then close
+      /// the stream with a kReplyEnd frame / the regular reply line.
       std::vector<StreamPart> chunks;
     };
     std::deque<Slot> pending;
@@ -594,14 +601,104 @@ class Reactor {
     std::chrono::steady_clock::time_point last_activity;
   };
 
+  /// A new connection, or an answer or stream chunk for slot `seq` of
+  /// connection `conn_id`. The op queue is FIFO, so a stream's chunks and
+  /// its final answer keep the executor's per-stream delivery order.
   struct Op {
     enum Kind { kAdopt, kComplete, kChunk };
     Kind kind;
-    int fd;
+    int fd;  ///< kAdopt: the accepted socket.
     std::uint64_t conn_id;
     std::uint64_t seq;
+    /// kComplete: the binary frame the answer goes out as (kReply,
+    /// kReplyEnd closing a stream, or kError); line slots ignore it.
+    wire::Opcode opcode;
     std::string body;  ///< kComplete: the response body.
     StreamPart part;   ///< kChunk: the chunk.
+  };
+
+  /// The session's reply for one request: all it is given goes over the
+  /// op queue to slot (conn id, seq) — by id, so a connection that dies
+  /// mid-query just drops it. Admit takes one max_inflight ticket per
+  /// query or sweep; Done gives it back once the answer is posted.
+  class SlotReply final : public ServerSession::Reply {
+   public:
+    SlotReply(Reactor& reactor, std::uint64_t conn_id, std::uint64_t seq,
+              bool binary)
+        : reactor_(reactor), conn_id_(conn_id), seq_(seq), binary_(binary) {}
+
+    bool Admit(bool stream) override {
+      TcpServer& server = reactor_.server_;
+      const unsigned limit = server.options_.max_inflight;
+      const unsigned current =
+          server.inflight_.fetch_add(1, std::memory_order_acq_rel);
+      if (limit != 0 && current >= limit) {
+        server.inflight_.fetch_sub(1, std::memory_order_release);
+        Fail(wire::ErrorCode::kBusy,
+             "server busy: max-inflight=" + std::to_string(limit));
+        return false;
+      }
+      server.inflight_gauge_->Increment();
+      ticket_ = true;
+      stream_ = stream;
+      return true;
+    }
+
+    void Chunk(const QueryRequest& query, const StreamChunk& chunk) override {
+      StreamPart part;
+      if (binary_) {
+        part.chunk = chunk;
+      } else {
+        part.line = TagSessionJson(conn_id_, StreamChunkJson(query, chunk));
+      }
+      reactor_.PostOp(Op{Op::kChunk, -1, conn_id_, seq_, wire::Opcode::kReply,
+                         {}, std::move(part)});
+    }
+
+    void BadRequest(const Status& status) override {
+      // The line protocol's historical bad-query shape (no "code" field)
+      // — old clients parse it, the smoke oracle diffs it.
+      if (binary_) return Fail(wire::ErrorCode::kBadRequest, status.message());
+      Done(TagSessionJson(conn_id_, ErrorJson(status)));
+    }
+
+    void Done(std::string reply) override {
+      TcpServer& server = reactor_.server_;
+      Complete(stream_ ? wire::Opcode::kReplyEnd : wire::Opcode::kReply,
+               std::move(reply));
+      if (!ticket_) return;
+      // Release the ticket only AFTER the post: Serve()'s drain waits for
+      // inflight_ == 0 and may tear the server down right after, so the
+      // post — and every other touch of the server, the gauge included —
+      // must already have landed.
+      server.inflight_gauge_->Decrement();
+      server.inflight_.fetch_sub(1, std::memory_order_release);
+    }
+
+    /// A typed error: a kError frame, or the line protocol's {"code":...}
+    /// JSON. Every typed error funnels through here, so this is the one
+    /// place the per-code error counters are bumped.
+    void Fail(wire::ErrorCode code, const std::string& message) {
+      const char* name = wire::ToString(code);
+      reactor_.server_.ErrorCounter(name)->Increment();
+      Complete(wire::Opcode::kError,
+               binary_
+                   ? wire::EncodeErrorPayload(code, message)
+                   : TagSessionJson(conn_id_, TypedErrorJson(name, message)));
+    }
+
+    void Complete(wire::Opcode opcode, std::string body) {
+      reactor_.PostOp(Op{Op::kComplete, -1, conn_id_, seq_, opcode,
+                         std::move(body), {}});
+    }
+
+   private:
+    Reactor& reactor_;
+    const std::uint64_t conn_id_;
+    const std::uint64_t seq_;
+    const bool binary_;
+    bool ticket_ = false;  ///< Admit took a max_inflight ticket.
+    bool stream_ = false;  ///< an admitted stream: Done ends it.
   };
 
   void PostOp(Op op) {
@@ -700,17 +797,16 @@ class Reactor {
         // simply dropped — the executor already accounted for it.
         auto it = conns_.find(op.conn_id);
         if (it == conns_.end()) continue;
-        Connection* c = it->second.get();
-        for (Connection::Slot& slot : c->pending) {
-          if (slot.seq == op.seq) {
-            if (op.kind == Op::kChunk) {
-              slot.chunks.push_back(std::move(op.part));
-            } else {
-              slot.body = std::move(op.body);
-              slot.ready = true;
-            }
-            break;
+        for (Connection::Slot& slot : it->second->pending) {
+          if (slot.seq != op.seq) continue;
+          if (op.kind == Op::kChunk) {
+            slot.chunks.push_back(std::move(op.part));
+          } else {
+            slot.opcode = op.opcode;
+            slot.body = std::move(op.body);
+            slot.ready = true;
           }
+          break;
         }
         touched.push_back(op.conn_id);
       }
@@ -807,11 +903,9 @@ class Reactor {
         // hostile newline-free stream from allocating without bound).
         if (nl > max_request) {  // npos > max, so this covers both.
           if (nl != std::string::npos || c->rbuf.size() > max_request) {
-            Connection::Slot& slot = NewSlot(c, /*binary=*/false,
-                                             wire::Opcode::kReply, 0);
-            FillError(c, &slot, wire::ErrorCode::kTooLarge,
-                      "request line exceeds " + std::to_string(max_request) +
-                          " bytes");
+            NewReply(c, 0)->Fail(wire::ErrorCode::kTooLarge,
+                                 "request line exceeds " +
+                                     std::to_string(max_request) + " bytes");
             c->stop_reading = true;
             c->close_after_flush = true;
           }
@@ -820,7 +914,7 @@ class Reactor {
         std::string line = c->rbuf.substr(0, nl);
         c->rbuf.erase(0, nl + 1);
         while (!line.empty() && line.back() == '\r') line.pop_back();
-        HandleCommandText(c, line, /*binary=*/false, 0);
+        HandleCommandText(c, line, 0);
       } else {
         wire::Frame frame;
         std::size_t consumed = 0;
@@ -830,9 +924,7 @@ class Reactor {
         if (decoded.status == wire::FrameStatus::kBad) {
           // A corrupt length-prefixed stream cannot be resynchronized:
           // one typed error frame, then hang up.
-          Connection::Slot& slot =
-              NewSlot(c, /*binary=*/true, wire::Opcode::kError, 0);
-          FillError(c, &slot, decoded.code, decoded.message);
+          NewReply(c, 0)->Fail(decoded.code, decoded.message);
           c->stop_reading = true;
           c->close_after_flush = true;
           break;
@@ -844,80 +936,27 @@ class Reactor {
     return Flush(c);
   }
 
-  Connection::Slot& NewSlot(Connection* c, bool binary, wire::Opcode opcode,
-                            std::uint64_t request_id) {
-    Connection::Slot slot;
-    slot.seq = c->next_seq++;
-    slot.binary = binary;
-    slot.opcode = opcode;
-    slot.request_id = request_id;
-    c->pending.push_back(std::move(slot));
-    return c->pending.back();
+  static bool Binary(const Connection* c) {
+    return c->proto == Connection::Proto::kBinary;
   }
 
-  /// Formats a typed error into `slot` in the connection's own protocol:
-  /// a kError frame, or the line protocol's {"code":...} JSON (same
-  /// category strings on both sides).
-  void FillError(Connection* c, Connection::Slot* slot, wire::ErrorCode code,
-                 const std::string& message) {
-    // Every typed error funnels through here, so this is the one place
-    // the per-code error counters are bumped.
-    server_.ErrorCounter(wire::ToString(code))->Increment();
-    slot->streaming = false;  // errors are single-frame, never kReplyEnd.
-    if (slot->binary) {
-      slot->opcode = wire::Opcode::kError;
-      slot->body = wire::EncodeErrorPayload(code, message);
-    } else {
-      slot->body =
-          TagSessionJson(c->id, TypedErrorJson(wire::ToString(code), message));
-    }
-    slot->ready = true;
+  /// A reply into a fresh response slot. Binary framing answers EVERY
+  /// request frame (pipelined clients match responses positionally / by
+  /// id); a line slot left empty (a blank line or comment) writes nothing.
+  std::shared_ptr<SlotReply> NewReply(Connection* c, std::uint64_t request_id) {
+    const std::uint64_t seq = c->next_seq++;
+    c->pending.push_back(
+        Connection::Slot{seq, false, wire::Opcode::kReply, request_id, {}, {}});
+    return std::make_shared<SlotReply>(*this, c->id, seq, Binary(c));
   }
 
-  /// One request line — from the line protocol or a kCommand frame.
-  /// Queries go async; everything else dispatches inline through the
-  /// shared ServerSession, where `sweep` parks this thread until its
-  /// batch has run (see TcpServer).
-  void HandleCommandText(Connection* c, const std::string& line, bool binary,
+  /// One request line — from the line protocol or a kCommand frame —
+  /// handed to the connection's session.
+  void HandleCommandText(Connection* c, const std::string& line,
                          std::uint64_t request_id) {
-    const RequestLine req = ParseRequestLine(line);
-    if (req.command == "query") {
-      Connection::Slot& slot =
-          NewSlot(c, binary, wire::Opcode::kReply, request_id);
-      bool stream = false;
-      auto built = BuildQueryRequest(req, &stream);
-      if (!built.ok()) {
-        if (binary) {
-          FillError(c, &slot, wire::ErrorCode::kBadRequest,
-                    built.status().message());
-        } else {
-          // The line protocol's historical bad-query shape (no "code"
-          // field) — old clients parse it, the smoke oracle diffs it.
-          slot.body = TagSessionJson(c->id, ErrorJson(built.status()));
-          slot.ready = true;
-        }
-        return;
-      }
-      AdmitQuery(c, &slot, std::move(built).value(), stream);
-      return;
-    }
-    std::string response;
     bool stop_server = false;
-    const bool keep_going = c->session.Handle(line, &response, &stop_server);
-    if (binary) {
-      // Binary framing answers EVERY request frame (pipelined clients
-      // match responses positionally / by id), even where the line
-      // protocol stays silent on blanks and comments.
-      Connection::Slot& slot =
-          NewSlot(c, /*binary=*/true, wire::Opcode::kReply, request_id);
-      slot.body = std::move(response);
-      slot.ready = true;
-    } else if (!response.empty()) {
-      Connection::Slot& slot =
-          NewSlot(c, /*binary=*/false, wire::Opcode::kReply, 0);
-      slot.body = std::move(response);
-      slot.ready = true;
-    }
+    const bool keep_going = c->session.Handle(
+        line, NewReply(c, request_id), &stop_server);
     if (stop_server) server_.RequestStop();
     if (!keep_going) {
       c->stop_reading = true;
@@ -927,104 +966,35 @@ class Reactor {
 
   void HandleFrame(Connection* c, wire::Frame& frame) {
     switch (frame.opcode) {
-      case wire::Opcode::kPing: {
-        Connection::Slot& slot =
-            NewSlot(c, /*binary=*/true, wire::Opcode::kPong, frame.request_id);
-        slot.ready = true;
+      case wire::Opcode::kPing:
+        NewReply(c, frame.request_id)->Complete(wire::Opcode::kPong, "");
         return;
-      }
       case wire::Opcode::kCommand:
-        HandleCommandText(c, frame.payload, /*binary=*/true, frame.request_id);
+        HandleCommandText(c, frame.payload, frame.request_id);
         return;
       case wire::Opcode::kQuery: {
-        Connection::Slot& slot = NewSlot(c, /*binary=*/true,
-                                         wire::Opcode::kReply,
-                                         frame.request_id);
+        std::shared_ptr<SlotReply> reply =
+            NewReply(c, frame.request_id);
         bool stream = false;
         auto built = wire::DecodeQueryPayload(frame.payload, &stream);
-        if (!built.ok()) {
-          FillError(c, &slot, wire::ErrorCode::kBadRequest,
-                    built.status().message());
-          return;
+        if (built.ok()) {
+          c->session.Query(std::move(built).value(), stream, std::move(reply));
+        } else {
+          reply->BadRequest(built.status());
         }
-        AdmitQuery(c, &slot, std::move(built).value(), stream);
         return;
       }
       default: {
         // DecodeFrame admits response opcodes (clients must decode
         // them), but a client sending one AT the server is confused.
-        Connection::Slot& slot =
-            NewSlot(c, /*binary=*/true, wire::Opcode::kError,
-                    frame.request_id);
-        FillError(c, &slot, wire::ErrorCode::kBadFrame,
-                  "response opcode sent to server");
+        NewReply(c, frame.request_id)
+            ->Fail(wire::ErrorCode::kBadFrame,
+                   "response opcode sent to server");
         c->stop_reading = true;
         c->close_after_flush = true;
         return;
       }
     }
-  }
-
-  /// Admission + async dispatch for one query. The slot is addressed by
-  /// (conn id, seq) — NOT by pointer — so a connection that dies while
-  /// the query runs just drops the completion.
-  void AdmitQuery(Connection* c, Connection::Slot* slot, QueryRequest query,
-                  bool stream) {
-    const unsigned limit = server_.options_.max_inflight;
-    unsigned current = server_.inflight_.fetch_add(1, std::memory_order_acq_rel);
-    if (limit != 0 && current >= limit) {
-      server_.inflight_.fetch_sub(1, std::memory_order_release);
-      FillError(c, slot, wire::ErrorCode::kBusy,
-                "server busy: max-inflight=" + std::to_string(limit));
-      return;
-    }
-    server_.inflight_gauge_->Increment();
-    TcpServer* server = &server_;
-    Reactor* self = this;
-    const std::uint64_t conn_id = c->id;
-    const std::uint64_t seq = slot->seq;
-    auto complete = [server, self, conn_id, seq, query](QueryResult result) {
-      std::string body;
-      {
-        // Retained traces get the response-serialization cost as a
-        // post-hoc span (a tail sibling of the root "query" span).
-        TraceSpan serialize_span(result.trace.get(), "serialize");
-        body = TagSessionJson(conn_id, QueryResultJson(query, result));
-      }
-      // Post BEFORE releasing the in-flight ticket: Serve()'s drain
-      // epilogue waits for inflight_ == 0 and may tear the server
-      // down right after, so the post — and every other touch of
-      // *server, the gauge included — must already have landed.
-      self->PostCompletion(conn_id, seq, std::move(body));
-      server->inflight_gauge_->Decrement();
-      server->inflight_.fetch_sub(1, std::memory_order_release);
-    };
-    if (!stream) {
-      server_.executor_.ExecuteAsync(query, std::move(complete));
-      return;
-    }
-    slot->streaming = true;
-    const bool binary = slot->binary;
-    server_.executor_.ExecuteStreaming(
-        query,
-        [self, conn_id, seq, binary,
-         query](const StreamChunk& chunk) {
-          // The executor's empty end-of-stream marker is dropped: the
-          // kReplyEnd frame / regular reply line is the wire's marker.
-          if (chunk.final) return;
-          StreamPart part;
-          if (binary) {
-            // The body travels as encoded; the reactor only frames it.
-            part.seq = chunk.seq;
-            part.results_so_far = chunk.results_so_far;
-            part.nodes_so_far = chunk.nodes_so_far;
-            part.body = chunk.body;
-          } else {
-            part.line = TagSessionJson(conn_id, StreamChunkJson(query, chunk));
-          }
-          self->PostChunk(conn_id, seq, std::move(part));
-        },
-        std::move(complete));
   }
 
   /// Moves ready-in-order responses into wbuf and writes as much as the
@@ -1037,13 +1007,14 @@ class Reactor {
       // Stream chunks flush as soon as their slot reaches the front:
       // progressive delivery without ever reordering responses.
       for (const StreamPart& part : slot.chunks) {
-        if (slot.binary) {
-          const std::string& body = *part.body.bytes;
+        if (Binary(c)) {
+          const StreamChunk& chunk = part.chunk;
+          const std::string& body = *chunk.body.bytes;
           wire::AppendFrameHeader(&c->wbuf, wire::Opcode::kReplyChunk,
                                   slot.request_id,
                                   wire::kChunkHeaderBytes + body.size());
-          wire::AppendChunkPayload(&c->wbuf, part.seq, part.results_so_far,
-                                   part.nodes_so_far, body);
+          wire::AppendChunkPayload(&c->wbuf, chunk.seq, chunk.results_so_far,
+                                   chunk.nodes_so_far, body);
         } else {
           c->wbuf += part.line;
           c->wbuf += '\n';
@@ -1051,12 +1022,10 @@ class Reactor {
       }
       slot.chunks.clear();
       if (!slot.ready) break;  // response (or stream tail) still pending.
-      if (slot.binary) {
-        wire::Frame frame;
-        frame.opcode = slot.streaming ? wire::Opcode::kReplyEnd : slot.opcode;
-        frame.request_id = slot.request_id;
-        frame.payload = std::move(slot.body);
-        wire::EncodeFrame(frame, &c->wbuf);
+      if (Binary(c)) {
+        wire::AppendFrameHeader(&c->wbuf, slot.opcode, slot.request_id,
+                                slot.body.size());
+        c->wbuf += slot.body;
       } else if (!slot.body.empty()) {
         c->wbuf += slot.body;
         c->wbuf += '\n';

@@ -88,22 +88,45 @@ Result<QueryRequest> BuildQueryRequest(const RequestLine& req,
 
 /// Prefixes `"session":id` into a `{...}` response object (identity on
 /// anything that is not an object). Every per-session response emitter —
-/// ServerSession and the reactor's async query completions — goes
+/// ServerSession and the front ends' stream chunk and error lines — goes
 /// through this one function so the tag format cannot drift.
 std::string TagSessionJson(std::uint64_t id, std::string json);
 
 /// One server session: shares the catalog/executor (and therefore the
 /// result cache and single-flight table) with every other session; owns
-/// nothing but its id.
+/// nothing but its id. It is the one place that admits queries and
+/// sweeps, only asynchronously: no thread that calls it waits on a query.
 class ServerSession {
  public:
+  /// Where one request's answer goes; the front end frames it. A query
+  /// or sweep answers from the executor thread that finishes it (inline
+  /// on a cache hit), anything else before Handle returns: one
+  /// BadRequest or Done per request, unless Admit turns it away.
+  class Reply {
+   public:
+    virtual ~Reply() = default;
+    /// Called before a query (`stream`: a `stream=1` one) or sweep that
+    /// read is admitted. False: the front end has answered it (`busy`).
+    virtual bool Admit(bool stream) = 0;
+    /// A stream's result chunk, in order; never the end-of-stream marker.
+    virtual void Chunk(const QueryRequest& query, const StreamChunk& chunk) = 0;
+    /// A `query` whose request does not read.
+    virtual void BadRequest(const Status& status) = 0;
+    /// The final reply, tagged; "" for a blank line or comment.
+    virtual void Done(std::string reply) = 0;
+  };
+
   ServerSession(GraphCatalog& catalog, QueryExecutor& executor,
                 std::uint64_t id);
 
-  /// Handles one request line. Returns false when the session ends
-  /// (quit/stop); `stop_server` is latched by `stop`.
-  bool Handle(const std::string& line, std::string* response,
+  /// Handles one request line, answering through `reply`. Returns false
+  /// when the session ends (quit/stop); `stop` latches `stop_server`.
+  bool Handle(const std::string& line, std::shared_ptr<Reply> reply,
               bool* stop_server);
+
+  /// Admits one query that has already read: a `query` line after
+  /// BuildQueryRequest, or a binary kQuery frame.
+  void Query(QueryRequest query, bool stream, std::shared_ptr<Reply> reply);
 
   std::uint64_t id() const { return id_; }
 
@@ -115,8 +138,7 @@ class ServerSession {
   std::string Drop(const RequestLine& req);
   std::string Catalog();
   std::string Cache(const RequestLine& req);
-  std::string Query(const RequestLine& req);
-  std::string Sweep(const RequestLine& req);
+  void Sweep(const RequestLine& req, std::shared_ptr<Reply> reply);
   std::string Metrics();
   std::string Trace(const RequestLine& req);
   std::string EntryReply(const std::string& cmd, const std::string& name);
@@ -132,9 +154,10 @@ class ServerSession {
 /// client cannot drive unbounded allocation.
 inline constexpr std::size_t kDefaultMaxRequestBytes = 1 << 20;
 
-/// Serves one already-open line stream (the stdin/stdout mode). Returns
-/// true when the session ended via `stop` (server shutdown requested),
-/// false on `quit` or end of stream. Lines longer than
+/// Serves one already-open line stream (the stdin/stdout mode), writing
+/// each answer line as it arrives and reading the next request after the
+/// final one. Returns true when the session ended via `stop` (server
+/// shutdown requested), false on `quit` or end of stream. Lines longer than
 /// `max_request_bytes` get a typed "too_large" error and are not
 /// dispatched (the stream keeps going — stdin is a trusted local pipe,
 /// unlike a TCP peer, whose connection is closed instead).
@@ -150,10 +173,10 @@ struct TcpServerOptions {
   /// Reactor (event-loop) threads multiplexing all connections;
   /// 0 = min(4, hardware threads).
   unsigned reactor_threads = 0;
-  /// Global bound on admitted-but-uncompleted query requests (leaders
-  /// AND coalesced duplicates, across all connections). Requests beyond
-  /// it get a typed "busy" error instead of queueing unboundedly.
-  /// 0 = unlimited.
+  /// Global bound on admitted-but-unanswered queries and sweeps (leaders
+  /// AND coalesced duplicates, across all connections; a sweep counts
+  /// once). Requests beyond it get a typed "busy" error instead of
+  /// queueing unboundedly. 0 = unlimited.
   unsigned max_inflight = 256;
   /// Per-request size cap: a line longer than this, or a binary frame
   /// whose header announces a larger payload, draws a typed "too_large"
@@ -177,23 +200,19 @@ class Reactor;
 /// requests without reading; responses are delivered strictly in request
 /// order per connection.
 ///
-/// Queries never run on a reactor thread: they are admitted through
-/// QueryExecutor::ExecuteAsync (or ExecuteStreaming for `stream=1` /
-/// stream-flagged kQuery frames, whose chunks hop back the same way and
-/// flush progressively once their response slot reaches the front of the
-/// per-connection queue) against the global in-flight bound, and
-/// their completions hop back to the owning reactor over a cross-thread
-/// op queue (eventfd wakeup). No executor runner ever parks waiting on
-/// another query (see QueryExecutor's completion-list single-flight).
-/// Every other command dispatches inline through ServerSession, `sweep`
-/// included: it runs its grid through QueryExecutor::ExecuteBatch, so the
-/// reactor thread parks until the whole grid has run, and every other
-/// connection pinned to that reactor waits with it.
+/// Every request goes to the connection's ServerSession with a reply
+/// into its response slot, and no reactor thread ever waits on a query:
+/// queries and sweeps are admitted against the global in-flight bound
+/// and run on the executor. Answers, and a `stream=1` query's chunks
+/// (framed as encoded on binary connections, flushed progressively once
+/// their slot reaches the front of the queue), reach the owning reactor
+/// over its op queue (eventfd wakeup).
 ///
 /// Shutdown: `stop` (from any session) or RequestStop() stops the accept
 /// loop race-free (shutdown(2) on the listener wakes a blocked accept)
 /// and Serve() then drains — every reactor keeps serving its live
-/// connections until they close, then exits — before returning.
+/// connections until they close, then exits, and every admitted query
+/// and sweep has answered — before returning.
 class TcpServer {
  public:
   TcpServer(GraphCatalog& catalog, QueryExecutor& executor,
@@ -247,7 +266,7 @@ class TcpServer {
   Counter* server_full_;  ///< connections turned away at max_sessions.
   Counter* sessions_metric_;  ///< sessions admitted (mirrors counter).
   Gauge* conns_gauge_;  ///< live connections (mirrors active_conns_).
-  Gauge* inflight_gauge_;  ///< admitted query requests (mirrors inflight_).
+  Gauge* inflight_gauge_;  ///< queries and sweeps admitted (mirrors inflight_).
   int listener_ = -1;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
@@ -255,7 +274,7 @@ class TcpServer {
   std::atomic<std::uint64_t> sessions_started_{0};
   /// Live connections across all reactors (admission vs. max_sessions).
   std::atomic<unsigned> active_conns_{0};
-  /// Admitted-but-uncompleted async query requests (admission vs.
+  /// Admitted-but-unanswered queries and sweeps (admission vs.
   /// max_inflight, and the Serve() epilogue's completion drain).
   std::atomic<unsigned> inflight_{0};
   std::vector<std::unique_ptr<Reactor>> reactors_;

@@ -295,6 +295,20 @@ TEST(CliEndToEnd, UnparsableFlagValuesAreUsageErrors) {
   EXPECT_EQ(gen.exit_code, 2) << gen.output;
   EXPECT_NE(gen.output.find("--nu has an unparsable value"), std::string::npos)
       << gen.output;
+  // Malformed flag syntax is a usage error too; these exited 1.
+  const std::string cli = FAIRBC_CLI_PATH;
+  const std::string server = std::string("timeout 60 ") + FAIRBC_SERVER_PATH;
+  const std::string syntax[][3] = {
+      {cli, "enum --graph=" + graph + " --", "bare '--' is not a valid flag"},
+      {cli, "enum --graph=" + graph + " --=3", "flag with empty name"},
+      {server, "-- < /dev/null", "bare '--' is not a valid flag"},
+      {server, "--preload=nameonly < /dev/null", "--preload wants NAME=PATH"},
+  };
+  for (const auto& [tool, args, message] : syntax) {
+    CommandResult r = RunTool(tool, args);
+    EXPECT_EQ(r.exit_code, 2) << tool << " " << args << ": " << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
+  }
 }
 
 // A budget outside the window both server front doors accept (finite and

@@ -25,6 +25,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "graph/generators.h"
@@ -33,6 +34,7 @@
 #include "service/query_executor.h"
 #include "service/response_json.h"
 #include "service/wire.h"
+#include "session_test_util.h"
 
 namespace fairbc {
 namespace {
@@ -155,7 +157,7 @@ TEST(BuildQueryRequestTest, RejectsUnknownKeys) {
   for (const char* line : {"sweep graph=g alphas=2 top_kk=3",
                            "sweep graph=g alphas=2,3 beta=2",
                            "query graph=g alpah=5"}) {
-    ASSERT_TRUE(session.Handle(line, &response, &stop));
+    ASSERT_TRUE(testing::HandleLine(session, line, &response, &stop));
     EXPECT_EQ(JsonField(response, "ok"), "false") << line << response;
     EXPECT_NE(response.find("does not take"), std::string::npos) << response;
   }
@@ -170,13 +172,14 @@ TEST(ServerSessionTest, SweepRejectsNegativeAndMalformedLists) {
   bool stop = false;
   std::string response;
   // The original bug: std::stoul("-1") wraps instead of failing.
-  ASSERT_TRUE(session.Handle("sweep graph=g alphas=-1", &response, &stop));
+  ASSERT_TRUE(testing::HandleLine(session, "sweep graph=g alphas=-1",
+                                  &response, &stop));
   EXPECT_EQ(JsonField(response, "ok"), "false") << response;
-  ASSERT_TRUE(
-      session.Handle("sweep graph=g alphas=1,zap betas=2", &response, &stop));
+  ASSERT_TRUE(testing::HandleLine(session, "sweep graph=g alphas=1,zap betas=2",
+                                  &response, &stop));
   EXPECT_EQ(JsonField(response, "ok"), "false") << response;
-  ASSERT_TRUE(session.Handle("sweep graph=g alphas=2 betas=2 deltas=1,2",
-                             &response, &stop));
+  ASSERT_TRUE(testing::HandleLine(
+      session, "sweep graph=g alphas=2 betas=2 deltas=1,2", &response, &stop));
   EXPECT_EQ(JsonField(response, "ok"), "true") << response;
   EXPECT_EQ(JsonField(response, "queries"), "2");
   EXPECT_EQ(JsonField(response, "session"), "7");
@@ -188,7 +191,8 @@ TEST(ServerSessionTest, QueryErrorsCarrySessionIdAndOkFalse) {
   ServerSession session(catalog, executor, /*id=*/3);
   bool stop = false;
   std::string response;
-  ASSERT_TRUE(session.Handle("query graph=g alpha=-1", &response, &stop));
+  ASSERT_TRUE(testing::HandleLine(session, "query graph=g alpha=-1", &response,
+                                  &stop));
   EXPECT_EQ(JsonField(response, "ok"), "false");
   EXPECT_EQ(JsonField(response, "session"), "3");
   EXPECT_NE(response.find("alpha"), std::string::npos);
@@ -277,6 +281,14 @@ class LineClient {
   std::string Ask(const std::string& line) {
     if (!Send(line)) return "";
     return RecvLine();
+  }
+
+  /// Bounds every later read: RecvLine gives "" after `ms` of silence.
+  void SetRecvTimeout(int ms) {
+    timeval tv{};
+    tv.tv_sec = ms / 1000;
+    tv.tv_usec = (ms % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   }
 
  private:
@@ -591,6 +603,149 @@ TEST(TcpServerTest, CacheCommandReportsCoalescedCounter) {
             static_cast<unsigned long>(kClients - 1))
       << cache;
   client.Ask("quit");
+}
+
+/// Holds the execution of every query with alpha == 3 until Release():
+/// a sweep over alphas=2,3 then has one point in flight on demand.
+class AlphaThreeGate {
+ public:
+  explicit AlphaThreeGate(QueryExecutor& executor) : executor_(executor) {
+    executor_.SetExecuteHook([this](const QueryRequest& req) {
+      if (req.params.alpha != 3) return;
+      entered_.fetch_add(1);
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return released_; });
+    });
+  }
+  ~AlphaThreeGate() {
+    Release();
+    executor_.SetExecuteHook(nullptr);
+  }
+
+  void WaitEntered() {
+    while (entered_.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  QueryExecutor& executor_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+  std::atomic<int> entered_{0};
+};
+
+/// The per-point query objects of a sweep reply, in grid order.
+std::vector<std::string> SweepPoints(const std::string& reply) {
+  std::vector<std::string> points;
+  const std::string marker = "{\"ok\":true,\"cmd\":\"query\"";
+  for (std::size_t at = reply.find(marker); at != std::string::npos;) {
+    const std::size_t next = reply.find(marker, at + 1);
+    points.push_back(reply.substr(at, next - at));
+    at = next;
+  }
+  return points;
+}
+
+/// A sweep is admitted like a query: while one of its points runs, the
+/// reactor that owns its connection keeps serving every other connection
+/// (one reactor thread, so a parked reactor would leave the ping
+/// unanswered), and the sweep's answer equals separate queries.
+TEST(TcpServerTest, SweepDoesNotStallItsReactor) {
+  TcpServerOptions tcp;
+  tcp.reactor_threads = 1;
+  ServerFixture fx(tcp);
+  ASSERT_TRUE(fx.catalog().AddGraph("g", ServerTestGraph()).ok());
+  auto gate = std::make_unique<AlphaThreeGate>(fx.executor());
+
+  LineClient sweeper(fx.port());
+  ASSERT_TRUE(sweeper.connected());
+  ASSERT_TRUE(sweeper.Send("sweep graph=g alphas=2,3 betas=2 deltas=1"));
+  gate->WaitEntered();
+
+  LineClient other(fx.port());
+  ASSERT_TRUE(other.connected());
+  other.SetRecvTimeout(5000);
+  const std::string pong = other.Ask("ping");
+  gate->Release();
+  EXPECT_EQ(JsonField(pong, "ok"), "true")
+      << "ping unanswered while a sweep point was held";
+
+  const std::string sweep = sweeper.RecvLine();
+  EXPECT_EQ(JsonField(sweep, "ok"), "true") << sweep;
+  EXPECT_EQ(JsonField(sweep, "queries"), "2") << sweep;
+  const std::vector<std::string> points = SweepPoints(sweep);
+  ASSERT_EQ(points.size(), 2u) << sweep;
+  LineClient oracle(fx.port());
+  ASSERT_TRUE(oracle.connected());
+  for (int i = 0; i < 2; ++i) {
+    const std::string alpha = std::to_string(2 + i);
+    const std::string single =
+        oracle.Ask("query graph=g alpha=" + alpha + " beta=2 delta=1 cache=0");
+    ASSERT_EQ(JsonField(single, "ok"), "true") << single;
+    EXPECT_EQ(JsonField(points[i], "alpha"), alpha) << points[i];
+    EXPECT_EQ(JsonField(points[i], "count"), JsonField(single, "count"));
+    EXPECT_EQ(JsonField(points[i], "digest"), JsonField(single, "digest"));
+  }
+  gate.reset();
+  sweeper.Ask("quit");
+  other.Ask("quit");
+  oracle.Ask("quit");
+}
+
+/// A held sweep holds one max-inflight ticket: with max_inflight = 1 a
+/// query is turned away busy while pings still answer, and a `stop` from
+/// another connection drains the sweep — Serve() returns only after the
+/// sweep's client has read its whole answer and gone.
+TEST(TcpServerTest, HeldSweepDrawsBusyAndDrainsBeforeServeReturns) {
+  TcpServerOptions tcp;
+  tcp.max_inflight = 1;
+  ServerFixture fx(tcp);
+  ASSERT_TRUE(fx.catalog().AddGraph("g", ServerTestGraph()).ok());
+  AlphaThreeGate gate(fx.executor());
+
+  LineClient sweeper(fx.port());
+  ASSERT_TRUE(sweeper.connected());
+  ASSERT_TRUE(sweeper.Send("sweep graph=g alphas=2,3 betas=2 deltas=1"));
+  gate.WaitEntered();
+
+  LineClient line(fx.port());
+  ASSERT_TRUE(line.connected());
+  line.SetRecvTimeout(5000);
+  const std::string busy = line.Ask("query graph=g alpha=4 beta=2 delta=1");
+  EXPECT_EQ(JsonField(busy, "ok"), "false") << busy;
+  EXPECT_EQ(JsonField(busy, "code"), "busy") << busy;
+  EXPECT_EQ(JsonField(line.Ask("ping"), "ok"), "true");
+
+  {
+    LineClient stopper(fx.port());
+    ASSERT_TRUE(stopper.connected());
+    stopper.SetRecvTimeout(5000);
+    EXPECT_EQ(JsonField(stopper.Ask("stop"), "cmd"), "stop");
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(fx.serve_returned()) << "drain must wait for the held sweep";
+
+  gate.Release();
+  const std::string sweep = sweeper.RecvLine();
+  EXPECT_EQ(JsonField(sweep, "ok"), "true") << sweep;
+  EXPECT_EQ(SweepPoints(sweep).size(), 2u) << sweep;
+  EXPECT_FALSE(fx.serve_returned()) << "drain must wait for live sessions";
+  sweeper.Ask("quit");
+  line.Ask("quit");
+  for (int i = 0; i < 500 && !fx.serve_returned(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(fx.serve_returned());
 }
 
 // --- binary protocol over the shared port -----------------------------------

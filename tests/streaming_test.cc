@@ -40,6 +40,7 @@
 #include "service/query_executor.h"
 #include "service/server.h"
 #include "service/wire.h"
+#include "session_test_util.h"
 #include "test_util.h"
 
 namespace fairbc {
@@ -870,7 +871,8 @@ TEST(ServerStreamingTest, LineProtocolChunksCarryRequestIdAndEndMarker) {
 
   std::string response;
   bool stop = false;
-  ASSERT_TRUE(session.Handle(
+  ASSERT_TRUE(testing::HandleLine(
+      session,
       "query graph=g model=ssfbc algo=pp alpha=3 beta=3 delta=1 cache=0 "
       "stream=1 rid=abc-123",
       &response, &stop));
@@ -906,27 +908,30 @@ TEST(ServerStreamingTest, TraceAndCacheArgumentsAreStrictlyValidated) {
   std::string response;
   bool stop = false;
 
-  ASSERT_TRUE(session.Handle("trace bogus=1", &response, &stop));
+  ASSERT_TRUE(
+      testing::HandleLine(session, "trace bogus=1", &response, &stop));
   EXPECT_NE(response.find("\"code\":\"bad_argument\""), std::string::npos);
   EXPECT_NE(response.find("trace does not take \\\"bogus\\\""),
             std::string::npos)
       << response;
 
-  ASSERT_TRUE(session.Handle("trace n=0", &response, &stop));
+  ASSERT_TRUE(testing::HandleLine(session, "trace n=0", &response, &stop));
   EXPECT_NE(response.find("\"code\":\"bad_argument\""), std::string::npos);
 
-  ASSERT_TRUE(session.Handle("trace n=zebra", &response, &stop));
+  ASSERT_TRUE(
+      testing::HandleLine(session, "trace n=zebra", &response, &stop));
   EXPECT_NE(response.find("\"code\":\"bad_argument\""), std::string::npos);
 
-  ASSERT_TRUE(session.Handle("cache n=3", &response, &stop));
+  ASSERT_TRUE(testing::HandleLine(session, "cache n=3", &response, &stop));
   EXPECT_NE(response.find("\"code\":\"bad_argument\""), std::string::npos);
   EXPECT_NE(response.find("cache does not take \\\"n\\\""), std::string::npos);
 
-  ASSERT_TRUE(session.Handle("cache", &response, &stop));
+  ASSERT_TRUE(testing::HandleLine(session, "cache", &response, &stop));
   EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
 
   // rid validation: embedded quote can never reach JSON verbatim.
-  ASSERT_TRUE(session.Handle("query graph=g rid=bad\"token", &response, &stop));
+  ASSERT_TRUE(testing::HandleLine(session, "query graph=g rid=bad\"token",
+                                  &response, &stop));
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
   EXPECT_NE(response.find("rid"), std::string::npos);
 }
@@ -944,7 +949,7 @@ TEST(ServerStreamingTest, CatalogCommandsRejectUnknownKeys) {
   const std::string snap = ::testing::TempDir() + "/catalog_strict.snap";
   std::remove(snap.c_str());
   auto refused = [&](const std::string& line, const std::string& key) {
-    ASSERT_TRUE(session.Handle(line, &response, &stop)) << line;
+    ASSERT_TRUE(testing::HandleLine(session, line, &response, &stop)) << line;
     EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
     EXPECT_EQ(response.find("\"code\""), std::string::npos) << response;
     EXPECT_NE(response.find("does not take \\\"" + key + "\\\""),
@@ -952,7 +957,7 @@ TEST(ServerStreamingTest, CatalogCommandsRejectUnknownKeys) {
         << response;
   };
   auto accepted = [&](const std::string& line) {
-    ASSERT_TRUE(session.Handle(line, &response, &stop)) << line;
+    ASSERT_TRUE(testing::HandleLine(session, line, &response, &stop)) << line;
     EXPECT_NE(response.find("\"ok\":true"), std::string::npos)
         << line << ": " << response;
   };

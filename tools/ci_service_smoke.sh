@@ -10,7 +10,9 @@
 # fairbc_cli --top-k, and fairbc_cli's --top-k --out file against the top
 # five of its full --out file, ranked in Python (an oracle that shares no
 # pruning code with the engines). A rejection-parity pass checks that both doors
-# refuse the same bad values with the same message.
+# refuse the same bad values with the same message. A sweep pass runs the
+# trace's points as two `sweep` grids, on stdin and over TCP, against the
+# same oracle.
 # Then restarts the server in TCP mode (--port=0, mmap preload) and
 # replays the same trace through TWO PARALLEL TCP clients, diffing both
 # response streams against the same CLI oracle — exercising concurrent
@@ -404,6 +406,54 @@ if [ "$V3_MMAP_VERSION" != "$V2_VERSION" ]; then
 fi
 echo "v3 OK: 20 responses match the v2 oracle; fingerprint $V3_VERSION" \
      "identical (also through format=mmap); ${V2_BYTES}B -> ${V3_BYTES}B"
+
+echo "== sweep: one grid per model on stdin and over TCP vs the oracle"
+# A sweep over alphas=2,3 betas=2,3 deltas=1,2 covers the trace's eight
+# points of its model, in the trace's order (alphas outer, deltas inner).
+# Over TCP the grid runs on a fresh server, so every point executes while
+# the reactor keeps serving; each point's count + digest must equal the
+# oracle's on both doors.
+SWEEPS=$(for model in ssfbc bsfbc; do
+  echo "sweep graph=g model=$model alphas=2,3 betas=2,3 deltas=1,2"
+done)
+check_sweeps() {  # check_sweeps LABEL FILE — the two sweep reply lines
+  ORACLE="$ORACLE" python3 - "$@" <<'PY'
+import json, os, sys
+label, path = sys.argv[1:]
+oracle = [line.split() for line in os.environ["ORACLE"].splitlines()]
+sweeps = [json.loads(l) for l in open(path)
+          if l.strip() and '"cmd":"sweep"' in l]
+assert len(sweeps) == 2, (label, len(sweeps))
+for m, sweep in enumerate(sweeps):
+    assert sweep.get("ok") and sweep["queries"] == 8, (label, sweep)
+    for j, point in enumerate(sweep["results"]):
+        count, digest = oracle[8 * m + j]
+        if str(point["count"]) != count or point["digest"] != digest:
+            sys.exit("%s sweep %d point %d: %s/%s, oracle %s/%s" % (
+                label, m, j, point["count"], point["digest"], count, digest))
+print("%s sweep OK: 16 grid points match fairbc_cli" % label)
+PY
+}
+{ echo "load name=g path=$WORK/g.snap format=snapshot"; echo "$SWEEPS"; } \
+  | "$SERVER" > "$WORK/sweep_stdin.txt"
+check_sweeps stdin "$WORK/sweep_stdin.txt" || exit 1
+"$SERVER" --port=0 --preload=g="$WORK/g.snap" 2> "$WORK/sweep_server.log" &
+SERVER_PID=$!
+PORT=
+for _ in $(seq 1 100); do
+  PORT=$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' \
+         "$WORK/sweep_server.log")
+  [ -n "$PORT" ] && break
+  sleep 0.05
+done
+[ -n "$PORT" ] || { echo "sweep server did not report its port"; exit 1; }
+exec 5<>"/dev/tcp/127.0.0.1/$PORT"
+printf '%s\nstop\n' "$SWEEPS" >&5
+for _ in 1 2 3; do read -r line <&5 && echo "$line"; done > "$WORK/sweep_tcp.txt"
+exec 5<&- 5>&-
+wait "$SERVER_PID"
+SERVER_PID=
+check_sweeps tcp "$WORK/sweep_tcp.txt" || exit 1
 
 echo "== restart in TCP mode (mmap preload) and replay through 2 parallel clients"
 # max-sessions covers the 2 line clients + the wire client + its

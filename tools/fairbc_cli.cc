@@ -416,7 +416,7 @@ int main(int argc, char** argv) {
   std::string command = argv[1];
   FlagParser flags;
   Status st = flags.Parse(argc - 1, argv + 1);
-  if (!st.ok()) return Fail(st);
+  if (!st.ok()) return UsageError(st.ToString());
 
   int rc;
   if (command == "stats") {

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   Status st = flags.Parse(argc, argv);
   if (!st.ok()) {
     std::cerr << "error: " << st.ToString() << "\n";
-    return 1;
+    return 2;
   }
 
   // Every flag is read before anything starts, so an unparsable value
@@ -134,6 +134,11 @@ int main(int argc, char** argv) {
                       86'400'000)))) {
     return 2;
   }
+  const std::size_t preload_eq = preload.find('=');
+  if (!preload.empty() && preload_eq == std::string::npos) {
+    std::cerr << "error: --preload wants NAME=PATH\n";
+    return 2;
+  }
   for (const std::string& name : flags.UnusedFlags()) {
     std::cerr << "warning: unknown flag --" << name << " ignored\n";
   }
@@ -174,13 +179,8 @@ int main(int argc, char** argv) {
   // --preload=NAME=PATH loads one snapshot before serving (--mmap maps
   // it in place instead of copying).
   if (!preload.empty()) {
-    auto eq = preload.find('=');
-    if (eq == std::string::npos) {
-      std::cerr << "error: --preload wants NAME=PATH\n";
-      return 1;
-    }
     Status loaded = catalog.AddFromFile(
-        preload.substr(0, eq), preload.substr(eq + 1),
+        preload.substr(0, preload_eq), preload.substr(preload_eq + 1),
         use_mmap ? GraphCatalog::Format::kSnapshotMmap
                  : GraphCatalog::Format::kSnapshot);
     if (!loaded.ok()) {

@@ -24,9 +24,9 @@
 //                JSON — so CI can assert streamed == batch against the
 //                CLI oracle without trusting the server's own summary.
 //
-// Exit status is nonzero on any protocol violation (bad frame, out of
-// order response, failed soak ping), so CI can assert wire correctness
-// by exit code alone.
+// Exit status is 2 on a usage error and nonzero on any protocol violation
+// (bad frame, out of order response, failed soak ping), so CI can assert
+// wire correctness by exit code alone.
 
 #include <chrono>
 #include <cstring>
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
   fairbc::Status st = flags.Parse(argc, argv);
   if (!st.ok()) {
     std::cerr << "error: " << st.ToString() << "\n";
-    return 1;
+    return 2;
   }
   const auto port = flags.GetInt("port", -1);
   const bool pipeline = flags.GetBool("pipeline", false);
@@ -256,11 +256,11 @@ int main(int argc, char** argv) {
   }
   if (port <= 0 || port > 65535) {
     std::cerr << "error: --port=N (1..65535) is required\n";
-    return 1;
+    return 2;
   }
   if (soak < 0 || soak > 10000) {
     std::cerr << "error: --soak must be in [0, 10000]\n";
-    return 1;
+    return 2;
   }
 
   std::vector<int> soak_fds;
