@@ -94,7 +94,8 @@ class FairBcemEngine {
 
     ArenaScope frame(arena);
     // Both candidate filters read c = |N(v) ∩ L'|: from one wedge pass at
-    // a root branch, by probing a bitmap of L' in O(deg(v)) below it.
+    // a root branch, from root rows below a narrow root, else by probing
+    // a bitmap of L' in O(deg(v)).
     const std::optional<BranchCounts> branch = ctx_.OpenBranch(
         big_l, r, x, search_.prune_small_l ? min_upper_ : 1u);
     if (!branch) return true;

@@ -31,9 +31,11 @@ using SizeSpan = std::span<const std::uint32_t>;
 /// how much element work they did, and which kernel the dispatch heuristic
 /// picked (docs/PERF.md documents the heuristic and the crossovers).
 /// "Steps" are kernel-specific work units — merge loop iterations, gallop
-/// probe comparisons, bitset loads+probes, root-branch wedge visits
-/// (SearchContext::CountRootWedges) — comparable across runs of the same
-/// workload, not across kernels.
+/// probe comparisons, bitset packs+probes (a BitsetView::Load is free, each
+/// CountHits element one step), root-branch wedge visits
+/// (SearchContext::CountRootWedges), and below a narrow root one step per
+/// slot looked up to build a mask and per row test — comparable across
+/// runs of the same workload, not across kernels.
 struct KernelStats {
   std::uint64_t calls = 0;   ///< IntersectInto/IntersectSize calls.
   std::uint64_t steps = 0;   ///< element comparisons / work units.

@@ -61,11 +61,9 @@ class MbeaEngine {
     ctx_.CountNode();
     const BipartiteGraph& g = ctx_.graph();
     ScratchArena& arena = ctx_.arena();
-    KernelStats* kstats = ctx_.kernel_stats();
     const VertexId x = p.front();
 
-    // Top-k branch-and-bound: descendants stay within (|L|, |R| + |P|)
-    // (or the caller-installed side caps — see EnumerateMaximalBicliques).
+    // Top-k branch-and-bound: descendants stay within (|L|, |R| + |P|).
     // Cutting returns true: siblings continue, only this subtree dies.
     const TopKPruneBound* topk = ctx_.options().topk;
     if (topk != nullptr && topk->CanPrune(big_l.size(), r.size() + p.size())) {
@@ -74,7 +72,8 @@ class MbeaEngine {
 
     ArenaScope frame(arena);
     // Both scans read c = |N(v) ∩ L'|: from one wedge pass at a root
-    // branch, by probing a bitmap of L' in O(deg(v)) below it.
+    // branch, from root rows below a narrow root, else by probing a
+    // bitmap of L' in O(deg(v)).
     const std::optional<BranchCounts> branch =
         ctx_.OpenBranch(big_l, r, x, min_upper_);
     if (!branch) return true;
@@ -98,11 +97,8 @@ class MbeaEngine {
     new_r.push_back(x);
     for (VertexId v : absorbed) {
       new_r.push_back(v);  // fully connected to L'.
-      // Exhausted: no neighbor outside L' either (|N(v) ∩ L| == |L'|;
-      // at a root branch L is U(G), so that is deg(v)).
-      const auto nbrs = g.Neighbors(Side::kLower, v);
-      if ((branch->root ? nbrs.size()
-                : IntersectSize(nbrs, big_l, &arena, kstats)) == new_l.size()) {
+      // Exhausted: no neighbor outside L' either (|N(v) ∩ L| == |L'|).
+      if (ctx_.CountInL(*branch, big_l, v) == new_l.size()) {
         exhausted->push_back(v);
       }
     }

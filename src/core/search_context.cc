@@ -1,6 +1,7 @@
 #include "core/search_context.h"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 
 #include "core/ordering.h"
@@ -150,8 +151,23 @@ std::optional<BranchCounts> SearchContext::OpenBranch(
   if (r.empty() && big_l.size() == g_.NumUpper()) {
     if (x_nbrs.size() < min_upper) return std::nullopt;
     return BranchCounts{x_nbrs,
-                        CandidateCounts(x_nbrs.size(), CountRootWedges(x)),
-                        true};
+                        CandidateCounts(x_nbrs.size(), CountRootWedges(x))};
+  }
+  if (const std::optional<std::uint64_t> l_mask = RowMask(big_l)) {
+    // L ⊆ N(x_root), so L ∩ N(x) = L ∩ (N(x) ∩ N(x_root)) = mask(L) & row[x],
+    // and each set bit i decodes to the root's i-th neighbor: ascending.
+    const std::uint64_t new_mask = *l_mask & root_rows_[x];
+    const auto size = static_cast<std::uint32_t>(std::popcount(new_mask));
+    if (size < min_upper) return std::nullopt;
+    VertexId* out = arena_.AllocU32(size);
+    std::size_t n = 0;
+    for (std::uint64_t m = new_mask; m != 0; m &= m - 1) {
+      out[n++] = row_upper_[std::countr_zero(m)];
+    }
+    return BranchCounts{{out, n},
+                        CandidateCounts(n, root_rows_.data(), new_mask,
+                                        &stats_.kernels),
+                        *l_mask};
   }
   VertexId* out = arena_.AllocU32(std::min(big_l.size(), x_nbrs.size()));
   const std::span<const VertexId> new_l(
@@ -160,25 +176,82 @@ std::optional<BranchCounts> SearchContext::OpenBranch(
   return BranchCounts{new_l,
                       CandidateCounts(new_l.size(), g_,
                                       BitsetView::Load(arena_, new_l),
-                                      &stats_.kernels),
-                      false};
+                                      &stats_.kernels)};
+}
+
+std::optional<std::uint64_t> SearchContext::RowMask(
+    std::span<const VertexId> big_l) {
+  if (row_upper_.empty() || big_l.size() > row_upper_.size()) {
+    return std::nullopt;
+  }
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < big_l.size(); ++i) {
+    const std::uint8_t slot = root_slots_[big_l[i]];
+    if (slot == kNoSlot) {
+      stats_.kernels.steps += i + 1;
+      return std::nullopt;
+    }
+    mask |= std::uint64_t{1} << slot;
+  }
+  stats_.kernels.steps += big_l.size();
+  return mask;
+}
+
+std::uint32_t SearchContext::CountInL(const BranchCounts& branch,
+                                      std::span<const VertexId> big_l,
+                                      VertexId v) {
+  switch (branch.counts.source()) {
+    case CountSource::kRoot:
+      return static_cast<std::uint32_t>(g_.Degree(Side::kLower, v));
+    case CountSource::kRows:
+      return branch.counts.CountRow(v, branch.l_mask);
+    case CountSource::kProbe:
+      break;
+  }
+  return IntersectSize(g_.Neighbors(Side::kLower, v), big_l, &arena_,
+                       &stats_.kernels);
 }
 
 const std::uint32_t* SearchContext::CountRootWedges(VertexId x) {
   if (root_counts_.empty()) {
     root_counts_.assign(g_.NumLower(), 0);
     root_touched_.resize(g_.NumLower());
+    root_rows_.assign(g_.NumLower(), 0);
+    root_slots_.assign(g_.NumUpper(), kNoSlot);
   }
   std::uint32_t* counts = root_counts_.data();
+  std::uint64_t* rows = root_rows_.data();
   VertexId* touched = root_touched_.data();
   for (std::size_t i = 0; i < num_touched_; ++i) counts[touched[i]] = 0;
+  if (!row_upper_.empty()) {
+    for (std::size_t i = 0; i < num_touched_; ++i) rows[touched[i]] = 0;
+    for (VertexId u : row_upper_) root_slots_[u] = kNoSlot;
+  }
+  const std::span<const VertexId> x_nbrs = g_.Neighbors(Side::kLower, x);
   std::size_t num_touched = 0;
   std::uint64_t wedges = 0;
-  for (VertexId u : g_.Neighbors(Side::kLower, x)) {
-    const std::span<const VertexId> nbrs = g_.Neighbors(Side::kUpper, u);
-    wedges += nbrs.size();
-    for (VertexId w : nbrs) {
-      if (counts[w]++ == 0) touched[num_touched++] = w;
+  if (x_nbrs.size() > kRowBits) {
+    // Too wide for a row: counts only, and every row stays zero.
+    row_upper_ = {};
+    for (VertexId u : x_nbrs) {
+      const std::span<const VertexId> nbrs = g_.Neighbors(Side::kUpper, u);
+      wedges += nbrs.size();
+      for (VertexId w : nbrs) {
+        if (counts[w]++ == 0) touched[num_touched++] = w;
+      }
+    }
+  } else {
+    row_upper_ = x_nbrs;
+    for (std::size_t i = 0; i < x_nbrs.size(); ++i) {
+      const VertexId u = x_nbrs[i];
+      root_slots_[u] = static_cast<std::uint8_t>(i);
+      const std::uint64_t bit = std::uint64_t{1} << i;
+      const std::span<const VertexId> nbrs = g_.Neighbors(Side::kUpper, u);
+      wedges += nbrs.size();
+      for (VertexId w : nbrs) {
+        if (counts[w]++ == 0) touched[num_touched++] = w;
+        rows[w] |= bit;
+      }
     }
   }
   num_touched_ = num_touched;
@@ -190,16 +263,18 @@ bool FilterCandidates(std::span<const VertexId> candidates,
                       const CandidateCounts& counts,
                       std::uint32_t keep_threshold, FullCandidates mode,
                       IdVec* kept, IdVec* full) {
-  for (VertexId v : candidates) {
-    const std::uint32_t c = counts.Count(v);
-    if (c == counts.upper_size()) {
-      if (mode == FullCandidates::kStop) return false;
-      full->push_back(v);
-      if (mode == FullCandidates::kSeparate) continue;
+  return counts.WithCounter([&](auto count) {
+    for (VertexId v : candidates) {
+      const std::uint32_t c = count(v);
+      if (c == counts.upper_size()) {
+        if (mode == FullCandidates::kStop) return false;
+        full->push_back(v);
+        if (mode == FullCandidates::kSeparate) continue;
+      }
+      if (c >= keep_threshold) kept->push_back(v);
     }
-    if (c >= keep_threshold) kept->push_back(v);
-  }
-  return true;
+    return true;
+  });
 }
 
 std::vector<VertexId> AllVertices(const BipartiteGraph& g, Side side) {

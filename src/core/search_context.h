@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -120,30 +121,78 @@ class SearchBudget {
   std::atomic<bool> exhausted_{false};
 };
 
+/// Where a branch's candidate counts come from (SearchContext::OpenBranch).
+enum class CountSource {
+  kRoot,   ///< root branch: the counts of one wedge pass.
+  kRows,   ///< below a narrow root: popcount(row[v] & mask(L')).
+  kProbe,  ///< otherwise: a loaded BitsetView of L' probed with N(v).
+};
+
 /// c(v) = |N(v) ∩ L'| for the lower-side candidates of one branch node
 /// with upper set L' (SearchContext::OpenBranch builds it). A root
-/// branch reads the counts of one wedge pass; a deeper node probes a
-/// loaded BitsetView of L' with v's neighbor list, in O(deg(v)).
+/// branch reads the counts of one wedge pass; below a root of at most 64
+/// neighbors, one AND + popcount of v's root row; elsewhere a deeper node
+/// probes a loaded BitsetView of L' with v's neighbor list, in O(deg(v)).
 class CandidateCounts {
  public:
   /// Root branch: `root_counts` is indexed by lower id.
   CandidateCounts(std::size_t upper_size, const std::uint32_t* root_counts)
-      : upper_size_(upper_size), root_counts_(root_counts) {}
+      : source_(CountSource::kRoot),
+        upper_size_(upper_size),
+        root_counts_(root_counts) {}
+  /// Below a narrow root: `rows` is indexed by lower id, bit i of row[v]
+  /// set when v is adjacent to the root's i-th neighbor; `mask` holds L'.
+  CandidateCounts(std::size_t upper_size, const std::uint64_t* rows,
+                  std::uint64_t mask, KernelStats* stats)
+      : source_(CountSource::kRows),
+        upper_size_(upper_size),
+        rows_(rows),
+        mask_(mask),
+        stats_(stats) {}
   /// Deeper node: `bits` holds L'.
   CandidateCounts(std::size_t upper_size, const BipartiteGraph& g,
                   BitsetView bits, KernelStats* stats)
-      : upper_size_(upper_size), g_(&g), bits_(bits), stats_(stats) {}
+      : source_(CountSource::kProbe),
+        upper_size_(upper_size),
+        g_(&g),
+        bits_(bits),
+        stats_(stats) {}
 
-  std::uint32_t Count(VertexId v) const {
-    if (root_counts_ != nullptr) return root_counts_[v];
-    return bits_.CountHits(g_->Neighbors(Side::kLower, v), stats_);
+  /// Returns fn(count), where count(v) is Count(v) specialized to this
+  /// source: a loop over many candidates dispatches on the source once.
+  template <typename Fn>
+  decltype(auto) WithCounter(Fn&& fn) const {
+    switch (source_) {
+      case CountSource::kRoot:
+        return fn([this](VertexId v) { return root_counts_[v]; });
+      case CountSource::kRows:
+        return fn([this](VertexId v) { return CountRow(v, mask_); });
+      case CountSource::kProbe:
+        break;
+    }
+    return fn([this](VertexId v) {
+      return bits_.CountHits(g_->Neighbors(Side::kLower, v), stats_);
+    });
   }
+  std::uint32_t Count(VertexId v) const {
+    return WithCounter([v](auto count) { return count(v); });
+  }
+  /// kRows only: |N(v) ∩ S| for the upper set S ⊆ N(x_root) that `mask`
+  /// holds. One kernel step.
+  std::uint32_t CountRow(VertexId v, std::uint64_t mask) const {
+    if (stats_ != nullptr) ++stats_->steps;
+    return static_cast<std::uint32_t>(std::popcount(rows_[v] & mask));
+  }
+  CountSource source() const { return source_; }
   /// |L'|: the count of a fully connected candidate.
   std::size_t upper_size() const { return upper_size_; }
 
  private:
+  CountSource source_;
   std::size_t upper_size_;
   const std::uint32_t* root_counts_ = nullptr;
+  const std::uint64_t* rows_ = nullptr;
+  std::uint64_t mask_ = 0;
   const BipartiteGraph* g_ = nullptr;
   BitsetView bits_;
   KernelStats* stats_ = nullptr;
@@ -154,9 +203,8 @@ class CandidateCounts {
 struct BranchCounts {
   std::span<const VertexId> upper;  ///< L'.
   CandidateCounts counts;
-  /// R is empty and L is U(G) (every root task of RunSearch): L' is
-  /// N(x), and the counts come from one wedge pass.
-  bool root;
+  /// mask(L) when counts.source() is kRows, else 0.
+  std::uint64_t l_mask = 0;
 };
 
 class SearchFanOut;
@@ -197,20 +245,31 @@ class SearchContext {
   KernelStats* kernel_stats() { return &stats_.kernels; }
 
   /// Bytes of this worker's search scratch: the arena's high-water mark
-  /// plus the root-count arrays (EnumStats::peak_struct_bytes).
+  /// plus the root arrays of CountRootWedges (EnumStats::peak_struct_bytes).
   std::size_t ScratchBytes() const {
     return arena_.HighWaterBytes() +
-           (root_counts_.size() + root_touched_.size()) * sizeof(std::uint32_t);
+           (root_counts_.size() + root_touched_.size()) * sizeof(std::uint32_t) +
+           root_rows_.size() * sizeof(std::uint64_t) + root_slots_.size();
   }
 
   /// Opens the branch on lower vertex x at node (L = `big_l`, R = `r`).
   /// At a root branch L' is N(x) itself and one wedge pass counts every
-  /// lower vertex (CountRootWedges); deeper, L' is intersected and loaded
-  /// into a BitsetView, both in the arena (the caller's frame). Returns
-  /// nullopt, before any count is built, when |L'| < `min_upper` (>= 1).
+  /// lower vertex (CountRootWedges). Deeper, when every u of L is a
+  /// neighbor of this worker's last root and that root has at most 64
+  /// neighbors, L' = mask(L) & row[x], decoded ascending, and the counts
+  /// are row popcounts (kRows); otherwise L' is intersected and loaded
+  /// into a BitsetView (kProbe). Both deeper sources live in the arena
+  /// (the caller's frame). Returns nullopt, before any count is built,
+  /// when |L'| < `min_upper` (>= 1).
   std::optional<BranchCounts> OpenBranch(std::span<const VertexId> big_l,
                                          std::span<const VertexId> r,
                                          VertexId x, std::uint32_t min_upper);
+
+  /// |N(v) ∩ L| for the L = `big_l` that `branch` was opened at (MBEA's
+  /// exhausted test): deg(v) at a root branch, where L is U(G); one AND +
+  /// popcount under root rows; an adaptive intersection otherwise.
+  std::uint32_t CountInL(const BranchCounts& branch,
+                         std::span<const VertexId> big_l, VertexId v);
 
   /// Root common-neighbor counts: one wedge pass x → u ∈ N(x) → w ∈ N(u)
   /// yields count[w] = |N(w) ∩ N(x)| for every lower w (0 beyond two
@@ -219,6 +278,10 @@ class SearchContext {
   /// touched: only the first call costs O(|V|), the others
   /// O(Σ_{u∈N(x)} deg(u)). The wedge visits are charged to
   /// kernel_stats()->steps.
+  ///
+  /// When deg(x) <= 64 the same pass sets bit i of row[w] for the i-th
+  /// neighbor of x (id order) and numbers N(x) in the slot map, so that
+  /// OpenBranch can answer any L ⊆ N(x) with masks until the next call.
   const std::uint32_t* CountRootWedges(VertexId x);
 
   /// True when this worker must unwind (shared abort or exhausted budget).
@@ -262,6 +325,15 @@ class SearchContext {
   bool SplitOnPool(std::span<const VertexId> big_l, std::span<const VertexId> r,
                    std::span<const VertexId> p, std::span<const VertexId> q);
 
+  /// mask(L) over the last root's slots, or nullopt when that root had
+  /// more than kRowBits neighbors or some u ∈ L is not among them. Each
+  /// slot looked up is one kernel step.
+  std::optional<std::uint64_t> RowMask(std::span<const VertexId> big_l);
+
+  /// Row width: the widest root whose neighbors get one bit each.
+  static constexpr std::size_t kRowBits = 64;
+  static constexpr std::uint8_t kNoSlot = 0xFF;
+
   const BipartiteGraph& g_;
   const EnumOptions& options_;
   const FairnessPolicy* const policy_;
@@ -274,6 +346,13 @@ class SearchContext {
   std::vector<std::uint32_t> root_counts_;
   std::vector<VertexId> root_touched_;
   std::size_t num_touched_ = 0;
+  /// Row masks of the last root x when deg(x) <= 64 (indexed by lower id,
+  /// zero on every untouched entry), the slot of each u ∈ N(x) (indexed
+  /// by upper id, kNoSlot elsewhere), and N(x) itself (empty when the
+  /// last root was wider, so that no L passes the slot test).
+  std::vector<std::uint64_t> root_rows_;
+  std::vector<std::uint8_t> root_slots_;
+  std::span<const VertexId> row_upper_;
   const EmitWorker worker_;
   /// Set while this worker runs a root task of a parallel run.
   SearchFanOut* fan_out_ = nullptr;

@@ -458,7 +458,10 @@ TEST(KernelsEngineTest, EightWorkerRunMatchesSerial) {
 
   EXPECT_EQ(testing::Canonicalize(parallel_sink.results()),
             testing::Canonicalize(serial_sink.results()));
-  EXPECT_GT(stats.kernels.calls, 0u);  // telemetry survived the merge.
+  // Telemetry survived the merge. Steps, not calls: every root charges
+  // its wedge visits, while nodes below a narrow root test rows and
+  // charge no call, so calls depend on which lane runs a split child.
+  EXPECT_GT(stats.kernels.steps, 0u);
 }
 
 }  // namespace
